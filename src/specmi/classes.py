@@ -181,26 +181,6 @@ def _transposed(grid: Grid) -> Grid:
     return tuple(zip(*grid))
 
 
-def _canonical_word_of_grid(grid: Grid) -> str:
-    """Lexicographically smallest word over the class of one symbol grid."""
-    m, n = len(grid), len(grid[0])
-    variants = [grid]
-    if m == n:
-        variants.append(_transposed(grid))
-    best: tuple[int, ...] | None = None
-    for g in variants:
-        zero_row = next(i for i, row in enumerate(g) if 0 in row)
-        rest = tuple(row for i, row in enumerate(g) if i != zero_row)
-        for perm in itertools.permutations(rest):
-            rows = (g[zero_row],) + perm
-            order = sorted(range(n), key=lambda c: rows[0][c])
-            word = tuple(rows[r][c] for r in range(m) for c in order)
-            if best is None or word < best:
-                best = word
-    assert best is not None
-    return "".join(SYMBOL_LETTERS[s] for s in best)
-
-
 def _to_symbol_grid(arrangement) -> Grid:
     """Coerce to a symbol grid; rank numeric entries (descending) if needed."""
     if isinstance(arrangement, ProbMatrix):
@@ -243,8 +223,7 @@ def canonical_form(arrangement, table: ClassTable | None = None) -> MatrixClass:
         table = class_table(m, n)
     elif (table.m, table.n) != (m, n):
         raise ValueError(f"table is for {(table.m, table.n)}, arrangement is {(m, n)}")
-    word = _canonical_word_of_grid(grid)
-    return table._by_word[word]
+    return _classes_of([grid], table)[0]
 
 
 def _canonical_codes(chunk: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -274,6 +253,38 @@ def _decode_word(code: int, mn: int) -> str:
         code, s = divmod(code, mn)
         syms.append(s)
     return "".join(SYMBOL_LETTERS[s] for s in reversed(syms))
+
+
+def _classes_of(grids: Sequence[Grid], table: ClassTable) -> list[MatrixClass]:
+    """Classes of a batch of symbol grids of the table's shape.
+
+    Moves symbol 0 of every grid to cell (0, 0), its row first and then its
+    column, and canonicalises the whole batch in one vectorised pass.
+    """
+    m, n, count = table.m, table.n, len(grids)
+    batch = np.array(grids, dtype=np.int64).reshape(count, m, n)
+    k = np.arange(count)
+    rows, cols = np.divmod(batch.reshape(count, m * n).argmin(axis=1), n)
+    batch[k, 0], batch[k, rows] = batch[k, rows], batch[k, 0]
+    batch[k, :, 0], batch[k, :, cols] = batch[k, :, cols], batch[k, :, 0]
+    codes = _canonical_codes(batch.reshape(count, m * n), m, n)
+    return [table._by_word[_decode_word(int(code), m * n)] for code in codes]
+
+
+def _swap_and_canonicalise(
+    table: ClassTable, swaps: Sequence[tuple[Grid, tuple[int, int], tuple[int, int]]]
+) -> list[tuple[Grid, MatrixClass]]:
+    """Exchange two cells of each grid; return every image with its class.
+
+    ``swaps`` holds (grid, position, position) triples; all images are
+    canonicalised in one batch.
+    """
+    images: list[Grid] = []
+    for grid, (ia, ja), (ib, jb) in swaps:
+        rows = [list(row) for row in grid]
+        rows[ia][ja], rows[ib][jb] = rows[ib][jb], rows[ia][ja]
+        images.append(tuple(tuple(row) for row in rows))
+    return list(zip(images, _classes_of(images, table)))
 
 
 def enumerate_classes(m: int, n: int, *, chunk_size: int = 500_000) -> ClassTable:
@@ -521,16 +532,13 @@ def honeycomb() -> Honeycomb:
             edges.append(_majorisation_edge(table, hexagon[lo], hexagon[hi]))
     for src, dst in _CROSS_PAIRS:
         edges.append(_majorisation_edge(table, src, dst))
-    for src, pos_a, pos_b, dst in _CHAIN_STEPS:
-        grid = table.get(src).canonical
-        verdict = titrate_check(symbolic_transposition_context(grid, pos_a, pos_b))
+    swaps = [(table.get(src).canonical, pos_a, pos_b) for src, pos_a, pos_b, _ in _CHAIN_STEPS]
+    images = _swap_and_canonicalise(table, swaps)
+    for (src, _, _, dst), swap, (_, image) in zip(_CHAIN_STEPS, swaps, images):
+        verdict = titrate_check(symbolic_transposition_context(*swap))
         if not verdict.is_forward:
             raise RuntimeError(f"expected a forward titration for {src} -> {dst}")
-        flat = [s for row in grid for s in row]
-        ka, kb = pos_a[0] * 3 + pos_a[1], pos_b[0] * 3 + pos_b[1]
-        flat[ka], flat[kb] = flat[kb], flat[ka]
-        image = (tuple(flat[0:3]), tuple(flat[3:6]))
-        if canonical_form(image, table=table).index != dst:
+        if image.index != dst:
             raise RuntimeError(f"chain step {src} -> {dst} lands in the wrong class")
         edges.append(
             CertifiedEdge(src=src, dst=dst, kind="entropic", certificate=verdict.certificate)

@@ -14,51 +14,30 @@ rendered with repr (JSON) or %.17g (CSV).  Information values are in nats
 unless ``--log-base 2`` is given (extrema and qubit2-scan only).
 
 Exit codes: 0 success; 1 relation left inconclusive; 2 invalid arguments;
-3 checkpoint mismatch on resume; 4 input/output failure.
+3 malformed or mismatched checkpoint on resume; 4 input/output failure.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
 from typing import Sequence
 
 from .classes import class_table, honeycomb_dot, r23_table
-from .core import EPSILON, Spectrum
+from .core import EPSILON, Spectrum, write_text_atomic
 from .extrema import CensusReport, CheckpointMismatchError, brute_force_extrema, census
 from .orders import derive_relation
 from .qubit2 import SCAN_FUNCTIONS, octahedron_scan
 
-__all__ = ["RunConfig", "build_parser", "main"]
+__all__ = ["build_parser", "main"]
 
 _SCHEMA_VERSION = 1
 _LN2 = math.log(2.0)
 
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Normalized arguments of one invocation."""
-
-    command: str
-    m: int | None = None
-    n: int | None = None
-    samples: int | None = None
-    seed: int | None = None
-    log_base: str = "e"
-    workers: int = 1
-    output_path: str | None = None
-    format: str = "json"
-    spectrum: Spectrum | None = None
-    a: int | None = None
-    b: int | None = None
-    block_size: int = 2500
-    checkpoint: str | None = None
-    resume: bool = False
-    convergence_csv: str | None = None
-    function: str | None = None
-    grid: int | None = None
+#: Shapes whose certified relation graph builds in seconds; the 2x4 graph
+#: takes minutes and larger ones hours.
+_RELATION_SHAPES = ((2, 2), (2, 3))
 
 
 def _parse_spectrum(text: str) -> Spectrum:
@@ -98,8 +77,7 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_text_atomic(path, text)
 
 
 def _json_text(payload: dict) -> str:
@@ -110,15 +88,16 @@ def _json_text(payload: dict) -> str:
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _run_extrema(cfg: RunConfig) -> int:
-    report = brute_force_extrema(cfg.spectrum, cfg.m, cfg.n)
-    table = class_table(cfg.m, cfg.n)
-    values = [_rescale(v, cfg.log_base) for v in report.values]
-    if cfg.format == "csv":
+def _run_extrema(args: argparse.Namespace) -> int:
+    spectrum = _parse_spectrum(args.spectrum)
+    report = brute_force_extrema(spectrum, args.m, args.n)
+    table = class_table(args.m, args.n)
+    values = [_rescale(v, args.log_base) for v in report.values]
+    if args.format == "csv":
         lines = ["class,word,cycle_label,value"]
         for cls, value in zip(table.classes, values):
             lines.append(f"{cls.index},{cls.word},{cls.cycle_label},{_fmt(value)}")
-        _write_text(cfg.output_path, "\n".join(lines) + "\n")
+        _write_text(args.output, "\n".join(lines) + "\n")
         return 0
 
     def describe(indices: tuple[int, ...]) -> list[dict]:
@@ -134,17 +113,17 @@ def _run_extrema(cfg: RunConfig) -> int:
     payload = {
         "schema_version": _SCHEMA_VERSION,
         "command": "extrema",
-        "m": cfg.m,
-        "n": cfg.n,
-        "log_base": cfg.log_base,
-        "spectrum": list(cfg.spectrum.values),
-        "max_value": _rescale(report.max_value, cfg.log_base),
-        "min_value": _rescale(report.min_value, cfg.log_base),
+        "m": args.m,
+        "n": args.n,
+        "log_base": args.log_base,
+        "spectrum": list(spectrum.values),
+        "max_value": _rescale(report.max_value, args.log_base),
+        "min_value": _rescale(report.min_value, args.log_base),
         "maxima": describe(report.maxima),
         "minima": describe(report.minima),
         "values": values,
     }
-    _write_text(cfg.output_path, _json_text(payload))
+    _write_text(args.output, _json_text(payload))
     return 0
 
 
@@ -177,46 +156,49 @@ def _census_payload(report: CensusReport) -> dict:
     }
 
 
-def _run_census(cfg: RunConfig) -> int:
+def _run_census(args: argparse.Namespace) -> int:
     report = census(
-        cfg.m,
-        cfg.n,
-        cfg.samples,
-        cfg.seed,
-        workers=cfg.workers,
-        block_size=cfg.block_size,
-        checkpoint_path=cfg.checkpoint,
-        resume=cfg.resume,
+        args.m,
+        args.n,
+        args.samples,
+        args.seed,
+        workers=args.workers,
+        block_size=args.block_size,
+        checkpoint_path=args.checkpoint,
+        resume=args.resume,
     )
-    _write_text(cfg.output_path, _json_text(_census_payload(report)))
-    if cfg.convergence_csv is not None:
+    _write_text(args.output, _json_text(_census_payload(report)))
+    if args.convergence_csv is not None:
         lines = ["samples,n_max_classes,n_min_classes"]
         for p in report.convergence:
             lines.append(f"{p.samples},{p.n_max_classes},{p.n_min_classes}")
-        _write_text(cfg.convergence_csv, "\n".join(lines) + "\n")
+        _write_text(args.convergence_csv, "\n".join(lines) + "\n")
     return 0
 
 
-def _run_relation(cfg: RunConfig) -> int:
-    table = class_table(cfg.m, cfg.n)
-    verdict = derive_relation(cfg.a, cfg.b, table=table)
-    _write_text(cfg.output_path, verdict.render() + "\n")
+def _run_relation(args: argparse.Namespace) -> int:
+    if (args.m, args.n) not in _RELATION_SHAPES:
+        supported = " and ".join(f"{m}x{n}" for m, n in _RELATION_SHAPES)
+        raise ValueError(f"relation supports the shapes {supported}, got {args.m}x{args.n}")
+    table = class_table(args.m, args.n)
+    verdict = derive_relation(args.a, args.b, table=table)
+    _write_text(args.output, verdict.render() + "\n")
     return 1 if verdict.is_inconclusive else 0
 
 
-def _run_honeycomb(cfg: RunConfig) -> int:
-    _write_text(cfg.output_path, honeycomb_dot(table=r23_table()))
+def _run_honeycomb(args: argparse.Namespace) -> int:
+    _write_text(args.output, honeycomb_dot(table=r23_table()))
     return 0
 
 
-def _run_qubit2_scan(cfg: RunConfig) -> int:
-    points, values = octahedron_scan(cfg.function, cfg.grid)
+def _run_qubit2_scan(args: argparse.Namespace) -> int:
+    points, values = octahedron_scan(args.function.replace("-", "_"), args.grid)
     lines = ["t11,t22,t33,value"]
     for (t11, t22, t33), value in zip(points, values):
         lines.append(
-            f"{_fmt(t11)},{_fmt(t22)},{_fmt(t33)},{_fmt(_rescale(float(value), cfg.log_base))}"
+            f"{_fmt(t11)},{_fmt(t22)},{_fmt(t33)},{_fmt(_rescale(float(value), args.log_base))}"
         )
-    _write_text(cfg.output_path, "\n".join(lines) + "\n")
+    _write_text(args.output, "\n".join(lines) + "\n")
     return 0
 
 
@@ -308,48 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    kwargs = {
-        "command": args.command,
-        "output_path": getattr(args, "output", None),
-    }
-    if args.command == "extrema":
-        kwargs.update(
-            m=args.m,
-            n=args.n,
-            spectrum=_parse_spectrum(args.spectrum),
-            log_base=args.log_base,
-            format=args.format,
-        )
-    elif args.command == "census":
-        if args.samples < 1:
-            raise ValueError("--samples must be at least 1")
-        if args.workers < 1:
-            raise ValueError("--workers must be at least 1")
-        if args.block_size < 1:
-            raise ValueError("--block-size must be at least 1")
-        kwargs.update(
-            m=args.m,
-            n=args.n,
-            samples=args.samples,
-            seed=args.seed,
-            workers=args.workers,
-            block_size=args.block_size,
-            checkpoint=args.checkpoint,
-            resume=args.resume,
-            convergence_csv=args.convergence_csv,
-        )
-    elif args.command == "relation":
-        kwargs.update(m=args.m, n=args.n, a=args.a, b=args.b)
-    elif args.command == "qubit2-scan":
-        kwargs.update(
-            function=args.function.replace("-", "_"),
-            grid=args.grid,
-            log_base=args.log_base,
-        )
-    return RunConfig(**kwargs)
-
-
 _HANDLERS = {
     "extrema": _run_extrema,
     "census": _run_census,
@@ -366,8 +306,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
     try:
-        cfg = _config_from_args(args)
-        return _HANDLERS[cfg.command](cfg)
+        return _HANDLERS[args.command](args)
     except CheckpointMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import tempfile
 from typing import Sequence
 
 import numpy as np
@@ -37,6 +39,7 @@ __all__ = [
     "cmi",
     "sample_spectrum",
     "sample_spectra",
+    "write_text_atomic",
 ]
 
 #: Comparison tolerance for equality/ordering assertions on information values.
@@ -199,26 +202,17 @@ def cmi(P: ProbMatrix) -> float:
 
 
 def sample_spectrum(dim: int, rng: np.random.Generator) -> Spectrum:
-    """One point uniform on the probability simplex, sorted descending.
-
-    Uses normalized unit-rate exponential spacings (uniform on the simplex).
-    Draws whose sorted entries contain a gap below ``TIE_REDRAW_GAP`` are
-    redrawn so downstream strict-ordering assumptions hold.
-    """
-    if dim < 2:
-        raise ValueError("sample_spectrum needs dim >= 2")
-    while True:
-        e = rng.standard_exponential(dim)
-        v = np.sort(e / e.sum())[::-1]
-        if float(np.min(v[:-1] - v[1:])) >= TIE_REDRAW_GAP:
-            return Spectrum(tuple(float(x) for x in v))
+    """One point uniform on the probability simplex: a row of :func:`sample_spectra`."""
+    return Spectrum(tuple(float(x) for x in sample_spectra(dim, 1, rng)[0]))
 
 
 def sample_spectra(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Batch version of :func:`sample_spectrum`.
+    """``count`` points uniform on the probability simplex, sorted descending.
 
+    Uses normalized unit-rate exponential spacings (uniform on the simplex).
     Returns a ``(count, dim)`` array whose rows are descending unit-sum
-    spectra; rows containing near-ties (gap < ``TIE_REDRAW_GAP``) are redrawn.
+    spectra; rows containing near-ties (gap < ``TIE_REDRAW_GAP``) are redrawn
+    so downstream strict-ordering assumptions hold.
     """
     if dim < 2:
         raise ValueError("sample_spectra needs dim >= 2")
@@ -237,3 +231,25 @@ def sample_spectra(dim: int, count: int, rng: np.random.Generator) -> np.ndarray
         t = e / e.sum(axis=1, keepdims=True)
         t.sort(axis=1)
         s[bad] = t[:, ::-1]
+
+
+def write_text_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all.
+
+    The text goes to a uniquely named temporary file in the target's
+    directory, which then replaces the target, so concurrent writers never
+    share a temporary file and readers never see a partial file.  On any
+    failure the temporary file is removed and the target is left as it was.
+    The new file gets the permissions a plain ``open`` would have given it.
+    """
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        umask = os.umask(0)  # the only way to read the umask is to set it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

@@ -28,7 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .classes import class_table, cross_pairs, maxima_chain_steps, r23_table
-from .core import EPSILON, Spectrum, sample_spectra
+from .core import EPSILON, Spectrum, sample_spectra, write_text_atomic
 from .orders import (
     RelationKind,
     RelationVerdict,
@@ -47,9 +47,10 @@ __all__ = [
     "verify_theorem_chain",
 ]
 
-#: Largest samples-x-classes block evaluated in one allocation; bigger
-#: tables fall back to a two-pass sweep over class slices.
-_ELEMENT_BUDGET = 40_000_000
+#: Largest samples-x-classes tile evaluated in one allocation; a block of
+#: samples is reduced tile by tile, so its memory stays bounded whatever the
+#: block size or the number of classes.
+_ELEMENT_BUDGET = 4_000_000
 
 _CHECKPOINT_SCHEMA = 1
 
@@ -91,38 +92,20 @@ def _block_extrema(
     hterms: np.ndarray, G: np.ndarray, tie: float
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Per-class argmax/argmin hit counts and tie-event counts for one block."""
-    count = hterms.shape[0]
     n_classes = G.shape[1]
-    if count * n_classes <= _ELEMENT_BUDGET:
-        vals = hterms @ G
-        mask_max = vals >= (vals.max(axis=1) - tie)[:, None]
-        mask_min = vals <= (vals.min(axis=1) + tie)[:, None]
-        return (
-            mask_max.sum(axis=0).astype(np.int64),
-            mask_min.sum(axis=0).astype(np.int64),
-            int((mask_max.sum(axis=1) >= 2).sum()),
-            int((mask_min.sum(axis=1) >= 2).sum()),
-        )
-    width = max(1, _ELEMENT_BUDGET // max(count, 1))
-    row_max = np.full(count, -np.inf)
-    row_min = np.full(count, np.inf)
-    for c0 in range(0, n_classes, width):
-        vals = hterms @ G[:, c0 : c0 + width]
-        np.maximum(row_max, vals.max(axis=1), out=row_max)
-        np.minimum(row_min, vals.min(axis=1), out=row_min)
+    step = max(1, _ELEMENT_BUDGET // n_classes)
     max_hits = np.zeros(n_classes, dtype=np.int64)
     min_hits = np.zeros(n_classes, dtype=np.int64)
-    max_per_row = np.zeros(count, dtype=np.int64)
-    min_per_row = np.zeros(count, dtype=np.int64)
-    for c0 in range(0, n_classes, width):
-        vals = hterms @ G[:, c0 : c0 + width]
-        mask = vals >= (row_max - tie)[:, None]
-        max_hits[c0 : c0 + width] = mask.sum(axis=0)
-        max_per_row += mask.sum(axis=1)
-        mask = vals <= (row_min + tie)[:, None]
-        min_hits[c0 : c0 + width] = mask.sum(axis=0)
-        min_per_row += mask.sum(axis=1)
-    return max_hits, min_hits, int((max_per_row >= 2).sum()), int((min_per_row >= 2).sum())
+    ties_max = ties_min = 0
+    for r0 in range(0, hterms.shape[0], step):
+        vals = hterms[r0 : r0 + step] @ G
+        mask_max = vals >= (vals.max(axis=1) - tie)[:, None]
+        mask_min = vals <= (vals.min(axis=1) + tie)[:, None]
+        max_hits += mask_max.sum(axis=0)
+        min_hits += mask_min.sum(axis=0)
+        ties_max += int((mask_max.sum(axis=1) >= 2).sum())
+        ties_min += int((mask_min.sum(axis=1) >= 2).sum())
+    return max_hits, min_hits, ties_max, ties_min
 
 
 @dataclasses.dataclass(frozen=True)
@@ -237,16 +220,29 @@ def _checkpoint_payload(state: _CensusState, m, n, samples, seed, block_size) ->
 
 
 def _write_checkpoint(path: str, payload: dict) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _load_checkpoint(path: str, m, n, samples, seed, block_size, n_classes) -> _CensusState:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    """Read a checkpoint and check it against the census it should resume.
+
+    Any malformed, inconsistent or mismatched content raises
+    CheckpointMismatchError; only failing to read the file raises OSError.
+    """
+
+    def fail(problem: str) -> CheckpointMismatchError:
+        return CheckpointMismatchError(f"checkpoint {path!r} {problem}")
+
+    def is_count(value) -> bool:
+        return type(value) is int and value >= 0
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # malformed JSON or UTF-8
+        raise fail(f"is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise fail("is not a JSON object")
     expected = {
         "schema_version": _CHECKPOINT_SCHEMA,
         "m": m,
@@ -257,23 +253,59 @@ def _load_checkpoint(path: str, m, n, samples, seed, block_size, n_classes) -> _
     }
     for key, want in expected.items():
         got = payload.get(key)
-        if got != want:
-            raise CheckpointMismatchError(
-                f"checkpoint {path!r} has {key}={got!r}, expected {want!r}"
+        if type(got) is not int or got != want:
+            raise fail(f"has {key}={got!r}, expected {want!r}")
+    for key in ("blocks_done", "tie_events_max", "tie_events_min"):
+        if not is_count(payload.get(key)):
+            raise fail(f"has {key}={payload.get(key)!r}; it must be a non-negative integer")
+    n_blocks = (samples + block_size - 1) // block_size
+    blocks_done = payload["blocks_done"]
+    if blocks_done > n_blocks:
+        raise fail(f"has blocks_done={blocks_done}, but the census has {n_blocks} blocks")
+    samples_done = min(blocks_done * block_size, samples)
+    tallies = []
+    for side in ("max", "min"):
+        hits_in = payload.get(f"{side}_hits")
+        if not isinstance(hits_in, dict):
+            raise fail(f"has {side}_hits={hits_in!r}; it must be an object")
+        hits = np.zeros(n_classes, dtype=np.int64)
+        for key, h in hits_in.items():
+            try:
+                index = int(key)
+            except ValueError:
+                index = 0
+            if str(index) != key or not 1 <= index <= n_classes:
+                raise fail(f"credits {side}_hits to class {key!r}, outside 1..{n_classes}")
+            if not (is_count(h) and h <= samples_done):
+                raise fail(f"has {side}_hits[{key!r}]={h!r}, outside 0..{samples_done}")
+            hits[index - 1] = h
+        total, ties = int(hits.sum()), payload[f"tie_events_{side}"]
+        if (
+            ties > samples_done
+            or total < samples_done + ties
+            or (ties == 0 and total != samples_done)
+        ):
+            raise fail(
+                f"has {total} {side} hits and {ties} tie events, "
+                f"inconsistent with {samples_done} samples done"
             )
-    max_hits = np.zeros(n_classes, dtype=np.int64)
-    min_hits = np.zeros(n_classes, dtype=np.int64)
-    for idx, h in payload["max_hits"].items():
-        max_hits[int(idx) - 1] = h
-    for idx, h in payload["min_hits"].items():
-        min_hits[int(idx) - 1] = h
+        tallies.append(hits)
+    convergence = payload.get("convergence")
+    if not (
+        isinstance(convergence, list)
+        and all(
+            isinstance(row, list) and len(row) == 3 and all(is_count(v) for v in row)
+            for row in convergence
+        )
+    ):
+        raise fail("has a convergence table that is not a list of three-count rows")
     return _CensusState(
-        blocks_done=int(payload["blocks_done"]),
-        max_hits=max_hits,
-        min_hits=min_hits,
-        tie_events_max=int(payload["tie_events_max"]),
-        tie_events_min=int(payload["tie_events_min"]),
-        convergence=[ConvergencePoint(*row) for row in payload["convergence"]],
+        blocks_done=blocks_done,
+        max_hits=tallies[0],
+        min_hits=tallies[1],
+        tie_events_max=payload["tie_events_max"],
+        tie_events_min=payload["tie_events_min"],
+        convergence=[ConvergencePoint(*row) for row in convergence],
     )
 
 

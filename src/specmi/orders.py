@@ -38,12 +38,12 @@ from __future__ import annotations
 import collections
 import dataclasses
 import enum
+import functools
 import itertools
 import math
-import threading
 from typing import Iterable, Sequence
 
-from .core import EPSILON, ProbMatrix, cmi  # noqa: F401  (cmi re-exported for callers)
+from .core import EPSILON, ProbMatrix
 
 __all__ = [
     "SYMBOL_LETTERS",
@@ -614,11 +614,8 @@ def titrate_check(ctx: TranspositionContext) -> RelationVerdict:
 # Relation derivation over a class table
 # ---------------------------------------------------------------------------
 
-_GRAPH_CACHE: dict[tuple[int, int], dict[int, dict[int, tuple[str, ...]]]] = {}
-_GRAPH_LOCK = threading.Lock()
-
-
-def _relation_graph(table) -> dict[int, dict[int, tuple[str, ...]]]:
+@functools.lru_cache(maxsize=None)
+def _relation_graph(m: int, n: int) -> dict[int, dict[int, tuple[str, ...]]]:
     """Directed certified edges i -> j meaning I(class i) <= I(class j).
 
     Edges come from symbolic matrix majorisation between class
@@ -627,12 +624,7 @@ def _relation_graph(table) -> dict[int, dict[int, tuple[str, ...]]]:
     """
     from . import classes as _classes
 
-    key = (table.m, table.n)
-    with _GRAPH_LOCK:
-        cached = _GRAPH_CACHE.get(key)
-    if cached is not None:
-        return cached
-
+    table = _classes.class_table(m, n)
     grids = {c.index: c.canonical for c in table.classes}
     edges: dict[int, dict[int, tuple[str, ...]]] = {i: {} for i in grids}
 
@@ -644,34 +636,28 @@ def _relation_graph(table) -> dict[int, dict[int, tuple[str, ...]]]:
             if cert is not None:
                 edges[i].setdefault(j, cert)
 
-    mn = table.m * table.n
-    positions = [(k // table.n, k % table.n) for k in range(mn)]
+    positions = [(k // n, k % n) for k in range(m * n)]
+    certified: list[tuple[int, RelationVerdict]] = []
+    swaps = []
     for i, gi in grids.items():
         for pa, pb in itertools.combinations(positions, 2):
             verdict = titrate_check(symbolic_transposition_context(gi, pa, pb))
-            if verdict.is_inconclusive:
-                continue
-            flat = [s for row in gi for s in row]
-            ka = pa[0] * table.n + pa[1]
-            kb = pb[0] * table.n + pb[1]
-            flat[ka], flat[kb] = flat[kb], flat[ka]
-            image = tuple(
-                tuple(flat[r * table.n + c] for c in range(table.n)) for r in range(table.m)
-            )
-            j = _classes.canonical_form(image, table=table).index
-            if j == i:
-                continue
-            lines = (
-                f"rule transposition: swap {_letter(flat[kb])},{_letter(flat[ka])} in "
-                f"{_grid_label(gi)} gives {_grid_label(image)} (class {j})",
-            ) + verdict.certificate
-            if verdict.is_forward:
-                edges[i].setdefault(j, lines)
-            else:
-                edges[j].setdefault(i, lines)
-
-    with _GRAPH_LOCK:
-        _GRAPH_CACHE[key] = edges
+            if not verdict.is_inconclusive:
+                certified.append((i, verdict))
+                swaps.append((gi, pa, pb))
+    images = _classes._swap_and_canonicalise(table, swaps)
+    for (i, verdict), (gi, pa, pb), (image, cls) in zip(certified, swaps, images):
+        j = cls.index
+        if j == i:
+            continue
+        lines = (
+            f"rule transposition: swap {_letter(gi[pa[0]][pa[1]])},{_letter(gi[pb[0]][pb[1]])} in "
+            f"{_grid_label(gi)} gives {_grid_label(image)} (class {j})",
+        ) + verdict.certificate
+        if verdict.is_forward:
+            edges[i].setdefault(j, lines)
+        else:
+            edges[j].setdefault(i, lines)
     return edges
 
 
@@ -725,7 +711,7 @@ def derive_relation(a, b, table=None, max_depth: int = 4) -> RelationVerdict:
             RelationKind.PROVEN_FORWARD,
             (header, "identical classes; empty chain", "verdict: ProvenForward"),
         )
-    edges = _relation_graph(table)
+    edges = _relation_graph(table.m, table.n)
 
     def assemble(path: list[int], kind: RelationKind) -> RelationVerdict:
         lines: list[str] = [header]

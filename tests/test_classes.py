@@ -126,6 +126,30 @@ def test_canonical_form_includes_transpose_for_square_shapes():
         assert canonical_form(g, table=table).index == canonical_form(gt, table=table).index
 
 
+def _smallest_word(grid):
+    """Reference canonical word: the smallest word over every row order, column
+    order and, for square shapes, the transpose."""
+    m, n = len(grid), len(grid[0])
+    variants = [grid, tuple(zip(*grid))] if m == n else [grid]
+    return min(
+        grid_word(tuple(tuple(g[r][c] for c in cols) for r in rows))
+        for g in variants
+        for rows in itertools.permutations(range(m))
+        for cols in itertools.permutations(range(n))
+    )
+
+
+def test_canonical_form_matches_the_smallest_word():
+    grids = [(perm[:2], perm[2:]) for perm in itertools.permutations(range(4))]
+    rng = np.random.default_rng(29)
+    for m, n in ((2, 3), (3, 3), (2, 4)):
+        for _ in range(150):
+            perm = [int(s) for s in rng.permutation(m * n)]
+            grids.append(tuple(tuple(perm[r * n : (r + 1) * n]) for r in range(m)))
+    for grid in grids:
+        assert canonical_form(grid).word == _smallest_word(grid), grid
+
+
 def test_canonical_form_accepts_numeric_matrices():
     s = Spectrum((0.3, 0.25, 0.2, 0.15, 0.07, 0.03))
     for cls in (r23_table().get(k) for k in (1, 42, 48, 60)):

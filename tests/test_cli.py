@@ -1,10 +1,15 @@
 """End-to-end checks of the command line interface."""
+import importlib
+import importlib.util
 import json
 import math
+import os
+import stat
 from pathlib import Path
 
 import pytest
 
+from specmi import cli
 from specmi.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -168,6 +173,64 @@ def test_census_checkpoint_mismatch_exit_code(capsys, tmp_path):
     assert "checkpoint" in err
 
 
+def _edit_payload(change):
+    def edit(text):
+        payload = json.loads(text)
+        change(payload)
+        return json.dumps(payload)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(_edit_payload(lambda p: p.pop("max_hits")), id="missing-max-hits"),
+        pytest.param(_edit_payload(lambda p: p.update(max_hits={"999": 2000})), id="class-999"),
+        pytest.param(_edit_payload(lambda p: p.update(max_hits={"0": 2000})), id="class-0"),
+        pytest.param(_edit_payload(lambda p: p.update(blocks_done=99)), id="blocks-done-99"),
+        pytest.param(lambda text: text[: len(text) // 2], id="invalid-json"),
+    ],
+)
+def test_census_rejects_bad_checkpoint(capsys, tmp_path, edit):
+    ck = tmp_path / "ck.json"
+    argv = ("census", "--m", "2", "--n", "3", "--samples", "2000", "--seed", "7",
+            "--checkpoint", str(ck))
+    assert run(capsys, *argv)[0] == 0
+    ck.write_text(edit(ck.read_text()))
+    code, out, err = run(capsys, *argv, "--resume")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: checkpoint")
+    assert "Traceback" not in err
+
+
+def test_file_outputs_are_written_whole_and_leave_no_temp_files(capsys, tmp_path):
+    outputs = {name: tmp_path / name for name in ("census.json", "trace.csv", "ck.json")}
+    squatter = tmp_path / "ck.json.tmp"  # a name another writer could be using
+    squatter.mkdir()
+    code, _, _ = run(
+        capsys, "census", "--m", "2", "--n", "3", "--samples", "20000", "--seed", "7",
+        "--output", str(outputs["census.json"]),
+        "--convergence-csv", str(outputs["trace.csv"]),
+        "--checkpoint", str(outputs["ck.json"]),
+    )
+    assert code == 0
+    assert outputs["census.json"].read_bytes() == (DATA / "census_23_s7_20k.json").read_bytes()
+    umask = os.umask(0)
+    os.umask(umask)
+    for path in outputs.values():
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+    blocked = tmp_path / "a_directory"
+    blocked.mkdir()
+    code, out, err = run(capsys, "honeycomb", "--output", str(blocked))
+    assert (code, out) == (4, "")
+    assert err.startswith("error:")
+    names = [*outputs, squatter.name, blocked.name]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    assert list(squatter.iterdir()) == list(blocked.iterdir()) == []
+
+
 def test_census_validates_samples(capsys):
     code, _, err = run(
         capsys, "census", "--m", "2", "--n", "3", "--samples", "0", "--seed", "7"
@@ -189,6 +252,18 @@ def test_relation_inconclusive_pair_exit_code(capsys):
     code, out, _ = run(capsys, "relation", "--a", "44", "--b", "45")
     assert code == 1
     assert "no certified chain" in out
+
+
+@pytest.mark.parametrize("m, n", [("2", "4"), ("3", "3"), ("2", "5")])
+def test_relation_rejects_unsupported_shapes_before_any_work(capsys, monkeypatch, m, n):
+    def no_work(*args, **kwargs):
+        raise AssertionError("relation built a class table or graph for an unsupported shape")
+
+    monkeypatch.setattr(cli, "class_table", no_work)
+    monkeypatch.setattr(cli, "derive_relation", no_work)
+    code, out, err = run(capsys, "relation", "--m", m, "--n", n, "--a", "1", "--b", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: relation supports the shapes 2x2 and 2x3, got {m}x{n}\n"
 
 
 def test_relation_bad_index(capsys):
@@ -243,3 +318,15 @@ def test_qubit2_scan_rejects_unknown_function(capsys):
     code, _, err = run(capsys, "qubit2-scan", "--function", "nonsense", "--grid", "5")
     assert code == 2
     assert "invalid choice" in err
+
+
+# --------------------------------------------------------- benchmark hooks
+
+def test_every_function_the_benchmark_tracer_wraps_still_resolves():
+    path = Path(__file__).parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("specmi_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, func, _, _ in tracer.LAYERS:
+        module = importlib.import_module(f"specmi.{layer}")
+        assert callable(getattr(module, func, None)), f"specmi.{layer}.{func}"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from specmi import (
+    EPSILON,
     CensusReport,
     CheckpointMismatchError,
     RelationKind,
@@ -15,9 +16,11 @@ from specmi import (
     census,
     cmi,
     r23_table,
+    sample_spectra,
     sample_spectrum,
     verify_theorem_chain,
 )
+from specmi import extrema
 
 DATA = Path(__file__).parent / "data"
 PINNED = Spectrum((0.3, 0.25, 0.2, 0.15, 0.07, 0.03))
@@ -61,6 +64,38 @@ def test_brute_force_other_shape():
     assert len(report.values) == 840
     k = int(np.argmax(report.values))
     assert report.maxima[0] == k + 1 or (k + 1) in report.maxima
+
+
+# ------------------------------------------------------------ the block kernel
+
+def test_block_extrema_tiles_agree_with_one_pass_and_brute_force(monkeypatch):
+    dec = extrema._decomposition(2, 3)
+    spectra = sample_spectra(6, 40, np.random.default_rng(8))
+    spectra[[0, 17, 39]] = 1.0 / 6.0  # the uniform spectrum: every class ties
+    hterms = extrema._marginal_entropy_terms(spectra, dec.symbols_by_term)
+
+    def block_tally(rows_per_tile):
+        monkeypatch.setattr(extrema, "_ELEMENT_BUDGET", 60 * rows_per_tile)
+        max_hits, min_hits, ties_max, ties_min = extrema._block_extrema(
+            hterms, dec.term_counts, EPSILON
+        )
+        return max_hits.tolist(), min_hits.tolist(), ties_max, ties_min
+
+    one_pass = block_tally(len(spectra))
+    assert block_tally(7) == one_pass  # five full tiles and one of five rows
+
+    max_hits, min_hits = [0] * 60, [0] * 60
+    ties_max = ties_min = 0
+    for row in spectra:
+        report = brute_force_extrema(Spectrum(tuple(row)), 2, 3)
+        for k in report.maxima:
+            max_hits[k - 1] += 1
+        for k in report.minima:
+            min_hits[k - 1] += 1
+        ties_max += len(report.maxima) >= 2
+        ties_min += len(report.minima) >= 2
+    assert one_pass == (max_hits, min_hits, ties_max, ties_min)
+    assert ties_max == ties_min == 3
 
 
 # ---------------------------------------------------------------- the census
