@@ -15,7 +15,12 @@ identity word to the class word (symbol k moves to position sigma(k)),
 written in cycle notation with fixed points omitted.
 
 The 2x3 table (60 classes) ships embedded and versioned; other shapes up to
-12 cells are enumerated on demand.
+10 cells are enumerated on demand.
+
+Certified edges between classes are derived here, once each, and titrate
+cell swaps through one helper: the 2x3 honeycomb (rendered by
+``extrema.verify_theorem_chain``; an expected certificate that is not
+derivable raises RuntimeError) and the relation graph ``derive_relation`` reads.
 """
 from __future__ import annotations
 
@@ -38,6 +43,8 @@ from .orders import (
 
 __all__ = [
     "MAX_CELLS",
+    "RELATION_SHAPES",
+    "check_relation_shape",
     "Grid",
     "MatrixClass",
     "ClassTable",
@@ -62,8 +69,9 @@ __all__ = [
     "honeycomb_dot",
 ]
 
-#: Largest supported grid (enumeration grows factorially past this anyway).
-MAX_CELLS = 12
+#: Largest supported grid: enumeration canonicalises (mn-1)! grids, about
+#: 40M at 12 cells.
+MAX_CELLS = 10
 
 Grid = tuple[tuple[int, ...], ...]
 
@@ -271,22 +279,6 @@ def _classes_of(grids: Sequence[Grid], table: ClassTable) -> list[MatrixClass]:
     return [table._by_word[_decode_word(int(code), m * n)] for code in codes]
 
 
-def _swap_and_canonicalise(
-    table: ClassTable, swaps: Sequence[tuple[Grid, tuple[int, int], tuple[int, int]]]
-) -> list[tuple[Grid, MatrixClass]]:
-    """Exchange two cells of each grid; return every image with its class.
-
-    ``swaps`` holds (grid, position, position) triples; all images are
-    canonicalised in one batch.
-    """
-    images: list[Grid] = []
-    for grid, (ia, ja), (ib, jb) in swaps:
-        rows = [list(row) for row in grid]
-        rows[ia][ja], rows[ib][jb] = rows[ib][jb], rows[ia][ja]
-        images.append(tuple(tuple(row) for row in rows))
-    return list(zip(images, _classes_of(images, table)))
-
-
 def enumerate_classes(m: int, n: int, *, chunk_size: int = 500_000) -> ClassTable:
     """Enumerate every arrangement class of an m x n grid.
 
@@ -434,6 +426,85 @@ def standard_form_sets() -> StandardFormSets:
 
 
 # ---------------------------------------------------------------------------
+# Certified edges: titrated cell swaps and the all-pairs relation graph
+# ---------------------------------------------------------------------------
+
+#: Shapes whose relation graph builds in seconds; the 2x4 graph takes
+#: minutes and larger ones hours.
+RELATION_SHAPES = ((2, 2), (2, 3))
+
+
+def check_relation_shape(m: int, n: int) -> None:
+    """Raise ValueError unless the m x n relation graph is supported."""
+    if (m, n) not in RELATION_SHAPES:
+        supported = " and ".join(f"{a}x{b}" for a, b in RELATION_SHAPES)
+        raise ValueError(f"relation supports the shapes {supported}, got {m}x{n}")
+
+
+def _titrated_swaps(
+    table: ClassTable, swaps: Sequence[tuple[Grid, tuple[int, int], tuple[int, int]]]
+) -> list[tuple[RelationVerdict, Grid | None, MatrixClass | None]]:
+    """Titrate each (grid, position, position) swap of two cells.
+
+    Returns, per swap, the titration verdict with the swapped grid and its
+    class; both are None when the verdict is inconclusive.  The images of
+    all certified swaps are canonicalised in one batch.
+    """
+    verdicts = [titrate_check(symbolic_transposition_context(*swap)) for swap in swaps]
+    images: list[Grid] = []
+    for (grid, (ia, ja), (ib, jb)), verdict in zip(swaps, verdicts):
+        if not verdict.is_inconclusive:
+            rows = [list(row) for row in grid]
+            rows[ia][ja], rows[ib][jb] = rows[ib][jb], rows[ia][ja]
+            images.append(tuple(tuple(row) for row in rows))
+    certified = iter(zip(images, _classes_of(images, table)))
+    return [(v, None, None) if v.is_inconclusive else (v, *next(certified)) for v in verdicts]
+
+
+@functools.lru_cache(maxsize=None)
+def _relation_graph(m: int, n: int) -> dict[int, dict[int, tuple[str, ...]]]:
+    """Directed certified edges i -> j meaning I(class i) <= I(class j).
+
+    Edges come from symbolic matrix majorisation between class
+    representatives (the majoriser has the lower mutual information) and
+    from titrate-certified single transpositions of a representative.
+    Only the shapes in RELATION_SHAPES are built.
+    """
+    check_relation_shape(m, n)
+    table = class_table(m, n)
+    grids = {c.index: c.canonical for c in table.classes}
+    edges: dict[int, dict[int, tuple[str, ...]]] = {i: {} for i in grids}
+
+    for i, gi in grids.items():
+        for j, gj in grids.items():
+            if i == j:
+                continue
+            cert = majorisation_certificate(gi, gj)
+            if cert is not None:
+                edges[i].setdefault(j, cert)
+
+    pairs = list(itertools.combinations([(k // n, k % n) for k in range(m * n)], 2))
+    swaps = [(gi, pa, pb) for gi in grids.values() for pa, pb in pairs]
+    sources = [i for i in grids for _ in pairs]
+    for i, (gi, pa, pb), (verdict, image, cls) in zip(
+        sources, swaps, _titrated_swaps(table, swaps)
+    ):
+        if cls is None or cls.index == i:
+            continue
+        j = cls.index
+        a, b = gi[pa[0]][pa[1]], gi[pb[0]][pb[1]]
+        lines = (
+            f"rule transposition: swap {SYMBOL_LETTERS[a]},{SYMBOL_LETTERS[b]} in "
+            f"{grid_display(gi)} gives {grid_display(image)} (class {j})",
+        ) + verdict.certificate
+        if verdict.is_forward:
+            edges[i].setdefault(j, lines)
+        else:
+            edges[j].setdefault(i, lines)
+    return edges
+
+
+# ---------------------------------------------------------------------------
 # The honeycomb of the 60 classes
 # ---------------------------------------------------------------------------
 
@@ -533,9 +604,7 @@ def honeycomb() -> Honeycomb:
     for src, dst in _CROSS_PAIRS:
         edges.append(_majorisation_edge(table, src, dst))
     swaps = [(table.get(src).canonical, pos_a, pos_b) for src, pos_a, pos_b, _ in _CHAIN_STEPS]
-    images = _swap_and_canonicalise(table, swaps)
-    for (src, _, _, dst), swap, (_, image) in zip(_CHAIN_STEPS, swaps, images):
-        verdict = titrate_check(symbolic_transposition_context(*swap))
+    for (src, _, _, dst), (verdict, _, image) in zip(_CHAIN_STEPS, _titrated_swaps(table, swaps)):
         if not verdict.is_forward:
             raise RuntimeError(f"expected a forward titration for {src} -> {dst}")
         if image.index != dst:

@@ -24,8 +24,8 @@ import math
 import sys
 from typing import Sequence
 
-from .classes import class_table, honeycomb_dot, r23_table
-from .core import EPSILON, Spectrum, write_text_atomic
+from .classes import check_relation_shape, class_table, honeycomb_dot, r23_table
+from .core import Spectrum, write_text_atomic
 from .extrema import CensusReport, CheckpointMismatchError, brute_force_extrema, census
 from .orders import derive_relation
 from .qubit2 import SCAN_FUNCTIONS, octahedron_scan
@@ -35,34 +35,20 @@ __all__ = ["build_parser", "main"]
 _SCHEMA_VERSION = 1
 _LN2 = math.log(2.0)
 
-#: Shapes whose certified relation graph builds in seconds; the 2x4 graph
-#: takes minutes and larger ones hours.
-_RELATION_SHAPES = ((2, 2), (2, 3))
-
 
 def _parse_spectrum(text: str) -> Spectrum:
+    """Parse comma-separated values summing to 1; Spectrum checks the rest."""
     parts = [p.strip() for p in text.split(",") if p.strip() != ""]
-    if len(parts) < 2:
-        raise ValueError(f"--spectrum needs at least 2 comma-separated values, got {text!r}")
     values: list[float] = []
     for part in parts:
         try:
             values.append(float(part))
         except ValueError:
             raise ValueError(f"--spectrum: {part!r} is not a number") from None
-    if any(v < -EPSILON for v in values):
-        raise ValueError(f"--spectrum: negative entry {min(values)!r}")
     total = math.fsum(values)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"--spectrum entries sum to {total!r}; they must sum to 1")
-    values = [v / total for v in values]
-    for i in range(len(values) - 1):
-        if values[i] < values[i + 1]:
-            raise ValueError(
-                "--spectrum must be sorted in non-increasing order; "
-                f"entries {i} and {i + 1} are {values[i]!r} < {values[i + 1]!r}"
-            )
-    return Spectrum(tuple(values))
+    return Spectrum(tuple(v / total for v in values))
 
 
 def _fmt(v: float) -> str:
@@ -177,9 +163,7 @@ def _run_census(args: argparse.Namespace) -> int:
 
 
 def _run_relation(args: argparse.Namespace) -> int:
-    if (args.m, args.n) not in _RELATION_SHAPES:
-        supported = " and ".join(f"{m}x{n}" for m, n in _RELATION_SHAPES)
-        raise ValueError(f"relation supports the shapes {supported}, got {args.m}x{args.n}")
+    check_relation_shape(args.m, args.n)
     table = class_table(args.m, args.n)
     verdict = derive_relation(args.a, args.b, table=table)
     _write_text(args.output, verdict.render() + "\n")

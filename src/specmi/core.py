@@ -92,6 +92,8 @@ class Spectrum:
         object.__setattr__(self, "values", vals)
         if len(vals) < 2:
             raise ValueError("Spectrum needs at least 2 entries")
+        if not all(map(math.isfinite, vals)):
+            raise ValueError(f"Spectrum has a non-finite entry: {vals!r}")
         if any(v < -EPSILON for v in vals):
             raise ValueError(f"Spectrum has a negative entry: {min(vals)!r}")
         total = math.fsum(vals)
@@ -131,6 +133,8 @@ class ProbMatrix:
         if any(len(row) != n for row in rows):
             raise ValueError("ProbMatrix rows have unequal lengths")
         flat = [v for row in rows for v in row]
+        if not all(map(math.isfinite, flat)):
+            raise ValueError(f"ProbMatrix has a non-finite entry: {rows!r}")
         if any(v < -EPSILON for v in flat):
             raise ValueError(f"ProbMatrix has a negative entry: {min(flat)!r}")
         total = math.fsum(flat)

@@ -27,15 +27,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .classes import class_table, cross_pairs, maxima_chain_steps, r23_table
+from .classes import class_table, cross_pairs, honeycomb, maxima_chain_steps
 from .core import EPSILON, Spectrum, sample_spectra, write_text_atomic
-from .orders import (
-    RelationKind,
-    RelationVerdict,
-    majorisation_certificate,
-    symbolic_transposition_context,
-    titrate_check,
-)
+from .orders import RelationKind, RelationVerdict
 
 __all__ = [
     "ExtremaReport",
@@ -333,12 +327,15 @@ def census(
     a checkpoint for different parameters raises CheckpointMismatchError.
     ``_max_blocks`` stops early after that many new blocks (for testing).
     """
-    if samples < 1:
-        raise ValueError("census needs samples >= 1")
-    if workers < 1:
-        raise ValueError("census needs workers >= 1")
-    if block_size < 1:
-        raise ValueError("census needs block_size >= 1")
+    for name, value in (
+        ("samples", samples),
+        ("workers", workers),
+        ("block_size", block_size),
+        ("checkpoint_every", checkpoint_every),
+        ("convergence_every", convergence_every),
+    ):
+        if value < 1:
+            raise ValueError(f"census needs {name} >= 1")
     dec = _decomposition(m, n)
     n_classes = dec.term_counts.shape[1]
     mn = m * n
@@ -423,35 +420,26 @@ def census(
 
 
 def verify_theorem_chain() -> list[RelationVerdict]:
-    """Re-derive every certificate behind the 2x3 extremal classification.
+    """Render every certificate behind the 2x3 extremal classification.
 
-    Returns one verdict per certified step: the four titration-certified
+    Returns one ProvenForward verdict per certified step of the cached
+    :func:`~specmi.classes.honeycomb`: the four titration-certified
     transpositions walking the maximal-side candidates up to class 48, then
     the fifteen cross-hexagon majorisations that eliminate the remaining
-    candidates.  All must come back ProvenForward.
+    candidates.  The honeycomb derives each certificate and raises
+    RuntimeError if one is not derivable.
     """
-    table = r23_table()
+    hc = honeycomb()
+    majorisations = {(e.src, e.dst): e for e in hc.edges_of_kind("majorisation")}
     out: list[RelationVerdict] = []
-    for src, pos_a, pos_b, dst in maxima_chain_steps():
-        verdict = titrate_check(
-            symbolic_transposition_context(table.get(src).canonical, pos_a, pos_b)
-        )
+    for (src, pos_a, pos_b, dst), edge in zip(maxima_chain_steps(), hc.edges_of_kind("entropic")):
         header = (
             f"chain step: class {src} -> class {dst} "
             f"(swap positions {pos_a} and {pos_b})"
         )
-        out.append(RelationVerdict(verdict.kind, (header,) + verdict.certificate))
+        out.append(RelationVerdict(RelationKind.PROVEN_FORWARD, (header,) + edge.certificate))
     for src, dst in cross_pairs():
-        cert = majorisation_certificate(
-            table.get(src).canonical, table.get(dst).canonical
-        )
         header = f"cross edge: class {src} majorises class {dst}"
-        if cert is None:
-            out.append(
-                RelationVerdict(
-                    RelationKind.INCONCLUSIVE, (header, "no certificate derivable")
-                )
-            )
-        else:
-            out.append(RelationVerdict(RelationKind.PROVEN_FORWARD, (header,) + cert))
+        edge = majorisations[(src, dst)]
+        out.append(RelationVerdict(RelationKind.PROVEN_FORWARD, (header,) + edge.certificate))
     return out

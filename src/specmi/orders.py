@@ -38,7 +38,6 @@ from __future__ import annotations
 import collections
 import dataclasses
 import enum
-import functools
 import itertools
 import math
 from typing import Iterable, Sequence
@@ -614,53 +613,6 @@ def titrate_check(ctx: TranspositionContext) -> RelationVerdict:
 # Relation derivation over a class table
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _relation_graph(m: int, n: int) -> dict[int, dict[int, tuple[str, ...]]]:
-    """Directed certified edges i -> j meaning I(class i) <= I(class j).
-
-    Edges come from symbolic matrix majorisation between class
-    representatives (the majoriser has the lower mutual information) and
-    from titrate-certified single transpositions of a representative.
-    """
-    from . import classes as _classes
-
-    table = _classes.class_table(m, n)
-    grids = {c.index: c.canonical for c in table.classes}
-    edges: dict[int, dict[int, tuple[str, ...]]] = {i: {} for i in grids}
-
-    for i, gi in grids.items():
-        for j, gj in grids.items():
-            if i == j:
-                continue
-            cert = majorisation_certificate(gi, gj)
-            if cert is not None:
-                edges[i].setdefault(j, cert)
-
-    positions = [(k // n, k % n) for k in range(m * n)]
-    certified: list[tuple[int, RelationVerdict]] = []
-    swaps = []
-    for i, gi in grids.items():
-        for pa, pb in itertools.combinations(positions, 2):
-            verdict = titrate_check(symbolic_transposition_context(gi, pa, pb))
-            if not verdict.is_inconclusive:
-                certified.append((i, verdict))
-                swaps.append((gi, pa, pb))
-    images = _classes._swap_and_canonicalise(table, swaps)
-    for (i, verdict), (gi, pa, pb), (image, cls) in zip(certified, swaps, images):
-        j = cls.index
-        if j == i:
-            continue
-        lines = (
-            f"rule transposition: swap {_letter(gi[pa[0]][pa[1]])},{_letter(gi[pb[0]][pb[1]])} in "
-            f"{_grid_label(gi)} gives {_grid_label(image)} (class {j})",
-        ) + verdict.certificate
-        if verdict.is_forward:
-            edges[i].setdefault(j, lines)
-        else:
-            edges[j].setdefault(i, lines)
-    return edges
-
-
 def _bfs_path(
     edges: dict[int, dict[int, tuple[str, ...]]], src: int, dst: int, max_depth: int
 ) -> list[int] | None:
@@ -692,6 +644,8 @@ def derive_relation(a, b, table=None, max_depth: int = 4) -> RelationVerdict:
     resolve against ``table``, defaulting to the 2x3 table).  The search is
     breadth-first over certified majorisation edges and titrate-certified
     single transpositions, transitively composed up to ``max_depth`` hops.
+    The certified graph is built only for the shapes in
+    ``classes.RELATION_SHAPES``; other shapes raise ValueError.
     """
     from . import classes as _classes
 
@@ -711,7 +665,7 @@ def derive_relation(a, b, table=None, max_depth: int = 4) -> RelationVerdict:
             RelationKind.PROVEN_FORWARD,
             (header, "identical classes; empty chain", "verdict: ProvenForward"),
         )
-    edges = _relation_graph(table.m, table.n)
+    edges = _classes._relation_graph(table.m, table.n)
 
     def assemble(path: list[int], kind: RelationKind) -> RelationVerdict:
         lines: list[str] = [header]

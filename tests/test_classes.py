@@ -11,6 +11,7 @@ from specmi import (
     Spectrum,
     arrange,
     canonical_form,
+    census,
     class_table,
     cmi,
     enumerate_classes,
@@ -23,6 +24,7 @@ from specmi import (
     varpi,
     xi_pairs,
 )
+from specmi import classes
 from specmi.classes import (
     cycle_label_of_word,
     grid_word,
@@ -73,6 +75,18 @@ def test_table_get_and_bounds():
 )
 def test_class_counts(m, n, count):
     assert len(class_table(m, n).classes) == count
+
+
+@pytest.mark.parametrize("m, n", [(3, 4), (2, 6)])
+def test_twelve_cell_shapes_are_rejected_before_enumerating(monkeypatch, m, n):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a 12-cell class table was enumerated")
+
+    monkeypatch.setattr(classes, "enumerate_classes", no_work)
+    grid = tuple(tuple(range(i * n, (i + 1) * n)) for i in range(m))
+    for call in (lambda: class_table(m, n), lambda: canonical_form(grid), lambda: census(m, n, 10, 1)):
+        with pytest.raises(ValueError, match="the cap is 10"):
+            call()
 
 
 def test_class_table_rejects_oversized_shapes():
@@ -347,6 +361,18 @@ def test_honeycomb_majorisation_edges_are_numerically_sound():
 
 def test_honeycomb_dot_is_deterministic():
     assert honeycomb_dot() == honeycomb_dot()
+
+
+def test_cold_honeycomb_derives_only_its_own_edges(monkeypatch):
+    calls = {"majorisation_certificate": 0, "titrate_check": 0}
+    for name in calls:
+        def counted(*args, name=name, original=getattr(classes, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(classes, name, counted)
+    assert classes.honeycomb.__wrapped__() == honeycomb()
+    assert calls == {"majorisation_certificate": 95, "titrate_check": 4}
 
 
 def test_honeycomb_dot_structure():

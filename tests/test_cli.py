@@ -99,6 +99,30 @@ def test_extrema_rejects_malformed_spectrum(capsys):
     assert code == 2
     assert "non-increasing" in err or "order" in err
 
+    code, out, err = run(
+        capsys, "extrema", "--m", "2", "--n", "3", "--spectrum", "nan,0.5,0.2,0.1,0.1,0.1"
+    )
+    assert (code, out) == (2, "")
+    assert "non-finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("census", "--m", "3", "--n", "4", "--samples", "10", "--seed", "1"),
+        ("extrema", "--m", "2", "--n", "6", "--spectrum", ",".join(["0.09375"] * 8 + ["0.0625"] * 4)),
+    ],
+    ids=["census-3x4", "extrema-2x6"],
+)
+def test_twelve_cell_shapes_exit_2_before_enumerating(capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a 12-cell class table was enumerated")
+
+    monkeypatch.setattr("specmi.classes.enumerate_classes", no_work)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "the cap is 10" in err
+
 
 def test_extrema_rejects_dim_mismatch(capsys):
     code, _, err = run(capsys, "extrema", "--m", "2", "--n", "3", "--spectrum", "0.6,0.4")

@@ -76,6 +76,8 @@ def test_spectrum_validates_sign_and_length():
         Spectrum((1.2, -0.2))
     with pytest.raises(ValueError, match="at least 2"):
         Spectrum((1.0,))
+    with pytest.raises(ValueError, match="non-finite"):
+        Spectrum((math.nan,) * 4)
 
 
 def test_spectrum_entropy_uniform():
@@ -90,6 +92,8 @@ def test_prob_matrix_validates():
         ProbMatrix(((0.5, 0.25), (0.5, 0.25)))
     with pytest.raises(ValueError, match="negative"):
         ProbMatrix(((0.75, 0.5), (-0.25, 0.0)))
+    with pytest.raises(ValueError, match="non-finite"):
+        ProbMatrix(((math.nan, 0.5), (0.25, 0.25)))
 
 
 def test_prob_matrix_from_array_roundtrip():

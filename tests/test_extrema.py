@@ -185,6 +185,10 @@ def test_census_validates_arguments():
         census(2, 3, 100, 7, workers=0)
     with pytest.raises(ValueError, match="block_size"):
         census(2, 3, 100, 7, block_size=0)
+    for interval in ("checkpoint_every", "convergence_every"):
+        for value in (0, -1):
+            with pytest.raises(ValueError, match=interval):
+                census(2, 3, 100, 7, **{interval: value})
 
 
 def test_census_last_partial_block():

@@ -397,6 +397,19 @@ def test_derive_relation_validates_indices():
         derive_relation(1, 61)
 
 
+@pytest.mark.parametrize("m, n", [(2, 4), (3, 3)])
+def test_derive_relation_rejects_shapes_without_a_graph(monkeypatch, m, n):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a relation graph was built for an unsupported shape")
+
+    table = class_table(m, n)
+    for module in ("specmi.orders", "specmi.classes"):
+        monkeypatch.setattr(f"{module}.majorisation_certificate", no_work)
+        monkeypatch.setattr(f"{module}.titrate_check", no_work)
+    with pytest.raises(ValueError, match=f"shapes 2x2 and 2x3, got {m}x{n}"):
+        derive_relation(1, 2, table=table)
+
+
 def test_derive_relation_on_the_2x2_table():
     table = class_table(2, 2)
     assert len(table.classes) == 3
