@@ -279,25 +279,19 @@ def _classes_of(grids: Sequence[Grid], table: ClassTable) -> list[MatrixClass]:
     return [table._by_word[_decode_word(int(code), m * n)] for code in codes]
 
 
-def enumerate_classes(m: int, n: int, *, chunk_size: int = 500_000) -> ClassTable:
+def enumerate_classes(m: int, n: int) -> ClassTable:
     """Enumerate every arrangement class of an m x n grid.
 
     Walks all grids with the largest symbol at the top-left (every class
-    has such a representative), canonicalises them in vectorised chunks,
-    and keeps the distinct canonical words in lexicographic order.
+    has such a representative), canonicalises them in one vectorised pass
+    (at most 9! grids under MAX_CELLS), and keeps the distinct canonical
+    words in lexicographic order.
     """
     _check_shape(m, n)
     mn = m * n
-    perms = itertools.permutations(range(1, mn))
-    partials: list[np.ndarray] = []
-    while True:
-        block = list(itertools.islice(perms, chunk_size))
-        if not block:
-            break
-        chunk = np.zeros((len(block), mn), dtype=np.int64)
-        chunk[:, 1:] = np.asarray(block, dtype=np.int64)
-        partials.append(np.unique(_canonical_codes(chunk, m, n)))
-    codes = np.unique(np.concatenate(partials))
+    perms = np.array(list(itertools.permutations(range(1, mn))), dtype=np.int64)
+    grids = np.pad(perms, ((0, 0), (1, 0)))  # symbol 0 in cell (0, 0)
+    codes = np.unique(_canonical_codes(grids, m, n))
     classes = tuple(
         MatrixClass(
             index=i,
@@ -624,12 +618,10 @@ def honeycomb() -> Honeycomb:
     return Honeycomb(hexagons=hexagons, edges=tuple(edges))
 
 
-def honeycomb_dot(hc: Honeycomb | None = None, table: ClassTable | None = None) -> str:
+def honeycomb_dot() -> str:
     """Render the honeycomb as Graphviz DOT (deterministic output)."""
-    if hc is None:
-        hc = honeycomb()
-    if table is None:
-        table = r23_table()
+    hc = honeycomb()
+    table = r23_table()
     lines = [
         "// honeycomb of 2x3 arrangement classes, schema_version 1",
         f"// table_version {TABLE_VERSION}",

@@ -24,7 +24,7 @@ import math
 import sys
 from typing import Sequence
 
-from .classes import check_relation_shape, class_table, honeycomb_dot, r23_table
+from .classes import check_relation_shape, class_table, honeycomb_dot
 from .core import Spectrum, write_text_atomic
 from .extrema import CensusReport, CheckpointMismatchError, brute_force_extrema, census
 from .orders import derive_relation
@@ -45,7 +45,10 @@ def _parse_spectrum(text: str) -> Spectrum:
             values.append(float(part))
         except ValueError:
             raise ValueError(f"--spectrum: {part!r} is not a number") from None
-    total = math.fsum(values)
+    try:
+        total = math.fsum(values)
+    except (OverflowError, ValueError):  # beyond the float range, or inf - inf
+        raise ValueError("--spectrum entries have no finite sum; they must sum to 1") from None
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"--spectrum entries sum to {total!r}; they must sum to 1")
     return Spectrum(tuple(v / total for v in values))
@@ -171,7 +174,7 @@ def _run_relation(args: argparse.Namespace) -> int:
 
 
 def _run_honeycomb(args: argparse.Namespace) -> int:
-    _write_text(args.output, honeycomb_dot(table=r23_table()))
+    _write_text(args.output, honeycomb_dot())
     return 0
 
 
@@ -264,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--function",
         required=True,
-        choices=["gamma-max", "gamma-min", "i-max-qmi", "i-min", "i-max-class"],
+        choices=[name.replace("_", "-") for name in SCAN_FUNCTIONS],
         help="quantity to evaluate",
     )
     p.add_argument("--grid", type=int, default=101, help="grid points per correlation axis")

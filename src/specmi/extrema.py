@@ -48,6 +48,11 @@ _ELEMENT_BUDGET = 4_000_000
 
 _CHECKPOINT_SCHEMA = 1
 
+#: A census records a convergence row, and rewrites its checkpoint, each time
+#: the samples done reach a multiple of this; the row at the last sample is
+#: recorded too.
+_RECORD_EVERY = 10_000
+
 
 @dataclasses.dataclass(frozen=True)
 class _TermDecomposition:
@@ -293,6 +298,19 @@ def _load_checkpoint(path: str, m, n, samples, seed, block_size, n_classes) -> _
         )
     ):
         raise fail("has a convergence table that is not a list of three-count rows")
+    dones = (min(b * block_size, samples) for b in range(1, blocks_done + 1))
+    recorded = [done for done in dones if done % _RECORD_EVERY == 0 or done == samples]
+    if [row[0] for row in convergence] != recorded:
+        raise fail(f"has convergence rows at other samples than the {len(recorded)} recorded")
+    for col, side, hits in ((1, "max", tallies[0]), (2, "min", tallies[1])):
+        counts = [row[col] for row in convergence]
+        credited = int((hits > 0).sum())
+        stale = bool(counts) and recorded[-1] == samples_done and counts[-1] != credited
+        if stale or counts != sorted(counts) or any(not 1 <= c <= credited for c in counts):
+            raise fail(
+                f"has convergence {side} class counts that decrease, leave 1..{credited} "
+                f"or end below {credited} at {samples_done} samples"
+            )
     return _CensusState(
         blocks_done=blocks_done,
         max_hits=tallies[0],
@@ -312,8 +330,6 @@ def census(
     workers: int = 1,
     block_size: int = 2500,
     checkpoint_path: str | None = None,
-    checkpoint_every: int = 10_000,
-    convergence_every: int = 10_000,
     resume: bool = False,
     _max_blocks: int | None = None,
 ) -> CensusReport:
@@ -322,7 +338,8 @@ def census(
     Draws ``samples`` spectra uniformly from the simplex (each block of
     ``block_size`` from its own deterministic child of ``seed``), evaluates
     every class, and tallies which classes attain the extremes.  The result
-    is independent of ``workers``.  With ``resume=True`` and an existing
+    is independent of ``workers``, of which at most ``os.cpu_count()`` run
+    as threads at once.  With ``resume=True`` and an existing
     checkpoint written by the same parameters, continues where it left off;
     a checkpoint for different parameters raises CheckpointMismatchError.
     ``_max_blocks`` stops early after that many new blocks (for testing).
@@ -331,8 +348,6 @@ def census(
         ("samples", samples),
         ("workers", workers),
         ("block_size", block_size),
-        ("checkpoint_every", checkpoint_every),
-        ("convergence_every", convergence_every),
     ):
         if value < 1:
             raise ValueError(f"census needs {name} >= 1")
@@ -375,26 +390,26 @@ def census(
         state.tie_events_min += ties_min
         state.blocks_done = b + 1
         done = min(state.blocks_done * block_size, samples)
-        if done % convergence_every == 0 or done == samples:
+        if done % _RECORD_EVERY == 0 or done == samples:
             point = ConvergencePoint(
                 samples=done,
                 n_max_classes=int((state.max_hits > 0).sum()),
                 n_min_classes=int((state.min_hits > 0).sum()),
             )
-            if not state.convergence or state.convergence[-1].samples != done:
-                state.convergence.append(point)
-        if checkpoint_path and (done % checkpoint_every == 0 or done == samples):
+            state.convergence.append(point)
+        if checkpoint_path and done % _RECORD_EVERY == 0:
             _write_checkpoint(
                 checkpoint_path,
                 _checkpoint_payload(state, m, n, samples, seed, block_size),
             )
 
     if todo:
-        if workers == 1:
+        threads = min(workers, os.cpu_count() or 1)
+        if threads == 1:
             for b in todo:
                 accumulate(b, run_block(b))
         else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
                 for b, result in zip(todo, pool.map(run_block, todo)):
                     accumulate(b, result)
         if checkpoint_path:

@@ -40,7 +40,7 @@ import dataclasses
 import enum
 import itertools
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import EPSILON, ProbMatrix
 
@@ -189,18 +189,15 @@ def symbolic_sum_compare(S: SymbolicSum, T: SymbolicSum) -> RelationVerdict:
     ``ProvenForward`` (the conclusion is non-strict).  Sound, incomplete.
     """
     header = f"compare {S.render()} vs {T.render()}"
-    ok, reason = _prove_leq(S, T)
-    if ok:
-        return RelationVerdict(
-            RelationKind.PROVEN_FORWARD,
-            (header, f"  {S.render()} <= {T.render()}  [{reason}]"),
-        )
-    ok, reason = _prove_leq(T, S)
-    if ok:
-        return RelationVerdict(
-            RelationKind.PROVEN_REVERSE,
-            (header, f"  {T.render()} <= {S.render()}  [{reason}]"),
-        )
+    for kind, low, high in (
+        (RelationKind.PROVEN_FORWARD, S, T),
+        (RelationKind.PROVEN_REVERSE, T, S),
+    ):
+        ok, reason = _prove_leq(low, high)
+        if ok:
+            return RelationVerdict(
+                kind, (header, f"  {low.render()} <= {high.render()}  [{reason}]")
+            )
     return RelationVerdict(
         RelationKind.INCONCLUSIVE,
         (header, "  no dominance matching in either direction"),
@@ -211,10 +208,10 @@ def symbolic_sum_compare(S: SymbolicSum, T: SymbolicSum) -> RelationVerdict:
 # Majorisation
 # ---------------------------------------------------------------------------
 
-def vector_majorises(u: Sequence[float], v: Sequence[float], eps: float = EPSILON) -> bool:
-    """True iff u majorises v: descending prefix sums of u dominate v's.
+def vector_majorises(u: Sequence[float], v: Sequence[float]) -> bool:
+    """True iff u majorises v: u's descending prefix sums dominate v's within EPSILON.
 
-    Requires equal lengths and equal totals (within eps); raises otherwise.
+    Requires equal lengths and equal totals (within 1e-9); raises otherwise.
     """
     import numpy as np
 
@@ -226,10 +223,10 @@ def vector_majorises(u: Sequence[float], v: Sequence[float], eps: float = EPSILO
         raise ValueError(f"sum mismatch: {float(uu.sum())!r} vs {float(vv.sum())!r}")
     cu = np.cumsum(uu)
     cv = np.cumsum(vv)
-    return bool(np.all(cu >= cv - eps))
+    return bool(np.all(cu >= cv - EPSILON))
 
 
-def matrix_majorises(M1: ProbMatrix, M2: ProbMatrix, eps: float = EPSILON) -> bool:
+def matrix_majorises(M1: ProbMatrix, M2: ProbMatrix) -> bool:
     """Row-and-column majorisation of arrangements with the same entries.
 
     True iff the row-sum vector of M1 majorises that of M2 and likewise for
@@ -246,7 +243,7 @@ def matrix_majorises(M1: ProbMatrix, M2: ProbMatrix, eps: float = EPSILON) -> bo
     r2 = [math.fsum(row) for row in M2.entries]
     c1 = [math.fsum(col) for col in zip(*M1.entries)]
     c2 = [math.fsum(col) for col in zip(*M2.entries)]
-    return vector_majorises(r1, r2, eps) and vector_majorises(c1, c2, eps)
+    return vector_majorises(r1, r2) and vector_majorises(c1, c2)
 
 
 def vector_majorisation_certificate(
@@ -476,6 +473,14 @@ def _ctx_sum_lines(ctx: TranspositionContext) -> list[str]:
     return lines
 
 
+def _named_leq(low: tuple[str, SymbolicSum], high: tuple[str, SymbolicSum]) -> str | None:
+    """The trace line proving the named sum ``low`` <= ``high``, or None."""
+    ok, reason = _prove_leq(low[1], high[1])
+    if not ok:
+        return None
+    return f"  {low[0]} <= {high[0]}: {low[1].render()} <= {high[1].render()}  [{reason}]"
+
+
 def titrate_check(ctx: TranspositionContext) -> RelationVerdict:
     """Decide the sign of I(P^tau) - I(P) from the symbol ordering alone.
 
@@ -501,125 +506,84 @@ def titrate_check(ctx: TranspositionContext) -> RelationVerdict:
             RelationKind.INCONCLUSIVE,
             ("context: alpha = beta; the transposition is trivial",),
         )
-    header = _ctx_sum_lines(ctx)
+    header = tuple(_ctx_sum_lines(ctx))
 
-    if ctx.same_row or ctx.same_col:
-        if ctx.same_row:
-            low_name, low = "c_beta", ctx.c_beta
-            high_name, high = "c_alpha_tau", ctx.c_alpha_tau
-            note = "entries share a row; row factors cancel"
-        else:
-            low_name, low = "r_beta", ctx.r_beta
-            high_name, high = "r_alpha_tau", ctx.r_alpha_tau
-            note = "entries share a column; column factors cancel"
-        ok, reason = _prove_leq(low, high)
-        if ok:
-            return RelationVerdict(
-                RelationKind.PROVEN_FORWARD,
-                tuple(header)
-                + (
-                    f"rule base-comparison ({note}):",
-                    f"  {low_name} <= {high_name}: {low.render()} <= {high.render()}  [{reason}]",
-                    "verdict: ProvenForward (the swap cannot decrease mutual information)",
-                ),
-            )
-        ok, reason = _prove_leq(high, low)
-        if ok:
-            return RelationVerdict(
-                RelationKind.PROVEN_REVERSE,
-                tuple(header)
-                + (
-                    f"rule base-comparison ({note}):",
-                    f"  {high_name} <= {low_name}: {high.render()} <= {low.render()}  [{reason}]",
-                    "verdict: ProvenReverse (the swap cannot increase mutual information)",
-                ),
-            )
-        return RelationVerdict(
-            RelationKind.INCONCLUSIVE,
-            tuple(header) + ("the single base comparison is not derivable",),
-        )
+    def side(*names: str) -> tuple[tuple[str, SymbolicSum], ...]:
+        # a shared row (column) leaves only the column (row) base sum
+        sums = ((name, getattr(ctx, name)) for name in names)
+        return tuple((name, val) for name, val in sums if val is not None)
 
     def attempt(
-        low: tuple[tuple[str, SymbolicSum], tuple[str, SymbolicSum]],
-        high: tuple[tuple[str, SymbolicSum], tuple[str, SymbolicSum]],
+        low: tuple[tuple[str, SymbolicSum], ...], high: tuple[tuple[str, SymbolicSum], ...]
     ) -> tuple[str, ...] | None:
-        """Prove that the 'low' pair loses to the 'high' pair."""
+        """Prove that the 'low' side loses to the 'high' side."""
+        if len(low) == 1:
+            shared = "row" if ctx.same_row else "column"
+            line = _named_leq(low[0], high[0])
+            if line is None:
+                return None
+            rule = f"rule base-comparison (entries share a {shared}; {shared} factors cancel):"
+            return (rule, line)
         # monotonicity shortcut: injective pairwise domination
         for (i0, i1) in ((0, 1), (1, 0)):
-            ok0, reason0 = _prove_leq(low[0][1], high[i0][1])
-            ok1, reason1 = _prove_leq(low[1][1], high[i1][1])
-            if ok0 and ok1:
-                return (
-                    "rule monotonicity: both base sums dominated pairwise",
-                    f"  {low[0][0]} <= {high[i0][0]}: {low[0][1].render()} <= {high[i0][1].render()}  [{reason0}]",
-                    f"  {low[1][0]} <= {high[i1][0]}: {low[1][1].render()} <= {high[i1][1].render()}  [{reason1}]",
-                )
+            pair = (_named_leq(low[0], high[i0]), _named_leq(low[1], high[i1]))
+            if None not in pair:
+                return ("rule monotonicity: both base sums dominated pairwise",) + pair
         # titration: minimum provably on the low side + base-sum comparison
-        all_sums = list(low) + list(high)
-        min_lines: tuple[str, ...] | None = None
-        for cand_name, cand in low:
-            lines = [f"rule titration: minimum of the four base sums is {cand_name}"]
-            for other_name, other in all_sums:
-                if other_name == cand_name:
+        for cand in low:
+            lines = [f"rule titration: minimum of the four base sums is {cand[0]}"]
+            for other in low + high:
+                if other is cand:
                     continue
-                ok, reason = _prove_leq(cand, other)
-                if not ok:
-                    lines = []
+                line = _named_leq(cand, other)
+                if line is None:
                     break
-                lines.append(
-                    f"  {cand_name} <= {other_name}: {cand.render()} <= {other.render()}  [{reason}]"
-                )
-            if lines:
-                min_lines = tuple(lines)
+                lines.append(line)
+            else:
                 break
-        if min_lines is None:
+        else:
             return None
         low_total = low[0][1] + low[1][1]
         high_total = high[0][1] + high[1][1]
         ok, reason = _prove_leq(low_total, high_total)
         if not ok:
             return None
-        return min_lines + (
+        return tuple(lines) + (
             f"rule sum-comparison: {low[0][0]} + {low[1][0]} <= {high[0][0]} + {high[1][0]}",
             f"  {low_total.render()} <= {high_total.render()}  [{reason}]",
         )
 
-    beta_side = (("r_beta", ctx.r_beta), ("c_beta", ctx.c_beta))
-    alpha_side = (("r_alpha_tau", ctx.r_alpha_tau), ("c_alpha_tau", ctx.c_alpha_tau))
-
-    fwd = attempt(beta_side, alpha_side)
-    if fwd is not None:
-        return RelationVerdict(
-            RelationKind.PROVEN_FORWARD,
-            tuple(header)
-            + fwd
-            + ("verdict: ProvenForward (the swap cannot decrease mutual information)",),
-        )
-    rev = attempt(alpha_side, beta_side)
-    if rev is not None:
-        return RelationVerdict(
-            RelationKind.PROVEN_REVERSE,
-            tuple(header)
-            + rev
-            + ("verdict: ProvenReverse (the swap cannot increase mutual information)",),
-        )
-    return RelationVerdict(
-        RelationKind.INCONCLUSIVE,
-        tuple(header) + ("neither direction is derivable by these rules",),
-    )
+    beta_side, alpha_side = side("r_beta", "c_beta"), side("r_alpha_tau", "c_alpha_tau")
+    for kind, low, high, effect in (
+        (RelationKind.PROVEN_FORWARD, beta_side, alpha_side, "decrease"),
+        (RelationKind.PROVEN_REVERSE, alpha_side, beta_side, "increase"),
+    ):
+        lines = attempt(low, high)
+        if lines is not None:
+            verdict = f"verdict: {kind.value} (the swap cannot {effect} mutual information)"
+            return RelationVerdict(kind, header + lines + (verdict,))
+    if len(beta_side) == 1:
+        failure = "the single base comparison is not derivable"
+    else:
+        failure = "neither direction is derivable by these rules"
+    return RelationVerdict(RelationKind.INCONCLUSIVE, header + (failure,))
 
 
 # ---------------------------------------------------------------------------
 # Relation derivation over a class table
 # ---------------------------------------------------------------------------
 
+#: Most certified hops composed into one derived chain.
+_SEARCH_DEPTH = 4
+
+
 def _bfs_path(
-    edges: dict[int, dict[int, tuple[str, ...]]], src: int, dst: int, max_depth: int
+    edges: dict[int, dict[int, tuple[str, ...]]], src: int, dst: int
 ) -> list[int] | None:
     frontier = [src]
     parent: dict[int, int] = {src: src}
     depth = 0
-    while frontier and depth < max_depth:
+    while frontier and depth < _SEARCH_DEPTH:
         depth += 1
         nxt: list[int] = []
         for node in frontier:
@@ -637,13 +601,13 @@ def _bfs_path(
     return None
 
 
-def derive_relation(a, b, table=None, max_depth: int = 4) -> RelationVerdict:
+def derive_relation(a, b, table=None) -> RelationVerdict:
     """Search for an a-priori chain proving I(a) <= I(b) or the reverse.
 
     ``a``/``b`` are MatrixClass values or 1-based class indices (indices
     resolve against ``table``, defaulting to the 2x3 table).  The search is
     breadth-first over certified majorisation edges and titrate-certified
-    single transpositions, transitively composed up to ``max_depth`` hops.
+    single transpositions, transitively composed up to four hops.
     The certified graph is built only for the shapes in
     ``classes.RELATION_SHAPES``; other shapes raise ValueError.
     """
@@ -667,28 +631,26 @@ def derive_relation(a, b, table=None, max_depth: int = 4) -> RelationVerdict:
         )
     edges = _classes._relation_graph(table.m, table.n)
 
-    def assemble(path: list[int], kind: RelationKind) -> RelationVerdict:
+    for kind, src, dst in (
+        (RelationKind.PROVEN_FORWARD, ia, ib),
+        (RelationKind.PROVEN_REVERSE, ib, ia),
+    ):
+        path = _bfs_path(edges, src, dst)
+        if path is None:
+            continue
         lines: list[str] = [header]
         for hop, (x, y) in enumerate(zip(path, path[1:]), start=1):
             lines.append(f"step {hop}: class {x} -> class {y}")
             lines.extend(edges[x][y])
         if len(path) > 2:
             lines.append(f"rule transitivity: compose the {len(path) - 1} steps above")
-        first, last = path[0], path[-1]
         lines.append(
-            f"verdict: {kind.value} (I(class {first}) <= I(class {last}) "
+            f"verdict: {kind.value} (I(class {src}) <= I(class {dst}) "
             "for every admissible spectrum)"
         )
         return RelationVerdict(kind, tuple(lines))
-
-    path = _bfs_path(edges, ia, ib, max_depth)
-    if path is not None:
-        return assemble(path, RelationKind.PROVEN_FORWARD)
-    path = _bfs_path(edges, ib, ia, max_depth)
-    if path is not None:
-        return assemble(path, RelationKind.PROVEN_REVERSE)
     return RelationVerdict(
         RelationKind.INCONCLUSIVE,
         (header, "no certified chain found in either direction "
-         f"(search depth {max_depth})"),
+         f"(search depth {_SEARCH_DEPTH})"),
     )

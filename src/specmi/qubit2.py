@@ -77,9 +77,9 @@ class TVector:
     def norm1(self) -> float:
         return abs(self.t11) + abs(self.t22) + abs(self.t33)
 
-    def in_octahedron(self, tol: float = EPSILON) -> bool:
+    def in_octahedron(self) -> bool:
         """Whether the T-state with this correlation diagonal is separable."""
-        return self.norm1() <= 1.0 + tol
+        return self.norm1() <= 1.0 + EPSILON
 
 
 def tvector_from_spectrum(s: Spectrum) -> TVector:

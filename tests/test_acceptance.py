@@ -57,7 +57,7 @@ MINZ = {1, 7, 13, 25, 31}
 @pytest.fixture(scope="module")
 def census_23():
     t0 = time.perf_counter()
-    report = census(2, 3, 1_000_000, 7, workers=8, convergence_every=100_000)
+    report = census(2, 3, 1_000_000, 7, workers=8)
     return report, time.perf_counter() - t0
 
 
@@ -85,7 +85,7 @@ def test_criterion_02_million_sample_minima(census_23):
 )
 def test_criterion_03_other_shape_censuses(m, n, n_max, n_min):
     t0 = time.perf_counter()
-    report = census(m, n, 1_000_000, 7, workers=8, convergence_every=100_000)
+    report = census(m, n, 1_000_000, 7, workers=8)
     elapsed = time.perf_counter() - t0
     assert elapsed < 900.0
     assert len(report.max_classes) == n_max

@@ -1,16 +1,22 @@
 """End-to-end checks of the command line interface."""
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import math
 import os
 import stat
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specmi import cli
 from specmi.cli import main
+from specmi.extrema import census
 
 DATA = Path(__file__).parent / "data"
 SPECTRUM = "0.3,0.25,0.2,0.15,0.07,0.03"
@@ -214,6 +220,10 @@ def _edit_payload(change):
         pytest.param(_edit_payload(lambda p: p.update(max_hits={"0": 2000})), id="class-0"),
         pytest.param(_edit_payload(lambda p: p.update(blocks_done=99)), id="blocks-done-99"),
         pytest.param(lambda text: text[: len(text) // 2], id="invalid-json"),
+        pytest.param(
+            _edit_payload(lambda p: p.update(convergence=[[999999, 77, 88], [5, 1, 1]])),
+            id="convergence-rows",
+        ),
     ],
 )
 def test_census_rejects_bad_checkpoint(capsys, tmp_path, edit):
@@ -253,6 +263,54 @@ def test_file_outputs_are_written_whole_and_leave_no_temp_files(capsys, tmp_path
     names = [*outputs, squatter.name, blocked.name]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
     assert list(squatter.iterdir()) == list(blocked.iterdir()) == []
+
+
+def _exit_code(argv):
+    """Run the CLI with its output discarded; any escaping exception fails the test."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner),
+    max_leaves=6,
+)
+CHECKPOINT_KEYS = (
+    "schema_version", "m", "n", "samples", "seed", "block_size", "blocks_done",
+    "max_hits", "min_hits", "tie_events_max", "tie_events_min", "convergence",
+)
+FUZZ_CENSUS = ("census", "--m", "2", "--n", "3", "--samples", "5000", "--seed", "7",
+               "--block-size", "1000")
+
+
+@pytest.fixture(scope="module")
+def partial_checkpoint(tmp_path_factory):
+    ck = tmp_path_factory.mktemp("fuzz") / "ck.json"
+    census(2, 3, 5000, 7, block_size=1000, checkpoint_path=str(ck), _max_blocks=2)
+    payload = json.loads(ck.read_text())
+    assert sorted(payload) == sorted(CHECKPOINT_KEYS)
+    return payload
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=st.sampled_from(CHECKPOINT_KEYS), value=JSON_VALUES)
+def test_resuming_a_fuzzed_checkpoint_exits_cleanly(partial_checkpoint, key, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        ck = Path(tmp) / "ck.json"
+        ck.write_text(json.dumps({**partial_checkpoint, key: value}))
+        code = _exit_code([*FUZZ_CENSUS, "--checkpoint", str(ck), "--resume"])
+    assert code in (0, 2, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    text=st.text(max_size=40)
+    | st.lists(st.floats() | st.integers(), max_size=7).map(lambda xs: ",".join(map(str, xs)))
+)
+@example(text="1e308,1e308,0,0,0,0")  # finite entries whose sum overflows
+def test_any_spectrum_text_exits_cleanly(text):
+    assert _exit_code(["extrema", "--m", "2", "--n", "3", f"--spectrum={text}"]) in (0, 2, 3)
 
 
 def test_census_validates_samples(capsys):

@@ -1,5 +1,7 @@
 """Brute-force extremes, the randomized census, and the ordering theorem."""
 import json
+import os
+import threading
 import time
 from pathlib import Path
 
@@ -113,7 +115,7 @@ def test_census_small_run_counts():
 
 
 def test_census_convergence_trace_is_cumulative():
-    rep = census(2, 3, 30_000, 3, block_size=1000, convergence_every=10_000)
+    rep = census(2, 3, 30_000, 3, block_size=1000)
     samples = [p.samples for p in rep.convergence]
     assert samples == [10_000, 20_000, 30_000]
     for p in rep.convergence:
@@ -139,13 +141,11 @@ def test_census_seed_changes_the_tallies():
 def test_census_checkpoint_resume_matches_direct_run(tmp_path):
     ck = str(tmp_path / "census.json")
     partial = census(
-        2, 3, 20_000, 7, block_size=1000, checkpoint_path=ck,
-        checkpoint_every=5000, _max_blocks=8,
+        2, 3, 20_000, 7, block_size=1000, checkpoint_path=ck, _max_blocks=8,
     )
     assert partial.samples_done == 8000
     resumed = census(
-        2, 3, 20_000, 7, block_size=1000, checkpoint_path=ck,
-        checkpoint_every=5000, resume=True,
+        2, 3, 20_000, 7, block_size=1000, checkpoint_path=ck, resume=True,
     )
     direct = census(2, 3, 20_000, 7, block_size=1000)
     assert resumed.samples_done == 20_000
@@ -178,6 +178,43 @@ def test_census_resume_without_checkpoint_starts_fresh(tmp_path):
     assert rep.samples_done == 2000
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[5000, 1, 5], [20_000, 1, 5]],
+        [[10_000, 0, 5], [20_000, 1, 5]],
+        [[10_000, 1, 5], [20_000, 2, 5]],
+        [[10_000, 1, 5], [20_000, 1, 4]],
+        [[10_000, 1, 3], [20_000, 1, 3]],
+    ],
+    ids=["shifted-samples", "zero-count", "uncredited-count", "decreasing", "stale-last-row"],
+)
+def test_census_resume_rejects_convergence_rows_it_did_not_record(tmp_path, rows):
+    ck = tmp_path / "census.json"
+    census(2, 3, 20_000, 7, checkpoint_path=str(ck), _max_blocks=8)
+    payload = json.loads(ck.read_text())
+    assert payload["convergence"] == [[10_000, 1, 5], [20_000, 1, 5]]
+    payload["convergence"] = rows
+    ck.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointMismatchError, match="convergence"):
+        census(2, 3, 20_000, 7, checkpoint_path=str(ck), resume=True)
+
+
+def test_census_runs_at_most_one_thread_per_cpu(monkeypatch):
+    seen = []
+    block_extrema = extrema._block_extrema
+
+    def counting(*args):
+        seen.append(threading.active_count())
+        return block_extrema(*args)
+
+    monkeypatch.setattr(extrema, "_block_extrema", counting)
+    rep = census(2, 3, 16_000, 7, workers=32, block_size=500)
+    assert len(seen) == 32
+    assert max(seen) <= (os.cpu_count() or 1) + 1
+    assert rep.workers == 32
+
+
 def test_census_validates_arguments():
     with pytest.raises(ValueError, match="samples"):
         census(2, 3, 0, 7)
@@ -185,10 +222,6 @@ def test_census_validates_arguments():
         census(2, 3, 100, 7, workers=0)
     with pytest.raises(ValueError, match="block_size"):
         census(2, 3, 100, 7, block_size=0)
-    for interval in ("checkpoint_every", "convergence_every"):
-        for value in (0, -1):
-            with pytest.raises(ValueError, match=interval):
-                census(2, 3, 100, 7, **{interval: value})
 
 
 def test_census_last_partial_block():

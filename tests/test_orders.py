@@ -1,7 +1,8 @@
 """Symbolic comparison, majorisation, the identric mean, and swap analysis."""
+import hashlib
 import math
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -419,3 +420,30 @@ def test_derive_relation_on_the_2x2_table():
             continue
         verdict = derive_relation(identity, other.index, table=table)
         assert verdict.kind is RelationKind.PROVEN_FORWARD
+
+
+def _sha256(texts):
+    return hashlib.sha256("\n\n".join(texts).encode()).hexdigest()
+
+
+def test_prover_text_is_pinned():
+    """Digests of every rendered 2x2/2x3 relation and titrated ordered 2x3 swap.
+
+    The digests were taken from the prover before its verdict code was
+    folded into one loop per decision; any change to a trace changes them.
+    """
+    relations = []
+    for m, n in ((2, 2), (2, 3)):
+        table = class_table(m, n)
+        indices = range(1, len(table) + 1)
+        relations += [derive_relation(a, b, table=table).render() for a in indices for b in indices]
+    assert _sha256(relations) == (
+        "9ab98f844f4ef3633bfc655dbab3ddf10d4741ca8e115d067f6f541fb9009f22"
+    )
+    cells = [(i, j) for i in range(2) for j in range(3)]
+    swaps = []
+    for cls in r23_table().classes:
+        for pos_a, pos_b in permutations(cells, 2):
+            verdict = titrate_check(symbolic_transposition_context(cls.canonical, pos_a, pos_b))
+            swaps.append(f"{verdict.kind.value}\n{verdict.render()}")
+    assert _sha256(swaps) == "737b99b9cd2a23566f28240cca328a676a30232f5f144d4d88f86afe494928fe"
