@@ -11,7 +11,23 @@ often each term appears among a class's marginals.  For a block of spectra
 
 and the mutual information of class c is that total minus the spectrum
 entropy.  The subtraction is constant across classes, so argmax/argmin and
-tie detection work on the totals directly.
+tie detection work on the totals directly.  ``brute_force_extrema`` and
+every census tile of 2x2 and 2x3 take this dense product.
+
+Census tiles of larger shapes are evaluated grouped.  A class's total is
+the sum over its row part (the terms of its m rows) plus the sum over its
+column part, so one small product gives every distinct part sum (2x5: 126
+row parts and 945 column parts against 15120 classes).  The classes sharing
+a row part form a group; gathering each group's column sums and reducing
+over the members gives the group's largest and smallest total, because
+``fl(a + x)`` is monotone in ``x``.  Each tile row then counts the classes
+within ``EPSILON + _SLACK`` of its extremes, across groups and then inside
+the winning group.  A row with exactly one class in that band credits that
+class; a tile with any other row is tallied by the dense product instead.
+Two summation orders of at most m + n terms, each at most 1/e, differ by
+less than 4e-15, far below ``_SLACK = 1e-13``: a class alone in the band is
+alone within ``EPSILON`` in the dense product too, so the tallies and tie
+counts equal the dense kernel's whatever order BLAS sums in.
 
 Censuses draw each block of spectra from its own child of the seed
 (``SeedSequence(seed, spawn_key=(block,))``), so results are invariant
@@ -29,7 +45,7 @@ import numpy as np
 
 from .classes import class_table, cross_pairs, honeycomb, maxima_chain_steps
 from .core import EPSILON, Spectrum, sample_spectra, write_text_atomic
-from .orders import RelationKind, RelationVerdict
+from .orders import SYMBOL_LETTERS, RelationKind, RelationVerdict
 
 __all__ = [
     "ExtremaReport",
@@ -46,6 +62,17 @@ __all__ = [
 #: block size or the number of classes.
 _ELEMENT_BUDGET = 4_000_000
 
+#: Shapes with at least this many classes go through the grouped kernel
+#: first; no shape has between 60 and 840.  On a 2-vCPU VM with OpenBLAS, a
+#: 2500-sample 2x3 block (60 classes) took 1.6 ms either way (quartiles
+#: 1.57-1.87 ms dense, 1.53-2.06 ms grouped; 2.1 against 2.2 ms with one
+#: BLAS thread), so 2x3 stays dense; 2x4 (840) took 22 ms dense, 10 ms grouped.
+_GROUPED_MIN_CLASSES = 840
+
+#: Round-off allowance of the grouped kernel's band around each extreme,
+#: far above the 4e-15 by which two summation orders can differ (see above).
+_SLACK = 1e-13
+
 _CHECKPOINT_SCHEMA = 1
 
 #: A census records a convergence row, and rewrites its checkpoint, each time
@@ -58,52 +85,148 @@ _RECORD_EVERY = 10_000
 class _TermDecomposition:
     symbols_by_term: np.ndarray  # (mn, T) 0/1
     term_counts: np.ndarray  # (T, C)
+    parts_by_term: np.ndarray  # (T, R + K) 0/1: R row parts, then K column parts
+    group_parts: np.ndarray  # (R, size) part-sum row (R + k) of each member's column part
+    group_classes: np.ndarray  # (R, size) class of each member; -1 pads
+    live_groups: np.ndarray  # (size,) groups with more than j members
 
 
 @functools.lru_cache(maxsize=None)
 def _decomposition(m: int, n: int) -> _TermDecomposition:
     table = class_table(m, n)
-    mn = m * n
-    term_index: dict[tuple[int, ...], int] = {}
-    hits: list[tuple[int, int]] = []  # (term, class column)
-    for col, cls in enumerate(table.classes):
-        grid = cls.canonical
-        signatures = [tuple(sorted(row)) for row in grid]
-        signatures += [tuple(sorted(c)) for c in zip(*grid)]
-        for sig in signatures:
-            t = term_index.setdefault(sig, len(term_index))
-            hits.append((t, col))
-    A = np.zeros((mn, len(term_index)), dtype=np.float64)
-    for sig, t in term_index.items():
-        A[list(sig), t] = 1.0
-    G = np.zeros((len(term_index), len(table)), dtype=np.float64)
-    for t, col in hits:
-        G[t, col] += 1.0
-    return _TermDecomposition(symbols_by_term=A, term_counts=G)
+    n_classes = len(table)
+    letters = np.frombuffer(SYMBOL_LETTERS.encode("ascii"), dtype=np.uint8)
+    symbol_of = np.zeros(256, dtype=np.int64)
+    symbol_of[letters] = np.arange(len(letters))
+    words = "".join(cls.word for cls in table.classes).encode("ascii")
+    grids = symbol_of[np.frombuffer(words, dtype=np.uint8)].reshape(n_classes, m, n)
+    bits = np.left_shift(1, grids)
+    # One symbol bitmask per marginal, in class order, rows before columns;
+    # terms are numbered by first appearance in that sequence.
+    masks = np.concatenate([bits.sum(axis=2), bits.sum(axis=1)], axis=1)
+    codes, first, inverse = np.unique(masks.ravel(), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    terms = rank[inverse].reshape(masks.shape)
+    A = ((codes[order][None, :] >> np.arange(m * n)[:, None]) & 1).astype(np.float64)
+    G = np.zeros((len(codes), n_classes), dtype=np.float64)
+    np.add.at(G, (terms, np.arange(n_classes)[:, None]), 1.0)
+
+    # A class's total is the sum over its row part (its m row terms) plus
+    # the sum over its column part.  Classes are grouped by row part, the
+    # largest groups first, so the groups with a j-th member are the first
+    # live_groups[j].
+    row_parts, group = np.unique(np.sort(terms[:, :m], axis=1), axis=0, return_inverse=True)
+    col_parts, col_part = np.unique(np.sort(terms[:, m:], axis=1), axis=0, return_inverse=True)
+    group, col_part = group.ravel(), col_part.ravel()
+    by_size = np.argsort(-np.bincount(group), kind="stable")
+    row_parts, group = row_parts[by_size], np.argsort(by_size)[group]
+    sizes = np.bincount(group)
+    n_groups = len(sizes)
+    U = np.zeros((len(codes), n_groups + len(col_parts)), dtype=np.float64)
+    U[row_parts, np.arange(n_groups)[:, None]] = 1.0
+    U[col_parts, n_groups + np.arange(len(col_parts))[:, None]] = 1.0
+    members = np.argsort(group, kind="stable")
+    slot = np.arange(n_classes) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    classes = np.full((n_groups, sizes[0]), -1, dtype=np.int64)
+    classes[group[members], slot] = members
+    # Pads repeat the group's first member; only group_classes marks them.
+    padded = np.where(classes >= 0, classes, classes[:, :1])
+    return _TermDecomposition(
+        symbols_by_term=A,
+        term_counts=G,
+        parts_by_term=U,
+        group_parts=n_groups + col_part[padded],
+        group_classes=classes,
+        live_groups=(sizes[:, None] > np.arange(sizes[0])).sum(axis=0),
+    )
 
 
 def _marginal_entropy_terms(spectra: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """``-s log s`` of every marginal sum ``s = spectra @ A``, with 0 log 0 = 0."""
     sums = spectra @ A
-    return -sums * np.log(sums)
+    terms = np.log(sums, out=np.zeros_like(sums), where=sums > 0)
+    terms *= sums
+    return np.negative(terms, out=terms)
+
+
+def _dense_tally(
+    hterms: np.ndarray, G: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Argmax/argmin hit counts and tie events of every class over one tile."""
+    vals = hterms @ G
+    mask_max = vals >= (vals.max(axis=1) - EPSILON)[:, None]
+    mask_min = vals <= (vals.min(axis=1) + EPSILON)[:, None]
+    return (
+        mask_max.sum(axis=0),
+        mask_min.sum(axis=0),
+        int((mask_max.sum(axis=1) >= 2).sum()),
+        int((mask_min.sum(axis=1) >= 2).sum()),
+    )
+
+
+def _sole_extrema(
+    hterms: np.ndarray, dec: _TermDecomposition
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per row, the one class within ``EPSILON + _SLACK`` of the max, then the min.
+
+    Returns ``(sole, cls)`` per side: ``cls[i]`` is the class of row i if
+    ``sole[i]``; rows with more than one class in that band are not resolved.
+    """
+    sums = dec.parts_by_term.T @ hterms.T  # (R + K, rows)
+    parts = dec.group_parts
+    row_sums = sums[: parts.shape[0]]
+    hi = sums[parts[:, 0]]
+    lo = hi.copy()
+    for j in range(1, parts.shape[1]):
+        live = dec.live_groups[j]
+        col_sums = sums[parts[:live, j]]
+        np.maximum(hi[:live], col_sums, out=hi[:live])
+        np.minimum(lo[:live], col_sums, out=lo[:live])
+    rows = np.arange(hterms.shape[0])
+    out = []
+    # fl(a + x) is monotone in x, so a group's extreme total is its row sum
+    # plus its extreme column sum; negation turns the min side into a max.
+    for sign, best in ((1.0, row_sums + hi), (-1.0, -(row_sums + lo))):
+        threshold = best.max(axis=0) - (EPSILON + _SLACK)
+        win = best.argmax(axis=0)
+        totals = sign * (row_sums[win, rows][:, None] + sums[parts[win], rows[:, None]])
+        in_band = (totals >= threshold[:, None]) & (dec.group_classes[win] >= 0)
+        sole = ((best >= threshold).sum(axis=0) == 1) & (in_band.sum(axis=1) == 1)
+        out.append((sole, dec.group_classes[win, in_band.argmax(axis=1)]))
+    return out
 
 
 def _block_extrema(
-    hterms: np.ndarray, G: np.ndarray, tie: float
+    hterms: np.ndarray, dec: _TermDecomposition
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Per-class argmax/argmin hit counts and tie-event counts for one block."""
+    """Per-class argmax/argmin hit counts and tie-event counts for one block.
+
+    Tile by tile: a tile whose every row has one class alone within
+    ``EPSILON + _SLACK`` of each extreme credits those classes; any other
+    tile, and every tile of a shape under ``_GROUPED_MIN_CLASSES``, is
+    tallied by the dense product.
+    """
+    G = dec.term_counts
     n_classes = G.shape[1]
     step = max(1, _ELEMENT_BUDGET // n_classes)
     max_hits = np.zeros(n_classes, dtype=np.int64)
     min_hits = np.zeros(n_classes, dtype=np.int64)
     ties_max = ties_min = 0
     for r0 in range(0, hterms.shape[0], step):
-        vals = hterms[r0 : r0 + step] @ G
-        mask_max = vals >= (vals.max(axis=1) - tie)[:, None]
-        mask_min = vals <= (vals.min(axis=1) + tie)[:, None]
-        max_hits += mask_max.sum(axis=0)
-        min_hits += mask_min.sum(axis=0)
-        ties_max += int((mask_max.sum(axis=1) >= 2).sum())
-        ties_min += int((mask_min.sum(axis=1) >= 2).sum())
+        tile = hterms[r0 : r0 + step]
+        if n_classes >= _GROUPED_MIN_CLASSES:
+            (sole_max, top), (sole_min, bottom) = _sole_extrema(tile, dec)
+            if sole_max.all() and sole_min.all():
+                max_hits += np.bincount(top, minlength=n_classes)
+                min_hits += np.bincount(bottom, minlength=n_classes)
+                continue
+        tile_max, tile_min, tile_ties_max, tile_ties_min = _dense_tally(tile, G)
+        max_hits += tile_max
+        min_hits += tile_min
+        ties_max += tile_ties_max
+        ties_min += tile_ties_min
     return max_hits, min_hits, ties_max, ties_min
 
 
@@ -321,6 +444,13 @@ def _load_checkpoint(path: str, m, n, samples, seed, block_size, n_classes) -> _
     )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def census(
     m: int,
     n: int,
@@ -338,9 +468,10 @@ def census(
     Draws ``samples`` spectra uniformly from the simplex (each block of
     ``block_size`` from its own deterministic child of ``seed``), evaluates
     every class, and tallies which classes attain the extremes.  The result
-    is independent of ``workers``, of which at most ``os.cpu_count()`` run
-    as threads at once.  With ``resume=True`` and an existing
-    checkpoint written by the same parameters, continues where it left off;
+    is independent of ``workers``, of which at most as many as the process
+    has CPUs in its affinity mask run as threads at once.  With
+    ``resume=True`` and an existing checkpoint written by the same
+    parameters, continues where it left off;
     a checkpoint for different parameters raises CheckpointMismatchError.
     ``_max_blocks`` stops early after that many new blocks (for testing).
     """
@@ -376,7 +507,7 @@ def census(
         )
         spectra = sample_spectra(mn, size, rng)
         hterms = _marginal_entropy_terms(spectra, dec.symbols_by_term)
-        return _block_extrema(hterms, dec.term_counts, EPSILON)
+        return _block_extrema(hterms, dec)
 
     todo = list(range(state.blocks_done, n_blocks))
     if _max_blocks is not None:
@@ -404,7 +535,7 @@ def census(
             )
 
     if todo:
-        threads = min(workers, os.cpu_count() or 1)
+        threads = min(workers, _usable_cpus())
         if threads == 1:
             for b in todo:
                 accumulate(b, run_block(b))

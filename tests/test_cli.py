@@ -90,6 +90,20 @@ def test_extrema_csv_output(capsys, tmp_path):
     assert lines[1].startswith("1,abcdef,(),")
 
 
+@pytest.mark.filterwarnings("error")
+def test_extrema_with_zero_entries_writes_finite_json(capsys):
+    code, out, err = run(
+        capsys, "extrema", "--m", "2", "--n", "3", "--spectrum", "0.4,0.3,0.3,0,0,0"
+    )
+    assert (code, err) == (0, "")
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    payload = json.loads(out, parse_constant=reject)
+    assert payload["max_value"] == pytest.approx(0.6730116670092565, abs=1e-12)
+
+
 def test_extrema_rejects_malformed_spectrum(capsys):
     code, _, err = run(capsys, "extrema", "--m", "2", "--n", "3", "--spectrum", "0.5,oops,0.3")
     assert code == 2

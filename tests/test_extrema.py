@@ -59,6 +59,16 @@ def test_brute_force_uniform_spectrum_ties_every_class():
     assert report.minima == tuple(range(1, 61))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("values", [(0.5, 0.5, 0, 0, 0, 0), (0.4, 0.3, 0.3, 0, 0, 0)])
+def test_brute_force_spectra_with_zero_entries_match_scalar_cmi(values):
+    s = Spectrum(values)
+    report = brute_force_extrema(s, 2, 3)
+    scalar = [cmi(cls.instantiate(s)) for cls in r23_table().classes]
+    assert report.values == pytest.approx(scalar, abs=1e-12)
+    assert report.max_value == pytest.approx(max(scalar), abs=1e-12)
+
+
 def test_brute_force_other_shape():
     rng = np.random.default_rng(11)
     s = sample_spectrum(8, rng)
@@ -78,9 +88,7 @@ def test_block_extrema_tiles_agree_with_one_pass_and_brute_force(monkeypatch):
 
     def block_tally(rows_per_tile):
         monkeypatch.setattr(extrema, "_ELEMENT_BUDGET", 60 * rows_per_tile)
-        max_hits, min_hits, ties_max, ties_min = extrema._block_extrema(
-            hterms, dec.term_counts, EPSILON
-        )
+        max_hits, min_hits, ties_max, ties_min = extrema._block_extrema(hterms, dec)
         return max_hits.tolist(), min_hits.tolist(), ties_max, ties_min
 
     one_pass = block_tally(len(spectra))
@@ -98,6 +106,146 @@ def test_block_extrema_tiles_agree_with_one_pass_and_brute_force(monkeypatch):
         ties_min += len(report.minima) >= 2
     assert one_pass == (max_hits, min_hits, ties_max, ties_min)
     assert ties_max == ties_min == 3
+
+
+def _loop_decomposition(m, n):
+    """The term matrices built one class and one marginal at a time."""
+    table = extrema.class_table(m, n)
+    term_index, hits = {}, []
+    for col, cls in enumerate(table.classes):
+        grid = cls.canonical
+        for sig in [tuple(sorted(r)) for r in grid] + [tuple(sorted(c)) for c in zip(*grid)]:
+            hits.append((term_index.setdefault(sig, len(term_index)), col))
+    A = np.zeros((m * n, len(term_index)))
+    for sig, t in term_index.items():
+        A[list(sig), t] = 1.0
+    G = np.zeros((len(term_index), len(table)))
+    for t, col in hits:
+        G[t, col] += 1.0
+    return A, G
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (3, 3), (2, 5)])
+def test_decomposition_matches_the_loop_reference(m, n):
+    dec = extrema._decomposition(m, n)
+    A, G = _loop_decomposition(m, n)
+    assert np.array_equal(dec.symbols_by_term, A)
+    assert np.array_equal(dec.term_counts, G)
+    # every class sits in one group, and its row part plus its column part
+    # are its terms
+    groups, slots = np.nonzero(dec.group_classes >= 0)
+    classes = dec.group_classes[groups, slots]
+    assert sorted(classes) == list(range(G.shape[1]))
+    U = dec.parts_by_term
+    assert np.array_equal(U[:, groups] + U[:, dec.group_parts[groups, slots]], G[:, classes])
+    sizes = (dec.group_classes >= 0).sum(axis=1)
+    assert list(dec.live_groups) == [int((sizes > j).sum()) for j in range(sizes[0])]
+
+
+def _tallies(hterms, dec):
+    return tuple(np.asarray(x).tolist() for x in extrema._block_extrema(hterms, dec))
+
+
+def _dense_reference(monkeypatch, hterms, dec):
+    with monkeypatch.context() as patch:
+        patch.setattr(extrema, "_GROUPED_MIN_CLASSES", dec.term_counts.shape[1] + 1)
+        return _tallies(hterms, dec)
+
+
+def _recording_dense_tally(monkeypatch):
+    tiles = []
+    dense_tally = extrema._dense_tally
+
+    def recording(hterms, G):
+        tiles.append(hterms.copy())
+        return dense_tally(hterms, G)
+
+    monkeypatch.setattr(extrema, "_dense_tally", recording)
+    return tiles
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("m,n,rows", [(2, 4, 2500), (3, 3, 1700), (2, 5, 600)])
+def test_grouped_block_tallies_equal_the_dense_reference(monkeypatch, m, n, rows, seed):
+    dec = extrema._decomposition(m, n)
+    spectra = sample_spectra(m * n, rows, np.random.default_rng(seed))
+    hterms = extrema._marginal_entropy_terms(spectra, dec.symbols_by_term)
+    reference = _dense_reference(monkeypatch, hterms, dec)
+    tiles = _recording_dense_tally(monkeypatch)
+    assert _tallies(hterms, dec) == reference
+    assert tiles == []  # random rows resolve in the grouped kernel
+
+
+def _max_gap(spectrum, dec):
+    """Dense gap between the largest class total and the next one below it."""
+    hterms = extrema._marginal_entropy_terms(spectrum[None, :], dec.symbols_by_term)
+    top = np.sort((hterms @ dec.term_counts)[0])
+    return top[-1], top[-2]
+
+
+def _near_tie_rows(mn, dec):
+    """Spectra with two equal entries, then nudged to either side of EPSILON.
+
+    Returns the row with the exact tie, then, after bisection, the last
+    nudge whose runner-up the dense mask still credits and the first one it
+    does not.
+    """
+    base = sample_spectra(mn, 1, np.random.default_rng(4))[0]
+
+    def tied(s):
+        top, second = _max_gap(s, dec)
+        return second >= top - EPSILON
+
+    rows = []
+    for i in range(mn - 1):
+        s = base.copy()
+        s[i] = s[i + 1] = (s[i] + s[i + 1]) / 2
+        if np.subtract(*_max_gap(s, dec)) != 0.0:
+            continue  # swapping these two entries maps the argmax class to itself
+        nudge = np.zeros(mn)
+        nudge[i], nudge[i + 1] = 1.0, -1.0
+        lo, hi = 0.0, 1e-9
+        assert not tied(s + hi * nudge)
+        for _ in range(80):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if tied(s + mid * nudge) else (lo, mid)
+        assert abs(np.subtract(*_max_gap(s + hi * nudge, dec)) - EPSILON) < 1e-14
+        rows += [s, s + lo * nudge, s + hi * nudge]
+    assert rows
+    return rows
+
+
+@pytest.mark.parametrize("m,n", [(2, 4), (3, 3), (2, 5)])
+def test_grouped_kernel_finds_each_class_alone_at_an_extreme(m, n):
+    # the terms of class c alone, as entropy terms, make c the one class with
+    # the largest total (m + n) and, negated, the one with the smallest
+    dec = extrema._decomposition(m, n)
+    n_classes = dec.term_counts.shape[1]
+    for c0 in range(0, n_classes, 2520):
+        classes = np.arange(c0, min(c0 + 2520, n_classes))
+        for sign, side in ((1.0, 0), (-1.0, 1)):
+            sole, cls = extrema._sole_extrema(sign * dec.term_counts[:, classes].T, dec)[side]
+            assert sole.all() and np.array_equal(cls, classes)
+
+
+@pytest.mark.parametrize("m,n", [(2, 4), (3, 3), (2, 5)])
+def test_grouped_kernel_hands_ties_and_near_ties_to_the_dense_product(monkeypatch, m, n):
+    mn = m * n
+    dec = extrema._decomposition(m, n)
+    constructed = np.array([np.full(mn, 1.0 / mn)] + _near_tie_rows(mn, dec))
+    step = max(1, extrema._ELEMENT_BUDGET // dec.term_counts.shape[1])
+    spectra = sample_spectra(mn, 3 * step, np.random.default_rng(5))
+    spread = step // len(constructed)
+    spectra[step : 2 * step : spread][: len(constructed)] = constructed  # the middle tile
+    hterms = extrema._marginal_entropy_terms(spectra, dec.symbols_by_term)
+    reference = _dense_reference(monkeypatch, hterms, dec)
+    tiles = _recording_dense_tally(monkeypatch)
+    assert _tallies(hterms, dec) == reference
+    assert reference[2] >= 1 and reference[3] >= 1  # the uniform row ties both sides
+    assert len(tiles) == 1 and np.array_equal(tiles[0], hterms[step : 2 * step])
+    # every constructed row, not only the tile, is outside the grouped kernel
+    (sole_max, _), _ = extrema._sole_extrema(hterms[step : 2 * step : spread], dec)
+    assert not sole_max[: len(constructed)].any()
 
 
 # ---------------------------------------------------------------- the census
@@ -213,6 +361,21 @@ def test_census_runs_at_most_one_thread_per_cpu(monkeypatch):
     assert len(seen) == 32
     assert max(seen) <= (os.cpu_count() or 1) + 1
     assert rep.workers == 32
+
+
+def test_census_threads_are_capped_by_cpu_affinity(monkeypatch):
+    threads = []
+    block_extrema = extrema._block_extrema
+
+    def recording(*args):
+        threads.append(threading.current_thread())
+        return block_extrema(*args)
+
+    monkeypatch.setattr(extrema, "_block_extrema", recording)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    rep = census(2, 3, 4000, 7, workers=8, block_size=500)
+    assert threads == [threading.main_thread()] * 8
+    assert rep.workers == 8
 
 
 def test_census_validates_arguments():
