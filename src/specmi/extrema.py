@@ -14,20 +14,47 @@ entropy.  The subtraction is constant across classes, so argmax/argmin and
 tie detection work on the totals directly.  ``brute_force_extrema`` and
 every census tile of 2x2 and 2x3 take this dense product.
 
-Census tiles of larger shapes are evaluated grouped.  A class's total is
-the sum over its row part (the terms of its m rows) plus the sum over its
-column part, so one small product gives every distinct part sum (2x5: 126
-row parts and 945 column parts against 15120 classes).  The classes sharing
-a row part form a group; gathering each group's column sums and reducing
-over the members gives the group's largest and smallest total, because
-``fl(a + x)`` is monotone in ``x``.  Each tile row then counts the classes
-within ``EPSILON + _SLACK`` of its extremes, across groups and then inside
-the winning group.  A row with exactly one class in that band credits that
-class; a tile with any other row is tallied by the dense product instead.
-Two summation orders of at most m + n terms, each at most 1/e, differ by
-less than 4e-15, far below ``_SLACK = 1e-13``: a class alone in the band is
-alone within ``EPSILON`` in the dense product too, so the tallies and tie
-counts equal the dense kernel's whatever order BLAS sums in.
+Census tiles of 2x4, 3x3 and 2x5 evaluate only the classes of a certified
+table, ``_candidate_table``.  On the max side, ``C`` holds the classes that
+no certified titration edge I(x) <= I(y) points above, and ``F`` the other
+classes whose every edge up lands in ``C``.  Every other class starts a
+chain of certified edges that never enters ``C`` and ends in ``F`` (the
+table's forest, re-certified by the tests), so whenever a class outside
+``C`` and ``F`` is within some band of the maximum, a class of ``F`` is
+too.  The min side is the mirror image.  The kernel computes the totals
+of the classes ``[C_max | F_max | C_min | F_min]`` only (2x5: 536 of 15120),
+as one product of their term counts with the tile's terms, the min side's
+counts negated so that both extremes are maxima.  A row credits the
+candidate that is the only class of ``C`` within ``EPSILON + _SLACK`` of
+its extreme over ``C`` and ``F``, when no class of ``F`` is in that band,
+on both sides; every other row is tallied by the dense product.
+
+Exactness.  The certificates order exact totals, so computed totals must
+be close to them.  The rows must be the entropy terms of descending spectra
+(symbol 0 the largest value), as ``sample_spectra`` returns; the
+certificates also hold at ties and zero entries.  With u = 2**-53, to
+first order in u:
+
+* a marginal sum adds at most 5 values (products by 0/1 are exact), so its
+  relative error is at most 4u, which moves ``-s log s`` by at most 4u
+  because s |1 + log s| <= 1 on (0, 1];
+* ``log`` within 4 ulp (8u relative, covering NumPy's SIMD loops) and the
+  rounded product with s add at most 9u/e;
+
+so each of the at most m + n <= 7 terms of a total is within 7.4u of
+exact, and adding them in any order costs at most 6u * 7/e < 15.5u more.
+Every computed total, in this kernel or the dense one, is therefore within
+delta = 7 * 7.4u + 15.5u < 68u < 7.6e-15 of exact, so a total moves by at
+most 2 delta between the two kernels.  Let c be credited at the maximum:
+every other class of ``C`` and ``F`` is more than ``EPSILON + _SLACK`` below
+c in this kernel, and a class x outside them has an f in ``F`` with exact
+I(x) <= I(f), so x's dense total is at most 2 delta above f's total here.
+In the dense product every class other than c is thus more than
+``EPSILON + _SLACK`` - 4 delta below c, which with ``_SLACK = 1e-13``
+exceeds ``EPSILON`` by far more than the rounding of the two thresholds
+(under 1e-15 at totals below 7/e): the dense kernel finds c alone within
+``EPSILON``.  The other rows go to the dense kernel itself, so tallies and
+tie counts equal the dense kernel's, whatever order BLAS sums in.
 
 Censuses draw each block of spectra from its own child of the seed
 (``SeedSequence(seed, spawn_key=(block,))``), so results are invariant
@@ -43,6 +70,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from ._candidate_table import EVALUATION_SETS
 from .classes import class_table, cross_pairs, honeycomb, maxima_chain_steps
 from .core import EPSILON, Spectrum, sample_spectra, write_text_atomic
 from .orders import SYMBOL_LETTERS, RelationKind, RelationVerdict
@@ -62,15 +90,9 @@ __all__ = [
 #: block size or the number of classes.
 _ELEMENT_BUDGET = 4_000_000
 
-#: Shapes with at least this many classes go through the grouped kernel
-#: first; no shape has between 60 and 840.  On a 2-vCPU VM with OpenBLAS, a
-#: 2500-sample 2x3 block (60 classes) took 1.6 ms either way (quartiles
-#: 1.57-1.87 ms dense, 1.53-2.06 ms grouped; 2.1 against 2.2 ms with one
-#: BLAS thread), so 2x3 stays dense; 2x4 (840) took 22 ms dense, 10 ms grouped.
-_GROUPED_MIN_CLASSES = 840
-
-#: Round-off allowance of the grouped kernel's band around each extreme,
-#: far above the 4e-15 by which two summation orders can differ (see above).
+#: Round-off allowance of the pruned kernel's band around each extreme, far
+#: above the 4 delta < 3.1e-14 by which a gap between two classes can differ
+#: between the pruned and the dense kernel (see above).
 _SLACK = 1e-13
 
 _CHECKPOINT_SCHEMA = 1
@@ -82,13 +104,18 @@ _RECORD_EVERY = 10_000
 
 
 @dataclasses.dataclass(frozen=True)
+class _Candidates:
+    """The pruned kernel's classes ``[C_max | F_max | C_min | F_min]``."""
+
+    class_terms: np.ndarray  # (E, T): their columns of G as rows, the min side's negated
+    sides: tuple[tuple[np.ndarray, slice, slice], ...]  # per side: C (0-based), C rows, F rows
+
+
+@dataclasses.dataclass(frozen=True)
 class _TermDecomposition:
     symbols_by_term: np.ndarray  # (mn, T) 0/1
     term_counts: np.ndarray  # (T, C)
-    parts_by_term: np.ndarray  # (T, R + K) 0/1: R row parts, then K column parts
-    group_parts: np.ndarray  # (R, size) part-sum row (R + k) of each member's column part
-    group_classes: np.ndarray  # (R, size) class of each member; -1 pads
-    live_groups: np.ndarray  # (size,) groups with more than j members
+    candidates: _Candidates | None  # None: every tile takes the dense product
 
 
 @functools.lru_cache(maxsize=None)
@@ -113,34 +140,22 @@ def _decomposition(m: int, n: int) -> _TermDecomposition:
     G = np.zeros((len(codes), n_classes), dtype=np.float64)
     np.add.at(G, (terms, np.arange(n_classes)[:, None]), 1.0)
 
-    # A class's total is the sum over its row part (its m row terms) plus
-    # the sum over its column part.  Classes are grouped by row part, the
-    # largest groups first, so the groups with a j-th member are the first
-    # live_groups[j].
-    row_parts, group = np.unique(np.sort(terms[:, :m], axis=1), axis=0, return_inverse=True)
-    col_parts, col_part = np.unique(np.sort(terms[:, m:], axis=1), axis=0, return_inverse=True)
-    group, col_part = group.ravel(), col_part.ravel()
-    by_size = np.argsort(-np.bincount(group), kind="stable")
-    row_parts, group = row_parts[by_size], np.argsort(by_size)[group]
-    sizes = np.bincount(group)
-    n_groups = len(sizes)
-    U = np.zeros((len(codes), n_groups + len(col_parts)), dtype=np.float64)
-    U[row_parts, np.arange(n_groups)[:, None]] = 1.0
-    U[col_parts, n_groups + np.arange(len(col_parts))[:, None]] = 1.0
-    members = np.argsort(group, kind="stable")
-    slot = np.arange(n_classes) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    classes = np.full((n_groups, sizes[0]), -1, dtype=np.int64)
-    classes[group[members], slot] = members
-    # Pads repeat the group's first member; only group_classes marks them.
-    padded = np.where(classes >= 0, classes, classes[:, :1])
-    return _TermDecomposition(
-        symbols_by_term=A,
-        term_counts=G,
-        parts_by_term=U,
-        group_parts=n_groups + col_part[padded],
-        group_classes=classes,
-        live_groups=(sizes[:, None] > np.arange(sizes[0])).sum(axis=0),
-    )
+    candidates = None
+    if (m, n) in EVALUATION_SETS:
+        c_max, f_max, c_min, f_min = (
+            np.array(s.split(), dtype=np.int64) - 1 for s in EVALUATION_SETS[m, n]
+        )
+        split = len(c_max) + len(f_max)
+        class_terms = np.ascontiguousarray(G[:, np.concatenate([c_max, f_max, c_min, f_min])].T)
+        class_terms[split:] *= -1.0
+        candidates = _Candidates(
+            class_terms=class_terms,
+            sides=(
+                (c_max, slice(0, len(c_max)), slice(len(c_max), split)),
+                (c_min, slice(split, split + len(c_min)), slice(split + len(c_min), None)),
+            ),
+        )
+    return _TermDecomposition(symbols_by_term=A, term_counts=G, candidates=candidates)
 
 
 def _marginal_entropy_terms(spectra: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -166,67 +181,62 @@ def _dense_tally(
     )
 
 
-def _sole_extrema(
-    hterms: np.ndarray, dec: _TermDecomposition
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per row, the one class within ``EPSILON + _SLACK`` of the max, then the min.
+def _sole_candidates(
+    hterms: np.ndarray, cand: _Candidates
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row, whether one candidate alone holds each extreme, and which.
 
-    Returns ``(sole, cls)`` per side: ``cls[i]`` is the class of row i if
-    ``sole[i]``; rows with more than one class in that band are not resolved.
+    Returns ``(resolved, top, bottom)``: row i credits class ``top[i]`` at
+    the max and ``bottom[i]`` at the min if ``resolved[i]``, which needs one
+    class of ``C`` and none of ``F`` within ``EPSILON + _SLACK`` of the
+    extreme over ``C`` and ``F`` on both sides.
     """
-    sums = dec.parts_by_term.T @ hterms.T  # (R + K, rows)
-    parts = dec.group_parts
-    row_sums = sums[: parts.shape[0]]
-    hi = sums[parts[:, 0]]
-    lo = hi.copy()
-    for j in range(1, parts.shape[1]):
-        live = dec.live_groups[j]
-        col_sums = sums[parts[:live, j]]
-        np.maximum(hi[:live], col_sums, out=hi[:live])
-        np.minimum(lo[:live], col_sums, out=lo[:live])
-    rows = np.arange(hterms.shape[0])
-    out = []
-    # fl(a + x) is monotone in x, so a group's extreme total is its row sum
-    # plus its extreme column sum; negation turns the min side into a max.
-    for sign, best in ((1.0, row_sums + hi), (-1.0, -(row_sums + lo))):
-        threshold = best.max(axis=0) - (EPSILON + _SLACK)
-        win = best.argmax(axis=0)
-        totals = sign * (row_sums[win, rows][:, None] + sums[parts[win], rows[:, None]])
-        in_band = (totals >= threshold[:, None]) & (dec.group_classes[win] >= 0)
-        sole = ((best >= threshold).sum(axis=0) == 1) & (in_band.sum(axis=1) == 1)
-        out.append((sole, dec.group_classes[win, in_band.argmax(axis=1)]))
-    return out
+    vals = cand.class_terms @ hterms.T  # the min side negated: both extremes are maxima
+    resolved = np.ones(vals.shape[1], dtype=bool)
+    credited = []
+    for classes, c_rows, f_rows in cand.sides:
+        edge = vals[c_rows].max(axis=0) - (EPSILON + _SLACK)
+        resolved &= vals[f_rows].max(axis=0) < edge
+        resolved &= np.count_nonzero(vals[c_rows] >= edge, axis=0) == 1
+        credited.append(classes[vals[c_rows].argmax(axis=0)])
+    return resolved, *credited
 
 
 def _block_extrema(
-    hterms: np.ndarray, dec: _TermDecomposition
+    spectra: np.ndarray, dec: _TermDecomposition
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Per-class argmax/argmin hit counts and tie-event counts for one block.
 
-    Tile by tile: a tile whose every row has one class alone within
-    ``EPSILON + _SLACK`` of each extreme credits those classes; any other
-    tile, and every tile of a shape under ``_GROUPED_MIN_CLASSES``, is
-    tallied by the dense product.
+    Tile by tile, so memory stays bounded whatever the block size: a tile's
+    entropy terms, then, where the shape has candidates, its rows that one
+    candidate resolves credit it (tiles of ``_ELEMENT_BUDGET // E`` spectra).
+    Every other row, and every row of a shape without candidates, is
+    tallied by the dense product, ``_ELEMENT_BUDGET // n_classes`` rows at
+    a time.
     """
     G = dec.term_counts
     n_classes = G.shape[1]
     step = max(1, _ELEMENT_BUDGET // n_classes)
+    cand = dec.candidates
+    tile = step if cand is None else max(1, _ELEMENT_BUDGET // cand.class_terms.shape[0])
     max_hits = np.zeros(n_classes, dtype=np.int64)
     min_hits = np.zeros(n_classes, dtype=np.int64)
     ties_max = ties_min = 0
-    for r0 in range(0, hterms.shape[0], step):
-        tile = hterms[r0 : r0 + step]
-        if n_classes >= _GROUPED_MIN_CLASSES:
-            (sole_max, top), (sole_min, bottom) = _sole_extrema(tile, dec)
-            if sole_max.all() and sole_min.all():
-                max_hits += np.bincount(top, minlength=n_classes)
-                min_hits += np.bincount(bottom, minlength=n_classes)
-                continue
-        tile_max, tile_min, tile_ties_max, tile_ties_min = _dense_tally(tile, G)
-        max_hits += tile_max
-        min_hits += tile_min
-        ties_max += tile_ties_max
-        ties_min += tile_ties_min
+    for r0 in range(0, spectra.shape[0], tile):
+        hterms = _marginal_entropy_terms(spectra[r0 : r0 + tile], dec.symbols_by_term)
+        if cand is not None:
+            resolved, top, bottom = _sole_candidates(hterms, cand)
+            max_hits += np.bincount(top[resolved], minlength=n_classes)
+            min_hits += np.bincount(bottom[resolved], minlength=n_classes)
+            hterms = hterms[~resolved]
+        for d0 in range(0, hterms.shape[0], step):
+            tile_max, tile_min, tile_ties_max, tile_ties_min = _dense_tally(
+                hterms[d0 : d0 + step], G
+            )
+            max_hits += tile_max
+            min_hits += tile_min
+            ties_max += tile_ties_max
+            ties_min += tile_ties_min
     return max_hits, min_hits, ties_max, ties_min
 
 
@@ -505,9 +515,7 @@ def census(
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
         )
-        spectra = sample_spectra(mn, size, rng)
-        hterms = _marginal_entropy_terms(spectra, dec.symbols_by_term)
-        return _block_extrema(hterms, dec)
+        return _block_extrema(sample_spectra(mn, size, rng), dec)
 
     todo = list(range(state.blocks_done, n_blocks))
     if _max_blocks is not None:

@@ -1,8 +1,10 @@
 """Brute-force extremes, the randomized census, and the ordering theorem."""
+import dataclasses
 import json
 import os
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ from specmi import (
     verify_theorem_chain,
 )
 from specmi import extrema
+from specmi._candidate_table import EVALUATION_SETS
 
 DATA = Path(__file__).parent / "data"
 PINNED = Spectrum((0.3, 0.25, 0.2, 0.15, 0.07, 0.03))
@@ -84,11 +87,10 @@ def test_block_extrema_tiles_agree_with_one_pass_and_brute_force(monkeypatch):
     dec = extrema._decomposition(2, 3)
     spectra = sample_spectra(6, 40, np.random.default_rng(8))
     spectra[[0, 17, 39]] = 1.0 / 6.0  # the uniform spectrum: every class ties
-    hterms = extrema._marginal_entropy_terms(spectra, dec.symbols_by_term)
 
     def block_tally(rows_per_tile):
         monkeypatch.setattr(extrema, "_ELEMENT_BUDGET", 60 * rows_per_tile)
-        max_hits, min_hits, ties_max, ties_min = extrema._block_extrema(hterms, dec)
+        max_hits, min_hits, ties_max, ties_min = extrema._block_extrema(spectra, dec)
         return max_hits.tolist(), min_hits.tolist(), ties_max, ties_min
 
     one_pass = block_tally(len(spectra))
@@ -131,49 +133,48 @@ def test_decomposition_matches_the_loop_reference(m, n):
     A, G = _loop_decomposition(m, n)
     assert np.array_equal(dec.symbols_by_term, A)
     assert np.array_equal(dec.term_counts, G)
-    # every class sits in one group, and its row part plus its column part
-    # are its terms
-    groups, slots = np.nonzero(dec.group_classes >= 0)
-    classes = dec.group_classes[groups, slots]
-    assert sorted(classes) == list(range(G.shape[1]))
-    U = dec.parts_by_term
-    assert np.array_equal(U[:, groups] + U[:, dec.group_parts[groups, slots]], G[:, classes])
-    sizes = (dec.group_classes >= 0).sum(axis=1)
-    assert list(dec.live_groups) == [int((sizes > j).sum()) for j in range(sizes[0])]
+    cand = dec.candidates
+    assert (cand is not None) == ((m, n) in EVALUATION_SETS)
+    if cand is not None:
+        c_max, f_max, c_min, f_min = (
+            np.array(c.split(), dtype=np.int64) - 1 for c in EVALUATION_SETS[m, n]
+        )
+        rows = np.concatenate([G[:, c_max].T, G[:, f_max].T, -G[:, c_min].T, -G[:, f_min].T])
+        assert np.array_equal(cand.class_terms, rows)
+        (max_c, *_), (min_c, *_) = cand.sides
+        assert np.array_equal(max_c, c_max) and np.array_equal(min_c, c_min)
 
 
-def _tallies(hterms, dec):
-    return tuple(np.asarray(x).tolist() for x in extrema._block_extrema(hterms, dec))
+def _tallies(spectra, dec):
+    return tuple(np.asarray(x).tolist() for x in extrema._block_extrema(spectra, dec))
 
 
-def _dense_reference(monkeypatch, hterms, dec):
-    with monkeypatch.context() as patch:
-        patch.setattr(extrema, "_GROUPED_MIN_CLASSES", dec.term_counts.shape[1] + 1)
-        return _tallies(hterms, dec)
+def _dense_reference(spectra, dec):
+    return _tallies(spectra, dataclasses.replace(dec, candidates=None))
 
 
 def _recording_dense_tally(monkeypatch):
-    tiles = []
+    rows = []
     dense_tally = extrema._dense_tally
 
     def recording(hterms, G):
-        tiles.append(hterms.copy())
+        rows.extend(hterms.copy())
         return dense_tally(hterms, G)
 
     monkeypatch.setattr(extrema, "_dense_tally", recording)
-    return tiles
+    return rows
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("m,n,rows", [(2, 4, 2500), (3, 3, 1700), (2, 5, 600)])
 def test_grouped_block_tallies_equal_the_dense_reference(monkeypatch, m, n, rows, seed):
+    # the pruned kernel; the test's name predates it and is kept stable
     dec = extrema._decomposition(m, n)
     spectra = sample_spectra(m * n, rows, np.random.default_rng(seed))
-    hterms = extrema._marginal_entropy_terms(spectra, dec.symbols_by_term)
-    reference = _dense_reference(monkeypatch, hterms, dec)
-    tiles = _recording_dense_tally(monkeypatch)
-    assert _tallies(hterms, dec) == reference
-    assert tiles == []  # random rows resolve in the grouped kernel
+    reference = _dense_reference(spectra, dec)
+    fallback = _recording_dense_tally(monkeypatch)
+    assert _tallies(spectra, dec) == reference
+    assert fallback == []  # random rows resolve among the candidates
 
 
 def _max_gap(spectrum, dec):
@@ -183,18 +184,32 @@ def _max_gap(spectrum, dec):
     return top[-1], top[-2]
 
 
-def _near_tie_rows(mn, dec):
-    """Spectra with two equal entries, then nudged to either side of EPSILON.
+#: Half the pruned kernel's slack: a runner-up this far beyond EPSILON is no
+#: tie for the dense product but must still leave the row to it.
+_HALF_SLACK = 5e-14
 
-    Returns the row with the exact tie, then, after bisection, the last
-    nudge whose runner-up the dense mask still credits and the first one it
-    does not.
+
+def _near_tie_rows(mn, dec):
+    """Spectra with two equal entries, then nudged to either side of the band.
+
+    Returns per tie the row with the exact tie, then, after bisection, the
+    last nudge whose runner-up the dense mask still credits, the first one
+    it does not, and the first one whose runner-up is ``_HALF_SLACK`` beyond
+    ``EPSILON``.
     """
     base = sample_spectra(mn, 1, np.random.default_rng(4))[0]
 
-    def tied(s):
+    def within(s, width):
         top, second = _max_gap(s, dec)
-        return second >= top - EPSILON
+        return second >= top - width
+
+    def bisect(s, nudge, width):
+        lo, hi = 0.0, 1e-9
+        assert not within(s + hi * nudge, width)
+        for _ in range(80):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if within(s + mid * nudge, width) else (lo, mid)
+        return lo, hi
 
     rows = []
     for i in range(mn - 1):
@@ -204,48 +219,54 @@ def _near_tie_rows(mn, dec):
             continue  # swapping these two entries maps the argmax class to itself
         nudge = np.zeros(mn)
         nudge[i], nudge[i + 1] = 1.0, -1.0
-        lo, hi = 0.0, 1e-9
-        assert not tied(s + hi * nudge)
-        for _ in range(80):
-            mid = (lo + hi) / 2
-            lo, hi = (mid, hi) if tied(s + mid * nudge) else (lo, mid)
+        lo, hi = bisect(s, nudge, EPSILON)
         assert abs(np.subtract(*_max_gap(s + hi * nudge, dec)) - EPSILON) < 1e-14
-        rows += [s, s + lo * nudge, s + hi * nudge]
+        _, beyond = bisect(s, nudge, EPSILON + _HALF_SLACK)
+        assert abs(np.subtract(*_max_gap(s + beyond * nudge, dec)) - EPSILON - _HALF_SLACK) < 1e-14
+        rows += [s, s + lo * nudge, s + hi * nudge, s + beyond * nudge]
     assert rows
     return rows
 
 
 @pytest.mark.parametrize("m,n", [(2, 4), (3, 3), (2, 5)])
-def test_grouped_kernel_finds_each_class_alone_at_an_extreme(m, n):
-    # the terms of class c alone, as entropy terms, make c the one class with
-    # the largest total (m + n) and, negated, the one with the smallest
-    dec = extrema._decomposition(m, n)
-    n_classes = dec.term_counts.shape[1]
-    for c0 in range(0, n_classes, 2520):
-        classes = np.arange(c0, min(c0 + 2520, n_classes))
-        for sign, side in ((1.0, 0), (-1.0, 1)):
-            sole, cls = extrema._sole_extrema(sign * dec.term_counts[:, classes].T, dec)[side]
-            assert sole.all() and np.array_equal(cls, classes)
-
-
-@pytest.mark.parametrize("m,n", [(2, 4), (3, 3), (2, 5)])
 def test_grouped_kernel_hands_ties_and_near_ties_to_the_dense_product(monkeypatch, m, n):
+    # the pruned kernel; the test's name predates it and is kept stable
     mn = m * n
     dec = extrema._decomposition(m, n)
     constructed = np.array([np.full(mn, 1.0 / mn)] + _near_tie_rows(mn, dec))
     step = max(1, extrema._ELEMENT_BUDGET // dec.term_counts.shape[1])
     spectra = sample_spectra(mn, 3 * step, np.random.default_rng(5))
     spread = step // len(constructed)
-    spectra[step : 2 * step : spread][: len(constructed)] = constructed  # the middle tile
-    hterms = extrema._marginal_entropy_terms(spectra, dec.symbols_by_term)
-    reference = _dense_reference(monkeypatch, hterms, dec)
-    tiles = _recording_dense_tally(monkeypatch)
-    assert _tallies(hterms, dec) == reference
+    spectra[step : 2 * step : spread][: len(constructed)] = constructed  # the middle third
+    reference = _dense_reference(spectra, dec)
+    fallback = _recording_dense_tally(monkeypatch)
+    assert _tallies(spectra, dec) == reference
     assert reference[2] >= 1 and reference[3] >= 1  # the uniform row ties both sides
-    assert len(tiles) == 1 and np.array_equal(tiles[0], hterms[step : 2 * step])
-    # every constructed row, not only the tile, is outside the grouped kernel
-    (sole_max, _), _ = extrema._sole_extrema(hterms[step : 2 * step : spread], dec)
-    assert not sole_max[: len(constructed)].any()
+    # the dense product received exactly the constructed rows, no random one
+    expected = extrema._marginal_entropy_terms(constructed, dec.symbols_by_term)
+    assert len(fallback) == len(constructed)
+    assert np.allclose(fallback, expected, rtol=0.0, atol=1e-15)
+
+
+def test_block_memory_stays_within_the_tile_budget():
+    # a block of 150 dense tiles' worth of spectra; the first 1.5 of them are
+    # uniform, so every class ties and they go dense in two pieces
+    dec = extrema._decomposition(2, 5)
+    step = extrema._ELEMENT_BUDGET // dec.term_counts.shape[1]
+    spectra = sample_spectra(10, 150 * step, np.random.default_rng(6))
+    uniform = 3 * step // 2
+    spectra[:uniform] = 0.1
+    tile_bytes = extrema._ELEMENT_BUDGET * spectra.itemsize
+    tracemalloc.start()
+    try:
+        max_hits, min_hits, ties_max, ties_min = extrema._block_extrema(spectra, dec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ties_max == ties_min == uniform
+    assert max_hits.sum() == min_hits.sum() == uniform * 15120 + len(spectra) - uniform
+    # the whole block's entropy terms alone would take three tile budgets
+    assert peak < 2 * tile_bytes
 
 
 # ---------------------------------------------------------------- the census
