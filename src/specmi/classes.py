@@ -12,10 +12,19 @@ row whose symbol indices increase holds decreasing probabilities.  Words
 read the grid row-major ("adefcb"); displays insert a row separator
 ("ade|fcb").  Cycle labels name the positional permutation that carries the
 identity word to the class word (symbol k moves to position sigma(k)),
-written in cycle notation with fixed points omitted.
+written in cycle notation with fixed points omitted; a class derives its
+label from its word when the label is first read.
 
+With distinct symbols the canonical word of a non-square grid is fixed by
+two facts: row 0 is symbol 0 followed by its other symbols in ascending
+order, and the other rows are ordered by their first entry.  So the class
+words are listed directly, C(mn-1, n-1) row-0 choices times the orderings of
+the remaining symbols with increasing row heads (15120 words for 2x5), never
+by canonicalising all (mn-1)! grids.  The exception is a square shape: the
+same listing holds each class twice, as a grid and its transpose, and the
+smaller of the two words is canonical.
 The 2x3 table (60 classes) ships embedded and versioned; other shapes up to
-10 cells are enumerated on demand.
+10 cells are generated on demand.
 
 Certified edges between classes are derived here, once each, and titrate
 cell swaps through one helper: the 2x3 honeycomb (rendered by
@@ -69,8 +78,9 @@ __all__ = [
     "honeycomb_dot",
 ]
 
-#: Largest supported grid: enumeration canonicalises (mn-1)! grids, about
-#: 40M at 12 cells.
+#: Largest supported grid.  A shape has (mn)!/(m! n!) classes (half that
+#: when square): 15120 for 2x5, but 332,640 for 2x6 and 3,326,400 for 3x4,
+#: and every table, census and relation graph is built per class.
 MAX_CELLS = 10
 
 Grid = tuple[tuple[int, ...], ...]
@@ -131,13 +141,16 @@ def cycle_label_of_word(word: str) -> str:
 
 @dataclasses.dataclass(frozen=True)
 class MatrixClass:
-    """One arrangement class: canonical word, 1-based index, cycle label."""
+    """One arrangement class: canonical word and 1-based index."""
 
     index: int
     m: int
     n: int
     word: str
-    cycle_label: str
+
+    @functools.cached_property
+    def cycle_label(self) -> str:
+        return cycle_label_of_word(self.word)
 
     @property
     def canonical(self) -> Grid:
@@ -172,6 +185,17 @@ class ClassTable:
     @functools.cached_property
     def _by_word(self) -> dict[str, MatrixClass]:
         return {c.word: c for c in self.classes}
+
+    @functools.cached_property
+    def _grids(self) -> np.ndarray:
+        """Canonical symbol grids of all classes, a (classes, m, n) int64 array."""
+        letters = np.frombuffer("".join(c.word for c in self.classes).encode(), np.uint8)
+        return np.searchsorted(_LETTER_BYTES, letters).reshape(len(self), self.m, self.n)
+
+    @functools.cached_property
+    def _codes(self) -> np.ndarray:
+        """Base-mn codes of the canonical words, ascending like the words."""
+        return _encode(self._grids.reshape(len(self), -1))
 
     def get(self, index: int) -> MatrixClass:
         if not 1 <= index <= len(self.classes):
@@ -234,73 +258,68 @@ def canonical_form(arrangement, table: ClassTable | None = None) -> MatrixClass:
     return _classes_of([grid], table)[0]
 
 
-def _canonical_codes(chunk: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Canonical base-mn codes for a batch of grids with symbol 0 first."""
-    mn = m * n
-    count = chunk.shape[0]
-    powers = mn ** np.arange(mn - 1, -1, -1, dtype=np.int64)
-    grids = chunk.reshape(count, m, n)
-    variants = [grids]
-    if m == n:
-        variants.append(grids.transpose(0, 2, 1))
-    best: np.ndarray | None = None
-    for g in variants:
-        for perm in itertools.permutations(range(1, m)):
-            rows = g[:, (0,) + perm, :]
-            order = np.argsort(rows[:, 0, :], axis=1)
-            cand = np.take_along_axis(rows, order[:, None, :], axis=2)
-            codes = cand.reshape(count, mn) @ powers
-            best = codes if best is None else np.minimum(best, codes)
-    assert best is not None
-    return best
+#: ASCII bytes of the symbol letters, in symbol order (which is also byte order).
+_LETTER_BYTES = np.frombuffer(SYMBOL_LETTERS.encode(), dtype=np.uint8)
 
 
-def _decode_word(code: int, mn: int) -> str:
-    syms = []
-    for _ in range(mn):
-        code, s = divmod(code, mn)
-        syms.append(s)
-    return "".join(SYMBOL_LETTERS[s] for s in reversed(syms))
+def _encode(words: np.ndarray) -> np.ndarray:
+    """Base-mn codes of symbol words (one per row); code order is word order."""
+    mn = words.shape[1]
+    return words @ mn ** np.arange(mn - 1, -1, -1, dtype=np.int64)
+
+
+def _canonical_codes(grids: np.ndarray) -> np.ndarray:
+    """Codes of the canonical words of a (count, m, n) batch of symbol grids.
+
+    Sorts the columns by the row that holds symbol 0, then the rows by their
+    first column; a square shape does the same to the transposes and keeps
+    the smaller code.
+    """
+    count, m, n = grids.shape
+    k = np.arange(count)
+    codes = []
+    for g in (grids, grids.transpose(0, 2, 1))[: 1 + (m == n)]:
+        top = g[k, g.reshape(count, m * n).argmin(axis=1) // n]
+        g = np.take_along_axis(g, np.argsort(top, axis=1)[:, None, :], axis=2)
+        g = np.take_along_axis(g, np.argsort(g[:, :, 0], axis=1)[:, :, None], axis=1)
+        codes.append(_encode(g.reshape(count, m * n)))
+    return np.minimum.reduce(codes)
 
 
 def _classes_of(grids: Sequence[Grid], table: ClassTable) -> list[MatrixClass]:
-    """Classes of a batch of symbol grids of the table's shape.
-
-    Moves symbol 0 of every grid to cell (0, 0), its row first and then its
-    column, and canonicalises the whole batch in one vectorised pass.
-    """
-    m, n, count = table.m, table.n, len(grids)
-    batch = np.array(grids, dtype=np.int64).reshape(count, m, n)
-    k = np.arange(count)
-    rows, cols = np.divmod(batch.reshape(count, m * n).argmin(axis=1), n)
-    batch[k, 0], batch[k, rows] = batch[k, rows], batch[k, 0]
-    batch[k, :, 0], batch[k, :, cols] = batch[k, :, cols], batch[k, :, 0]
-    codes = _canonical_codes(batch.reshape(count, m * n), m, n)
-    return [table._by_word[_decode_word(int(code), m * n)] for code in codes]
+    """Classes of a batch of symbol grids of the table's shape, in one pass."""
+    batch = np.array(grids, dtype=np.int64).reshape(len(grids), table.m, table.n)
+    rows = np.searchsorted(table._codes, _canonical_codes(batch))
+    return [table.classes[i] for i in rows.tolist()]
 
 
 def enumerate_classes(m: int, n: int) -> ClassTable:
-    """Enumerate every arrangement class of an m x n grid.
+    """Generate every arrangement class of an m x n grid.
 
-    Walks all grids with the largest symbol at the top-left (every class
-    has such a representative), canonicalises them in one vectorised pass
-    (at most 9! grids under MAX_CELLS), and keeps the distinct canonical
-    words in lexicographic order.
+    Lists the grids whose row 0 is symbol 0 followed by an ascending choice
+    of n-1 symbols and whose other rows hold the remaining symbols with
+    increasing first entries: one grid per class, or two (a grid and its
+    transpose) for square shapes.  Their canonical codes, sorted and
+    deduplicated, give the classes in lexicographic word order.
     """
     _check_shape(m, n)
     mn = m * n
-    perms = np.array(list(itertools.permutations(range(1, mn))), dtype=np.int64)
-    grids = np.pad(perms, ((0, 0), (1, 0)))  # symbol 0 in cell (0, 0)
-    codes = np.unique(_canonical_codes(grids, m, n))
+    tops = np.array(list(itertools.combinations(range(1, mn), n - 1)), dtype=np.int64)
+    free = np.ones((len(tops), mn), dtype=bool)
+    free[:, 0] = False
+    free[np.arange(len(tops))[:, None], tops] = False
+    rest = np.nonzero(free)[1].reshape(len(tops), mn - n)
+    orders = np.array(list(itertools.permutations(range(mn - n))), dtype=np.int64)
+    orders = orders[(np.diff(orders[:, ::n], axis=1) > 0).all(axis=1)]
+    words = np.zeros((len(tops), len(orders), mn), dtype=np.int64)
+    words[:, :, 1:n] = tops[:, None]
+    words[:, :, n:] = rest[:, orders]
+    codes = np.unique(_canonical_codes(words.reshape(-1, m, n)))
+    digits = codes[:, None] // mn ** np.arange(mn - 1, -1, -1, dtype=np.int64) % mn
+    letters = _LETTER_BYTES[digits].tobytes().decode()
     classes = tuple(
-        MatrixClass(
-            index=i,
-            m=m,
-            n=n,
-            word=(word := _decode_word(int(code), mn)),
-            cycle_label=cycle_label_of_word(word),
-        )
-        for i, code in enumerate(codes, start=1)
+        MatrixClass(index=i + 1, m=m, n=n, word=letters[i * mn : (i + 1) * mn])
+        for i in range(len(codes))
     )
     return ClassTable(m=m, n=n, classes=classes)
 
@@ -308,10 +327,7 @@ def enumerate_classes(m: int, n: int) -> ClassTable:
 @functools.lru_cache(maxsize=None)
 def r23_table() -> ClassTable:
     """The embedded, versioned table of the 60 classes of a 2x3 grid."""
-    classes = tuple(
-        MatrixClass(index=i, m=2, n=3, word=word, cycle_label=label)
-        for i, word, label in ENTRIES
-    )
+    classes = tuple(MatrixClass(index=i, m=2, n=3, word=word) for i, word, _ in ENTRIES)
     return ClassTable(m=2, n=3, classes=classes)
 
 

@@ -73,7 +73,7 @@ import numpy as np
 from ._candidate_table import EVALUATION_SETS
 from .classes import class_table, cross_pairs, honeycomb, maxima_chain_steps
 from .core import EPSILON, Spectrum, sample_spectra, write_text_atomic
-from .orders import SYMBOL_LETTERS, RelationKind, RelationVerdict
+from .orders import RelationKind, RelationVerdict
 
 __all__ = [
     "ExtremaReport",
@@ -96,6 +96,15 @@ _ELEMENT_BUDGET = 4_000_000
 _SLACK = 1e-13
 
 _CHECKPOINT_SCHEMA = 1
+
+#: Work arrays of the census kernel, one set per block in flight, handed on
+#: to the next block (and census) when a block is done.  A set holds a tile's
+#: entropy terms ("terms") and the product being reduced ("product": the
+#: marginal sums, then the candidates' or the dense totals).  Allocated
+#: afresh, these multi-megabyte arrays are paged in again whenever malloc has
+#: trimmed its heap in between: 1,400 to 2,200 minor page faults per
+#: 2500-sample 2x4 or 3x3 block, which doubled its time.
+_spare_work: list[dict[str, np.ndarray]] = []
 
 #: A census records a convergence row, and rewrites its checkpoint, each time
 #: the samples done reach a multiple of this; the row at the last sample is
@@ -122,12 +131,7 @@ class _TermDecomposition:
 def _decomposition(m: int, n: int) -> _TermDecomposition:
     table = class_table(m, n)
     n_classes = len(table)
-    letters = np.frombuffer(SYMBOL_LETTERS.encode("ascii"), dtype=np.uint8)
-    symbol_of = np.zeros(256, dtype=np.int64)
-    symbol_of[letters] = np.arange(len(letters))
-    words = "".join(cls.word for cls in table.classes).encode("ascii")
-    grids = symbol_of[np.frombuffer(words, dtype=np.uint8)].reshape(n_classes, m, n)
-    bits = np.left_shift(1, grids)
+    bits = np.left_shift(1, table._grids)
     # One symbol bitmask per marginal, in class order, rows before columns;
     # terms are numbered by first appearance in that sequence.
     masks = np.concatenate([bits.sum(axis=2), bits.sum(axis=1)], axis=1)
@@ -158,19 +162,37 @@ def _decomposition(m: int, n: int) -> _TermDecomposition:
     return _TermDecomposition(symbols_by_term=A, term_counts=G, candidates=candidates)
 
 
-def _marginal_entropy_terms(spectra: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """``-s log s`` of every marginal sum ``s = spectra @ A``, with 0 log 0 = 0."""
-    sums = spectra @ A
-    terms = np.log(sums, out=np.zeros_like(sums), where=sums > 0)
+def _work_array(work: dict[str, np.ndarray], name: str, rows: int, cols: int) -> np.ndarray:
+    """The work array ``name`` of one set, grown as needed, as a rows x cols view."""
+    if name not in work or work[name].size < rows * cols:
+        work.pop(name, None)  # free the smaller array before allocating
+        work[name] = np.empty(rows * cols)
+    return work[name][: rows * cols].reshape(rows, cols)
+
+
+def _marginal_entropy_terms(
+    spectra: np.ndarray, A: np.ndarray, work: dict[str, np.ndarray] | None = None
+) -> np.ndarray:
+    """``-s log s`` of every marginal sum ``s = spectra @ A``, with 0 log 0 = 0.
+
+    Given a set of work arrays, returns a view of its "terms".
+    """
+    work = {} if work is None else work
+    shape = (spectra.shape[0], A.shape[1])
+    sums = np.matmul(spectra, A, out=_work_array(work, "product", *shape))
+    terms = _work_array(work, "terms", *shape)
+    terms.fill(1.0)
+    np.copyto(terms, sums, where=sums > 0)
+    np.log(terms, out=terms)
     terms *= sums
     return np.negative(terms, out=terms)
 
 
 def _dense_tally(
-    hterms: np.ndarray, G: np.ndarray
+    hterms: np.ndarray, G: np.ndarray, work: dict[str, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Argmax/argmin hit counts and tie events of every class over one tile."""
-    vals = hterms @ G
+    vals = np.matmul(hterms, G, out=_work_array(work, "product", len(hterms), G.shape[1]))
     mask_max = vals >= (vals.max(axis=1) - EPSILON)[:, None]
     mask_min = vals <= (vals.min(axis=1) + EPSILON)[:, None]
     return (
@@ -182,7 +204,7 @@ def _dense_tally(
 
 
 def _sole_candidates(
-    hterms: np.ndarray, cand: _Candidates
+    hterms: np.ndarray, cand: _Candidates, work: dict[str, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per row, whether one candidate alone holds each extreme, and which.
 
@@ -191,7 +213,9 @@ def _sole_candidates(
     class of ``C`` and none of ``F`` within ``EPSILON + _SLACK`` of the
     extreme over ``C`` and ``F`` on both sides.
     """
-    vals = cand.class_terms @ hterms.T  # the min side negated: both extremes are maxima
+    # the min side negated: both extremes are maxima
+    out = _work_array(work, "product", len(cand.class_terms), len(hterms))
+    vals = np.matmul(cand.class_terms, hterms.T, out=out)
     resolved = np.ones(vals.shape[1], dtype=bool)
     credited = []
     for classes, c_rows, f_rows in cand.sides:
@@ -222,21 +246,26 @@ def _block_extrema(
     max_hits = np.zeros(n_classes, dtype=np.int64)
     min_hits = np.zeros(n_classes, dtype=np.int64)
     ties_max = ties_min = 0
+    try:
+        work = _spare_work.pop()
+    except IndexError:
+        work = {}
     for r0 in range(0, spectra.shape[0], tile):
-        hterms = _marginal_entropy_terms(spectra[r0 : r0 + tile], dec.symbols_by_term)
+        hterms = _marginal_entropy_terms(spectra[r0 : r0 + tile], dec.symbols_by_term, work)
         if cand is not None:
-            resolved, top, bottom = _sole_candidates(hterms, cand)
+            resolved, top, bottom = _sole_candidates(hterms, cand, work)
             max_hits += np.bincount(top[resolved], minlength=n_classes)
             min_hits += np.bincount(bottom[resolved], minlength=n_classes)
             hterms = hterms[~resolved]
         for d0 in range(0, hterms.shape[0], step):
             tile_max, tile_min, tile_ties_max, tile_ties_min = _dense_tally(
-                hterms[d0 : d0 + step], G
+                hterms[d0 : d0 + step], G, work
             )
             max_hits += tile_max
             min_hits += tile_min
             ties_max += tile_ties_max
             ties_min += tile_ties_min
+    _spare_work.append(work)
     return max_hits, min_hits, ties_max, ties_min
 
 

@@ -1,5 +1,7 @@
 """Arrangement classes: canonical forms, the 2x3 table, and the honeycomb."""
+import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +27,9 @@ from specmi import (
     xi_pairs,
 )
 from specmi import classes
+from specmi._r23_table import ENTRIES
 from specmi.classes import (
+    _classes_of,
     cycle_label_of_word,
     grid_word,
     maxima_chain_steps,
@@ -55,7 +59,48 @@ def test_cycle_label_uses_commas_beyond_nine_cells():
 # ----------------------------------------------------------------- the table
 
 def test_embedded_table_matches_enumeration():
+    # index, shape and word; the labels are checked against ENTRIES below
     assert enumerate_classes(2, 3).classes == r23_table().classes
+
+
+def test_embedded_labels_match_the_derived_cycle_labels():
+    """The versioned labels tell a label bug apart from a transcription bug."""
+    table = r23_table()
+    for index, word, label in ENTRIES:
+        assert table.get(index).word == word
+        assert table.get(index).cycle_label == label == cycle_label_of_word(word)
+
+
+#: SHA-256 of the newline-joined class words, recorded from the enumerator
+#: that canonicalised all (mn-1)! grids.
+TABLE_DIGESTS = {
+    (2, 2): (3, "8ad04d5aa18910ffac718a1c6284e721b12aa258638b41a1db4aad627d3a4bb9"),
+    (2, 3): (60, "d2f30e6723e7b40206884f30f7d380722f8a6424a81d2c1f9850d3cd2b708d60"),
+    (2, 4): (840, "baecd9dda107eaef16ce2610d29d385194f27fb0e72ac676f86f54af1f4d09d9"),
+    (3, 3): (5040, "5884cc563dd1cd4c37da7925b099c0bc41dccc549a3162b29966af989c7fc273"),
+    (2, 5): (15120, "24db663ec2451c93ad7372c7998ac2bfc4f2783a99fa4cc77dca1e79b72e68f8"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(TABLE_DIGESTS), ids=lambda s: f"{s[0]}x{s[1]}")
+def test_generated_tables_are_pinned(shape):
+    table = enumerate_classes(*shape)
+    words = [c.word for c in table.classes]
+    count, digest = TABLE_DIGESTS[shape]
+    assert len(words) == count
+    assert hashlib.sha256("\n".join(words).encode()).hexdigest() == digest
+    assert [c.index for c in table.classes] == list(range(1, count + 1))
+
+
+def test_generating_the_2x5_table_stays_small_in_memory():
+    """Generation never holds the 362,880 grids of a 2x5 shape (over 100 MB)."""
+    tracemalloc.start()
+    try:
+        enumerate_classes(2, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_table_get_and_bounds():
@@ -156,12 +201,23 @@ def _smallest_word(grid):
 def test_canonical_form_matches_the_smallest_word():
     grids = [(perm[:2], perm[2:]) for perm in itertools.permutations(range(4))]
     rng = np.random.default_rng(29)
-    for m, n in ((2, 3), (3, 3), (2, 4)):
-        for _ in range(150):
-            perm = [int(s) for s in rng.permutation(m * n)]
-            grids.append(tuple(tuple(perm[r * n : (r + 1) * n]) for r in range(m)))
+    for m, n in ((2, 3), (3, 3), (2, 4), (2, 5)):
+        grids += _random_grids(rng, m, n, 150)
     for grid in grids:
         assert canonical_form(grid).word == _smallest_word(grid), grid
+
+
+def _random_grids(rng, m, n, count):
+    perms = [[int(s) for s in rng.permutation(m * n)] for _ in range(count)]
+    return [tuple(tuple(p[r * n : (r + 1) * n]) for r in range(m)) for p in perms]
+
+
+@pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (2, 5)])
+def test_batch_canonicaliser_matches_the_smallest_word(m, n):
+    """The batch path that titrated swaps use, on 1500 random grids."""
+    grids = _random_grids(np.random.default_rng(1000 * m + n), m, n, 1500)
+    found = _classes_of(grids, class_table(m, n))
+    assert [c.word for c in found] == [_smallest_word(g) for g in grids]
 
 
 def test_canonical_form_accepts_numeric_matrices():

@@ -157,9 +157,9 @@ def _recording_dense_tally(monkeypatch):
     rows = []
     dense_tally = extrema._dense_tally
 
-    def recording(hterms, G):
+    def recording(hterms, G, work):
         rows.extend(hterms.copy())
-        return dense_tally(hterms, G)
+        return dense_tally(hterms, G, work)
 
     monkeypatch.setattr(extrema, "_dense_tally", recording)
     return rows
@@ -267,6 +267,46 @@ def test_block_memory_stays_within_the_tile_budget():
     assert max_hits.sum() == min_hits.sum() == uniform * 15120 + len(spectra) - uniform
     # the whole block's entropy terms alone would take three tile budgets
     assert peak < 2 * tile_bytes
+
+
+def _masked_log_terms(spectra, A):
+    sums = spectra @ A
+    terms = np.log(sums, out=np.zeros_like(sums), where=sums > 0)
+    return -(terms * sums)
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 3), (2, 5)])
+def test_entropy_terms_equal_the_masked_log_bit_for_bit(m, n):
+    # one set of work arrays, reused across calls that grow and shrink it
+    dec = extrema._decomposition(m, n)
+    rng = np.random.default_rng(m * n)
+    work = {}
+    for rows in (1, 300, 2500, 40, 2500):
+        spectra = sample_spectra(m * n, rows, rng)
+        spectra[::3, -2:] = 0.0  # marginal sums of 0: 0 log 0 = 0
+        expected = _masked_log_terms(spectra, dec.symbols_by_term)
+        for terms in (
+            extrema._marginal_entropy_terms(spectra, dec.symbols_by_term, work),
+            extrema._marginal_entropy_terms(spectra, dec.symbols_by_term),
+        ):
+            assert terms.shape == expected.shape
+            assert (terms.view(np.int64) == expected.view(np.int64)).all()
+
+
+def test_a_block_reuses_the_work_arrays_of_the_last():
+    dec = extrema._decomposition(2, 5)
+    spectra = sample_spectra(10, 2500, np.random.default_rng(12))
+    first = extrema._block_extrema(spectra, dec)
+    tracemalloc.start()
+    try:
+        again = extrema._block_extrema(spectra, dec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [np.asarray(x).tolist() for x in again] == [np.asarray(x).tolist() for x in first]
+    # only masks and per-row results are new (1.7 MB); the block's terms
+    # (5.9 MB) and candidate totals (10.7 MB) are not allocated again
+    assert peak < 4 * 2**20
 
 
 # ---------------------------------------------------------------- the census
