@@ -27,9 +27,16 @@ The 2x3 table (60 classes) ships embedded and versioned; other shapes up to
 10 cells are generated on demand.
 
 Certified edges between classes are derived here, once each, and titrate
-cell swaps through one helper: the 2x3 honeycomb (rendered by
-``extrema.verify_theorem_chain``; an expected certificate that is not
-derivable raises RuntimeError) and the relation graph ``derive_relation`` reads.
+cell swaps through one helper, ``_titrated_swaps``.  Every edge is decided
+in batch on symbol counts (``orders._decide_majorisation`` and
+``orders._decide_titration``); its proof text comes from the text provers
+only when it is read.  The relation graph that ``derive_relation`` reads
+keeps a reference to each edge's proof, and ``_edge_lines`` renders the
+edges of a printed chain once each (a cold 2x3 graph is decided in about
+15 ms).  The 2x3 honeycomb (rendered by ``extrema.verify_theorem_chain``)
+renders all of its edges.  A text prover that does not certify an edge the
+decision put in the graph, or an expected honeycomb certificate that is
+not derivable, raises RuntimeError.
 """
 from __future__ import annotations
 
@@ -44,7 +51,9 @@ from ._r23_table import ENTRIES, TABLE_VERSION
 from .core import ProbMatrix, Spectrum
 from .orders import (
     SYMBOL_LETTERS,
-    RelationVerdict,
+    RelationKind,
+    _decide_majorisation,
+    _decide_titration,
     majorisation_certificate,
     symbolic_transposition_context,
     titrate_check,
@@ -439,8 +448,11 @@ def standard_form_sets() -> StandardFormSets:
 # Certified edges: titrated cell swaps and the all-pairs relation graph
 # ---------------------------------------------------------------------------
 
-#: Shapes whose relation graph builds in seconds; the 2x4 graph takes
-#: minutes and larger ones hours.
+#: Shapes whose relation graph is built.  Deciding every edge of a larger
+#: shape, one process on a 2-vCPU VM, takes about 2 s for 2x4 (704,760
+#: ordered class pairs), and about 100 s for 3x3 and 16 min for 2x5
+#: (extrapolated from 1M pairs each); the majorisation pairs take nearly all
+#: of it, the cell swaps 0.1, 1.1 and 3.9 s.
 RELATION_SHAPES = ((2, 2), (2, 3))
 
 
@@ -452,66 +464,113 @@ def check_relation_shape(m: int, n: int) -> None:
 
 
 def _titrated_swaps(
-    table: ClassTable, swaps: Sequence[tuple[Grid, tuple[int, int], tuple[int, int]]]
-) -> list[tuple[RelationVerdict, Grid | None, MatrixClass | None]]:
-    """Titrate each (grid, position, position) swap of two cells.
+    table: ClassTable, grids: np.ndarray, cells: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Titrate the swap of two cells in each grid of a batch.
 
-    Returns, per swap, the titration verdict with the swapped grid and its
-    class; both are None when the verdict is inconclusive.  The images of
-    all certified swaps are canonicalised in one batch.
+    ``grids`` is a (swaps, m, n) array of symbol grids of the table's shape,
+    ``cells`` a (swaps, 2) array of two distinct row-major cells per grid.
+    Returns, per swap, the verdict of ``orders._decide_titration`` (1: the
+    swap cannot decrease mutual information, -1: it cannot increase it, 0:
+    inconclusive) and the 1-based class of the swapped grid, 0 where the
+    verdict is inconclusive.  Only the images of certified swaps are
+    canonicalised, in one batch.
     """
-    verdicts = [titrate_check(symbolic_transposition_context(*swap)) for swap in swaps]
-    images: list[Grid] = []
-    for (grid, (ia, ja), (ib, jb)), verdict in zip(swaps, verdicts):
-        if not verdict.is_inconclusive:
-            rows = [list(row) for row in grid]
-            rows[ia][ja], rows[ib][jb] = rows[ib][jb], rows[ia][ja]
-            images.append(tuple(tuple(row) for row in rows))
-    certified = iter(zip(images, _classes_of(images, table)))
-    return [(v, None, None) if v.is_inconclusive else (v, *next(certified)) for v in verdicts]
+    kinds = _decide_titration(grids, cells)
+    hit = np.flatnonzero(kinds)
+    images = grids[hit].reshape(len(hit), -1)
+    k, a, b = np.arange(len(hit)), cells[hit, 0], cells[hit, 1]
+    images[k, a], images[k, b] = images[k, b], images[k, a]
+    classes = np.zeros(len(kinds), dtype=np.int64)
+    codes = _canonical_codes(images.reshape(len(hit), table.m, table.n))
+    classes[hit] = np.searchsorted(table._codes, codes) + 1
+    return kinds, classes
+
+
+#: A relation-graph edge's reference to its proof: None for the majorisation
+#: of its end points, or (k, a, b) for the titrated swap of the row-major
+#: cells a < b in the canonical grid of class k, the edge's source when the
+#: swap cannot decrease mutual information and its target otherwise.
+_Proof = tuple[int, int, int] | None
 
 
 @functools.lru_cache(maxsize=None)
-def _relation_graph(m: int, n: int) -> dict[int, dict[int, tuple[str, ...]]]:
+def _relation_graph(m: int, n: int) -> dict[int, dict[int, _Proof]]:
     """Directed certified edges i -> j meaning I(class i) <= I(class j).
 
     Edges come from symbolic matrix majorisation between class
-    representatives (the majoriser has the lower mutual information) and
-    from titrate-certified single transpositions of a representative.
+    representatives (the majoriser has the lower mutual information), in
+    (i, j) order, and from titrate-certified single transpositions of a
+    representative, in class then cell-pair order; the first proof of an
+    edge is kept.  Both are decided in batch, and each edge keeps only the
+    reference to its proof; :func:`_edge_lines` renders the text.
     Only the shapes in RELATION_SHAPES are built.
     """
     check_relation_shape(m, n)
     table = class_table(m, n)
-    grids = {c.index: c.canonical for c in table.classes}
-    edges: dict[int, dict[int, tuple[str, ...]]] = {i: {} for i in grids}
+    grids, count = table._grids, len(table)
+    edges: dict[int, dict[int, _Proof]] = {i: {} for i in range(1, count + 1)}
 
-    for i, gi in grids.items():
-        for j, gj in grids.items():
-            if i == j:
-                continue
-            cert = majorisation_certificate(gi, gj)
-            if cert is not None:
-                edges[i].setdefault(j, cert)
+    pairs = np.argwhere(~np.eye(count, dtype=bool))
+    for i, j in (pairs[_decide_majorisation(grids[pairs[:, 0]], grids[pairs[:, 1]])] + 1).tolist():
+        edges[i][j] = None
 
-    pairs = list(itertools.combinations([(k // n, k % n) for k in range(m * n)], 2))
-    swaps = [(gi, pa, pb) for gi in grids.values() for pa, pb in pairs]
-    sources = [i for i in grids for _ in pairs]
-    for i, (gi, pa, pb), (verdict, image, cls) in zip(
-        sources, swaps, _titrated_swaps(table, swaps)
-    ):
-        if cls is None or cls.index == i:
+    cell_pairs = list(itertools.combinations(range(m * n), 2))
+    kinds, images = _titrated_swaps(
+        table, np.repeat(grids, len(cell_pairs), axis=0), np.tile(cell_pairs, (count, 1))
+    )
+    for swap in np.flatnonzero(kinds).tolist():
+        i, j = swap // len(cell_pairs) + 1, int(images[swap])
+        if j == i:
             continue
-        j = cls.index
-        a, b = gi[pa[0]][pa[1]], gi[pb[0]][pb[1]]
-        lines = (
-            f"rule transposition: swap {SYMBOL_LETTERS[a]},{SYMBOL_LETTERS[b]} in "
-            f"{grid_display(gi)} gives {grid_display(image)} (class {j})",
-        ) + verdict.certificate
-        if verdict.is_forward:
-            edges[i].setdefault(j, lines)
+        proof = (i, *cell_pairs[swap % len(cell_pairs)])
+        if kinds[swap] > 0:
+            edges[i].setdefault(j, proof)
         else:
-            edges[j].setdefault(i, lines)
+            edges[j].setdefault(i, proof)
     return edges
+
+
+def _certified_majorisation(table: ClassTable, src: int, dst: int) -> tuple[str, ...]:
+    """The majorisation certificate of class src over class dst; raises if there is none."""
+    cert = majorisation_certificate(table.get(src).canonical, table.get(dst).canonical)
+    if cert is None:
+        raise RuntimeError(f"expected a majorisation certificate for {src} -> {dst}")
+    return cert
+
+
+def _certified_swap(
+    grid: Grid, pos_a: tuple[int, int], pos_b: tuple[int, int], kind: RelationKind, edge: str
+) -> tuple[str, ...]:
+    """The titration trace of a swap; raises unless its verdict is ``kind``."""
+    verdict = titrate_check(symbolic_transposition_context(grid, pos_a, pos_b))
+    if verdict.kind is not kind:
+        raise RuntimeError(f"expected a {kind.value} titration for {edge}")
+    return verdict.certificate
+
+
+@functools.lru_cache(maxsize=None)
+def _edge_lines(m: int, n: int, src: int, dst: int) -> tuple[str, ...]:
+    """The proof text of the edge src -> dst of the m x n relation graph.
+
+    Rendered by the text provers when first read, and kept.  Raises
+    RuntimeError if the text prover does not certify the edge that the
+    batched decision put in the graph.
+    """
+    proof = _relation_graph(m, n)[src][dst]
+    table = class_table(m, n)
+    if proof is None:
+        return _certified_majorisation(table, src, dst)
+    k, a, b = proof
+    grid = table.get(k).canonical
+    cells = [s for row in grid for s in row]
+    swap = f"swap {SYMBOL_LETTERS[cells[a]]},{SYMBOL_LETTERS[cells[b]]} in {grid_display(grid)}"
+    cells[a], cells[b] = cells[b], cells[a]
+    image = grid_display([cells[r * n : (r + 1) * n] for r in range(m)])
+    forward = k == src
+    kind = RelationKind.PROVEN_FORWARD if forward else RelationKind.PROVEN_REVERSE
+    head = f"rule transposition: {swap} gives {image} (class {dst if forward else src})"
+    return (head,) + _certified_swap(grid, divmod(a, n), divmod(b, n), kind, f"{src} -> {dst}")
 
 
 # ---------------------------------------------------------------------------
@@ -588,13 +647,6 @@ class Honeycomb:
         return tuple(e for e in self.edges if e.kind == kind)
 
 
-def _majorisation_edge(table: ClassTable, src: int, dst: int) -> CertifiedEdge:
-    cert = majorisation_certificate(table.get(src).canonical, table.get(dst).canonical)
-    if cert is None:
-        raise RuntimeError(f"expected a majorisation certificate for {src} -> {dst}")
-    return CertifiedEdge(src=src, dst=dst, kind="majorisation", certificate=cert)
-
-
 @functools.lru_cache(maxsize=None)
 def honeycomb() -> Honeycomb:
     """Build the certified honeycomb of the 60 classes.
@@ -607,21 +659,25 @@ def honeycomb() -> Honeycomb:
     if len(table) != 60:
         raise RuntimeError("the 2x3 table must have 60 classes")
     hexagons = tuple(tuple(range(b * 6 + 1, b * 6 + 7)) for b in range(10))
-    edges: list[CertifiedEdge] = []
-    for hexagon in hexagons:
-        for lo, hi in _FLEA_OFFSETS:
-            edges.append(_majorisation_edge(table, hexagon[lo], hexagon[hi]))
-    for src, dst in _CROSS_PAIRS:
-        edges.append(_majorisation_edge(table, src, dst))
-    swaps = [(table.get(src).canonical, pos_a, pos_b) for src, pos_a, pos_b, _ in _CHAIN_STEPS]
-    for (src, _, _, dst), (verdict, _, image) in zip(_CHAIN_STEPS, _titrated_swaps(table, swaps)):
-        if not verdict.is_forward:
+    pairs = [(h[lo], h[hi]) for h in hexagons for lo, hi in _FLEA_OFFSETS] + list(_CROSS_PAIRS)
+    edges = [
+        CertifiedEdge(src, dst, "majorisation", _certified_majorisation(table, src, dst))
+        for src, dst in pairs
+    ]
+    kinds, images = _titrated_swaps(
+        table,
+        table._grids[[src - 1 for src, *_ in _CHAIN_STEPS]],
+        np.array([[ia * 3 + ja, ib * 3 + jb] for _, (ia, ja), (ib, jb), _ in _CHAIN_STEPS]),
+    )
+    for (src, pos_a, pos_b, dst), kind, image in zip(_CHAIN_STEPS, kinds, images):
+        if kind != 1:
             raise RuntimeError(f"expected a forward titration for {src} -> {dst}")
-        if image.index != dst:
+        if image != dst:
             raise RuntimeError(f"chain step {src} -> {dst} lands in the wrong class")
-        edges.append(
-            CertifiedEdge(src=src, dst=dst, kind="entropic", certificate=verdict.certificate)
+        cert = _certified_swap(
+            table.get(src).canonical, pos_a, pos_b, RelationKind.PROVEN_FORWARD, f"{src} -> {dst}"
         )
+        edges.append(CertifiedEdge(src=src, dst=dst, kind="entropic", certificate=cert))
     for lo, hi in xi_pairs(table)[1]:
         edges.append(
             CertifiedEdge(

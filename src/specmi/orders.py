@@ -13,6 +13,18 @@ using exactly two sound rules:
   with a strictly larger unused right symbol; unmatched right residue is
   fine because all symbols are positive).
 
+Both rules are decided on integer symbol counts, one count per symbol of
+the alphabet.  Cancellation is the count difference ``d = high - low``; the
+greedy matching of the left residue ``max(-d, 0)`` into the right residue
+``max(d, 0)`` exists iff, for every symbol t, the left residue holds no
+more symbols up to t than the right residue holds strictly before t (a
+prefix-count test).  :func:`_leq` applies that one rule to count arrays of
+any leading shape: the batched deciders :func:`_decide_majorisation` and
+:func:`_decide_titration` call it on whole tables at once, and the text
+provers render their reason lines (common part, matched pairs, leftover)
+from the same counts, so a certificate is only ever the trace of a
+decision made by this rule.
+
 The prover is deliberately incomplete: a verdict of ``Inconclusive`` means
 "not derivable by these rules", not "false".  Verdicts state non-strict
 conclusions (``<=``) so they remain sound on degenerate spectra; equal
@@ -35,12 +47,13 @@ or when both beta sums are dominated outright.
 """
 from __future__ import annotations
 
-import collections
 import dataclasses
 import enum
 import itertools
 import math
 from typing import Sequence
+
+import numpy as np
 
 from .core import EPSILON, ProbMatrix
 
@@ -71,6 +84,30 @@ def _letter(sym: int) -> str:
     return SYMBOL_LETTERS[sym]
 
 
+def _leq(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """Decide ``low <= high`` for symbol-count arrays (last axis: symbols).
+
+    True where, after cancelling the common counts, every left symbol can be
+    matched to a strictly larger unused right symbol: the left residue holds
+    no more symbols up to each t than the right residue holds before t.
+    Broadcasts over the leading axes.
+    """
+    d = np.subtract(high, low, dtype=np.int8)
+    left = np.cumsum(np.maximum(-d, 0), axis=-1, dtype=np.int8)
+    right = np.cumsum(np.maximum(d, 0), axis=-1, dtype=np.int8)
+    return (left[..., 0] == 0) & (left[..., 1:] <= right[..., :-1]).all(axis=-1)
+
+
+def _render_counts(counts: np.ndarray) -> str:
+    """Render a symbol-count vector, e.g. counts (0, 1, 2, 1) -> 'b+2c+d'."""
+    parts = [
+        _letter(sym) if count == 1 else f"{count}{_letter(sym)}"
+        for sym, count in enumerate(counts.tolist())
+        if count
+    ]
+    return "+".join(parts) or "0"
+
+
 @dataclasses.dataclass(frozen=True)
 class SymbolicSum:
     """A formal sum of alphabet symbols (a multiset of symbol indices)."""
@@ -93,24 +130,22 @@ class SymbolicSum:
     def __len__(self) -> int:
         return len(self.symbols)
 
+    @property
+    def counts(self) -> np.ndarray:
+        """How often each symbol of the alphabet occurs, in alphabet order."""
+        return np.bincount(np.array(self.symbols, dtype=np.intp), minlength=len(SYMBOL_LETTERS))
+
     def cancel(self, other: "SymbolicSum") -> tuple["SymbolicSum", "SymbolicSum", "SymbolicSum"]:
         """Remove the common multiset; returns (self residue, other residue, common)."""
-        mine = collections.Counter(self.symbols)
-        theirs = collections.Counter(other.symbols)
-        common = mine & theirs
-        return (
-            SymbolicSum(tuple((mine - common).elements())),
-            SymbolicSum(tuple((theirs - common).elements())),
-            SymbolicSum(tuple(common.elements())),
+        mine, theirs = self.counts, other.counts
+        common = np.minimum(mine, theirs)
+        return tuple(
+            SymbolicSum(tuple(np.repeat(np.arange(len(c)), c).tolist()))
+            for c in (mine - common, theirs - common, common)
         )
 
     def render(self) -> str:
-        if not self.symbols:
-            return "0"
-        parts = []
-        for sym, count in sorted(collections.Counter(self.symbols).items()):
-            parts.append(_letter(sym) if count == 1 else f"{count}{_letter(sym)}")
-        return "+".join(parts)
+        return _render_counts(self.counts)
 
 
 class RelationKind(enum.Enum):
@@ -142,43 +177,32 @@ class RelationVerdict:
         return "\n".join(self.certificate)
 
 
-def _greedy_dominance(left: tuple[int, ...], right: tuple[int, ...]) -> list[tuple[int, int]] | None:
-    """Match every left symbol to a strictly larger unused right symbol.
-
-    "Larger" means larger as a value, i.e. strictly smaller alphabet index.
-    Both inputs sorted ascending.  Returns the matched pairs or None.
-    """
-    pairs: list[tuple[int, int]] = []
-    j = 0
-    for s in left:
-        if j < len(right) and right[j] < s:
-            pairs.append((s, right[j]))
-            j += 1
-        else:
-            return None
-    return pairs
+def _leq_reason(low: np.ndarray, high: np.ndarray) -> str:
+    """The one-line reason for ``low <= high``, which :func:`_leq` decided."""
+    common = np.minimum(low, high)
+    left, right = low - common, high - common
+    parts: list[str] = []
+    if common.any():
+        parts.append(f"cancel {_render_counts(common)}")
+    if not left.any():
+        residue = f"positive residue {_render_counts(right)}"
+        parts.append(residue if right.any() else "equal multisets")
+        return "; ".join(parts)
+    symbols = np.arange(len(low))
+    lefts, rights = np.repeat(symbols, left), np.repeat(symbols, right)
+    parts.append("match " + ", ".join(f"{_letter(s)}<{_letter(t)}" for s, t in zip(lefts, rights)))
+    if len(rights) > len(lefts):
+        leftover = np.bincount(rights[len(lefts):], minlength=len(low))
+        parts.append(f"positive residue {_render_counts(leftover)}")
+    return "; ".join(parts)
 
 
 def _prove_leq(S: SymbolicSum, T: SymbolicSum) -> tuple[bool, str]:
     """Try to prove S <= T a priori; returns (ok, one-line reason)."""
-    s_res, t_res, common = S.cancel(T)
-    parts: list[str] = []
-    if common.symbols:
-        parts.append(f"cancel {common.render()}")
-    if not s_res.symbols and not t_res.symbols:
-        parts.append("equal multisets")
-        return True, "; ".join(parts)
-    if not s_res.symbols:
-        parts.append(f"positive residue {t_res.render()}")
-        return True, "; ".join(parts)
-    pairs = _greedy_dominance(s_res.symbols, t_res.symbols)
-    if pairs is None:
+    low, high = S.counts, T.counts
+    if not _leq(low, high):
         return False, ""
-    parts.append("match " + ", ".join(f"{_letter(s)}<{_letter(t)}" for s, t in pairs))
-    leftover = collections.Counter(t_res.symbols) - collections.Counter(t for _, t in pairs)
-    if leftover:
-        parts.append(f"positive residue {SymbolicSum(tuple(leftover.elements())).render()}")
-    return True, "; ".join(parts)
+    return True, _leq_reason(low, high)
 
 
 def symbolic_sum_compare(S: SymbolicSum, T: SymbolicSum) -> RelationVerdict:
@@ -213,8 +237,6 @@ def vector_majorises(u: Sequence[float], v: Sequence[float]) -> bool:
 
     Requires equal lengths and equal totals (within 1e-9); raises otherwise.
     """
-    import numpy as np
-
     uu = np.sort(np.asarray(u, dtype=float))[::-1]
     vv = np.sort(np.asarray(v, dtype=float))[::-1]
     if uu.shape != vv.shape:
@@ -259,29 +281,25 @@ def vector_majorisation_certificate(
     if len(u) != len(v):
         raise ValueError("length mismatch")
     k = len(u)
+    u_counts = np.array([term.counts for term in u])
+    v_counts = np.array([term.counts for term in v])
     lines: list[str] = []
     for j in range(1, k):
-        for T in itertools.combinations(v, j):
-            t_sum = SymbolicSum(tuple(s for term in T for s in term.symbols))
-            t_txt = "+".join(f"({term.render()})" for term in T)
-            proven = None
-            for S in itertools.combinations(u, j):
-                s_sum = SymbolicSum(tuple(s for term in S for s in term.symbols))
-                ok, reason = _prove_leq(t_sum, s_sum)
-                if ok:
-                    s_txt = "+".join(f"({term.render()})" for term in S)
-                    proven = f"  prefix {j}: {t_txt} <= {s_txt}  [{reason}]"
-                    break
-            if proven is None:
-                return None
-            lines.append(proven)
-    u_total = SymbolicSum(tuple(s for term in u for s in term.symbols))
-    v_total = SymbolicSum(tuple(s for term in v for s in term.symbols))
-    fwd, _ = _prove_leq(v_total, u_total)
-    rev, _ = _prove_leq(u_total, v_total)
-    if not (fwd and rev):
+        subsets = np.array(list(itertools.combinations(range(k), j)))
+        u_sums, v_sums = u_counts[subsets].sum(axis=1), v_counts[subsets].sum(axis=1)
+        proven = _leq(v_sums[:, None], u_sums[None, :])
+        if not proven.any(axis=1).all():
+            return None
+        # the first j-subset of u, in combination order, that dominates each of v's
+        for t, s in enumerate(proven.argmax(axis=1).tolist()):
+            t_txt = "+".join(f"({v[x].render()})" for x in subsets[t])
+            s_txt = "+".join(f"({u[x].render()})" for x in subsets[s])
+            reason = _leq_reason(v_sums[t], u_sums[s])
+            lines.append(f"  prefix {j}: {t_txt} <= {s_txt}  [{reason}]")
+    u_total, v_total = u_counts.sum(axis=0), v_counts.sum(axis=0)
+    if not (_leq(v_total, u_total) and _leq(u_total, v_total)):
         return None
-    lines.append(f"  totals equal: {u_total.render()}")
+    lines.append(f"  totals equal: {_render_counts(u_total)}")
     return tuple(lines)
 
 
@@ -314,6 +332,35 @@ def majorisation_certificate(
         return None
     head = f"rule majorisation: {_grid_label(grid_a)} majorises {_grid_label(grid_b)}"
     return (head, "row sums:") + rows + ("column sums:",) + cols
+
+
+def _line_counts(grids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symbol counts of the rows and of the columns of a (count, m, n) grid batch.
+
+    Returns (count, m, mn) and (count, n, mn) int8 arrays.
+    """
+    one_hot = grids[..., None] == np.arange(grids.shape[1] * grids.shape[2])
+    return one_hot.sum(axis=2, dtype=np.int8), one_hot.sum(axis=1, dtype=np.int8)
+
+
+def _decide_majorisation(grids_a: np.ndarray, grids_b: np.ndarray) -> np.ndarray:
+    """Batched decision of :func:`majorisation_certificate`: is a certificate found?
+
+    ``grids_a`` and ``grids_b`` are (count, m, n) arrays of symbol grids that
+    each hold every symbol 0..mn-1 once, so their totals are equal.  Pair k
+    is certified when, for rows and for columns and every j, each j-subset
+    of B_k's line sums is <= some j-subset of A_k's.
+    """
+    certified = np.ones(len(grids_a), dtype=bool)
+    for lines_a, lines_b in zip(_line_counts(grids_a), _line_counts(grids_b)):
+        k = lines_a.shape[1]
+        for j in range(1, k):
+            live = np.flatnonzero(certified)  # each j only tests the pairs still certified
+            subsets = np.array(list(itertools.combinations(range(k), j)))
+            sums_a = lines_a[live][:, subsets].sum(axis=2, dtype=np.int8)
+            sums_b = lines_b[live][:, subsets].sum(axis=2, dtype=np.int8)
+            certified[live] = _leq(sums_b[:, :, None], sums_a[:, None, :]).any(axis=2).all(axis=1)
+    return certified
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +616,44 @@ def titrate_check(ctx: TranspositionContext) -> RelationVerdict:
     return RelationVerdict(RelationKind.INCONCLUSIVE, header + (failure,))
 
 
+def _decide_titration(grids: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Batched decision of :func:`titrate_check` for swaps of two cells.
+
+    ``grids`` is a (count, m, n) array of symbol grids that each hold every
+    symbol 0..mn-1 once; ``cells`` a (count, 2) array of two distinct
+    row-major cells per grid.  Returns an int8 verdict per swap: 1 for
+    ``ProvenForward``, -1 for ``ProvenReverse``, 0 for ``Inconclusive``, by
+    the rules of :func:`titrate_check`, forward first.
+    """
+    count, m, n = grids.shape
+    k = np.arange(count)
+    flat = grids.reshape(count, m * n)
+    # alpha is the larger value, i.e. the smaller symbol index
+    first_is_alpha = flat[k, cells[:, 0]] < flat[k, cells[:, 1]]
+    cell_alpha = np.where(first_is_alpha, cells[:, 0], cells[:, 1])
+    cell_beta = np.where(first_is_alpha, cells[:, 1], cells[:, 0])
+    (ia, ja), (ib, jb) = divmod(cell_alpha, n), divmod(cell_beta, n)
+    rows, cols = _line_counts(grids)
+    eye = np.eye(m * n, dtype=np.int8)
+    shift = eye[flat[k, cell_beta]] - eye[flat[k, cell_alpha]]
+    # r_beta, c_beta, r_alpha_tau, c_alpha_tau; leq[:, x, y] decides sum x <= sum y
+    sums = np.stack([rows[k, ib], cols[k, jb], rows[k, ia] + shift, cols[k, ja] + shift], axis=1)
+    leq = _leq(sums[:, :, None], sums[:, None, :])
+
+    def proven(l0: int, l1: int, h0: int, h1: int) -> np.ndarray:
+        monotone = leq[:, l0, h0] & leq[:, l1, h1] | leq[:, l0, h1] & leq[:, l1, h0]
+        minimum = (leq[:, l0, l1] & leq[:, l0, h0] & leq[:, l0, h1]) | (
+            leq[:, l1, l0] & leq[:, l1, h0] & leq[:, l1, h1]
+        )
+        totals = _leq(sums[:, l0] + sums[:, l1], sums[:, h0] + sums[:, h1])
+        # a shared row (column) leaves only the column (row) base comparison
+        either = monotone | minimum & totals
+        return np.where(ia == ib, leq[:, l1, h1], np.where(ja == jb, leq[:, l0, h0], either))
+
+    forward, reverse = proven(0, 1, 2, 3), proven(2, 3, 0, 1)
+    return np.where(forward, 1, np.where(reverse, -1, 0)).astype(np.int8)
+
+
 # ---------------------------------------------------------------------------
 # Relation derivation over a class table
 # ---------------------------------------------------------------------------
@@ -577,9 +662,7 @@ def titrate_check(ctx: TranspositionContext) -> RelationVerdict:
 _SEARCH_DEPTH = 4
 
 
-def _bfs_path(
-    edges: dict[int, dict[int, tuple[str, ...]]], src: int, dst: int
-) -> list[int] | None:
+def _bfs_path(edges: dict[int, dict[int, object]], src: int, dst: int) -> list[int] | None:
     frontier = [src]
     parent: dict[int, int] = {src: src}
     depth = 0
@@ -607,7 +690,8 @@ def derive_relation(a, b, table=None) -> RelationVerdict:
     ``a``/``b`` are MatrixClass values or 1-based class indices (indices
     resolve against ``table``, defaulting to the 2x3 table).  The search is
     breadth-first over certified majorisation edges and titrate-certified
-    single transpositions, transitively composed up to four hops.
+    single transpositions, transitively composed up to four hops; only
+    the edges of the chain found are rendered as text.
     The certified graph is built only for the shapes in
     ``classes.RELATION_SHAPES``; other shapes raise ValueError.
     """
@@ -641,7 +725,7 @@ def derive_relation(a, b, table=None) -> RelationVerdict:
         lines: list[str] = [header]
         for hop, (x, y) in enumerate(zip(path, path[1:]), start=1):
             lines.append(f"step {hop}: class {x} -> class {y}")
-            lines.extend(edges[x][y])
+            lines.extend(_classes._edge_lines(table.m, table.n, x, y))
         if len(path) > 2:
             lines.append(f"rule transitivity: compose the {len(path) - 1} steps above")
         lines.append(

@@ -89,14 +89,12 @@ def test_forest_steps_are_certified_by_titration(m, n):
     items = list(claims.items())
     for k in range(0, len(items), 2000):
         chunk = items[k : k + 2000]
-        swaps = [
-            (table.get(x).canonical, divmod(a, n), divmod(b, n)) for _, (x, a, b, _) in chunk
-        ]
-        for ((low, high), (x, _, _, forward)), (verdict, _, image) in zip(
-            chunk, _titrated_swaps(table, swaps)
-        ):
-            assert verdict.is_forward if forward else verdict.is_reverse, (low, high)
-            assert image.index == (high if forward else low)
+        grids = table._grids[[x - 1 for _, (x, _, _, _) in chunk]]
+        cells = np.array([(a, b) for _, (_, a, b, _) in chunk])
+        kinds, images = _titrated_swaps(table, grids, cells)
+        for ((low, high), (_, _, _, forward)), kind, image in zip(chunk, kinds, images):
+            assert kind == (1 if forward else -1), (low, high)
+            assert image == (high if forward else low)
 
 
 @pytest.mark.parametrize("m,n", SHAPES)

@@ -1,4 +1,5 @@
-"""Arrangement classes: canonical forms, the 2x3 table, and the honeycomb."""
+"""Arrangement classes: canonical forms, the 2x3 table, the relation graph and the honeycomb."""
+import functools
 import hashlib
 import itertools
 import tracemalloc
@@ -13,24 +14,31 @@ from specmi import (
     Spectrum,
     arrange,
     canonical_form,
+    RelationKind,
+    RelationVerdict,
     census,
     class_table,
     cmi,
+    derive_relation,
     enumerate_classes,
     honeycomb,
     honeycomb_dot,
     involution_xi,
+    majorisation_certificate,
     r23_table,
     sample_spectrum,
     standard_form_sets,
+    symbolic_transposition_context,
+    titrate_check,
     varpi,
     xi_pairs,
 )
-from specmi import classes
+from specmi import classes, orders
 from specmi._r23_table import ENTRIES
 from specmi.classes import (
     _classes_of,
     cycle_label_of_word,
+    grid_display,
     grid_word,
     maxima_chain_steps,
     word_to_grid,
@@ -419,7 +427,8 @@ def test_honeycomb_dot_is_deterministic():
     assert honeycomb_dot() == honeycomb_dot()
 
 
-def test_cold_honeycomb_derives_only_its_own_edges(monkeypatch):
+def _count_text_provers(monkeypatch):
+    """Count the calls the classes module makes to the two text provers."""
     calls = {"majorisation_certificate": 0, "titrate_check": 0}
     for name in calls:
         def counted(*args, name=name, original=getattr(classes, name)):
@@ -427,8 +436,96 @@ def test_cold_honeycomb_derives_only_its_own_edges(monkeypatch):
             return original(*args)
 
         monkeypatch.setattr(classes, name, counted)
+    return calls
+
+
+def test_cold_honeycomb_derives_only_its_own_edges(monkeypatch):
+    calls = _count_text_provers(monkeypatch)
     assert classes.honeycomb.__wrapped__() == honeycomb()
     assert calls == {"majorisation_certificate": 95, "titrate_check": 4}
+
+
+# -------------------------------------------------------------- relation graph
+
+def _text_relation_graph(m, n):
+    """The relation graph derived by the text provers alone, attempt by attempt.
+
+    Every ordered class pair goes through ``majorisation_certificate``, then
+    every cell swap of every class through ``titrate_check``; an edge keeps
+    the text of its first proof.
+    """
+    table = class_table(m, n)
+    grids = {c.index: c.canonical for c in table.classes}
+    edges = {i: {} for i in grids}
+    for i, gi in grids.items():
+        for j, gj in grids.items():
+            cert = None if i == j else majorisation_certificate(gi, gj)
+            if cert is not None:
+                edges[i][j] = cert
+    for i, gi in grids.items():
+        for a, b in itertools.combinations(range(m * n), 2):
+            pa, pb = divmod(a, n), divmod(b, n)
+            verdict = titrate_check(symbolic_transposition_context(gi, pa, pb))
+            if verdict.is_inconclusive:
+                continue
+            rows = [list(row) for row in gi]
+            rows[pa[0]][pa[1]], rows[pb[0]][pb[1]] = rows[pb[0]][pb[1]], rows[pa[0]][pa[1]]
+            j = canonical_form(rows, table=table).index
+            if j == i:
+                continue
+            word = grid_word(gi)
+            lines = (
+                f"rule transposition: swap {word[a]},{word[b]} in {grid_display(gi)} gives "
+                f"{grid_display(rows)} (class {j})",
+            ) + verdict.certificate
+            edges[i if verdict.is_forward else j].setdefault(j if verdict.is_forward else i, lines)
+    return edges
+
+
+@pytest.fixture
+def fresh_relation_caches(monkeypatch):
+    """New, empty memos of the relation graph and its edge texts for one test."""
+    for name in ("_relation_graph", "_edge_lines"):
+        fresh = functools.lru_cache(maxsize=None)(getattr(classes, name).__wrapped__)
+        monkeypatch.setattr(classes, name, fresh)
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3)])
+def test_relation_graph_renders_what_the_text_provers_derive(m, n):
+    graph = classes._relation_graph(m, n)
+    rendered = {i: [(j, classes._edge_lines(m, n, i, j)) for j in out] for i, out in graph.items()}
+    expected = {i: list(out.items()) for i, out in _text_relation_graph(m, n).items()}
+    assert sum(map(len, expected.values())) == {(2, 2): 3, (2, 3): 498}[m, n]
+    assert rendered == expected
+
+
+def test_cold_relation_renders_only_the_edges_of_its_chain(monkeypatch, fresh_relation_caches):
+    calls = _count_text_provers(monkeypatch)
+
+    def no_sums(self):
+        raise AssertionError("a SymbolicSum was built while deciding edges")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(orders.SymbolicSum, "__post_init__", no_sums)
+        classes._relation_graph(2, 3)
+    assert calls == {"majorisation_certificate": 0, "titrate_check": 0}
+    verdict = derive_relation(42, 48)
+    hops = sum(line.startswith("step ") for line in verdict.certificate)
+    assert verdict.kind is RelationKind.PROVEN_FORWARD and hops >= 1
+    assert sum(calls.values()) <= hops
+
+
+def test_rendering_an_edge_the_text_prover_rejects_raises(monkeypatch, fresh_relation_caches):
+    graph = classes._relation_graph(2, 3)
+    i, j = next((i, j) for i, out in graph.items() for j, proof in out.items() if proof is None)
+    monkeypatch.setattr(classes, "majorisation_certificate", lambda *args: None)
+    with pytest.raises(RuntimeError, match=f"majorisation certificate for {i} -> {j}"):
+        classes._edge_lines(2, 3, i, j)
+    assert graph[42][48] is not None
+    inconclusive = RelationVerdict(RelationKind.INCONCLUSIVE, ("no derivation",))
+    monkeypatch.setattr(classes, "titrate_check", lambda ctx: inconclusive)
+    with pytest.raises(RuntimeError, match="ProvenForward titration for 42 -> 48"):
+        classes._edge_lines(2, 3, 42, 48)
 
 
 def test_honeycomb_dot_structure():

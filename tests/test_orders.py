@@ -1,6 +1,7 @@
 """Symbolic comparison, majorisation, the identric mean, and swap analysis."""
 import hashlib
 import math
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations, permutations
 
@@ -31,6 +32,7 @@ from specmi import (
     vector_majorises,
 )
 from specmi.classes import class_table, maxima_chain_steps, word_to_grid
+from specmi.orders import SYMBOL_LETTERS, _decide_majorisation, _decide_titration, _leq, _prove_leq
 
 
 # ---------------------------------------------------------------- SymbolicSum
@@ -99,6 +101,60 @@ def test_symbolic_compare_sound_for_random_valuations(left, right, seed):
             assert lhs <= rhs + 1e-12
         else:
             assert rhs <= lhs + 1e-12
+
+
+# ------------------------------------------- the <= rule against a reference
+
+def _reference_render(counter):
+    return "+".join(
+        SYMBOL_LETTERS[sym] if count == 1 else f"{count}{SYMBOL_LETTERS[sym]}"
+        for sym, count in sorted(counter.items())
+    ) or "0"
+
+
+def _reference_prove_leq(S, T):
+    """Multiset cancellation and greedy dominance matching on Counters.
+
+    The prover's original implementation, kept as an independent oracle for
+    the count rule ``orders._leq`` and the reasons ``_prove_leq`` renders.
+    """
+    mine, theirs = Counter(S.symbols), Counter(T.symbols)
+    common = mine & theirs
+    left, right = sorted((mine - common).elements()), sorted((theirs - common).elements())
+    parts = [f"cancel {_reference_render(common)}"] if common else []
+    if not left:
+        residue = f"positive residue {_reference_render(Counter(right))}"
+        parts.append(residue if right else "equal multisets")
+        return True, "; ".join(parts)
+    pairs = []
+    for s in left:
+        # match each left symbol to the next unused, strictly larger right symbol
+        if len(pairs) < len(right) and right[len(pairs)] < s:
+            pairs.append((s, right[len(pairs)]))
+        else:
+            return False, ""
+    matches = (f"{SYMBOL_LETTERS[s]}<{SYMBOL_LETTERS[t]}" for s, t in pairs)
+    parts.append("match " + ", ".join(matches))
+    leftover = Counter(right) - Counter(t for _, t in pairs)
+    if leftover:
+        parts.append(f"positive residue {_reference_render(leftover)}")
+    return True, "; ".join(parts)
+
+
+def _count_pairs(size):
+    # each symbol at most twice, as in the titration sum comparison
+    counts = st.lists(st.integers(min_value=0, max_value=2), min_size=size, max_size=size)
+    return st.tuples(counts, counts)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.integers(min_value=1, max_value=10).flatmap(_count_pairs))
+def test_count_rule_matches_the_greedy_reference(pair):
+    low, high = (np.array(c) for c in pair)
+    S, T = (SymbolicSum(tuple(np.repeat(np.arange(len(c)), c).tolist())) for c in (low, high))
+    expected = _reference_prove_leq(S, T)
+    assert bool(_leq(low, high)) == expected[0]
+    assert _prove_leq(S, T) == expected
 
 
 # ----------------------------------------------------------- numeric majorise
@@ -183,6 +239,70 @@ def test_certified_pairs_respect_the_table_order():
                 assert i < j, f"certificate against the listing order: {i} over {j}"
                 forward += 1
     assert forward == 423
+
+
+_KIND_CODE = {
+    RelationKind.PROVEN_FORWARD: 1,
+    RelationKind.PROVEN_REVERSE: -1,
+    RelationKind.INCONCLUSIVE: 0,
+}
+
+
+def _text_majorisations(grids_a, grids_b):
+    return [
+        majorisation_certificate(a.tolist(), b.tolist()) is not None
+        for a, b in zip(grids_a, grids_b)
+    ]
+
+
+def _text_titrations(grids, cells):
+    n = grids.shape[2]
+    contexts = (
+        symbolic_transposition_context(g.tolist(), divmod(a, n), divmod(b, n))
+        for g, (a, b) in zip(grids, cells.tolist())
+    )
+    return [_KIND_CODE[titrate_check(ctx).kind] for ctx in contexts]
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3)])
+def test_batched_majorisation_matches_the_text_prover_on_every_pair(m, n):
+    grids = class_table(m, n)._grids
+    pairs = np.argwhere(~np.eye(len(grids), dtype=bool))
+    a, b = grids[pairs[:, 0]], grids[pairs[:, 1]]
+    assert _decide_majorisation(a, b).tolist() == _text_majorisations(a, b)
+
+
+@pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (2, 5)])
+def test_batched_majorisation_matches_the_text_prover_at_random(m, n):
+    """1500 seeded random class pairs, and 1500 the batched decision certifies."""
+    grids = class_table(m, n)._grids
+    pairs = np.random.default_rng(m * n).integers(len(grids), size=(100_000, 2))
+    certified = _decide_majorisation(grids[pairs[:, 0]], grids[pairs[:, 1]])
+    assert certified.sum() >= 1500
+    pairs = np.concatenate([pairs[:1500], pairs[certified][:1500]])
+    a, b = grids[pairs[:, 0]], grids[pairs[:, 1]]
+    assert _decide_majorisation(a, b).tolist() == _text_majorisations(a, b)
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3)])
+def test_batched_titration_matches_the_text_prover_on_every_swap(m, n):
+    table = class_table(m, n)
+    cells = np.tile(list(permutations(range(m * n), 2)), (len(table), 1))
+    grids = np.repeat(table._grids, len(cells) // len(table), axis=0)
+    assert _decide_titration(grids, cells).tolist() == _text_titrations(grids, cells)
+
+
+@pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (2, 5)])
+def test_batched_titration_matches_the_text_prover_at_random(m, n):
+    """17,000 seeded random swaps per shape, of random grids, in random cell order."""
+    rng = np.random.default_rng([m, n])
+    count, mn = 17_000, m * n
+    grids = np.argsort(rng.random((count, mn)), axis=1).reshape(count, m, n)
+    first = rng.integers(mn, size=count)
+    cells = np.stack([first, (first + rng.integers(1, mn, size=count)) % mn], axis=1)
+    kinds = _decide_titration(grids, cells)
+    assert set(kinds.tolist()) == {-1, 0, 1}
+    assert kinds.tolist() == _text_titrations(grids, cells)
 
 
 # -------------------------------------------------------------- identric mean
@@ -405,8 +525,9 @@ def test_derive_relation_rejects_shapes_without_a_graph(monkeypatch, m, n):
 
     table = class_table(m, n)
     for module in ("specmi.orders", "specmi.classes"):
-        monkeypatch.setattr(f"{module}.majorisation_certificate", no_work)
-        monkeypatch.setattr(f"{module}.titrate_check", no_work)
+        for name in ("majorisation_certificate", "titrate_check", "_decide_majorisation",
+                     "_decide_titration"):
+            monkeypatch.setattr(f"{module}.{name}", no_work)
     with pytest.raises(ValueError, match=f"shapes 2x2 and 2x3, got {m}x{n}"):
         derive_relation(1, 2, table=table)
 

@@ -2,15 +2,15 @@
 
 Titrates every swap of two cells in the canonical grid of every class of
 the 2x4, 3x3 and 2x5 shapes (about 885k swaps) through
-``classes._titrated_swaps`` and keeps the certified edges
-I(low) <= I(high).  On the max side, ``C`` is the set of classes no edge
-points above and ``F`` the other classes whose every edge up lands in
-``C``; the min side is the mirror image.  Every other class gets one of
-its own certified swaps to a class outside that side's ``C``; where it can,
-a class's max-side swap and its image's min-side swap are the same edge,
-so the tests titrate it once.
+``classes._titrated_swaps``, which decides them in batch, and keeps the
+certified edges I(low) <= I(high).  On the max side, ``C`` is the set of
+classes no edge points above and ``F`` the other classes whose every edge
+up lands in ``C``; the min side is the mirror image.  Every other class
+gets one of its own certified swaps to a class outside that side's ``C``;
+where it can, a class's max-side swap and its image's min-side swap are
+the same edge, so the tests titrate it once.
 
-Run from the repository root (about 4 min on 2 vCPUs)::
+Run from the repository root (about 7 s in one process on a 2-vCPU VM)::
 
     PYTHONPATH=src python3 tools/make_candidate_table.py
 
@@ -24,33 +24,30 @@ from __future__ import annotations
 import itertools
 import sys
 import time
-from multiprocessing import get_context
+
+import numpy as np
 
 from specmi.classes import _titrated_swaps, class_table
 
 SHAPES = ((2, 4), (3, 3), (2, 5))
-CHUNK = 60  # classes titrated per task
+CHUNK = 2000  # classes titrated per batch, which bounds the batch's memory
 LINE = 80  # forest characters per line of the table
 OUT_DIR = "src/specmi"
-PROCESSES = 2  # each builds its own 2x5 class table, about 160 MB at peak
 
 
-def _titrate(task):
-    """Certified swaps (src, a, b, dst, forward) of a range of classes."""
-    m, n, lo, hi = task
+def _titrate(m: int, n: int):
+    """Certified swaps (src, a, b, dst, forward) of every class of one shape."""
     table = class_table(m, n)
     cells = list(itertools.combinations(range(m * n), 2))
-    swaps, keys = [], []
-    for index in range(lo, hi):
-        grid = table.get(index).canonical
-        for a, b in cells:
-            swaps.append((grid, divmod(a, n), divmod(b, n)))
-            keys.append((index, a, b))
-    out = []
-    for (src, a, b), (verdict, _, cls) in zip(keys, _titrated_swaps(table, swaps)):
-        if cls is not None and cls.index != src:
-            out.append((src, a, b, cls.index, verdict.is_forward))
-    return out
+    for lo in range(0, len(table), CHUNK):
+        grids = table._grids[lo : lo + CHUNK]
+        kinds, images = _titrated_swaps(
+            table, np.repeat(grids, len(cells), axis=0), np.tile(cells, (len(grids), 1))
+        )
+        for swap in np.flatnonzero(kinds).tolist():
+            src, dst = lo + swap // len(cells) + 1, int(images[swap])
+            if dst != src:
+                yield (src, *cells[swap % len(cells)], dst, bool(kinds[swap] > 0))
 
 
 def _topological_check(up: dict[int, set[int]]) -> None:
@@ -71,19 +68,17 @@ def _topological_check(up: dict[int, set[int]]) -> None:
         raise RuntimeError("the titration graph has a cycle")
 
 
-def _shape_sets(m: int, n: int, pool):
+def _shape_sets(m: int, n: int):
     n_classes = len(class_table(m, n))
-    tasks = [(m, n, lo, min(lo + CHUNK, n_classes + 1)) for lo in range(1, n_classes + 1, CHUNK)]
     up = {x: set() for x in range(1, n_classes + 1)}
     down = {x: set() for x in range(1, n_classes + 1)}
     # own[x][(a, b)] = (image class, forward): certified swaps of x's own grid
     own: dict[int, dict[tuple[int, int], tuple[int, bool]]] = {x: {} for x in up}
-    for chunk in pool.imap(_titrate, tasks):
-        for src, a, b, dst, forward in chunk:
-            own[src][(a, b)] = (dst, forward)
-            low, high = (src, dst) if forward else (dst, src)
-            up[low].add(high)
-            down[high].add(low)
+    for src, a, b, dst, forward in _titrate(m, n):
+        own[src][(a, b)] = (dst, forward)
+        low, high = (src, dst) if forward else (dst, src)
+        up[low].add(high)
+        down[high].add(low)
     _topological_check(up)
 
     c_max = {x for x in up if not up[x]}
@@ -207,11 +202,10 @@ def _write(path: str, lines: list[str]) -> None:
 
 def main() -> None:
     sets, forests = {}, {}
-    with get_context("spawn").Pool(PROCESSES) as pool:
-        for m, n in SHAPES:
-            t0 = time.perf_counter()
-            sets[m, n], forests[m, n] = _shape_sets(m, n, pool)
-            print(f"{m}x{n}: {time.perf_counter() - t0:.1f} s", file=sys.stderr)
+    for m, n in SHAPES:
+        t0 = time.perf_counter()
+        sets[m, n], forests[m, n] = _shape_sets(m, n)
+        print(f"{m}x{n}: {time.perf_counter() - t0:.1f} s", file=sys.stderr)
     out = [TABLE_HEADER, "# (m, n) -> (max C, max F, min C, min F)", "EVALUATION_SETS = {"]
     for shape, four in sets.items():
         out.append(f"    {shape}: (")
