@@ -26,17 +26,19 @@ smaller of the two words is canonical.
 The 2x3 table (60 classes) ships embedded and versioned; other shapes up to
 10 cells are generated on demand.
 
-Certified edges between classes are derived here, once each, and titrate
-cell swaps through one helper, ``_titrated_swaps``.  Every edge is decided
-in batch on symbol counts (``orders._decide_majorisation`` and
-``orders._decide_titration``); its proof text comes from the text provers
-only when it is read.  The relation graph that ``derive_relation`` reads
-keeps a reference to each edge's proof, and ``_edge_lines`` renders the
-edges of a printed chain once each (a cold 2x3 graph is decided in about
-15 ms).  The 2x3 honeycomb (rendered by ``extrema.verify_theorem_chain``)
-renders all of its edges.  A text prover that does not certify an edge the
-decision put in the graph, or an expected honeycomb certificate that is
-not derivable, raises RuntimeError.
+Certified edges between classes are derived here, once each.  The relation
+graph, and the generator of the census kernel's candidate table, decide
+their edges in batch on symbol counts (``orders._decide_majorisation``, and
+``orders._decide_titration`` through ``_titrated_swaps``); an edge's proof
+text comes from the text provers only when it is read.  The relation graph
+that ``derive_relation`` reads keeps a reference to each edge's proof, and
+``_edge_lines`` renders the edges of a printed chain once each (a cold 2x3
+graph is decided in about 15 ms).  The 2x3 honeycomb (rendered by
+``extrema.verify_theorem_chain``) prints all 95 majorisation and 4
+titration certificates it holds, so it calls the text provers directly.
+A text prover that does not certify an edge the decision put in the graph,
+or an expected honeycomb certificate that is not derivable, raises
+RuntimeError.
 """
 from __future__ import annotations
 
@@ -664,20 +666,18 @@ def honeycomb() -> Honeycomb:
         CertifiedEdge(src, dst, "majorisation", _certified_majorisation(table, src, dst))
         for src, dst in pairs
     ]
-    kinds, images = _titrated_swaps(
-        table,
-        table._grids[[src - 1 for src, *_ in _CHAIN_STEPS]],
-        np.array([[ia * 3 + ja, ib * 3 + jb] for _, (ia, ja), (ib, jb), _ in _CHAIN_STEPS]),
-    )
-    for (src, pos_a, pos_b, dst), kind, image in zip(_CHAIN_STEPS, kinds, images):
-        if kind != 1:
-            raise RuntimeError(f"expected a forward titration for {src} -> {dst}")
-        if image != dst:
-            raise RuntimeError(f"chain step {src} -> {dst} lands in the wrong class")
-        cert = _certified_swap(
-            table.get(src).canonical, pos_a, pos_b, RelationKind.PROVEN_FORWARD, f"{src} -> {dst}"
-        )
+    images: list[list[list[int]]] = []
+    for src, (ia, ja), (ib, jb), dst in _CHAIN_STEPS:
+        grid = table.get(src).canonical
+        kind, edge = RelationKind.PROVEN_FORWARD, f"{src} -> {dst}"
+        cert = _certified_swap(grid, (ia, ja), (ib, jb), kind, edge)
         edges.append(CertifiedEdge(src=src, dst=dst, kind="entropic", certificate=cert))
+        rows = [list(row) for row in grid]
+        rows[ia][ja], rows[ib][jb] = rows[ib][jb], rows[ia][ja]
+        images.append(rows)
+    for (src, *_, dst), image in zip(_CHAIN_STEPS, _classes_of(images, table)):
+        if image.index != dst:
+            raise RuntimeError(f"chain step {src} -> {dst} lands in the wrong class")
     for lo, hi in xi_pairs(table)[1]:
         edges.append(
             CertifiedEdge(

@@ -23,7 +23,9 @@ any leading shape: the batched deciders :func:`_decide_majorisation` and
 :func:`_decide_titration` call it on whole tables at once, and the text
 provers render their reason lines (common part, matched pairs, leftover)
 from the same counts, so a certificate is only ever the trace of a
-decision made by this rule.
+decision made by this rule.  The subset rule of majorisation is likewise
+one function, :func:`_subset_dominance`, which the batched decision reduces
+and :func:`vector_majorisation_certificate` reads to render its proof.
 
 The prover is deliberately incomplete: a verdict of ``Inconclusive`` means
 "not derivable by these rules", not "false".  Verdicts state non-strict
@@ -90,11 +92,13 @@ def _leq(low: np.ndarray, high: np.ndarray) -> np.ndarray:
     True where, after cancelling the common counts, every left symbol can be
     matched to a strictly larger unused right symbol: the left residue holds
     no more symbols up to each t than the right residue holds before t.
-    Broadcasts over the leading axes.
+    Broadcasts over the leading axes, and counts in the inputs' integer type:
+    the batched deciders pass int8 counts of at most 12 symbols, while the
+    counts of a :class:`SymbolicSum` are platform integers of any size.
     """
-    d = np.subtract(high, low, dtype=np.int8)
-    left = np.cumsum(np.maximum(-d, 0), axis=-1, dtype=np.int8)
-    right = np.cumsum(np.maximum(d, 0), axis=-1, dtype=np.int8)
+    d = np.subtract(high, low)
+    left = np.cumsum(np.maximum(-d, 0), axis=-1, dtype=d.dtype)
+    right = np.cumsum(np.maximum(d, 0), axis=-1, dtype=d.dtype)
     return (left[..., 0] == 0) & (left[..., 1:] <= right[..., :-1]).all(axis=-1)
 
 
@@ -268,6 +272,20 @@ def matrix_majorises(M1: ProbMatrix, M2: ProbMatrix) -> bool:
     return vector_majorises(r1, r2) and vector_majorises(c1, c2)
 
 
+def _subset_dominance(low: np.ndarray, high: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Which j-subsets of the lines ``low`` are <= which j-subsets of ``high``.
+
+    ``low`` and ``high`` hold symbol counts of k lines, (..., k, symbols),
+    with any leading batch axes.  Returns the j-subsets of range(k) in
+    combination order, (C, j), and ``proven[..., t, s]``: the sum of subset
+    t of ``low`` is <= the sum of subset s of ``high`` by :func:`_leq`.
+    """
+    subsets = np.array(list(itertools.combinations(range(low.shape[-2]), j)))
+    sums_low = low[..., subsets, :].sum(axis=-2, dtype=low.dtype)
+    sums_high = high[..., subsets, :].sum(axis=-2, dtype=high.dtype)
+    return subsets, _leq(sums_low[..., :, None, :], sums_high[..., None, :, :])
+
+
 def vector_majorisation_certificate(
     u: Sequence[SymbolicSum], v: Sequence[SymbolicSum]
 ) -> tuple[str, ...] | None:
@@ -280,21 +298,18 @@ def vector_majorisation_certificate(
     """
     if len(u) != len(v):
         raise ValueError("length mismatch")
-    k = len(u)
     u_counts = np.array([term.counts for term in u])
     v_counts = np.array([term.counts for term in v])
     lines: list[str] = []
-    for j in range(1, k):
-        subsets = np.array(list(itertools.combinations(range(k), j)))
-        u_sums, v_sums = u_counts[subsets].sum(axis=1), v_counts[subsets].sum(axis=1)
-        proven = _leq(v_sums[:, None], u_sums[None, :])
+    for j in range(1, len(u)):
+        subsets, proven = _subset_dominance(v_counts, u_counts, j)
         if not proven.any(axis=1).all():
             return None
         # the first j-subset of u, in combination order, that dominates each of v's
         for t, s in enumerate(proven.argmax(axis=1).tolist()):
             t_txt = "+".join(f"({v[x].render()})" for x in subsets[t])
             s_txt = "+".join(f"({u[x].render()})" for x in subsets[s])
-            reason = _leq_reason(v_sums[t], u_sums[s])
+            reason = _leq_reason(v_counts[subsets[t]].sum(axis=0), u_counts[subsets[s]].sum(axis=0))
             lines.append(f"  prefix {j}: {t_txt} <= {s_txt}  [{reason}]")
     u_total, v_total = u_counts.sum(axis=0), v_counts.sum(axis=0)
     if not (_leq(v_total, u_total) and _leq(u_total, v_total)):
@@ -353,13 +368,10 @@ def _decide_majorisation(grids_a: np.ndarray, grids_b: np.ndarray) -> np.ndarray
     """
     certified = np.ones(len(grids_a), dtype=bool)
     for lines_a, lines_b in zip(_line_counts(grids_a), _line_counts(grids_b)):
-        k = lines_a.shape[1]
-        for j in range(1, k):
+        for j in range(1, lines_a.shape[1]):
             live = np.flatnonzero(certified)  # each j only tests the pairs still certified
-            subsets = np.array(list(itertools.combinations(range(k), j)))
-            sums_a = lines_a[live][:, subsets].sum(axis=2, dtype=np.int8)
-            sums_b = lines_b[live][:, subsets].sum(axis=2, dtype=np.int8)
-            certified[live] = _leq(sums_b[:, :, None], sums_a[:, None, :]).any(axis=2).all(axis=1)
+            _, proven = _subset_dominance(lines_b[live], lines_a[live], j)
+            certified[live] = proven.any(axis=-1).all(axis=-1)
     return certified
 
 

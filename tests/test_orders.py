@@ -141,20 +141,56 @@ def _reference_prove_leq(S, T):
     return True, "; ".join(parts)
 
 
-def _count_pairs(size):
-    # each symbol at most twice, as in the titration sum comparison
-    counts = st.lists(st.integers(min_value=0, max_value=2), min_size=size, max_size=size)
+def _count_pairs(size, most=2):
+    # by default each symbol at most twice, as in the titration sum comparison
+    counts = st.lists(st.integers(min_value=0, max_value=most), min_size=size, max_size=size)
     return st.tuples(counts, counts)
 
 
-@settings(max_examples=600, deadline=None)
-@given(st.integers(min_value=1, max_value=10).flatmap(_count_pairs))
-def test_count_rule_matches_the_greedy_reference(pair):
+def _check_against_the_reference(pair):
     low, high = (np.array(c) for c in pair)
     S, T = (SymbolicSum(tuple(np.repeat(np.arange(len(c)), c).tolist())) for c in (low, high))
     expected = _reference_prove_leq(S, T)
     assert bool(_leq(low, high)) == expected[0]
     assert _prove_leq(S, T) == expected
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.integers(min_value=1, max_value=10).flatmap(_count_pairs))
+def test_count_rule_matches_the_greedy_reference(pair):
+    _check_against_the_reference(pair)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=10).flatmap(lambda size: _count_pairs(size, 300)))
+def test_count_rule_matches_the_greedy_reference_on_large_counts(pair):
+    _check_against_the_reference(pair)
+
+
+@pytest.mark.parametrize(
+    "low, high",
+    [
+        ((128, 0, 0), (0, 1, 0)),  # 128a <= b is false
+        ((0, 127, 10), (127, 0, 0)),  # 127b+10c <= 127a is false: 137 symbols against 127
+        ((256, 0, 0), (0, 1, 0)),
+        ((0, 130, 0), (0, 0, 129)),
+        ((130, 0, 0), (200, 0, 0)),
+    ],
+)
+def test_counts_of_128_copies_and_more_do_not_wrap(low, high):
+    """Counts of a public SymbolicSum are not bounded by the batched deciders' int8."""
+    _check_against_the_reference((low, high))
+    _check_against_the_reference((high, low))
+
+
+def test_majorisation_certificate_of_many_copies_is_sound():
+    many = SymbolicSum((0,) * 128)
+    assert symbolic_sum_compare(many, SymbolicSum.of(1)).kind is RelationKind.PROVEN_REVERSE
+    # (128a + b, c) is not majorised by (b, c): its first line exceeds both of theirs
+    u = (SymbolicSum.of(1), SymbolicSum.of(2))
+    v = (many + SymbolicSum.of(1), SymbolicSum.of(2))
+    assert vector_majorisation_certificate(u, v) is None
+    assert vector_majorisation_certificate(u[:1], v[:1]) is None
 
 
 # ----------------------------------------------------------- numeric majorise

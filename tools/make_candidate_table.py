@@ -162,7 +162,7 @@ COMMAND = "    PYTHONPATH=src python3 tools/make_candidate_table.py"
 TABLE_HEADER = f'''"""Certified evaluation sets of the census kernel for the 2x4, 3x3 and 2x5 shapes.
 
 Generated by ``tools/make_candidate_table.py`` from the certified
-titration edges I(low) <= I(high) between classes (about 4 min on 2 vCPUs)::
+titration edges I(low) <= I(high) between classes (about 7 s on 2 vCPUs)::
 
 {COMMAND}
 
