@@ -19,21 +19,25 @@ Exit codes: 0 success; 1 relation left inconclusive; 2 invalid arguments;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from .classes import check_relation_shape, class_table, honeycomb_dot
 from .core import Spectrum, write_text_atomic
 from .extrema import CensusReport, CheckpointMismatchError, brute_force_extrema, census
 from .orders import derive_relation
-from .qubit2 import SCAN_FUNCTIONS, octahedron_scan
+from .qubit2 import MAX_SCAN_GRID, SCAN_FUNCTIONS, octahedron_scan
 
 __all__ = ["build_parser", "main"]
 
 _SCHEMA_VERSION = 1
 _LN2 = math.log(2.0)
+_SCAN_CHUNK_ROWS = 8192
 
 
 def _parse_spectrum(text: str) -> Spectrum:
@@ -180,11 +184,19 @@ def _run_honeycomb(args: argparse.Namespace) -> int:
 
 def _run_qubit2_scan(args: argparse.Namespace) -> int:
     points, values = octahedron_scan(args.function.replace("-", "_"), args.grid)
+    if args.log_base == "2":
+        values = values / _LN2
+    # Every coordinate is one of the few grid-axis values, so each is
+    # formatted once.  Rows go to plain floats a chunk at a time, which keeps
+    # the Python objects alive at once to a chunk's worth.
+    label = {t: _fmt(t) for t in np.unique(points).tolist()}
     lines = ["t11,t22,t33,value"]
-    for (t11, t22, t33), value in zip(points, values):
-        lines.append(
-            f"{_fmt(t11)},{_fmt(t22)},{_fmt(t33)},{_fmt(_rescale(float(value), args.log_base))}"
-        )
+    for start in range(0, len(values), _SCAN_CHUNK_ROWS):
+        chunk = slice(start, start + _SCAN_CHUNK_ROWS)
+        lines += [
+            f"{label[t11]},{label[t22]},{label[t33]},{_fmt(value)}"
+            for (t11, t22, t33), value in zip(points[chunk].tolist(), values[chunk].tolist())
+        ]
     _write_text(args.output, "\n".join(lines) + "\n")
     return 0
 
@@ -270,7 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[name.replace("_", "-") for name in SCAN_FUNCTIONS],
         help="quantity to evaluate",
     )
-    p.add_argument("--grid", type=int, default=101, help="grid points per correlation axis")
+    p.add_argument(
+        "--grid",
+        type=int,
+        default=101,
+        help=f"grid points per correlation axis, 2 to {MAX_SCAN_GRID}",
+    )
     p.add_argument("--log-base", choices=["e", "2"], default="e", help="unit of reported values")
     p.add_argument("--output", default=None, help="write to this file instead of stdout")
 
@@ -286,10 +303,15 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reads, built on its first call."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
     try:

@@ -15,14 +15,21 @@ Conventions
   where ``r_i``/``c_j`` are the row/column sums and ``lambda_k`` the
   entries themselves.  ``I`` depends only on the arrangement's row/column
   permutation class, not on the labelling of rows and columns.
+* Values are validated where they enter the API, in the :class:`Spectrum`
+  and :class:`ProbMatrix` constructors, and nowhere after.  The scalar
+  functions (:func:`cmi` and the two-qubit quantities of ``qubit2``) then
+  compute in plain Python floats with ``math.log``; NumPy is kept for
+  arrays of spectra.  ``Spectrum.entropy`` stays NumPy, because the
+  extrema sweep subtracts it and its figures are pinned to the last bit.
 """
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import os
 import tempfile
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -72,6 +79,16 @@ def binary_entropy(x: float) -> float:
     return entropy_term(x) + entropy_term(1.0 - x)
 
 
+def _plain_xlogx_sum(values: Iterable[float]) -> float:
+    """Sum of -v log v over plain floats, treating v <= 0 as contributing 0."""
+    log = math.log
+    total = 0.0
+    for v in values:
+        if v > 0.0:
+            total -= v * log(v)
+    return total
+
+
 def _xlogx_sum(values: np.ndarray) -> float:
     """Sum of -v log v over an array, treating v <= 0 as contributing 0."""
     v = np.asarray(values, dtype=float)
@@ -88,22 +105,23 @@ class Spectrum:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(map(float, self.values))
         object.__setattr__(self, "values", vals)
         if len(vals) < 2:
             raise ValueError("Spectrum needs at least 2 entries")
         if not all(map(math.isfinite, vals)):
             raise ValueError(f"Spectrum has a non-finite entry: {vals!r}")
-        if any(v < -EPSILON for v in vals):
-            raise ValueError(f"Spectrum has a negative entry: {min(vals)!r}")
+        lowest = min(vals)
+        if lowest < -EPSILON:
+            raise ValueError(f"Spectrum has a negative entry: {lowest!r}")
         total = math.fsum(vals)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"Spectrum sums to {total!r}, not 1")
-        for i in range(len(vals) - 1):
-            if vals[i] < vals[i + 1] - EPSILON:
+        for i, (x, y) in enumerate(zip(vals, vals[1:])):
+            if x < y - EPSILON:
                 raise ValueError(
                     "Spectrum values must be sorted in non-increasing order; "
-                    f"entries {i} and {i + 1} are {vals[i]!r} < {vals[i + 1]!r}"
+                    f"entries {i} and {i + 1} are {x!r} < {y!r}"
                 )
 
     @property
@@ -125,18 +143,21 @@ class ProbMatrix:
     entries: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(float(v) for v in row) for row in self.entries)
+        rows = tuple([tuple(map(float, row)) for row in self.entries])
         object.__setattr__(self, "entries", rows)
         if not rows or not rows[0]:
             raise ValueError("ProbMatrix must be non-empty")
         n = len(rows[0])
-        if any(len(row) != n for row in rows):
-            raise ValueError("ProbMatrix rows have unequal lengths")
-        flat = [v for row in rows for v in row]
+        flat: list[float] = []
+        for row in rows:
+            if len(row) != n:
+                raise ValueError("ProbMatrix rows have unequal lengths")
+            flat += row
         if not all(map(math.isfinite, flat)):
             raise ValueError(f"ProbMatrix has a non-finite entry: {rows!r}")
-        if any(v < -EPSILON for v in flat):
-            raise ValueError(f"ProbMatrix has a negative entry: {min(flat)!r}")
+        lowest = min(flat)
+        if lowest < -EPSILON:
+            raise ValueError(f"ProbMatrix has a negative entry: {lowest!r}")
         total = math.fsum(flat)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"ProbMatrix entries sum to {total!r}, not 1")
@@ -197,11 +218,11 @@ def cmi(P: ProbMatrix) -> float:
 
     ``I(P) = sum_i H(r_i) + sum_j H(c_j) - sum_k H(lambda_k)``.
     """
-    a = P.as_array()
+    rows = P.entries
     return (
-        _xlogx_sum(a.sum(axis=1))
-        + _xlogx_sum(a.sum(axis=0))
-        - _xlogx_sum(a.ravel())
+        _plain_xlogx_sum(map(sum, rows))
+        + _plain_xlogx_sum(map(sum, zip(*rows)))
+        - _plain_xlogx_sum(itertools.chain.from_iterable(rows))
     )
 
 

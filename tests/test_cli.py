@@ -8,6 +8,7 @@ import math
 import os
 import stat
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from specmi import cli
 from specmi.cli import main
 from specmi.extrema import census
+from specmi.qubit2 import MAX_SCAN_GRID, SCAN_FUNCTIONS, octahedron_scan
 
 DATA = Path(__file__).parent / "data"
 SPECTRUM = "0.3,0.25,0.2,0.15,0.07,0.03"
@@ -46,6 +48,21 @@ def test_unknown_command_is_a_usage_error(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 2
     assert "usage:" in err
+
+
+def test_repeated_calls_share_no_parser_state(capsys):
+    for _ in range(2):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        assert out == (DATA / "help.txt").read_text()
+    good = ("extrema", "--m", "2", "--n", "3", "--spectrum", SPECTRUM)
+    code, alone, _ = run(capsys, *good)
+    assert code == 0
+    code, out, err = run(capsys, *good, "--log-base", "2", "--format", "xml")
+    assert code == 2 and out == "" and "invalid choice" in err
+    code, after, _ = run(capsys, *good)
+    assert code == 0
+    assert after == alone
 
 
 # ------------------------------------------------------------------- extrema
@@ -408,6 +425,47 @@ def test_qubit2_scan_log_base_two(capsys):
     rows_2 = [ln.split(",") for ln in out_2.splitlines()[1:]]
     for re_, r2 in zip(rows_e, rows_2):
         assert float(r2[3]) == pytest.approx(float(re_[3]) / math.log(2.0), abs=1e-12)
+
+
+def _reference_scan_csv(function: str, grid: int, log_base: str) -> str:
+    """The scan CSV rendered row by row from NumPy scalars with %.17g."""
+    points, values = octahedron_scan(function.replace("-", "_"), grid)
+    lines = ["t11,t22,t33,value"]
+    for (t11, t22, t33), value in zip(points, values):
+        value = float(value) / math.log(2.0) if log_base == "2" else float(value)
+        lines.append(f"{t11:.17g},{t22:.17g},{t33:.17g},{value:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+SCAN_CASES = [
+    (name.replace("_", "-"), 21, log_base) for name in SCAN_FUNCTIONS for log_base in ("e", "2")
+] + [("gamma-max", 101, "e")]
+
+
+@pytest.mark.parametrize("function,grid,log_base", SCAN_CASES)
+def test_qubit2_scan_matches_the_per_row_rendering(capsys, function, grid, log_base):
+    code, out, _ = run(
+        capsys, "qubit2-scan", "--function", function, "--grid", str(grid),
+        "--log-base", log_base,
+    )
+    assert code == 0
+    assert out == _reference_scan_csv(function, grid, log_base)
+
+
+def test_qubit2_scan_rejects_a_grid_over_the_cap_before_allocating(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run(
+            capsys, "qubit2-scan", "--function", "gamma-max", "--grid", str(MAX_SCAN_GRID + 1)
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(MAX_SCAN_GRID) in err
+    assert "Traceback" not in err
+    assert peak < 1_000_000  # one float64 axis of the cube alone would be 66 MB
 
 
 def test_qubit2_scan_rejects_unknown_function(capsys):

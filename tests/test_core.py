@@ -20,6 +20,7 @@ from specmi import (
     sample_spectrum,
 )
 from specmi.core import TIE_REDRAW_GAP
+from specmi import qubit2
 
 
 def test_entropy_term_zero_and_one_branch():
@@ -165,6 +166,66 @@ def test_cmi_bounds():
         assert -1e-12 <= value
         assert value <= min(h_rows, h_cols) + 1e-12
         assert value <= min(math.log(2.0), math.log(3.0)) + 1e-12
+
+
+# ------------------------------- plain-float scalars against NumPy references
+
+def _reference_cmi(P: ProbMatrix) -> float:
+    """The NumPy ``cmi`` that the plain-float one replaced."""
+
+    def xlogx_sum(values):
+        v = np.asarray(values, dtype=float)
+        pos = v > 0.0
+        out = np.zeros_like(v)
+        out[pos] = -v[pos] * np.log(v[pos])
+        return float(out.sum())
+
+    a = P.as_array()
+    return xlogx_sum(a.sum(axis=1)) + xlogx_sum(a.sum(axis=0)) - xlogx_sum(a.ravel())
+
+
+def _edge_spectra(dim: int, count: int, seed: int) -> list[Spectrum]:
+    """Seeded descending spectra; a third end in 0, a third in 0 and then a
+    value in [-EPSILON, 0)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        tail = k % 3
+        w = np.sort(rng.standard_exponential(dim - tail))[::-1]
+        values = list(w / w.sum()) + [0.0, -EPSILON * (1.0 - rng.random())][:tail]
+        out.append(Spectrum(tuple(values)))
+    return out
+
+
+SHAPES = [(2, 2), (2, 3), (2, 4), (3, 3), (2, 5)]
+
+
+@pytest.mark.parametrize("m,n", SHAPES, ids=[f"{m}x{n}" for m, n in SHAPES])
+def test_plain_cmi_matches_the_numpy_reference(m, n):
+    rng = np.random.default_rng(1000 * m + n)
+    spectra = _edge_spectra(m * n, 300, seed=m * n)
+    assert {s.values[-1] for s in spectra[1::3]} == {0.0}
+    assert all(-EPSILON <= s.values[-1] < 0.0 for s in spectra[2::3])
+    for s in spectra:
+        P = ProbMatrix.from_array(np.array(s.values)[rng.permutation(m * n)].reshape(m, n))
+        assert abs(cmi(P) - _reference_cmi(P)) <= 1e-12
+
+
+def test_qubit2_scalars_match_their_scan_counterparts():
+    for s in _edge_spectra(4, 300, seed=4):
+        row = np.array([s.values])
+        for name, scan in qubit2.SCAN_FUNCTIONS.items():
+            scalar = getattr(qubit2, name)
+            assert abs(scalar(s) - float(scan(row)[0])) <= 1e-12, (name, s)
+
+
+def test_total_order_informations_are_cmi_of_the_three_arrangements():
+    for s in _edge_spectra(4, 300, seed=44):
+        a, b, c, d = s.values
+        order = qubit2.verify_total_order_2x2(s)
+        assert order.i_identity == cmi(ProbMatrix(((a, b), (c, d))))
+        assert order.i_bottom_swap == cmi(ProbMatrix(((a, b), (d, c))))
+        assert order.i_antidiagonal == cmi(ProbMatrix(((a, d), (c, b))))
 
 
 def test_sample_spectrum_is_descending_unit_sum_and_seeded():

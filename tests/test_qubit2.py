@@ -25,6 +25,7 @@ from specmi import (
     tvector_from_spectrum,
     verify_total_order_2x2,
 )
+from specmi.qubit2 import MAX_SCAN_GRID
 
 LN2 = math.log(2.0)
 V1, V2, V3, V4, V5 = DOMAIN_VERTICES
@@ -275,3 +276,5 @@ def test_octahedron_scan_validates_arguments():
         octahedron_scan("nonsense", 5)
     with pytest.raises(ValueError, match="resolution"):
         octahedron_scan("gamma_max", 1)
+    with pytest.raises(ValueError, match="resolution"):
+        octahedron_scan("gamma_max", MAX_SCAN_GRID + 1)
