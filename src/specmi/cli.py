@@ -23,12 +23,12 @@ import functools
 import json
 import math
 import sys
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .classes import check_relation_shape, class_table, honeycomb_dot
-from .core import Spectrum, write_text_atomic
+from .core import SUM_TOLERANCE, Spectrum, write_text_atomic
 from .extrema import CensusReport, CheckpointMismatchError, brute_force_extrema, census
 from .orders import derive_relation
 from .qubit2 import MAX_SCAN_GRID, SCAN_FUNCTIONS, octahedron_scan
@@ -53,7 +53,7 @@ def _parse_spectrum(text: str) -> Spectrum:
         total = math.fsum(values)
     except (OverflowError, ValueError):  # beyond the float range, or inf - inf
         raise ValueError("--spectrum entries have no finite sum; they must sum to 1") from None
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > SUM_TOLERANCE:
         raise ValueError(f"--spectrum entries sum to {total!r}; they must sum to 1")
     return Spectrum(tuple(v / total for v in values))
 
@@ -66,11 +66,14 @@ def _rescale(value: float, log_base: str) -> float:
     return value / _LN2 if log_base == "2" else value
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None:
+def _write_text(path: str | None, text: str | Iterable[str]) -> None:
+    """Write ``text``, one string or its chunks in order, to ``path`` or stdout."""
+    if path is not None:
+        write_text_atomic(path, text)
+    elif isinstance(text, str):
         sys.stdout.write(text)
     else:
-        write_text_atomic(path, text)
+        sys.stdout.writelines(text)
 
 
 def _json_text(payload: dict) -> str:
@@ -182,23 +185,42 @@ def _run_honeycomb(args: argparse.Namespace) -> int:
     return 0
 
 
+def _distinct_labels(a: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The %.17g text of each distinct value of ``a``, and each entry's index into it.
+
+    Values are told apart by their bits, so an entry's text is what
+    formatting that entry alone gives, -0.0 included.
+    """
+    bits, where = np.unique(a.view(np.int64), return_inverse=True)
+    return [_fmt(v) for v in bits.view(np.float64).tolist()], where.reshape(a.shape)
+
+
+def _scan_csv_chunks(points: np.ndarray, values: np.ndarray) -> Iterator[str]:
+    """The scan CSV, ``_SCAN_CHUNK_ROWS`` rows per string.
+
+    A grid-101 scan has 101 coordinates and 500 to 15,000 distinct values
+    among its 171,801 rows, so rows are joined from texts formatted once.
+    Chunks keep the whole text (13.6 MB at grid 101) from being held at once.
+    """
+    coords, at = _distinct_labels(points)
+    labels, label_at = _distinct_labels(values)
+    yield "t11,t22,t33,value\n"
+    for start in range(0, len(values), _SCAN_CHUNK_ROWS):
+        rows = slice(start, start + _SCAN_CHUNK_ROWS)
+        yield "".join([
+            f"{coords[i]},{coords[j]},{coords[k]},{labels[v]}\n"
+            for i, j, k, v in zip(
+                at[rows, 0].tolist(), at[rows, 1].tolist(), at[rows, 2].tolist(),
+                label_at[rows].tolist(),
+            )
+        ])
+
+
 def _run_qubit2_scan(args: argparse.Namespace) -> int:
     points, values = octahedron_scan(args.function.replace("-", "_"), args.grid)
     if args.log_base == "2":
         values = values / _LN2
-    # Every coordinate is one of the few grid-axis values, so each is
-    # formatted once.  Rows go to plain floats a chunk at a time: converting
-    # the whole arrays at once raised the peak RSS of repeated grid-101 scans
-    # in one process by about 35 MB.
-    label = {t: _fmt(t) for t in np.unique(points).tolist()}
-    lines = ["t11,t22,t33,value"]
-    for start in range(0, len(values), _SCAN_CHUNK_ROWS):
-        chunk = slice(start, start + _SCAN_CHUNK_ROWS)
-        lines += [
-            f"{label[t11]},{label[t22]},{label[t33]},{_fmt(value)}"
-            for (t11, t22, t33), value in zip(points[chunk].tolist(), values[chunk].tolist())
-        ]
-    _write_text(args.output, "\n".join(lines) + "\n")
+    _write_text(args.output, _scan_csv_chunks(points, values))
     return 0
 
 

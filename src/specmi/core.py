@@ -35,6 +35,7 @@ import numpy as np
 
 __all__ = [
     "EPSILON",
+    "SUM_TOLERANCE",
     "TIE_REDRAW_GAP",
     "Spectrum",
     "ProbMatrix",
@@ -51,6 +52,9 @@ __all__ = [
 
 #: Comparison tolerance for equality/ordering assertions on information values.
 EPSILON = 1e-12
+
+#: How far from 1 the entries of a Spectrum or ProbMatrix may sum.
+SUM_TOLERANCE = 1e-9
 
 #: Sampled spectrum entries closer than this are considered tied and redrawn.
 TIE_REDRAW_GAP = 1e-15
@@ -72,8 +76,15 @@ def entropy_term(x: float) -> float:
 
 
 def binary_entropy(x: float) -> float:
-    """Binary entropy ``h(x) = H(x) + H(1 - x)`` in nats."""
-    if x < -EPSILON or x > 1.0 + EPSILON:
+    """Binary entropy ``h(x) = H(x) + H(1 - x)`` in nats.
+
+    An ``x`` up to SUM_TOLERANCE + 4 * EPSILON outside ``[0, 1]`` is
+    clamped: a sum of entries of an accepted four-entry Spectrum (total
+    within SUM_TOLERANCE of 1, entries at least -EPSILON) lies that close.
+    One further out raises ``ValueError``.
+    """
+    slack = SUM_TOLERANCE + 4.0 * EPSILON
+    if x < -slack or x > 1.0 + slack:
         raise ValueError(f"binary_entropy: argument {x!r} outside [0, 1]")
     x = min(max(x, 0.0), 1.0)
     return entropy_term(x) + entropy_term(1.0 - x)
@@ -115,7 +126,7 @@ class Spectrum:
         if lowest < -EPSILON:
             raise ValueError(f"Spectrum has a negative entry: {lowest!r}")
         total = math.fsum(vals)
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > SUM_TOLERANCE:
             raise ValueError(f"Spectrum sums to {total!r}, not 1")
         for i, (x, y) in enumerate(zip(vals, vals[1:])):
             if x < y - EPSILON:
@@ -159,7 +170,7 @@ class ProbMatrix:
         if lowest < -EPSILON:
             raise ValueError(f"ProbMatrix has a negative entry: {lowest!r}")
         total = math.fsum(flat)
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > SUM_TOLERANCE:
             raise ValueError(f"ProbMatrix entries sum to {total!r}, not 1")
 
     @property
@@ -258,19 +269,24 @@ def sample_spectra(dim: int, count: int, rng: np.random.Generator) -> np.ndarray
         s[bad] = t[:, ::-1]
 
 
-def write_text_atomic(path: str, text: str) -> None:
+def write_text_atomic(path: str, text: str | Iterable[str]) -> None:
     """Write ``text`` to ``path`` whole or not at all.
 
-    The text goes to a uniquely named temporary file in the target's
-    directory, which then replaces the target, so concurrent writers never
-    share a temporary file and readers never see a partial file.  On any
-    failure the temporary file is removed and the target is left as it was.
+    ``text`` is one string or an iterable of strings, written in order.  It
+    goes to a uniquely named temporary file in the target's directory, which
+    then replaces the target, so concurrent writers never share a temporary
+    file and readers never see a partial file.  On any failure, an iterable
+    that raises included, the temporary file is removed and the target is
+    left as it was.
     The new file gets the permissions a plain ``open`` would have given it.
     """
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            if isinstance(text, str):
+                fh.write(text)
+            else:
+                fh.writelines(text)
         umask = os.umask(0)  # the only way to read the umask is to set it
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)

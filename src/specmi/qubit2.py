@@ -294,9 +294,15 @@ def _h_rows(x: np.ndarray) -> np.ndarray:
 
 
 def _entropy_rows(spectra: np.ndarray) -> np.ndarray:
+    # -(x log x) has the bits of (-x) log x; computing it in place keeps two
+    # arrays of the positive entries alive instead of four.
     pos = spectra > 0.0
+    x = spectra[pos]
+    xlogx = np.log(x)
+    xlogx *= x
+    del x
     terms = np.zeros_like(spectra)
-    terms[pos] = -spectra[pos] * np.log(spectra[pos])
+    terms[pos] = np.negative(xlogx, out=xlogx)
     return terms.sum(axis=1)
 
 
@@ -324,9 +330,11 @@ def _scan_gamma_min(sp: np.ndarray) -> np.ndarray:
     return 2.0 * LN2 - _h_rows(a + b) - _h_rows(a + c)
 
 
-#: Largest ``resolution`` of :func:`octahedron_scan`.  A scan holds up to ten
-#: float64 arrays of ``resolution**3`` points at once: 0.65 GB at grid 201,
-#: 2.2 GB at grid 301.
+#: Largest ``resolution`` of :func:`octahedron_scan`.  Only the octahedron
+#: test spans the whole grid (one float64 array of ``resolution**3`` points);
+#: the rest holds the kept sixth.  A scan peaks at 2.5-2.9 such arrays
+#: (tracemalloc, all five functions at grids 101 and 201), 190 MB at grid
+#: 201, where a ``qubit2-scan`` process peaks at about 245 MB RSS.
 MAX_SCAN_GRID = 201
 
 SCAN_FUNCTIONS = {
@@ -357,10 +365,14 @@ def octahedron_scan(function: str, resolution: int) -> tuple[np.ndarray, np.ndar
             f"octahedron_scan needs 2 <= resolution <= {MAX_SCAN_GRID}, got {resolution}"
         )
     axis = np.linspace(-1.0, 1.0, resolution)
-    grids = np.meshgrid(axis, axis, axis, indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=1)
-    points = points[np.abs(points).sum(axis=1) <= 1.0 + EPSILON]
-    u, v, w = points[:, 0], points[:, 1], points[:, 2]
+    # The octahedron mask is broadcast from the 1-d axis and adds
+    # |t11| + |t22| + |t33| in that order, as a row sum would; np.nonzero
+    # lists the kept points in row-major order.
+    size = np.abs(axis)
+    inside = (size[:, None, None] + size[None, :, None]) + size[None, None, :] <= 1.0 + EPSILON
+    points = np.stack([axis[i] for i in np.nonzero(inside)], axis=1)
+    del inside
+    u, v, w = points.T
     spectra = np.stack(
         [
             (1.0 + u - v + w) / 4.0,
@@ -371,6 +383,7 @@ def octahedron_scan(function: str, resolution: int) -> tuple[np.ndarray, np.ndar
         axis=1,
     )
     np.clip(spectra, 0.0, None, out=spectra)
-    spectra = np.sort(spectra, axis=1)[:, ::-1]
+    spectra.sort(axis=1)
+    spectra = spectra[:, ::-1]
     values = SCAN_FUNCTIONS[function](spectra)
     return points, values

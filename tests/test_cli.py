@@ -1,5 +1,6 @@
 """End-to-end checks of the command line interface."""
 import contextlib
+import hashlib
 import importlib
 import importlib.util
 import io
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from specmi import cli
 from specmi.cli import main
+from specmi.core import write_text_atomic
 from specmi.extrema import census
 from specmi.qubit2 import MAX_SCAN_GRID, SCAN_FUNCTIONS, octahedron_scan
 
@@ -281,6 +283,11 @@ def test_file_outputs_are_written_whole_and_leave_no_temp_files(capsys, tmp_path
     )
     assert code == 0
     assert outputs["census.json"].read_bytes() == (DATA / "census_23_s7_20k.json").read_bytes()
+    assert {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in outputs.items()} == {
+        "census.json": "f38d6c705fb0202bfe9e24380f4adbdd90be0c513f040f7c5b141da3494feb37",
+        "trace.csv": "af4975dd7c4954b9b6e1fef33fb99dce9f65cd31a210ff1a3d7bbf31f04301a1",
+        "ck.json": "61d7d5eb1ea707255281723dec2f0290577557d45e1ffed8ab76b4b34a6f4918",
+    }
     umask = os.umask(0)
     os.umask(umask)
     for path in outputs.values():
@@ -450,6 +457,53 @@ def test_qubit2_scan_matches_the_per_row_rendering(capsys, function, grid, log_b
     )
     assert code == 0
     assert out == _reference_scan_csv(function, grid, log_base)
+
+
+#: SHA-256 of ``qubit2-scan --function gamma-max --grid 101`` (171,802 lines).
+SCAN_101_SHA256 = "95a434c1b838ea23f3ddc77f30fbccf9f26f265f06063e2aec50ea72c2323edf"
+SCAN_101 = ("qubit2-scan", "--function", "gamma-max", "--grid", "101")
+
+
+def test_qubit2_scan_at_grid_101_has_the_pinned_bytes_on_both_targets(capsys, tmp_path):
+    target = tmp_path / "scan.csv"
+    code, out, _ = run(capsys, *SCAN_101, "--output", str(target))
+    assert (code, out) == (0, "")
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == SCAN_101_SHA256
+    code, out, _ = run(capsys, *SCAN_101)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_101_SHA256
+
+
+def test_qubit2_scan_to_a_file_peaks_below_four_grid_cubes(capsys, tmp_path):
+    target = tmp_path / "scan.csv"
+    run(capsys, "--help")  # the parser is built once, outside the measurement
+    tracemalloc.start()
+    try:
+        code = main([*SCAN_101, "--output", str(target)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # The CSV text alone is about 1.6 cubes, so it is never held whole.
+    assert target.stat().st_size > 1.5 * 101**3 * 8
+    assert peak < 4 * 101**3 * 8
+
+
+def test_atomic_write_of_chunks_that_raise_keeps_the_old_file(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+
+    def chunks():
+        yield "a,b\n" * 10_000
+        yield "c,d\n"
+        raise OSError("disk gone")
+
+    with pytest.raises(OSError, match="disk gone"):
+        write_text_atomic(str(target), chunks())
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    write_text_atomic(str(target), iter(["a,b\n", "", "c,d\n"]))
+    assert target.read_text() == "a,b\nc,d\n"
 
 
 def test_qubit2_scan_rejects_a_grid_over_the_cap_before_allocating(capsys):

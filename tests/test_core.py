@@ -19,7 +19,7 @@ from specmi import (
     sample_spectra,
     sample_spectrum,
 )
-from specmi.core import TIE_REDRAW_GAP
+from specmi.core import SUM_TOLERANCE, TIE_REDRAW_GAP
 from specmi import qubit2
 
 
@@ -60,6 +60,37 @@ def test_binary_entropy_values():
 @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 def test_binary_entropy_symmetric(x):
     assert binary_entropy(x) == pytest.approx(binary_entropy(1.0 - x), abs=1e-12)
+
+
+@given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
+def test_binary_entropy_in_the_unit_interval_is_the_sum_of_two_terms(x):
+    assert binary_entropy(x) == entropy_term(x) + entropy_term(1.0 - x)
+
+
+def test_binary_entropy_takes_a_sum_of_entries_of_any_accepted_spectrum():
+    slack = SUM_TOLERANCE + 4 * EPSILON
+    assert binary_entropy(1.0 + slack) == binary_entropy(1.0) == 0.0
+    assert binary_entropy(-slack) == binary_entropy(0.0) == 0.0
+    for x in (1.0 + 1.01 * slack, -1.01 * slack, 1.5, -0.5):
+        with pytest.raises(ValueError, match="outside"):
+            binary_entropy(x)
+    # Entries as far out as Spectrum accepts: the total 1 + SUM_TOLERANCE,
+    # the smallest entries at -EPSILON.
+    top = (1.0 + 0.999 * SUM_TOLERANCE) / 2 + EPSILON  # a + b > 1 + SUM_TOLERANCE
+    for values in [
+        (0.5 + 4e-10, 0.5, 0.0, 0.0),
+        (top, top, -EPSILON, -EPSILON),
+        (1.0 + 3 * EPSILON, -EPSILON, -EPSILON, -EPSILON),
+        (0.5 - 5e-10, 0.5 - 5e-10, 0.0, 0.0),
+    ]:
+        s = Spectrum(values)
+        clean = [max(v, 0.0) for v in values]
+        normalised = Spectrum(tuple(v / math.fsum(clean) for v in clean))
+        for f in (qubit2.i_min, qubit2.i_max_class, qubit2.gamma_max, qubit2.gamma_min):
+            # h moves by about d log(1/d), about 2e-8, when its argument moves by d = 1e-9
+            assert f(s) == pytest.approx(f(normalised), abs=1e-7), (f.__name__, values)
+        info = qubit2.qubit2_informations(s)
+        assert info.gamma_max == qubit2.gamma_max(s)
 
 
 def test_spectrum_validates_sum():

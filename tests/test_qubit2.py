@@ -1,5 +1,6 @@
 """T-states of two qubits: information gaps, separability, the 2x2 order."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from specmi import (
     tvector_from_spectrum,
     verify_total_order_2x2,
 )
-from specmi.qubit2 import MAX_SCAN_GRID
+from specmi import qubit2
+from specmi.qubit2 import MAX_SCAN_GRID, SCAN_FUNCTIONS
 
 LN2 = math.log(2.0)
 V1, V2, V3, V4, V5 = DOMAIN_VERTICES
@@ -269,6 +271,69 @@ def test_octahedron_scan_matches_scalar_functions():
         assert valid
         s = Spectrum(tuple(sorted((max(x, 0.0) for x in raw), reverse=True)))
         assert vals[k] == pytest.approx(i_max_qmi(s), abs=1e-12)
+
+
+def _meshgrid_scan_spectra(resolution):
+    """The scan's points and descending spectra as built from three meshgrid
+    cubes, kept as the reference for the mask built from the 1-d axis."""
+    axis = np.linspace(-1.0, 1.0, resolution)
+    grids = np.meshgrid(axis, axis, axis, indexing="ij")
+    points = np.stack([g.ravel() for g in grids], axis=1)
+    points = points[np.abs(points).sum(axis=1) <= 1.0 + 1e-12]
+    u, v, w = points[:, 0], points[:, 1], points[:, 2]
+    spectra = np.stack(
+        [
+            (1.0 + u - v + w) / 4.0,
+            (1.0 - u + v + w) / 4.0,
+            (1.0 + u + v - w) / 4.0,
+            (1.0 - u - v - w) / 4.0,
+        ],
+        axis=1,
+    )
+    np.clip(spectra, 0.0, None, out=spectra)
+    return points, np.sort(spectra, axis=1)[:, ::-1]
+
+
+def _reference_entropy_rows(spectra):
+    pos = spectra > 0.0
+    terms = np.zeros_like(spectra)
+    terms[pos] = -spectra[pos] * np.log(spectra[pos])
+    return terms.sum(axis=1)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        a.view(np.int64), b.view(np.int64)
+    )
+
+
+@pytest.mark.parametrize("resolution", [*range(2, 41), 101])
+def test_octahedron_scan_matches_the_meshgrid_construction_bit_for_bit(resolution):
+    points, spectra = _meshgrid_scan_spectra(resolution)
+    assert _same_bits(qubit2._entropy_rows(spectra), _reference_entropy_rows(spectra))
+    for name, function in SCAN_FUNCTIONS.items():
+        got_points, got_values = octahedron_scan(name, resolution)
+        assert _same_bits(got_points, points), name
+        assert _same_bits(got_values, function(spectra)), name
+
+
+def test_octahedron_scan_keeps_every_lattice_point_of_the_octahedron_at_grid_201():
+    # Axis point k of 201 is -1 + k / 100, so the kept points are the
+    # integer triples with |i| + |j| + |k| <= 100.
+    r = np.abs(np.arange(-100, 101, dtype=np.int16))
+    lattice = int(np.count_nonzero(r[:, None, None] + r[None, :, None] + r[None, None, :] <= 100))
+    points, values = octahedron_scan("gamma_max", 201)
+    assert len(points) == len(values) == lattice == 1_353_601
+
+
+def test_octahedron_scan_peaks_below_four_grid_cubes():
+    tracemalloc.start()
+    try:
+        octahedron_scan("gamma_max", 101)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 101**3 * 8  # the meshgrid construction peaked at 10
 
 
 def test_octahedron_scan_validates_arguments():
