@@ -45,6 +45,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -152,7 +153,12 @@ def cycle_label_of_word(word: str) -> str:
 
 @dataclasses.dataclass(frozen=True)
 class MatrixClass:
-    """One arrangement class: canonical word and 1-based index."""
+    """One arrangement class: canonical word and 1-based index.
+
+    The canonical grid, its display and the row pickers that
+    :meth:`instantiate` fills are derived from the word on first use and
+    kept with the class, so every later call only reads the spectrum.
+    """
 
     index: int
     m: int
@@ -163,13 +169,27 @@ class MatrixClass:
     def cycle_label(self) -> str:
         return cycle_label_of_word(self.word)
 
-    @property
+    @functools.cached_property
     def canonical(self) -> Grid:
         return word_to_grid(self.word, self.m, self.n)
 
-    @property
+    @functools.cached_property
     def display(self) -> str:
         return grid_display(self.canonical)
+
+    @functools.cached_property
+    def _row_pickers(self) -> tuple[operator.itemgetter, ...]:
+        """Per canonical row, a picker taking spectrum values to the row's entries.
+
+        A one-cell row picks a slice, because an itemgetter of one index
+        returns the bare value instead of a tuple.
+        """
+        return tuple(
+            operator.itemgetter(*row)
+            if len(row) > 1
+            else operator.itemgetter(slice(row[0], row[0] + 1))
+            for row in self.canonical
+        )
 
     def instantiate(self, spectrum: Spectrum) -> ProbMatrix:
         """Fill the canonical grid with the spectrum's values."""
@@ -177,30 +197,43 @@ class MatrixClass:
             raise ValueError(
                 f"spectrum has {spectrum.dim} entries; class needs {self.m * self.n}"
             )
-        return ProbMatrix(
-            tuple(tuple(spectrum.values[s] for s in row) for row in self.canonical)
-        )
+        values = spectrum.values
+        return ProbMatrix(tuple([pick(values) for pick in self._row_pickers]))
 
 
 @dataclasses.dataclass(frozen=True)
 class ClassTable:
-    """All arrangement classes of one shape, ordered by canonical word."""
+    """All arrangement classes of one shape, ordered by canonical word.
+
+    ``letters`` holds every canonical word once, ``m * n`` letters per
+    class in class order; the :class:`MatrixClass` objects are built on the
+    first read of :attr:`classes` and kept, with whatever they derive.
+    """
 
     m: int
     n: int
-    classes: tuple[MatrixClass, ...]
+    letters: str
 
     def __len__(self) -> int:
-        return len(self.classes)
+        return len(self.letters) // (self.m * self.n)
 
     @functools.cached_property
-    def _by_word(self) -> dict[str, MatrixClass]:
-        return {c.word: c for c in self.classes}
+    def classes(self) -> tuple[MatrixClass, ...]:
+        m, n, mn, letters = self.m, self.n, self.m * self.n, self.letters
+        return tuple(
+            MatrixClass(index=i + 1, m=m, n=n, word=letters[i * mn : (i + 1) * mn])
+            for i in range(len(self))
+        )
+
+    @functools.cached_property
+    def _index_by_word(self) -> dict[str, int]:
+        mn = self.m * self.n
+        return {self.letters[i * mn : (i + 1) * mn]: i + 1 for i in range(len(self))}
 
     @functools.cached_property
     def _grids(self) -> np.ndarray:
         """Canonical symbol grids of all classes, a (classes, m, n) int64 array."""
-        letters = np.frombuffer("".join(c.word for c in self.classes).encode(), np.uint8)
+        letters = np.frombuffer(self.letters.encode(), np.uint8)
         return np.searchsorted(_LETTER_BYTES, letters).reshape(len(self), self.m, self.n)
 
     @functools.cached_property
@@ -209,13 +242,13 @@ class ClassTable:
         return _encode(self._grids.reshape(len(self), -1))
 
     def get(self, index: int) -> MatrixClass:
-        if not 1 <= index <= len(self.classes):
-            raise ValueError(f"class index {index} outside 1..{len(self.classes)}")
+        if not 1 <= index <= len(self):
+            raise ValueError(f"class index {index} outside 1..{len(self)}")
         return self.classes[index - 1]
 
     def index_of(self, word: str) -> int:
         try:
-            return self._by_word[word].index
+            return self._index_by_word[word]
         except KeyError:
             raise ValueError(f"{word!r} is not a canonical word of this table") from None
 
@@ -327,19 +360,13 @@ def enumerate_classes(m: int, n: int) -> ClassTable:
     words[:, :, n:] = rest[:, orders]
     codes = np.unique(_canonical_codes(words.reshape(-1, m, n)))
     digits = codes[:, None] // mn ** np.arange(mn - 1, -1, -1, dtype=np.int64) % mn
-    letters = _LETTER_BYTES[digits].tobytes().decode()
-    classes = tuple(
-        MatrixClass(index=i + 1, m=m, n=n, word=letters[i * mn : (i + 1) * mn])
-        for i in range(len(codes))
-    )
-    return ClassTable(m=m, n=n, classes=classes)
+    return ClassTable(m=m, n=n, letters=_LETTER_BYTES[digits].tobytes().decode())
 
 
 @functools.lru_cache(maxsize=None)
 def r23_table() -> ClassTable:
     """The embedded, versioned table of the 60 classes of a 2x3 grid."""
-    classes = tuple(MatrixClass(index=i, m=2, n=3, word=word) for i, word, _ in ENTRIES)
-    return ClassTable(m=2, n=3, classes=classes)
+    return ClassTable(m=2, n=3, letters="".join(word for _, word, _ in ENTRIES))
 
 
 @functools.lru_cache(maxsize=None)

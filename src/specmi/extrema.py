@@ -299,7 +299,7 @@ def brute_force_extrema(s: Spectrum, m: int, n: int) -> ExtremaReport:
         m=m,
         n=n,
         spectrum=s,
-        values=tuple(float(v) for v in values),
+        values=tuple(values.tolist()),
         maxima=maxima,
         minima=minima,
         max_value=vmax,

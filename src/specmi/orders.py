@@ -716,9 +716,10 @@ def derive_relation(a, b, table=None) -> RelationVerdict:
             table = _classes.r23_table()
     ia = a.index if isinstance(a, _classes.MatrixClass) else int(a)
     ib = b.index if isinstance(b, _classes.MatrixClass) else int(b)
+    count = len(table)
     for idx in (ia, ib):
-        if not 1 <= idx <= len(table.classes):
-            raise ValueError(f"class index {idx} outside 1..{len(table.classes)}")
+        if not 1 <= idx <= count:
+            raise ValueError(f"class index {idx} outside 1..{count}")
     header = f"derive: class {ia} vs class {ib}"
     if ia == ib:
         return RelationVerdict(

@@ -33,7 +33,7 @@ from specmi import (
     varpi,
     xi_pairs,
 )
-from specmi import classes, orders
+from specmi import classes, extrema, orders
 from specmi._r23_table import ENTRIES
 from specmi.classes import (
     _classes_of,
@@ -128,6 +128,40 @@ def test_table_get_and_bounds():
 )
 def test_class_counts(m, n, count):
     assert len(class_table(m, n).classes) == count
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (3, 3), (2, 5)])
+def test_cached_grid_display_and_fill_match_the_word(m, n):
+    """Each class's cached grid, display and row fill agree with its word, bit for bit."""
+    spectra = [sample_spectrum(m * n, np.random.default_rng(seed)) for seed in range(20)]
+    for cls in class_table(m, n).classes:
+        grid = word_to_grid(cls.word, m, n)
+        assert cls.canonical == grid
+        assert cls.display == grid_display(grid)
+        for s in spectra:
+            fill = tuple(tuple(s.values[k] for k in row) for row in grid)
+            matrix = cls.instantiate(s)
+            assert matrix.entries == fill
+            assert cmi(matrix).hex() == cmi(ProbMatrix(fill)).hex()
+
+
+def test_a_fresh_table_answers_size_grids_and_terms_without_building_classes(monkeypatch):
+    table = enumerate_classes(2, 5)
+    assert len(table) == 15120
+    assert table._grids.shape == (15120, 2, 5)
+    monkeypatch.setattr(extrema, "class_table", lambda m, n: table)
+    terms = extrema._decomposition.__wrapped__(2, 5).term_counts
+    assert np.array_equal(terms, extrema._decomposition(2, 5).term_counts)
+    assert "classes" not in table.__dict__
+    assert table.get(7) is table.classes[6]
+    assert table.classes[6].word == table.letters[60:70]
+    assert table.index_of(table.classes[6].word) == 7
+    assert _classes_of([table.classes[6].canonical], table)[0] is table.classes[6]
+
+
+def test_one_cell_rows_fill_as_tuples():
+    matrix = classes.MatrixClass(index=1, m=2, n=1, word="ba").instantiate(Spectrum((0.6, 0.4)))
+    assert matrix.entries == ((0.4,), (0.6,))
 
 
 @pytest.mark.parametrize("m, n", [(3, 4), (2, 6)])

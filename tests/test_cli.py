@@ -109,6 +109,20 @@ def test_extrema_csv_output(capsys, tmp_path):
     assert lines[1].startswith("1,abcdef,(),")
 
 
+@pytest.mark.parametrize("fmt, golden", [("json", "extrema_2x3.json"), ("csv", "extrema_2x3.csv")])
+def test_extrema_matches_golden_on_both_targets(capsys, tmp_path, fmt, golden):
+    expected = (DATA / golden).read_text()
+    argv = ("extrema", "--m", "2", "--n", "3", "--spectrum", "0.3,0.25,0.2,0.12,0.08,0.05",
+            "--format", fmt)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == expected
+    target = tmp_path / golden
+    code, out, _ = run(capsys, *argv, "--output", str(target))
+    assert (code, out) == (0, "")
+    assert target.read_bytes() == expected.encode()
+
+
 @pytest.mark.filterwarnings("error")
 def test_extrema_with_zero_entries_writes_finite_json(capsys):
     code, out, err = run(

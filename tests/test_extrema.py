@@ -229,8 +229,7 @@ def _near_tie_rows(mn, dec):
 
 
 @pytest.mark.parametrize("m,n", [(2, 4), (3, 3), (2, 5)])
-def test_grouped_kernel_hands_ties_and_near_ties_to_the_dense_product(monkeypatch, m, n):
-    # the pruned kernel; the test's name predates it and is kept stable
+def test_pruned_kernel_hands_ties_and_near_ties_to_the_dense_product(monkeypatch, m, n):
     mn = m * n
     dec = extrema._decomposition(m, n)
     constructed = np.array([np.full(mn, 1.0 / mn)] + _near_tie_rows(mn, dec))
