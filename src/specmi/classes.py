@@ -33,7 +33,9 @@ their edges in batch on symbol counts (``orders._decide_majorisation``, and
 text comes from the text provers only when it is read.  The relation graph
 that ``derive_relation`` reads keeps a reference to each edge's proof, and
 ``_edge_lines`` renders the edges of a printed chain once each (a cold 2x3
-graph is decided in about 15 ms).  The 2x3 honeycomb (rendered by
+graph is decided in about 15 ms).  ``_search_tree`` keeps one
+breadth-first tree of the graph per source class, so each class's chains
+are searched once.  The 2x3 honeycomb (rendered by
 ``extrema.verify_theorem_chain``) prints all 95 majorisation and 4
 titration certificates it holds, so it calls the text provers directly.
 A text prover that does not certify an edge the decision put in the graph,
@@ -54,6 +56,7 @@ from ._r23_table import ENTRIES, TABLE_VERSION
 from .core import ProbMatrix, Spectrum
 from .orders import (
     SYMBOL_LETTERS,
+    _SEARCH_DEPTH,
     RelationKind,
     _decide_majorisation,
     _decide_titration,
@@ -558,6 +561,29 @@ def _relation_graph(m: int, n: int) -> dict[int, dict[int, _Proof]]:
         else:
             edges[j].setdefault(i, proof)
     return edges
+
+
+@functools.lru_cache(maxsize=None)
+def _search_tree(m: int, n: int, src: int) -> dict[int, int]:
+    """Breadth-first tree of the m x n relation graph from class src.
+
+    Maps every class within ``orders._SEARCH_DEPTH`` hops of src to its
+    parent (src to itself).  Neighbours are expanded in sorted order and a
+    class keeps the parent it was first discovered from, so the path read
+    back from the tree is the one a search stopping at that class finds.
+    """
+    edges = _relation_graph(m, n)
+    parent = {src: src}
+    frontier = [src]
+    for _ in range(_SEARCH_DEPTH):
+        nxt = []
+        for node in frontier:
+            for j in sorted(edges[node]):
+                if j not in parent:
+                    parent[j] = node
+                    nxt.append(j)
+        frontier = nxt
+    return parent
 
 
 def _certified_majorisation(table: ClassTable, src: int, dst: int) -> tuple[str, ...]:

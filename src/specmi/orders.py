@@ -674,28 +674,6 @@ def _decide_titration(grids: np.ndarray, cells: np.ndarray) -> np.ndarray:
 _SEARCH_DEPTH = 4
 
 
-def _bfs_path(edges: dict[int, dict[int, object]], src: int, dst: int) -> list[int] | None:
-    frontier = [src]
-    parent: dict[int, int] = {src: src}
-    depth = 0
-    while frontier and depth < _SEARCH_DEPTH:
-        depth += 1
-        nxt: list[int] = []
-        for node in frontier:
-            for j in sorted(edges[node]):
-                if j in parent:
-                    continue
-                parent[j] = node
-                if j == dst:
-                    path = [j]
-                    while path[-1] != src:
-                        path.append(parent[path[-1]])
-                    return path[::-1]
-                nxt.append(j)
-        frontier = nxt
-    return None
-
-
 def derive_relation(a, b, table=None) -> RelationVerdict:
     """Search for an a-priori chain proving I(a) <= I(b) or the reverse.
 
@@ -703,7 +681,9 @@ def derive_relation(a, b, table=None) -> RelationVerdict:
     resolve against ``table``, defaulting to the 2x3 table).  The search is
     breadth-first over certified majorisation edges and titrate-certified
     single transpositions, transitively composed up to four hops; only
-    the edges of the chain found are rendered as text.
+    the edges of the chain found are rendered as text.  Chains are read
+    from a per-source breadth-first tree (``classes._search_tree``), built
+    on the first query from that class and kept with the shape's graph.
     The certified graph is built only for the shapes in
     ``classes.RELATION_SHAPES``; other shapes raise ValueError.
     """
@@ -726,15 +706,17 @@ def derive_relation(a, b, table=None) -> RelationVerdict:
             RelationKind.PROVEN_FORWARD,
             (header, "identical classes; empty chain", "verdict: ProvenForward"),
         )
-    edges = _classes._relation_graph(table.m, table.n)
-
     for kind, src, dst in (
         (RelationKind.PROVEN_FORWARD, ia, ib),
         (RelationKind.PROVEN_REVERSE, ib, ia),
     ):
-        path = _bfs_path(edges, src, dst)
-        if path is None:
+        tree = _classes._search_tree(table.m, table.n, src)
+        if dst not in tree:
             continue
+        path = [dst]
+        while path[-1] != src:
+            path.append(tree[path[-1]])
+        path.reverse()
         lines: list[str] = [header]
         for hop, (x, y) in enumerate(zip(path, path[1:]), start=1):
             lines.append(f"step {hop}: class {x} -> class {y}")

@@ -518,8 +518,8 @@ def _text_relation_graph(m, n):
 
 @pytest.fixture
 def fresh_relation_caches(monkeypatch):
-    """New, empty memos of the relation graph and its edge texts for one test."""
-    for name in ("_relation_graph", "_edge_lines"):
+    """New, empty memos of the relation graph, its search trees and edge texts for one test."""
+    for name in ("_relation_graph", "_search_tree", "_edge_lines"):
         fresh = functools.lru_cache(maxsize=None)(getattr(classes, name).__wrapped__)
         monkeypatch.setattr(classes, name, fresh)
 
@@ -547,6 +547,30 @@ def test_cold_relation_renders_only_the_edges_of_its_chain(monkeypatch, fresh_re
     hops = sum(line.startswith("step ") for line in verdict.certificate)
     assert verdict.kind is RelationKind.PROVEN_FORWARD and hops >= 1
     assert sum(calls.values()) <= hops
+
+
+def test_search_trees_are_built_once_per_source(fresh_relation_caches):
+    pairs = list(itertools.permutations(range(1, 61), 2))
+    texts = [derive_relation(a, b).render() for a, b in pairs]
+    built = classes._search_tree.cache_info()
+    assert built.misses == built.currsize <= 60
+    assert [derive_relation(a, b).render() for a, b in pairs] == texts
+    assert classes._search_tree.cache_info().misses == built.misses
+    assert all(len(classes._search_tree(2, 3, a)) <= 60 for a in range(1, 61))
+
+
+@pytest.mark.parametrize("a, b, trees", [(42, 48, 1), (48, 42, 2), (44, 45, 2)])
+def test_cold_relation_builds_only_the_trees_it_reads(fresh_relation_caches, a, b, trees):
+    derive_relation(a, b)
+    assert classes._search_tree.cache_info().currsize == trees
+
+
+def test_rejected_shapes_build_no_search_tree(fresh_relation_caches):
+    for m, n in ((2, 4), (3, 3)):
+        with pytest.raises(ValueError, match=f"got {m}x{n}"):
+            derive_relation(1, 2, table=class_table(m, n))
+    assert classes._search_tree.cache_info().currsize == 0
+    assert classes._relation_graph.cache_info().currsize == 0
 
 
 def test_rendering_an_edge_the_text_prover_rejects_raises(monkeypatch, fresh_relation_caches):

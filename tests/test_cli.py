@@ -388,6 +388,15 @@ def test_relation_inconclusive_pair_exit_code(capsys):
     assert "no certified chain" in out
 
 
+@pytest.mark.parametrize("a, b, code", [("37", "52", 0), ("44", "45", 1)])
+def test_relation_matches_golden(capsys, tmp_path, a, b, code):
+    golden = (DATA / f"relation_{a}_{b}.txt").read_bytes()
+    assert run(capsys, "relation", "--a", a, "--b", b) == (code, golden.decode(), "")
+    target = tmp_path / "relation.txt"
+    assert run(capsys, "relation", "--a", a, "--b", b, "--output", str(target)) == (code, "", "")
+    assert target.read_bytes() == golden
+
+
 @pytest.mark.parametrize("m, n", [("2", "4"), ("3", "3"), ("2", "5")])
 def test_relation_rejects_unsupported_shapes_before_any_work(capsys, monkeypatch, m, n):
     def no_work(*args, **kwargs):

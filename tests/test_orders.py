@@ -31,8 +31,15 @@ from specmi import (
     vector_majorisation_certificate,
     vector_majorises,
 )
-from specmi.classes import class_table, maxima_chain_steps, word_to_grid
-from specmi.orders import SYMBOL_LETTERS, _decide_majorisation, _decide_titration, _leq, _prove_leq
+from specmi.classes import _relation_graph, class_table, maxima_chain_steps, word_to_grid
+from specmi.orders import (
+    _SEARCH_DEPTH,
+    SYMBOL_LETTERS,
+    _decide_majorisation,
+    _decide_titration,
+    _leq,
+    _prove_leq,
+)
 
 
 # ---------------------------------------------------------------- SymbolicSum
@@ -531,12 +538,20 @@ def test_derive_relation_reverse_orientation():
     assert derive_relation(48, 42).kind is RelationKind.PROVEN_REVERSE
 
 
+def _chain(verdict):
+    """The classes of a verdict's chain, read from its ``step k:`` lines."""
+    steps = [line.split() for line in verdict.certificate if line.startswith("step ")]
+    assert [step[1] for step in steps] == [f"{k}:" for k in range(1, len(steps) + 1)]
+    return [int(steps[0][3])] + [int(step[6]) for step in steps] if steps else []
+
+
 def test_derive_relation_multi_hop_mentions_transitivity():
-    verdict = derive_relation(1, 48)
-    assert verdict.kind is RelationKind.PROVEN_FORWARD
-    body = "\n".join(verdict.certificate)
-    if "step 2:" in body:
-        assert "transitivity" in body
+    # 37 -> 52 is the longest 2x3 chain
+    for a, b, hops in ((13, 27, 2), (37, 52, 3)):
+        verdict = derive_relation(a, b)
+        assert verdict.kind is RelationKind.PROVEN_FORWARD
+        assert len(_chain(verdict)) - 1 == hops
+        assert f"rule transitivity: compose the {hops} steps above" in verdict.certificate
 
 
 def test_derive_relation_inconclusive_pair():
@@ -566,6 +581,77 @@ def test_derive_relation_rejects_shapes_without_a_graph(monkeypatch, m, n):
             monkeypatch.setattr(f"{module}.{name}", no_work)
     with pytest.raises(ValueError, match=f"shapes 2x2 and 2x3, got {m}x{n}"):
         derive_relation(1, 2, table=table)
+
+
+def _reference_bfs_path(edges, src, dst):
+    """The early-exit search ``derive_relation`` ran before it kept search trees."""
+    frontier = [src]
+    parent: dict[int, int] = {src: src}
+    depth = 0
+    while frontier and depth < _SEARCH_DEPTH:
+        depth += 1
+        nxt: list[int] = []
+        for node in frontier:
+            for j in sorted(edges[node]):
+                if j in parent:
+                    continue
+                parent[j] = node
+                if j == dst:
+                    path = [j]
+                    while path[-1] != src:
+                        path.append(parent[path[-1]])
+                    return path[::-1]
+                nxt.append(j)
+        frontier = nxt
+    return None
+
+
+def _hop_distances(edges, src):
+    """Unbounded breadth-first hop counts from src."""
+    dist, frontier = {src: 0}, [src]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for j in edges[node]:
+                if j not in dist:
+                    dist[j] = dist[node] + 1
+                    nxt.append(j)
+        frontier = nxt
+    return dist
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3)])
+def test_derive_relation_chains_are_the_early_exit_shortest_paths(m, n):
+    table = class_table(m, n)
+    edges = _relation_graph(m, n)
+    indices = range(1, len(table) + 1)
+    dist = {a: _hop_distances(edges, a) for a in indices}
+    hops = Counter()
+    for a, b in permutations(indices, 2):
+        verdict = derive_relation(a, b, table=table)
+        chain = _chain(verdict)
+        forward = _reference_bfs_path(edges, a, b)
+        reverse = None if forward else _reference_bfs_path(edges, b, a)
+        assert chain == (forward or reverse or [])
+        if chain:
+            assert len(chain) - 1 == dist[chain[0]][chain[-1]] <= _SEARCH_DEPTH
+            assert all(y in edges[x] for x, y in zip(chain, chain[1:]))
+        else:
+            assert min(dist[a].get(b, math.inf), dist[b].get(a, math.inf)) > _SEARCH_DEPTH
+        kind = (RelationKind.PROVEN_FORWARD if forward else
+                RelationKind.PROVEN_REVERSE if reverse else RelationKind.INCONCLUSIVE)
+        assert verdict.kind is kind
+        hops[kind, max(len(chain) - 1, 0)] += 1
+    if (m, n) == (2, 3):
+        assert hops == {
+            (RelationKind.PROVEN_FORWARD, 1): 498,
+            (RelationKind.PROVEN_FORWARD, 2): 242,
+            (RelationKind.PROVEN_FORWARD, 3): 11,
+            (RelationKind.PROVEN_REVERSE, 1): 498,
+            (RelationKind.PROVEN_REVERSE, 2): 242,
+            (RelationKind.PROVEN_REVERSE, 3): 11,
+            (RelationKind.INCONCLUSIVE, 0): 2038,
+        }
 
 
 def test_derive_relation_on_the_2x2_table():
