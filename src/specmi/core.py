@@ -259,10 +259,10 @@ def sample_spectra(dim: int, count: int, rng: np.random.Generator) -> np.ndarray
     s.sort(axis=1)
     s = s[:, ::-1]
     while True:
-        gaps = s[:, :-1] - s[:, 1:]
-        bad = np.flatnonzero(gaps.min(axis=1) < TIE_REDRAW_GAP) if count else np.array([], int)
-        if bad.size == 0:
+        near = s[:, :-1] - s[:, 1:] < TIE_REDRAW_GAP
+        if not np.count_nonzero(near):  # one pass over the array, no per-row reduction
             return np.ascontiguousarray(s)
+        bad = np.flatnonzero(near.any(axis=1))
         e = rng.standard_exponential((bad.size, dim))
         t = e / e.sum(axis=1, keepdims=True)
         t.sort(axis=1)

@@ -14,6 +14,15 @@ entropy.  The subtraction is constant across classes, so argmax/argmin and
 tie detection work on the totals directly.  ``brute_force_extrema`` and
 every census tile of 2x2 and 2x3 take this dense product.
 
+The census lays the dense product out classes x samples, ``G.T @ terms.T``,
+as the pruned kernel below does, so its band masks reduce along the long
+axis.  Its tallies are defined by the totals it computes, whatever order
+BLAS sums them in: this product differs from ``terms @ G`` in the last bit
+at some thousands of the 18M entries of 120 seeded 2x3 blocks, and no
+tally or tie count changed.  Memory stays at a tile's boolean masks: a
+side without ties has exactly one hit per sample, read from its ``rows``
+positions in the mask, and only a side with ties is counted per sample.
+
 Census tiles of 2x4, 3x3 and 2x5 evaluate only the classes of a certified
 table, ``_candidate_table``.  On the max side, ``C`` holds the classes that
 no certified titration edge I(x) <= I(y) points above, and ``F`` the other
@@ -191,16 +200,27 @@ def _marginal_entropy_terms(
 def _dense_tally(
     hterms: np.ndarray, G: np.ndarray, work: dict[str, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Argmax/argmin hit counts and tie events of every class over one tile."""
-    vals = np.matmul(hterms, G, out=_work_array(work, "product", len(hterms), G.shape[1]))
-    mask_max = vals >= (vals.max(axis=1) - EPSILON)[:, None]
-    mask_min = vals <= (vals.min(axis=1) + EPSILON)[:, None]
-    return (
-        mask_max.sum(axis=0),
-        mask_min.sum(axis=0),
-        int((mask_max.sum(axis=1) >= 2).sum()),
-        int((mask_min.sum(axis=1) >= 2).sum()),
-    )
+    """Argmax/argmin hit counts and tie events of every class over one tile.
+
+    The totals are laid out classes x samples, as in the pruned kernel, so
+    every reduction runs along the long axis.  A tally is defined by the
+    totals computed here, whatever order BLAS sums them in.  Each sample's
+    extreme lies in its own band, so a side without ties has exactly one
+    hit per sample; its hits are read from those ``rows`` positions, and
+    only a side with ties counts them per sample, which keeps the memory of
+    an all-tie tile at its boolean mask.
+    """
+    n_classes, rows = G.shape[1], len(hterms)
+    vals = np.matmul(G.T, hterms.T, out=_work_array(work, "product", n_classes, rows))
+    tallies = []
+    for mask in (vals >= vals.max(axis=0) - EPSILON, vals <= vals.min(axis=0) + EPSILON):
+        if np.count_nonzero(mask) == rows:
+            tallies.append((np.bincount(np.flatnonzero(mask) // rows, minlength=n_classes), 0))
+        else:
+            ties = int((np.count_nonzero(mask, axis=0) >= 2).sum())
+            tallies.append((np.count_nonzero(mask, axis=1), ties))
+    (max_hits, ties_max), (min_hits, ties_min) = tallies
+    return max_hits, min_hits, ties_max, ties_min
 
 
 def _sole_candidates(

@@ -20,7 +20,7 @@ from specmi import (
     sample_spectrum,
 )
 from specmi.core import SUM_TOLERANCE, TIE_REDRAW_GAP
-from specmi import qubit2
+from specmi import core, qubit2
 
 
 def test_entropy_term_zero_and_one_branch():
@@ -275,6 +275,42 @@ def test_sample_spectra_matches_scalar_shape_contract():
     assert batch.shape == (1000, 6)
     assert np.allclose(batch.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(batch[:, :-1] - batch[:, 1:] >= TIE_REDRAW_GAP)
+
+
+def _per_row_min_sample_spectra(dim, count, rng):
+    """``sample_spectra`` with its redraw check as one gap minimum per row.
+
+    Returns the spectra and the number of redraw rounds.
+    """
+    e = rng.standard_exponential((count, dim))
+    s = e / e.sum(axis=1, keepdims=True)
+    s.sort(axis=1)
+    s = s[:, ::-1]
+    rounds = 0
+    while True:
+        gaps = s[:, :-1] - s[:, 1:]
+        bad = np.flatnonzero(gaps.min(axis=1) < core.TIE_REDRAW_GAP) if count else np.array([], int)
+        if bad.size == 0:
+            return np.ascontiguousarray(s), rounds
+        rounds += 1
+        e = rng.standard_exponential((bad.size, dim))
+        t = e / e.sum(axis=1, keepdims=True)
+        t.sort(axis=1)
+        s[bad] = t[:, ::-1]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("dim,forced_gap", [(2, 0.05), (4, 5e-3), (6, 2e-3), (10, 1e-3)])
+def test_sample_spectra_redraws_the_rows_of_the_per_row_check(monkeypatch, dim, seed, forced_gap):
+    # at the forced gap about a third of the rows redraw, over several rounds
+    for gap in (TIE_REDRAW_GAP, forced_gap):
+        monkeypatch.setattr(core, "TIE_REDRAW_GAP", gap)
+        for count in (0, 1, 400):
+            got = sample_spectra(dim, count, np.random.default_rng(seed))
+            expected, rounds = _per_row_min_sample_spectra(dim, count, np.random.default_rng(seed))
+            assert got.shape == expected.shape and got.flags.c_contiguous
+            assert (got.view(np.int64) == expected.view(np.int64)).all()
+        assert rounds >= 2 or gap == TIE_REDRAW_GAP
 
 
 def test_sample_spectra_zero_count():

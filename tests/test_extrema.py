@@ -1,5 +1,6 @@
 """Brute-force extremes, the randomized census, and the ordering theorem."""
 import dataclasses
+import itertools
 import json
 import os
 import threading
@@ -83,6 +84,22 @@ def test_brute_force_other_shape():
 
 # ------------------------------------------------------------ the block kernel
 
+def _brute_force_tally(spectra, m, n):
+    """Hits and tie events of a block, recounted one ``brute_force_extrema`` at a time."""
+    n_classes = len(extrema.class_table(m, n))
+    max_hits, min_hits = [0] * n_classes, [0] * n_classes
+    ties_max = ties_min = 0
+    for row in spectra:
+        report = brute_force_extrema(Spectrum(tuple(row)), m, n)
+        for k in report.maxima:
+            max_hits[k - 1] += 1
+        for k in report.minima:
+            min_hits[k - 1] += 1
+        ties_max += len(report.maxima) >= 2
+        ties_min += len(report.minima) >= 2
+    return max_hits, min_hits, ties_max, ties_min
+
+
 def test_block_extrema_tiles_agree_with_one_pass_and_brute_force(monkeypatch):
     dec = extrema._decomposition(2, 3)
     spectra = sample_spectra(6, 40, np.random.default_rng(8))
@@ -95,19 +112,60 @@ def test_block_extrema_tiles_agree_with_one_pass_and_brute_force(monkeypatch):
 
     one_pass = block_tally(len(spectra))
     assert block_tally(7) == one_pass  # five full tiles and one of five rows
+    assert one_pass == _brute_force_tally(spectra, 2, 3)
+    assert one_pass[2] == one_pass[3] == 3
 
-    max_hits, min_hits = [0] * 60, [0] * 60
-    ties_max = ties_min = 0
-    for row in spectra:
-        report = brute_force_extrema(Spectrum(tuple(row)), 2, 3)
-        for k in report.maxima:
-            max_hits[k - 1] += 1
-        for k in report.minima:
-            min_hits[k - 1] += 1
-        ties_max += len(report.maxima) >= 2
-        ties_min += len(report.minima) >= 2
-    assert one_pass == (max_hits, min_hits, ties_max, ties_min)
-    assert ties_max == ties_min == 3
+
+def _tied_spectra(mn, seed):
+    """Seeded spectra with equal runs of entries and zero tails, which tie classes.
+
+    Each base spectrum gets every split of its entries into runs of
+    neighbours, each run set to its mean, with 0 to mn - 2 trailing zeros.
+    """
+    rows = []
+    for base in sample_spectra(mn, 3, np.random.default_rng(seed)):
+        for zeros in range(mn - 1):
+            for cuts in itertools.product((False, True), repeat=mn - 1):
+                s = base.copy()
+                s[mn - zeros :] = 0.0
+                start = 0
+                for i, cut in enumerate(cuts + (True,)):
+                    if cut:
+                        s[start : i + 1] = s[start : i + 1].mean()
+                        start = i + 1
+                rows.append(s / s.sum())
+    return np.array(rows)
+
+
+#: (max, min) tie sizes among the spectra of ``_tied_spectra``: 2x2 has ties
+#: on one side only and 3-way ties, 2x3 2-way and wider ties on both sides.
+_TIE_SIZES = {
+    (2, 2): {(2, 1), (1, 2), (3, 3)},
+    (2, 3): {(2, 2), (2, 4), (4, 2), (6, 6), (60, 60)},
+}
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3)])
+def test_dense_tally_with_and_without_ties_equals_a_per_row_recount(monkeypatch, m, n):
+    mn = m * n
+    dec = extrema._decomposition(m, n)
+    n_classes = dec.term_counts.shape[1]
+    tied = _tied_spectra(mn, seed=21)
+    sizes = {
+        (len(r.maxima), len(r.minima))
+        for r in (brute_force_extrema(Spectrum(tuple(s)), m, n) for s in tied)
+    }
+    assert _TIE_SIZES[m, n] <= sizes
+    untied = sample_spectra(mn, 2 * len(tied), np.random.default_rng(22))
+    mixed = np.empty((3 * len(tied), mn))
+    mixed[0::3], mixed[1::3], mixed[2::3] = untied[::2], tied, untied[1::2]
+    # untied rows alone, then mixed with ties, then every class tied on every row
+    spectra = np.concatenate([untied[:64], mixed, np.full((64, mn), 1.0 / mn)])
+    expected = _brute_force_tally(spectra, m, n)
+    assert expected[2] > 64 and expected[3] > 64
+    for rows_per_tile in (1, 5, 64, len(spectra)):
+        monkeypatch.setattr(extrema, "_ELEMENT_BUDGET", n_classes * rows_per_tile)
+        assert _tallies(spectra, dec) == expected, rows_per_tile
 
 
 def _loop_decomposition(m, n):
