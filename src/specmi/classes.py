@@ -23,19 +23,19 @@ the remaining symbols with increasing row heads (15120 words for 2x5), never
 by canonicalising all (mn-1)! grids.  The exception is a square shape: the
 same listing holds each class twice, as a grid and its transpose, and the
 smaller of the two words is canonical.
-The 2x3 table (60 classes) ships embedded and versioned; other shapes up to
-10 cells are generated on demand.
 
-Certified edges between classes are derived here, once each.  The relation
-graph, and the generator of the census kernel's candidate table, decide
-their edges in batch on symbol counts (``orders._decide_majorisation``, and
-``orders._decide_titration`` through ``_titrated_swaps``); an edge's proof
-text comes from the text provers only when it is read.  The relation graph
-that ``derive_relation`` reads keeps a reference to each edge's proof, and
-``_edge_lines`` renders the edges of a printed chain once each (a cold 2x3
-graph is decided in about 15 ms).  ``_search_tree`` keeps one
-breadth-first tree of the graph per source class, so each class's chains
-are searched once.  The 2x3 honeycomb (rendered by
+Certified edges between classes are derived here, once each.  One
+titration pass per shape, ``_certified_swaps``, decides every cell swap of
+every class in batch (``orders._decide_titration`` through
+``_titrated_swaps``).  The relation graph reads its swap edges from it,
+next to batched majorisation (``orders._decide_majorisation``), and
+``_titration_candidates`` derives the census kernel's candidate table from
+it.  An edge's proof text comes from the text provers only when it is
+read.  The relation graph that ``derive_relation`` reads keeps a reference
+to each edge's proof, and ``_edge_lines`` renders the edges of a printed
+chain once each (a cold 2x3 graph is decided in about 15 ms).
+``_search_tree`` keeps one breadth-first tree of the graph per source
+class, so each class's chains are searched once.  The 2x3 honeycomb (rendered by
 ``extrema.verify_theorem_chain``) prints all 95 majorisation and 4
 titration certificates it holds, so it calls the text provers directly.
 A text prover that does not certify an edge the decision put in the graph,
@@ -52,7 +52,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._r23_table import ENTRIES, TABLE_VERSION
 from .core import ProbMatrix, Spectrum
 from .orders import (
     SYMBOL_LETTERS,
@@ -333,7 +332,7 @@ def _canonical_codes(grids: np.ndarray) -> np.ndarray:
     return np.minimum.reduce(codes)
 
 
-def _classes_of(grids: Sequence[Grid], table: ClassTable) -> list[MatrixClass]:
+def _classes_of(grids: Sequence[Grid] | np.ndarray, table: ClassTable) -> list[MatrixClass]:
     """Classes of a batch of symbol grids of the table's shape, in one pass."""
     batch = np.array(grids, dtype=np.int64).reshape(len(grids), table.m, table.n)
     rows = np.searchsorted(table._codes, _canonical_codes(batch))
@@ -368,16 +367,14 @@ def enumerate_classes(m: int, n: int) -> ClassTable:
 
 @functools.lru_cache(maxsize=None)
 def r23_table() -> ClassTable:
-    """The embedded, versioned table of the 60 classes of a 2x3 grid."""
-    return ClassTable(m=2, n=3, letters="".join(word for _, word, _ in ENTRIES))
+    """The 60 classes of a 2x3 grid; memoised, so relation queries skip ``class_table``."""
+    return class_table(2, 3)
 
 
 @functools.lru_cache(maxsize=None)
 def class_table(m: int, n: int) -> ClassTable:
-    """Cached class table; the 2x3 shape uses the embedded table."""
+    """Cached class table of one shape."""
     _check_shape(m, n)
-    if (m, n) == (2, 3):
-        return r23_table()
     return enumerate_classes(m, n)
 
 
@@ -423,8 +420,8 @@ def xi_pairs(table: ClassTable | None = None) -> tuple[tuple[int, ...], tuple[tu
         table = r23_table()
     fixed: list[int] = []
     pairs: list[tuple[int, int]] = []
-    for cls in table.classes:
-        image = involution_xi(cls, table=table).index
+    mirrored = table.m * table.n - 1 - table._grids
+    for cls, image in zip(table.classes, (c.index for c in _classes_of(mirrored, table))):
         if image == cls.index:
             fixed.append(cls.index)
         elif cls.index < image:
@@ -467,12 +464,8 @@ def standard_form_sets() -> StandardFormSets:
         if _rows_descending(c.canonical) and _cols_descending(c.canonical)
     )
     minzoneup = tuple(i for i in heads if i not in minz)
-    maxima = tuple(
-        sorted(
-            canonical_form(varpi(table.get(i).canonical), table=table).index
-            for i in minzoneup
-        )
-    )
+    images = _classes_of([varpi(table.get(i).canonical) for i in minzoneup], table)
+    maxima = tuple(sorted(c.index for c in images))
     return StandardFormSets(heads=heads, minz=minz, minzoneup=minzoneup, maxima_candidates=maxima)
 
 
@@ -519,6 +512,55 @@ def _titrated_swaps(
     return kinds, classes
 
 
+@functools.lru_cache(maxsize=None)
+def _certified_swaps(m: int, n: int) -> tuple[np.ndarray, ...]:
+    """Every certified swap of two cells in every class's canonical grid.
+
+    Titrates the swaps of 2000 classes per batch, which bounds the batch's
+    memory.  Returns the arrays (src, a, b, dst, forward), in class then
+    cell-pair order, of the swaps of row-major cells a < b that take class
+    src to another class dst: I(src) <= I(dst) where forward, else
+    I(dst) <= I(src).
+    """
+    table = class_table(m, n)
+    cells = np.array(list(itertools.combinations(range(m * n), 2)))
+    parts = []
+    for lo in range(0, len(table), 2000):
+        grids = table._grids[lo : lo + 2000]
+        kinds, images = _titrated_swaps(
+            table, np.repeat(grids, len(cells), axis=0), np.tile(cells, (len(grids), 1))
+        )
+        swap = np.flatnonzero(kinds)
+        swap = swap[images[swap] != lo + swap // len(cells) + 1]
+        src, (a, b) = lo + swap // len(cells) + 1, cells[swap % len(cells)].T
+        parts.append((src, a, b, images[swap], kinds[swap] > 0))
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _titration_candidates(m: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The census kernel's evaluation sets ``(C_max, F_max, C_min, F_min)``.
+
+    Read from the edges I(low) <= I(high) of :func:`_certified_swaps`.  On
+    the max side, ``C`` holds the classes no edge points above and ``F``
+    the other classes whose every edge up lands in ``C``; the min side is
+    the mirror image.  Raises RuntimeError if the edges have a cycle.
+    """
+    src, _, _, dst, forward = _certified_swaps(m, n)
+    low, high = np.where(forward, src, dst), np.where(forward, dst, src)
+    alive = np.arange(len(class_table(m, n)) + 1) > 0
+    while alive.any():  # peel the classes with no live edge up
+        tops = alive & (np.bincount(low[alive[low] & alive[high]], minlength=len(alive)) == 0)
+        if not tops.any():
+            raise RuntimeError(f"the {m}x{n} titration edges have a cycle")
+        alive &= ~tops
+    sets = []
+    for tail, head in ((low, high), (high, low)):
+        c = np.bincount(tail, minlength=len(alive)) == 0
+        f = ~c & (np.bincount(tail[~c[head]], minlength=len(alive)) == 0)
+        sets += [tuple(np.flatnonzero(c)[1:].tolist()), tuple(np.flatnonzero(f).tolist())]
+    return tuple(sets)
+
+
 #: A relation-graph edge's reference to its proof: None for the majorisation
 #: of its end points, or (k, a, b) for the titrated swap of the row-major
 #: cells a < b in the canonical grid of class k, the edge's source when the
@@ -547,19 +589,11 @@ def _relation_graph(m: int, n: int) -> dict[int, dict[int, _Proof]]:
     for i, j in (pairs[_decide_majorisation(grids[pairs[:, 0]], grids[pairs[:, 1]])] + 1).tolist():
         edges[i][j] = None
 
-    cell_pairs = list(itertools.combinations(range(m * n), 2))
-    kinds, images = _titrated_swaps(
-        table, np.repeat(grids, len(cell_pairs), axis=0), np.tile(cell_pairs, (count, 1))
-    )
-    for swap in np.flatnonzero(kinds).tolist():
-        i, j = swap // len(cell_pairs) + 1, int(images[swap])
-        if j == i:
-            continue
-        proof = (i, *cell_pairs[swap % len(cell_pairs)])
-        if kinds[swap] > 0:
-            edges[i].setdefault(j, proof)
+    for i, a, b, j, forward in zip(*(v.tolist() for v in _certified_swaps(m, n))):
+        if forward:
+            edges[i].setdefault(j, (i, a, b))
         else:
-            edges[j].setdefault(i, proof)
+            edges[j].setdefault(i, (i, a, b))
     return edges
 
 
@@ -711,26 +745,20 @@ def honeycomb() -> Honeycomb:
     them are recomputed and re-certified here, never trusted from data.
     """
     table = r23_table()
-    if len(table) != 60:
-        raise RuntimeError("the 2x3 table must have 60 classes")
     hexagons = tuple(tuple(range(b * 6 + 1, b * 6 + 7)) for b in range(10))
     pairs = [(h[lo], h[hi]) for h in hexagons for lo, hi in _FLEA_OFFSETS] + list(_CROSS_PAIRS)
     edges = [
         CertifiedEdge(src, dst, "majorisation", _certified_majorisation(table, src, dst))
         for src, dst in pairs
     ]
-    images: list[list[list[int]]] = []
-    for src, (ia, ja), (ib, jb), dst in _CHAIN_STEPS:
-        grid = table.get(src).canonical
+    steps = np.array([(src, 3 * ia + ja, 3 * ib + jb) for src, (ia, ja), (ib, jb), _ in _CHAIN_STEPS])
+    kinds, images = _titrated_swaps(table, table._grids[steps[:, 0] - 1], steps[:, 1:])
+    if kinds.tolist() != [1] * len(steps) or images.tolist() != [s[3] for s in _CHAIN_STEPS]:
+        raise RuntimeError("a chain step is not a certified swap into its class")
+    for src, pos_a, pos_b, dst in _CHAIN_STEPS:
         kind, edge = RelationKind.PROVEN_FORWARD, f"{src} -> {dst}"
-        cert = _certified_swap(grid, (ia, ja), (ib, jb), kind, edge)
+        cert = _certified_swap(table.get(src).canonical, pos_a, pos_b, kind, edge)
         edges.append(CertifiedEdge(src=src, dst=dst, kind="entropic", certificate=cert))
-        rows = [list(row) for row in grid]
-        rows[ia][ja], rows[ib][jb] = rows[ib][jb], rows[ia][ja]
-        images.append(rows)
-    for (src, *_, dst), image in zip(_CHAIN_STEPS, _classes_of(images, table)):
-        if image.index != dst:
-            raise RuntimeError(f"chain step {src} -> {dst} lands in the wrong class")
     for lo, hi in xi_pairs(table)[1]:
         edges.append(
             CertifiedEdge(
@@ -741,6 +769,10 @@ def honeycomb() -> Honeycomb:
             )
         )
     return Honeycomb(hexagons=hexagons, edges=tuple(edges))
+
+
+#: Version of the 2x3 class table that ``honeycomb_dot`` prints.
+TABLE_VERSION = 1
 
 
 def honeycomb_dot() -> str:

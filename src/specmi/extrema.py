@@ -26,11 +26,12 @@ positions in the mask, and only a side with ties is counted per sample.
 Census tiles of 2x4, 3x3 and 2x5 evaluate only the classes of a certified
 table, ``_candidate_table``.  On the max side, ``C`` holds the classes that
 no certified titration edge I(x) <= I(y) points above, and ``F`` the other
-classes whose every edge up lands in ``C``.  Every other class starts a
-chain of certified edges that never enters ``C`` and ends in ``F`` (the
-table's forest, re-certified by the tests), so whenever a class outside
-``C`` and ``F`` is within some band of the maximum, a class of ``F`` is
-too.  The min side is the mirror image.  The kernel computes the totals
+classes whose every edge up lands in ``C``.  So every other class has an
+edge up to a class outside ``C``, and the edges have no cycle: every walk
+along such edges ends in ``F``, and whenever a class outside ``C`` and
+``F`` is within some band of the maximum, a class of ``F`` is too.  The
+tests re-derive the table from the titration pass
+(``classes._titration_candidates``) and check its edges at random spectra.  The min side is the mirror image.  The kernel computes the totals
 of the classes ``[C_max | F_max | C_min | F_min]`` only (2x5: 536 of 15120),
 as one product of their term counts with the tile's terms, the min side's
 counts negated so that both extremes are maxima.  A row credits the
