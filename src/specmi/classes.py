@@ -35,12 +35,14 @@ read.  The relation graph that ``derive_relation`` reads keeps a reference
 to each edge's proof, and ``_edge_lines`` renders the edges of a printed
 chain once each (a cold 2x3 graph is decided in about 15 ms).
 ``_search_tree`` keeps one breadth-first tree of the graph per source
-class, so each class's chains are searched once.  The 2x3 honeycomb (rendered by
-``extrema.verify_theorem_chain``) prints all 95 majorisation and 4
-titration certificates it holds, so it calls the text provers directly.
-A text prover that does not certify an edge the decision put in the graph,
-or an expected honeycomb certificate that is not derivable, raises
-RuntimeError.
+class, so each class's chains are searched once.  The 2x3 honeycomb
+decides its 95 majorisation pairs in one batch and its 4 chain steps in one
+titration batch, without the relation graph; a ``CertifiedEdge`` renders its
+certificate (read by ``extrema.verify_theorem_chain``) when first read.  A
+honeycomb pair the batch does not certify raises RuntimeError when the
+honeycomb is built, and a text prover that does not certify an edge the
+batch decided, in the graph or the honeycomb, raises RuntimeError when the
+edge's text is read.
 """
 from __future__ import annotations
 
@@ -712,17 +714,32 @@ def cross_pairs() -> tuple[tuple[int, int], ...]:
 
 @dataclasses.dataclass(frozen=True)
 class CertifiedEdge:
-    """A directed certified relation: I(class src) <= I(class dst).
+    """A directed certified relation of the honeycomb: I(class src) <= I(class dst).
 
-    ``kind`` is 'majorisation' (src majorises dst), 'entropic' (a
-    titration-certified transposition), or 'xi' (an undirected mirror
-    pairing, stored with src < dst).
+    ``kind`` is 'majorisation' (src majorises dst), 'entropic' (the
+    titration-certified transposition of the cells ``swap`` in the canonical
+    grid of src), or 'xi' (an undirected mirror pairing, stored with src <
+    dst).  :func:`honeycomb` decides the edges on symbol counts, in batch;
+    ``certificate`` is the proof text, rendered by the text provers when
+    first read and kept.  Reading it raises RuntimeError if the text prover
+    does not certify the edge.
     """
 
     src: int
     dst: int
     kind: str
-    certificate: tuple[str, ...]
+    swap: tuple[tuple[int, int], tuple[int, int]] | None = None
+
+    @functools.cached_property
+    def certificate(self) -> tuple[str, ...]:
+        if self.kind == "xi":
+            return (f"mirror involution pairs class {self.src} with class {self.dst}",)
+        table = r23_table()
+        if self.kind == "majorisation":
+            return _certified_majorisation(table, self.src, self.dst)
+        pos_a, pos_b = self.swap
+        kind, edge = RelationKind.PROVEN_FORWARD, f"{self.src} -> {self.dst}"
+        return _certified_swap(table.get(self.src).canonical, pos_a, pos_b, kind, edge)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -741,33 +758,30 @@ def honeycomb() -> Honeycomb:
     """Build the certified honeycomb of the 60 classes.
 
     Every class sits in one of ten hexagons (six bottom-row orderings over
-    a shared top row).  Edges carry their full derivation trace; all of
-    them are recomputed and re-certified here, never trusted from data.
+    a shared top row).  Every edge is decided here from the class grids,
+    never trusted from data: the majorisation pairs in one
+    ``orders._decide_majorisation`` batch and the chain steps in one
+    titration batch.  Raises RuntimeError if one is not certified.  Proof
+    text is rendered only when an edge's ``certificate`` is read.
     """
     table = r23_table()
     hexagons = tuple(tuple(range(b * 6 + 1, b * 6 + 7)) for b in range(10))
     pairs = [(h[lo], h[hi]) for h in hexagons for lo, hi in _FLEA_OFFSETS] + list(_CROSS_PAIRS)
-    edges = [
-        CertifiedEdge(src, dst, "majorisation", _certified_majorisation(table, src, dst))
-        for src, dst in pairs
-    ]
+    ends = np.array(pairs) - 1
+    certified = _decide_majorisation(table._grids[ends[:, 0]], table._grids[ends[:, 1]])
+    if not certified.all():
+        src, dst = pairs[int(np.argmin(certified))]
+        raise RuntimeError(f"expected a majorisation certificate for {src} -> {dst}")
+    edges = [CertifiedEdge(src, dst, "majorisation") for src, dst in pairs]
     steps = np.array([(src, 3 * ia + ja, 3 * ib + jb) for src, (ia, ja), (ib, jb), _ in _CHAIN_STEPS])
     kinds, images = _titrated_swaps(table, table._grids[steps[:, 0] - 1], steps[:, 1:])
     if kinds.tolist() != [1] * len(steps) or images.tolist() != [s[3] for s in _CHAIN_STEPS]:
         raise RuntimeError("a chain step is not a certified swap into its class")
-    for src, pos_a, pos_b, dst in _CHAIN_STEPS:
-        kind, edge = RelationKind.PROVEN_FORWARD, f"{src} -> {dst}"
-        cert = _certified_swap(table.get(src).canonical, pos_a, pos_b, kind, edge)
-        edges.append(CertifiedEdge(src=src, dst=dst, kind="entropic", certificate=cert))
-    for lo, hi in xi_pairs(table)[1]:
-        edges.append(
-            CertifiedEdge(
-                src=lo,
-                dst=hi,
-                kind="xi",
-                certificate=(f"mirror involution pairs class {lo} with class {hi}",),
-            )
-        )
+    edges += [
+        CertifiedEdge(src, dst, "entropic", swap=(pos_a, pos_b))
+        for src, pos_a, pos_b, dst in _CHAIN_STEPS
+    ]
+    edges += [CertifiedEdge(lo, hi, "xi") for lo, hi in xi_pairs(table)[1]]
     return Honeycomb(hexagons=hexagons, edges=tuple(edges))
 
 

@@ -31,7 +31,7 @@ from .classes import check_relation_shape, class_table, honeycomb_dot
 from .core import SUM_TOLERANCE, Spectrum, write_text_atomic
 from .extrema import CensusReport, CheckpointMismatchError, brute_force_extrema, census
 from .orders import derive_relation
-from .qubit2 import MAX_SCAN_GRID, SCAN_FUNCTIONS, octahedron_scan
+from .qubit2 import MAX_SCAN_GRID, SCAN_FUNCTIONS, octahedron_scan, scan_axis
 
 __all__ = ["build_parser", "main"]
 
@@ -186,23 +186,32 @@ def _run_honeycomb(args: argparse.Namespace) -> int:
 
 
 def _distinct_labels(a: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """The %.17g text of each distinct value of ``a``, and each entry's index into it.
+    """The %.17g text of each distinct value of the 1-d ``a``, and each entry's index into it.
 
     Values are told apart by their bits, so an entry's text is what
     formatting that entry alone gives, -0.0 included.
     """
     bits, where = np.unique(a.view(np.int64), return_inverse=True)
-    return [_fmt(v) for v in bits.view(np.float64).tolist()], where.reshape(a.shape)
+    return [_fmt(v) for v in bits.view(np.float64).tolist()], where
 
 
-def _scan_csv_chunks(points: np.ndarray, values: np.ndarray) -> Iterator[str]:
+def _axis_index(t: np.ndarray, grid: int) -> np.ndarray:
+    """The index k of each value of ``qubit2.scan_axis(grid)`` in ``t``.
+
+    The axis holds -1 + 2k/(grid - 1) to within a few ulps, so rounding
+    (t + 1)(grid - 1)/2 recovers k at every accepted grid.
+    """
+    return np.rint((t + 1.0) * ((grid - 1) / 2.0)).astype(np.intp)
+
+
+def _scan_csv_chunks(grid: int, points: np.ndarray, values: np.ndarray) -> Iterator[str]:
     """The scan CSV, ``_SCAN_CHUNK_ROWS`` rows per string.
 
     A grid-101 scan has 101 coordinates and 500 to 15,000 distinct values
     among its 171,801 rows, so rows are joined from texts formatted once.
     Chunks keep the whole text (13.6 MB at grid 101) from being held at once.
     """
-    coords, at = _distinct_labels(points)
+    coords, at = [_fmt(v) for v in scan_axis(grid).tolist()], _axis_index(points, grid)
     labels, label_at = _distinct_labels(values)
     yield "t11,t22,t33,value\n"
     for start in range(0, len(values), _SCAN_CHUNK_ROWS):
@@ -220,7 +229,7 @@ def _run_qubit2_scan(args: argparse.Namespace) -> int:
     points, values = octahedron_scan(args.function.replace("-", "_"), args.grid)
     if args.log_base == "2":
         values = values / _LN2
-    _write_text(args.output, _scan_csv_chunks(points, values))
+    _write_text(args.output, _scan_csv_chunks(args.grid, points, values))
     return 0
 
 

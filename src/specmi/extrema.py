@@ -630,8 +630,8 @@ def verify_theorem_chain() -> list[RelationVerdict]:
     :func:`~specmi.classes.honeycomb`: the four titration-certified
     transpositions walking the maximal-side candidates up to class 48, then
     the fifteen cross-hexagon majorisations that eliminate the remaining
-    candidates.  The honeycomb derives each certificate and raises
-    RuntimeError if one is not derivable.
+    candidates.  Each edge's certificate is rendered by the text provers
+    when first read; RuntimeError if one is not derivable.
     """
     hc = honeycomb()
     majorisations = {(e.src, e.dst): e for e in hc.edges_of_kind("majorisation")}

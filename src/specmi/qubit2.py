@@ -53,6 +53,7 @@ __all__ = [
     "verify_total_order_2x2",
     "MAX_SCAN_GRID",
     "SCAN_FUNCTIONS",
+    "scan_axis",
     "octahedron_scan",
 ]
 
@@ -346,6 +347,11 @@ SCAN_FUNCTIONS = {
 }
 
 
+def scan_axis(resolution: int) -> np.ndarray:
+    """The ``resolution`` values of each correlation axis of :func:`octahedron_scan`."""
+    return np.linspace(-1.0, 1.0, resolution)
+
+
 def octahedron_scan(function: str, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate one information quantity over a grid of separable T-states.
 
@@ -364,7 +370,7 @@ def octahedron_scan(function: str, resolution: int) -> tuple[np.ndarray, np.ndar
         raise ValueError(
             f"octahedron_scan needs 2 <= resolution <= {MAX_SCAN_GRID}, got {resolution}"
         )
-    axis = np.linspace(-1.0, 1.0, resolution)
+    axis = scan_axis(resolution)
     # The octahedron mask is broadcast from the 1-d axis and adds
     # |t11| + |t22| + |t33| in that order, as a row sum would; np.nonzero
     # lists the kept points in row-major order.

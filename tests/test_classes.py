@@ -483,11 +483,62 @@ def _count_text_provers(monkeypatch):
     return calls
 
 
-def test_cold_honeycomb_derives_only_its_own_edges(monkeypatch):
-    cached = honeycomb()  # filled before counting, whichever tests ran first
+def test_cold_honeycomb_derives_only_its_own_edges(monkeypatch, fresh_relation_caches):
+    classes.honeycomb.cache_clear()
     calls = _count_text_provers(monkeypatch)
-    assert classes.honeycomb.__wrapped__() == cached
+    hc = honeycomb()
+    assert honeycomb_dot().encode() == (DATA / "honeycomb.dot").read_bytes()
+    assert classes.honeycomb.__wrapped__() == hc
+    assert calls == {"majorisation_certificate": 0, "titrate_check": 0}
+    assert classes._relation_graph.cache_info().currsize == 0
+    certificates = [e.certificate for e in hc.edges]
     assert calls == {"majorisation_certificate": 95, "titrate_check": 4}
+    assert [e.certificate for e in hc.edges] == certificates
+    assert calls == {"majorisation_certificate": 95, "titrate_check": 4}
+
+
+def test_honeycomb_certificates_are_what_the_text_provers_return():
+    table = r23_table()
+    hc = honeycomb()
+    majorisations = hc.edges_of_kind("majorisation")
+    assert len(majorisations) == 95
+    for e in majorisations:
+        expected = majorisation_certificate(table.get(e.src).canonical, table.get(e.dst).canonical)
+        assert e.certificate == expected
+    steps = maxima_chain_steps()
+    assert len(hc.edges_of_kind("entropic")) == len(steps) == 4
+    for e, (src, pos_a, pos_b, dst) in zip(hc.edges_of_kind("entropic"), steps):
+        verdict = titrate_check(symbolic_transposition_context(table.get(src).canonical, pos_a, pos_b))
+        assert (e.src, e.dst) == (src, dst) and verdict.kind is RelationKind.PROVEN_FORWARD
+        assert e.certificate == verdict.certificate
+    pairs = xi_pairs()[1]
+    assert [(e.src, e.dst, e.certificate) for e in hc.edges_of_kind("xi")] == [
+        (lo, hi, (f"mirror involution pairs class {lo} with class {hi}",)) for lo, hi in pairs
+    ]
+    assert len(pairs) == 22
+
+
+def test_honeycomb_pair_the_batch_rejects_raises_when_built(monkeypatch):
+    monkeypatch.setattr(classes, "_CROSS_PAIRS", classes._CROSS_PAIRS + ((48, 13),))
+    with pytest.raises(RuntimeError, match="majorisation certificate for 48 -> 13"):
+        classes.honeycomb.__wrapped__()
+
+
+def test_reading_a_honeycomb_certificate_the_text_prover_rejects_raises(monkeypatch):
+    hc = classes.honeycomb.__wrapped__()
+    edge = hc.edges_of_kind("majorisation")[0]
+    with monkeypatch.context() as patch:
+        patch.setattr(classes, "majorisation_certificate", lambda *args: None)
+        with pytest.raises(RuntimeError, match=f"majorisation certificate for {edge.src} -> {edge.dst}"):
+            edge.certificate
+    assert edge.certificate[0].startswith("rule majorisation: ")
+    step = hc.edges_of_kind("entropic")[0]
+    inconclusive = RelationVerdict(RelationKind.INCONCLUSIVE, ("no derivation",))
+    with monkeypatch.context() as patch:
+        patch.setattr(classes, "titrate_check", lambda ctx: inconclusive)
+        with pytest.raises(RuntimeError, match=f"ProvenForward titration for {step.src} -> {step.dst}"):
+            step.certificate
+    assert step.certificate
 
 
 # -------------------------------------------------------------- relation graph

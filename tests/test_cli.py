@@ -12,6 +12,7 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from specmi import cli
 from specmi.cli import main
 from specmi.core import write_text_atomic
 from specmi.extrema import census
-from specmi.qubit2 import MAX_SCAN_GRID, SCAN_FUNCTIONS, octahedron_scan
+from specmi.qubit2 import MAX_SCAN_GRID, SCAN_FUNCTIONS, octahedron_scan, scan_axis
 
 DATA = Path(__file__).parent / "data"
 SPECTRUM = "0.3,0.25,0.2,0.15,0.07,0.03"
@@ -480,6 +481,11 @@ def test_qubit2_scan_matches_the_per_row_rendering(capsys, function, grid, log_b
     )
     assert code == 0
     assert out == _reference_scan_csv(function, grid, log_base)
+
+
+def test_scan_coordinates_round_to_their_axis_index():
+    for grid in range(2, MAX_SCAN_GRID + 1):
+        assert np.array_equal(cli._axis_index(scan_axis(grid), grid), np.arange(grid))
 
 
 #: SHA-256 of ``qubit2-scan --function gamma-max --grid 101`` (171,802 lines).
