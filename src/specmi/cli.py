@@ -31,7 +31,7 @@ from .classes import check_relation_shape, class_table, honeycomb_dot
 from .core import SUM_TOLERANCE, Spectrum, write_text_atomic
 from .extrema import CensusReport, CheckpointMismatchError, brute_force_extrema, census
 from .orders import derive_relation
-from .qubit2 import MAX_SCAN_GRID, SCAN_FUNCTIONS, octahedron_scan, scan_axis
+from .qubit2 import MAX_SCAN_GRID, SCAN_FUNCTIONS, _scan_grid
 
 __all__ = ["build_parser", "main"]
 
@@ -46,12 +46,15 @@ def _parse_spectrum(text: str) -> Spectrum:
     values: list[float] = []
     for part in parts:
         try:
-            values.append(float(part))
+            value = float(part)
         except ValueError:
             raise ValueError(f"--spectrum: {part!r} is not a number") from None
+        if not math.isfinite(value):
+            raise ValueError(f"--spectrum: {part!r} is non-finite")
+        values.append(value)
     try:
         total = math.fsum(values)
-    except (OverflowError, ValueError):  # beyond the float range, or inf - inf
+    except OverflowError:  # finite entries whose sum is beyond the float range
         raise ValueError("--spectrum entries have no finite sum; they must sum to 1") from None
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise ValueError(f"--spectrum entries sum to {total!r}; they must sum to 1")
@@ -195,23 +198,14 @@ def _distinct_labels(a: np.ndarray) -> tuple[list[str], np.ndarray]:
     return [_fmt(v) for v in bits.view(np.float64).tolist()], where
 
 
-def _axis_index(t: np.ndarray, grid: int) -> np.ndarray:
-    """The index k of each value of ``qubit2.scan_axis(grid)`` in ``t``.
-
-    The axis holds -1 + 2k/(grid - 1) to within a few ulps, so rounding
-    (t + 1)(grid - 1)/2 recovers k at every accepted grid.
-    """
-    return np.rint((t + 1.0) * ((grid - 1) / 2.0)).astype(np.intp)
-
-
-def _scan_csv_chunks(grid: int, points: np.ndarray, values: np.ndarray) -> Iterator[str]:
+def _scan_csv_chunks(axis: np.ndarray, index: np.ndarray, values: np.ndarray) -> Iterator[str]:
     """The scan CSV, ``_SCAN_CHUNK_ROWS`` rows per string.
 
     A grid-101 scan has 101 coordinates and 500 to 15,000 distinct values
     among its 171,801 rows, so rows are joined from texts formatted once.
     Chunks keep the whole text (13.6 MB at grid 101) from being held at once.
     """
-    coords, at = [_fmt(v) for v in scan_axis(grid).tolist()], _axis_index(points, grid)
+    coords = [_fmt(v) for v in axis.tolist()]
     labels, label_at = _distinct_labels(values)
     yield "t11,t22,t33,value\n"
     for start in range(0, len(values), _SCAN_CHUNK_ROWS):
@@ -219,17 +213,17 @@ def _scan_csv_chunks(grid: int, points: np.ndarray, values: np.ndarray) -> Itera
         yield "".join([
             f"{coords[i]},{coords[j]},{coords[k]},{labels[v]}\n"
             for i, j, k, v in zip(
-                at[rows, 0].tolist(), at[rows, 1].tolist(), at[rows, 2].tolist(),
+                index[rows, 0].tolist(), index[rows, 1].tolist(), index[rows, 2].tolist(),
                 label_at[rows].tolist(),
             )
         ])
 
 
 def _run_qubit2_scan(args: argparse.Namespace) -> int:
-    points, values = octahedron_scan(args.function.replace("-", "_"), args.grid)
+    axis, index, values = _scan_grid(args.function.replace("-", "_"), args.grid)
     if args.log_base == "2":
         values = values / _LN2
-    _write_text(args.output, _scan_csv_chunks(args.grid, points, values))
+    _write_text(args.output, _scan_csv_chunks(axis, index, values))
     return 0
 
 

@@ -531,7 +531,8 @@ def census(
     is independent of ``workers``, of which at most as many as the process
     has CPUs in its affinity mask run as threads at once.  With
     ``resume=True`` and an existing checkpoint written by the same
-    parameters, continues where it left off;
+    parameters, continues where it left off; ``resume=True`` without a
+    ``checkpoint_path`` raises ValueError, and
     a checkpoint for different parameters raises CheckpointMismatchError.
     ``_max_blocks`` stops early after that many new blocks (for testing).
     """
@@ -542,6 +543,8 @@ def census(
     ):
         if value < 1:
             raise ValueError(f"census needs {name} >= 1")
+    if resume and not checkpoint_path:
+        raise ValueError("census cannot resume without a checkpoint path (--checkpoint)")
     dec = _decomposition(m, n)
     n_classes = dec.term_counts.shape[1]
     mn = m * n

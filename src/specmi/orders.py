@@ -45,7 +45,8 @@ with the row (column) factors dropped when the two entries share a row
 (column).  :func:`titrate_check` decides the sign of that expression from
 the symbol ordering alone whenever the minimum of the four base sums is
 provably on the beta side and the base-sum comparison goes the right way,
-or when both beta sums are dominated outright.
+or when both beta sums are dominated outright.  It makes one :func:`_leq`
+call per swap and renders reason lines only for the rule it returns.
 """
 from __future__ import annotations
 
@@ -523,23 +524,6 @@ def cmi_diff_transposition(ctx: TranspositionContext) -> float:
     return (ctx.alpha - ctx.beta) * log_ratio
 
 
-def _ctx_sum_lines(ctx: TranspositionContext) -> list[str]:
-    lines = [f"context: alpha = {_letter(ctx.alpha)}, beta = {_letter(ctx.beta)}"]
-    for name in ("r_alpha_tau", "c_alpha_tau", "r_beta", "c_beta"):
-        val = getattr(ctx, name)
-        if val is not None:
-            lines.append(f"  {name} = {val.render()}")
-    return lines
-
-
-def _named_leq(low: tuple[str, SymbolicSum], high: tuple[str, SymbolicSum]) -> str | None:
-    """The trace line proving the named sum ``low`` <= ``high``, or None."""
-    ok, reason = _prove_leq(low[1], high[1])
-    if not ok:
-        return None
-    return f"  {low[0]} <= {high[0]}: {low[1].render()} <= {high[1].render()}  [{reason}]"
-
-
 def titrate_check(ctx: TranspositionContext) -> RelationVerdict:
     """Decide the sign of I(P^tau) - I(P) from the symbol ordering alone.
 
@@ -557,6 +541,10 @@ def titrate_check(ctx: TranspositionContext) -> RelationVerdict:
     single base comparison c_beta vs c_alpha_tau (r_beta vs r_alpha_tau).
     A swap of equal symbols is Inconclusive (nothing to be done; also no
     numeric change).
+
+    One :func:`_leq` call on the stacked counts of the base sums and the two
+    side totals decides every order between them; the rules are walked on
+    that matrix, and only the rule returned renders its reason lines.
     """
     if not ctx.symbolic:
         raise ValueError("titrate_check needs a symbolic context")
@@ -565,54 +553,61 @@ def titrate_check(ctx: TranspositionContext) -> RelationVerdict:
             RelationKind.INCONCLUSIVE,
             ("context: alpha = beta; the transposition is trivial",),
         )
-    header = tuple(_ctx_sum_lines(ctx))
+    # the base sums in the order of _decide_titration; a shared row (column)
+    # leaves only the column (row) base sum on each side
+    names = [name for name in ("r_beta", "c_beta", "r_alpha_tau", "c_alpha_tau")
+             if getattr(ctx, name) is not None]
+    counts = [getattr(ctx, name).counts for name in names]
+    beta_side, alpha_side = (0,), (1,)
+    if len(names) == 4:
+        beta_side, alpha_side = (0, 1), (2, 3)
+        names += ["r_beta + c_beta", "r_alpha_tau + c_alpha_tau"]
+        counts += [counts[0] + counts[1], counts[2] + counts[3]]
+    counts = np.array(counts)
+    leq = _leq(counts[:, None], counts[None, :]).tolist()
+    header = (
+        f"context: alpha = {_letter(ctx.alpha)}, beta = {_letter(ctx.beta)}",
+        *(f"  {names[x]} = {_render_counts(counts[x])}" for x in alpha_side + beta_side),
+    )
 
-    def side(*names: str) -> tuple[tuple[str, SymbolicSum], ...]:
-        # a shared row (column) leaves only the column (row) base sum
-        sums = ((name, getattr(ctx, name)) for name in names)
-        return tuple((name, val) for name, val in sums if val is not None)
+    def sums(x: int, y: int) -> str:
+        reason = _leq_reason(counts[x], counts[y])
+        return f"{_render_counts(counts[x])} <= {_render_counts(counts[y])}  [{reason}]"
 
-    def attempt(
-        low: tuple[tuple[str, SymbolicSum], ...], high: tuple[tuple[str, SymbolicSum], ...]
-    ) -> tuple[str, ...] | None:
+    def named(x: int, y: int) -> str:
+        return f"  {names[x]} <= {names[y]}: {sums(x, y)}"
+
+    def attempt(low: tuple[int, ...], high: tuple[int, ...]) -> tuple[str, ...] | None:
         """Prove that the 'low' side loses to the 'high' side."""
         if len(low) == 1:
-            shared = "row" if ctx.same_row else "column"
-            line = _named_leq(low[0], high[0])
-            if line is None:
+            if not leq[low[0]][high[0]]:
                 return None
+            shared = "row" if ctx.same_row else "column"
             rule = f"rule base-comparison (entries share a {shared}; {shared} factors cancel):"
-            return (rule, line)
+            return (rule, named(low[0], high[0]))
+        (l0, l1), (h0, h1) = low, high
         # monotonicity shortcut: injective pairwise domination
-        for (i0, i1) in ((0, 1), (1, 0)):
-            pair = (_named_leq(low[0], high[i0]), _named_leq(low[1], high[i1]))
-            if None not in pair:
-                return ("rule monotonicity: both base sums dominated pairwise",) + pair
+        for (i0, i1) in ((h0, h1), (h1, h0)):
+            if leq[l0][i0] and leq[l1][i1]:
+                return ("rule monotonicity: both base sums dominated pairwise",
+                        named(l0, i0), named(l1, i1))
         # titration: minimum provably on the low side + base-sum comparison
         for cand in low:
-            lines = [f"rule titration: minimum of the four base sums is {cand[0]}"]
-            for other in low + high:
-                if other is cand:
-                    continue
-                line = _named_leq(cand, other)
-                if line is None:
-                    break
-                lines.append(line)
-            else:
+            others = [x for x in low + high if x != cand]
+            if all(leq[cand][x] for x in others):
                 break
         else:
             return None
-        low_total = low[0][1] + low[1][1]
-        high_total = high[0][1] + high[1][1]
-        ok, reason = _prove_leq(low_total, high_total)
-        if not ok:
+        low_total, high_total = (4, 5) if low == (0, 1) else (5, 4)
+        if not leq[low_total][high_total]:
             return None
-        return tuple(lines) + (
-            f"rule sum-comparison: {low[0][0]} + {low[1][0]} <= {high[0][0]} + {high[1][0]}",
-            f"  {low_total.render()} <= {high_total.render()}  [{reason}]",
+        return (
+            f"rule titration: minimum of the four base sums is {names[cand]}",
+            *(named(cand, x) for x in others),
+            f"rule sum-comparison: {names[low_total]} <= {names[high_total]}",
+            f"  {sums(low_total, high_total)}",
         )
 
-    beta_side, alpha_side = side("r_beta", "c_beta"), side("r_alpha_tau", "c_alpha_tau")
     for kind, low, high, effect in (
         (RelationKind.PROVEN_FORWARD, beta_side, alpha_side, "decrease"),
         (RelationKind.PROVEN_REVERSE, alpha_side, beta_side, "increase"),

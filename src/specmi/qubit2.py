@@ -352,15 +352,8 @@ def scan_axis(resolution: int) -> np.ndarray:
     return np.linspace(-1.0, 1.0, resolution)
 
 
-def octahedron_scan(function: str, resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate one information quantity over a grid of separable T-states.
-
-    Grids each correlation axis with ``resolution`` points on [-1, 1],
-    keeps the points of the separability octahedron (row-major grid
-    order), folds each to its descending spectrum, and evaluates
-    ``function`` (a key of SCAN_FUNCTIONS).  Returns (points, values):
-    an (Nx3) array of t-vectors and the matching value array, in nats.
-    """
+def _scan_grid(function: str, resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`octahedron_scan` as (axis, index, values); the points are ``axis[index]``."""
     if function not in SCAN_FUNCTIONS:
         raise ValueError(
             f"unknown scan function {function!r}; choose one of "
@@ -376,9 +369,9 @@ def octahedron_scan(function: str, resolution: int) -> tuple[np.ndarray, np.ndar
     # lists the kept points in row-major order.
     size = np.abs(axis)
     inside = (size[:, None, None] + size[None, :, None]) + size[None, None, :] <= 1.0 + EPSILON
-    points = np.stack([axis[i] for i in np.nonzero(inside)], axis=1)
+    index = np.stack(np.nonzero(inside), axis=1)
     del inside
-    u, v, w = points.T
+    u, v, w = axis[index].T
     spectra = np.stack(
         [
             (1.0 + u - v + w) / 4.0,
@@ -388,8 +381,21 @@ def octahedron_scan(function: str, resolution: int) -> tuple[np.ndarray, np.ndar
         ],
         axis=1,
     )
+    del u, v, w
     np.clip(spectra, 0.0, None, out=spectra)
     spectra.sort(axis=1)
     spectra = spectra[:, ::-1]
-    values = SCAN_FUNCTIONS[function](spectra)
-    return points, values
+    return axis, index, SCAN_FUNCTIONS[function](spectra)
+
+
+def octahedron_scan(function: str, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate one information quantity over a grid of separable T-states.
+
+    Grids each correlation axis with ``resolution`` points on [-1, 1],
+    keeps the points of the separability octahedron (row-major grid
+    order), folds each to its descending spectrum, and evaluates
+    ``function`` (a key of SCAN_FUNCTIONS).  Returns (points, values):
+    an (Nx3) array of t-vectors and the matching value array, in nats.
+    """
+    axis, index, values = _scan_grid(function, resolution)
+    return axis[index], values

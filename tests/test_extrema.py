@@ -442,6 +442,11 @@ def test_census_resume_without_checkpoint_starts_fresh(tmp_path):
     assert rep.samples_done == 2000
 
 
+def test_census_resume_needs_a_checkpoint_path():
+    with pytest.raises(ValueError, match="checkpoint"):
+        census(2, 3, 2000, 7, resume=True)
+
+
 @pytest.mark.parametrize(
     "rows",
     [
