@@ -61,6 +61,7 @@ from .orders import (
     RelationKind,
     _decide_majorisation,
     _decide_titration,
+    grid_display,
     majorisation_certificate,
     symbolic_transposition_context,
     titrate_check,
@@ -119,11 +120,6 @@ def word_to_grid(word: str, m: int, n: int) -> Grid:
         raise ValueError(f"word {word!r} does not fill a {m}x{n} grid")
     syms = [SYMBOL_LETTERS.index(ch) for ch in word]
     return tuple(tuple(syms[i * n : (i + 1) * n]) for i in range(m))
-
-
-def grid_display(grid: Sequence[Sequence[int]]) -> str:
-    """Word with a row separator, e.g. 'ade|fcb'."""
-    return "|".join("".join(SYMBOL_LETTERS[s] for s in row) for row in grid)
 
 
 def cycle_label_of_word(word: str) -> str:

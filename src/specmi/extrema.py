@@ -72,11 +72,13 @@ under the worker count, and blocks are accumulated in block order.
 """
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
+from typing import Iterator
 
 import numpy as np
 
@@ -86,6 +88,7 @@ from .core import EPSILON, Spectrum, sample_spectra, write_text_atomic
 from .orders import RelationKind, RelationVerdict
 
 __all__ = [
+    "MAX_BLOCK_SIZE",
     "ExtremaReport",
     "brute_force_extrema",
     "ConvergencePoint",
@@ -94,6 +97,11 @@ __all__ = [
     "census",
     "verify_theorem_chain",
 ]
+
+#: Largest ``block_size`` of :func:`census`.  ``sample_spectra`` draws a whole
+#: block at once, so peak memory grows with it: a 2x3 census peaks at about
+#: 41 MB RSS at block 2500, 102 MB at this cap and 180 MB at 1,000,000.
+MAX_BLOCK_SIZE = 100_000
 
 #: Largest samples-x-classes tile evaluated in one allocation; a block of
 #: samples is reduced tile by tile, so its memory stays bounded whatever the
@@ -117,8 +125,7 @@ _CHECKPOINT_SCHEMA = 1
 _spare_work: list[dict[str, np.ndarray]] = []
 
 #: A census records a convergence row, and rewrites its checkpoint, each time
-#: the samples done reach a multiple of this; the row at the last sample is
-#: recorded too.
+#: the samples done reach a multiple of this, and at the last sample.
 _RECORD_EVERY = 10_000
 
 
@@ -382,14 +389,9 @@ class _CensusState:
     convergence: list[ConvergencePoint]
 
 
-def _checkpoint_payload(state: _CensusState, m, n, samples, seed, block_size) -> dict:
+def _checkpoint_payload(state: _CensusState, params: dict) -> dict:
     return {
-        "schema_version": _CHECKPOINT_SCHEMA,
-        "m": m,
-        "n": n,
-        "samples": samples,
-        "seed": seed,
-        "block_size": block_size,
+        **params,
         "blocks_done": state.blocks_done,
         "max_hits": {str(i + 1): int(h) for i, h in enumerate(state.max_hits) if h},
         "min_hits": {str(i + 1): int(h) for i, h in enumerate(state.min_hits) if h},
@@ -405,8 +407,10 @@ def _write_checkpoint(path: str, payload: dict) -> None:
     write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _load_checkpoint(path: str, m, n, samples, seed, block_size, n_classes) -> _CensusState:
+def _load_checkpoint(path: str, params: dict, n_classes: int) -> _CensusState:
     """Read a checkpoint and check it against the census it should resume.
+
+    ``params`` holds the identity fields the file must repeat exactly.
 
     Any malformed, inconsistent or mismatched content raises
     CheckpointMismatchError; only failing to read the file raises OSError.
@@ -425,21 +429,14 @@ def _load_checkpoint(path: str, m, n, samples, seed, block_size, n_classes) -> _
         raise fail(f"is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise fail("is not a JSON object")
-    expected = {
-        "schema_version": _CHECKPOINT_SCHEMA,
-        "m": m,
-        "n": n,
-        "samples": samples,
-        "seed": seed,
-        "block_size": block_size,
-    }
-    for key, want in expected.items():
+    for key, want in params.items():
         got = payload.get(key)
         if type(got) is not int or got != want:
             raise fail(f"has {key}={got!r}, expected {want!r}")
     for key in ("blocks_done", "tie_events_max", "tie_events_min"):
         if not is_count(payload.get(key)):
             raise fail(f"has {key}={payload.get(key)!r}; it must be a non-negative integer")
+    samples, block_size = params["samples"], params["block_size"]
     n_blocks = (samples + block_size - 1) // block_size
     blocks_done = payload["blocks_done"]
     if blocks_done > n_blocks:
@@ -511,6 +508,21 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _in_order(pool: ThreadPoolExecutor, run_block, todo: range, threads: int) -> Iterator:
+    """``run_block(b)`` for each block of ``todo``, in order, run on ``pool``.
+
+    At most ``threads`` blocks are submitted past the one being waited for,
+    so the futures held stay bounded however many blocks the run has.
+    """
+    pending = collections.deque()
+    for b in todo:
+        pending.append(pool.submit(run_block, b))
+        if len(pending) > threads:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
 def census(
     m: int,
     n: int,
@@ -521,7 +533,6 @@ def census(
     block_size: int = 2500,
     checkpoint_path: str | None = None,
     resume: bool = False,
-    _max_blocks: int | None = None,
 ) -> CensusReport:
     """Randomized census of argmax/argmin classes over uniform spectra.
 
@@ -529,22 +540,25 @@ def census(
     ``block_size`` from its own deterministic child of ``seed``), evaluates
     every class, and tallies which classes attain the extremes.  The result
     is independent of ``workers``, of which at most as many as the process
-    has CPUs in its affinity mask run as threads at once.  With
-    ``resume=True`` and an existing checkpoint written by the same
-    parameters, continues where it left off; ``resume=True`` without a
-    ``checkpoint_path`` raises ValueError, and
-    a checkpoint for different parameters raises CheckpointMismatchError.
-    ``_max_blocks`` stops early after that many new blocks (for testing).
+    has CPUs in its affinity mask run as threads at once, each with at most
+    one block in flight past the one being tallied.  ``block_size`` above
+    ``MAX_BLOCK_SIZE`` raises ValueError.  With ``resume=True`` and an
+    existing checkpoint written by the same parameters, continues where it
+    left off; ``resume=True`` without a ``checkpoint_path`` raises
+    ValueError, and a checkpoint for different parameters raises
+    CheckpointMismatchError.
     """
-    for name, value in (
-        ("samples", samples),
-        ("workers", workers),
-        ("block_size", block_size),
-    ):
+    for name, value in (("samples", samples), ("workers", workers), ("block_size", block_size)):
         if value < 1:
             raise ValueError(f"census needs {name} >= 1")
+    if block_size > MAX_BLOCK_SIZE:
+        raise ValueError(f"census needs block_size <= {MAX_BLOCK_SIZE} (the cap), got {block_size}")
     if resume and not checkpoint_path:
         raise ValueError("census cannot resume without a checkpoint path (--checkpoint)")
+    params = dict(
+        schema_version=_CHECKPOINT_SCHEMA, m=m, n=n, samples=samples, seed=seed,
+        block_size=block_size,
+    )
     dec = _decomposition(m, n)
     n_classes = dec.term_counts.shape[1]
     mn = m * n
@@ -558,21 +572,13 @@ def census(
         tie_events_min=0,
         convergence=[],
     )
-    if resume and checkpoint_path and os.path.exists(checkpoint_path):
-        state = _load_checkpoint(
-            checkpoint_path, m, n, samples, seed, block_size, n_classes
-        )
+    if resume and os.path.exists(checkpoint_path):
+        state = _load_checkpoint(checkpoint_path, params, n_classes)
 
     def run_block(b: int) -> tuple[np.ndarray, np.ndarray, int, int]:
         size = min(block_size, samples - b * block_size)
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
-        )
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
         return _block_extrema(sample_spectra(mn, size, rng), dec)
-
-    todo = list(range(state.blocks_done, n_blocks))
-    if _max_blocks is not None:
-        todo = todo[:_max_blocks]
 
     def accumulate(b: int, result: tuple[np.ndarray, np.ndarray, int, int]) -> None:
         max_hits, min_hits, ties_max, ties_min = result
@@ -589,26 +595,19 @@ def census(
                 n_min_classes=int((state.min_hits > 0).sum()),
             )
             state.convergence.append(point)
-        if checkpoint_path and done % _RECORD_EVERY == 0:
-            _write_checkpoint(
-                checkpoint_path,
-                _checkpoint_payload(state, m, n, samples, seed, block_size),
-            )
+            if checkpoint_path:
+                _write_checkpoint(checkpoint_path, _checkpoint_payload(state, params))
 
-    if todo:
-        threads = min(workers, _usable_cpus())
+    todo = range(state.blocks_done, n_blocks)
+    threads = min(workers, _usable_cpus())
+    # One thread runs the blocks here; a pool creates its threads on demand.
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         if threads == 1:
-            for b in todo:
-                accumulate(b, run_block(b))
+            results = map(run_block, todo)
         else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for b, result in zip(todo, pool.map(run_block, todo)):
-                    accumulate(b, result)
-        if checkpoint_path:
-            _write_checkpoint(
-                checkpoint_path,
-                _checkpoint_payload(state, m, n, samples, seed, block_size),
-            )
+            results = _in_order(pool, run_block, todo, threads)
+        for b, result in zip(todo, results):
+            accumulate(b, result)
 
     return CensusReport(
         m=m,

@@ -83,6 +83,11 @@ __all__ = [
 SYMBOL_LETTERS = "abcdefghijkl"
 
 
+def grid_display(grid: Sequence[Sequence[int]]) -> str:
+    """Word with a row separator, e.g. 'ade|fcb'."""
+    return "|".join("".join(SYMBOL_LETTERS[s] for s in row) for row in grid)
+
+
 def _letter(sym: int) -> str:
     return SYMBOL_LETTERS[sym]
 
@@ -327,10 +332,6 @@ def _grid_col_sums(grid: Sequence[Sequence[int]]) -> list[SymbolicSum]:
     return [SymbolicSum(tuple(col)) for col in zip(*grid)]
 
 
-def _grid_label(grid: Sequence[Sequence[int]]) -> str:
-    return "|".join("".join(_letter(s) for s in row) for row in grid)
-
-
 def majorisation_certificate(
     grid_a: Sequence[Sequence[int]], grid_b: Sequence[Sequence[int]]
 ) -> tuple[str, ...] | None:
@@ -346,7 +347,7 @@ def majorisation_certificate(
     cols = vector_majorisation_certificate(_grid_col_sums(grid_a), _grid_col_sums(grid_b))
     if cols is None:
         return None
-    head = f"rule majorisation: {_grid_label(grid_a)} majorises {_grid_label(grid_b)}"
+    head = f"rule majorisation: {grid_display(grid_a)} majorises {grid_display(grid_b)}"
     return (head, "row sums:") + rows + ("column sums:",) + cols
 
 

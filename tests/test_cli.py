@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import importlib.util
 import io
+import itertools
 import json
 import math
 import os
@@ -19,7 +20,8 @@ from hypothesis import strategies as st
 from specmi import cli
 from specmi.cli import main
 from specmi.core import write_text_atomic
-from specmi.extrema import census
+from specmi import extrema
+from specmi.extrema import MAX_BLOCK_SIZE, census
 from specmi.qubit2 import MAX_SCAN_GRID, SCAN_FUNCTIONS, octahedron_scan
 
 DATA = Path(__file__).parent / "data"
@@ -217,6 +219,19 @@ def test_census_matches_golden_and_reruns_identically(capsys, tmp_path):
     assert second.read_bytes() == golden
 
 
+def test_census_checkpoint_matches_golden_and_resumes_to_the_census_golden(capsys, tmp_path):
+    golden = (DATA / "census_23_s7_20k_checkpoint.json").read_bytes()
+    written, resumed = tmp_path / "written.json", tmp_path / "resumed.json"
+    argv = ("census", "--m", "2", "--n", "3", "--samples", "20000", "--seed", "7")
+    code, _, _ = run(capsys, *argv, "--checkpoint", str(written))
+    assert code == 0
+    assert written.read_bytes() == golden
+    resumed.write_bytes(golden)
+    code, out, err = run(capsys, *argv, "--checkpoint", str(resumed), "--resume")
+    assert (code, out, err) == (0, (DATA / "census_23_s7_20k.json").read_text(), "")
+    assert resumed.read_bytes() == golden
+
+
 def test_census_worker_flag_keeps_output_identical(capsys, tmp_path):
     target = tmp_path / "census_w4.json"
     code, _, _ = run(
@@ -348,15 +363,26 @@ CHECKPOINT_KEYS = (
     "schema_version", "m", "n", "samples", "seed", "block_size", "blocks_done",
     "max_hits", "min_hits", "tie_events_max", "tie_events_min", "convergence",
 )
-FUZZ_CENSUS = ("census", "--m", "2", "--n", "3", "--samples", "5000", "--seed", "7",
+FUZZ_CENSUS = ("census", "--m", "2", "--n", "3", "--samples", "12000", "--seed", "7",
                "--block-size", "1000")
 
 
 @pytest.fixture(scope="module")
 def partial_checkpoint(tmp_path_factory):
     ck = tmp_path_factory.mktemp("fuzz") / "ck.json"
-    census(2, 3, 5000, 7, block_size=1000, checkpoint_path=str(ck), _max_blocks=2)
+    block_extrema, calls = extrema._block_extrema, itertools.count()
+
+    def interrupted(*args):  # the run stops when it reaches block 10
+        if next(calls) == 10:
+            raise RuntimeError("interrupted")
+        return block_extrema(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(extrema, "_block_extrema", interrupted)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            census(2, 3, 12000, 7, block_size=1000, checkpoint_path=str(ck))
     payload = json.loads(ck.read_text())
+    assert payload["blocks_done"] == 10
     assert sorted(payload) == sorted(CHECKPOINT_KEYS)
     return payload
 
@@ -379,6 +405,19 @@ def test_resuming_a_fuzzed_checkpoint_exits_cleanly(partial_checkpoint, key, val
 @example(text="1e308,1e308,0,0,0,0")  # finite entries whose sum overflows
 def test_any_spectrum_text_exits_cleanly(text):
     assert _exit_code(["extrema", "--m", "2", "--n", "3", f"--spectrum={text}"]) in (0, 2, 3)
+
+
+def test_census_block_size_over_the_cap_is_a_bad_argument(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a census over the block cap sampled spectra")
+
+    monkeypatch.setattr(extrema, "sample_spectra", no_work)
+    code, out, err = run(
+        capsys, "census", "--m", "2", "--n", "3", "--samples", "100000000", "--seed", "7",
+        "--block-size", "100000000",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and str(MAX_BLOCK_SIZE) in err
 
 
 def test_census_validates_samples(capsys):

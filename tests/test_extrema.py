@@ -6,6 +6,7 @@ import os
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -402,12 +403,20 @@ def test_census_seed_changes_the_tallies():
     assert a.max_hits != b.max_hits or a.min_hits != b.min_hits
 
 
-def test_census_checkpoint_resume_matches_direct_run(tmp_path):
+def test_census_checkpoint_resume_matches_direct_run(tmp_path, monkeypatch):
     ck = str(tmp_path / "census.json")
-    partial = census(
-        2, 3, 20_000, 7, block_size=1000, checkpoint_path=ck, _max_blocks=8,
-    )
-    assert partial.samples_done == 8000
+    block_extrema, calls = extrema._block_extrema, itertools.count()
+
+    def interrupted(*args):  # the run stops when it reaches block 10
+        if next(calls) == 10:
+            raise RuntimeError("interrupted")
+        return block_extrema(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(extrema, "_block_extrema", interrupted)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            census(2, 3, 20_000, 7, block_size=1000, checkpoint_path=ck)
+    assert json.loads(Path(ck).read_text())["blocks_done"] == 10
     resumed = census(
         2, 3, 20_000, 7, block_size=1000, checkpoint_path=ck, resume=True,
     )
@@ -427,6 +436,24 @@ def test_census_checkpoint_file_shape(tmp_path):
     assert payload["blocks_done"] == 3
     assert all(isinstance(k, str) for k in payload["max_hits"])
     assert sum(payload["max_hits"].values()) >= 3000
+
+
+@pytest.mark.parametrize("samples, blocks_done", [(20_000, [4, 8]), (25_000, [4, 8, 10])])
+def test_census_writes_its_checkpoint_once_per_recorded_row(
+    tmp_path, monkeypatch, samples, blocks_done
+):
+    written = []
+    write = extrema._write_checkpoint
+
+    def recording(path, payload):
+        written.append(payload["blocks_done"])
+        write(path, payload)
+
+    monkeypatch.setattr(extrema, "_write_checkpoint", recording)
+    ck = str(tmp_path / "census.json")
+    census(2, 3, samples, 7, block_size=2500, checkpoint_path=ck)
+    census(2, 3, samples, 7, block_size=2500, checkpoint_path=ck, resume=True)
+    assert written == blocks_done
 
 
 def test_census_checkpoint_mismatch_raises(tmp_path):
@@ -460,7 +487,7 @@ def test_census_resume_needs_a_checkpoint_path():
 )
 def test_census_resume_rejects_convergence_rows_it_did_not_record(tmp_path, rows):
     ck = tmp_path / "census.json"
-    census(2, 3, 20_000, 7, checkpoint_path=str(ck), _max_blocks=8)
+    census(2, 3, 20_000, 7, checkpoint_path=str(ck))
     payload = json.loads(ck.read_text())
     assert payload["convergence"] == [[10_000, 1, 5], [20_000, 1, 5]]
     payload["convergence"] = rows
@@ -499,6 +526,35 @@ def test_census_threads_are_capped_by_cpu_affinity(monkeypatch):
     assert rep.workers == 8
 
 
+def test_census_keeps_one_block_per_thread_in_flight(monkeypatch):
+    # Block 0 is held while the other thread runs whatever has been submitted;
+    # the census may submit only the two blocks after it before it waits.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    seed_0 = np.random.SeedSequence(entropy=7, spawn_key=(0,))
+    block_0 = sample_spectra(6, 1, np.random.Generator(np.random.PCG64(seed_0)))
+    submitted, submitted_while_held = [], []
+    submit = ThreadPoolExecutor.submit
+    block_extrema = extrema._block_extrema
+
+    def counting_submit(self, *args, **kwargs):
+        submitted.append(args)
+        return submit(self, *args, **kwargs)
+
+    def holding(spectra, dec):
+        if np.array_equal(spectra, block_0):
+            time.sleep(0.2)
+            submitted_while_held.append(len(submitted))
+        return block_extrema(spectra, dec)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
+    monkeypatch.setattr(extrema, "_block_extrema", holding)
+    rep = census(2, 3, 50, 7, workers=2, block_size=1)
+    assert len(submitted_while_held) == 1 and 1 <= submitted_while_held[0] <= 3
+    assert len(submitted) == 50
+    monkeypatch.undo()
+    assert dataclasses.replace(rep, workers=1) == census(2, 3, 50, 7, block_size=1)
+
+
 def test_census_validates_arguments():
     with pytest.raises(ValueError, match="samples"):
         census(2, 3, 0, 7)
@@ -506,6 +562,17 @@ def test_census_validates_arguments():
         census(2, 3, 100, 7, workers=0)
     with pytest.raises(ValueError, match="block_size"):
         census(2, 3, 100, 7, block_size=0)
+
+
+def test_census_rejects_a_block_over_the_cap_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a census over the block cap did work")
+
+    monkeypatch.setattr(extrema, "_decomposition", no_work)
+    monkeypatch.setattr(extrema, "sample_spectra", no_work)
+    cap = extrema.MAX_BLOCK_SIZE
+    with pytest.raises(ValueError, match=f"block_size <= {cap}"):
+        census(2, 3, 10 * cap, 7, block_size=cap + 1)
 
 
 def test_census_last_partial_block():

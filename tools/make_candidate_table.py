@@ -7,7 +7,7 @@ keeps the certified edges I(low) <= I(high).  On the max side, ``C`` is
 the set of classes no edge points above and ``F`` the other classes whose
 every edge up lands in ``C``; the min side is the mirror image.
 
-Run from the repository root (about 6 s in one process on a 2-vCPU VM)::
+Run from the repository root (about 4 s in one process on a 2-vCPU VM)::
 
     PYTHONPATH=src python3 tools/make_candidate_table.py
 
@@ -42,7 +42,7 @@ def _wrap_ints(values, indent):
 TABLE_HEADER = '''"""Certified evaluation sets of the census kernel for the 2x4, 3x3 and 2x5 shapes.
 
 Generated by ``tools/make_candidate_table.py`` from the certified
-titration edges I(low) <= I(high) between classes (about 6 s on 2 vCPUs)::
+titration edges I(low) <= I(high) between classes (about 4 s on 2 vCPUs)::
 
     PYTHONPATH=src python3 tools/make_candidate_table.py
 
