@@ -27,22 +27,21 @@ smaller of the two words is canonical.
 Certified edges between classes are derived here, once each.  One
 titration pass per shape, ``_certified_swaps``, decides every cell swap of
 every class in batch (``orders._decide_titration`` through
-``_titrated_swaps``).  The relation graph reads its swap edges from it,
-next to batched majorisation (``orders._decide_majorisation``), and
-``_titration_candidates`` derives the census kernel's candidate table from
-it.  An edge's proof text comes from the text provers only when it is
-read.  The relation graph that ``derive_relation`` reads keeps a reference
-to each edge's proof, and ``_edge_lines`` renders the edges of a printed
-chain once each (a cold 2x3 graph is decided in about 15 ms).
-``_search_tree`` keeps one breadth-first tree of the graph per source
-class, so each class's chains are searched once.  The 2x3 honeycomb
-decides its 95 majorisation pairs in one batch and its 4 chain steps in one
-titration batch, without the relation graph; a ``CertifiedEdge`` renders its
-certificate (read by ``extrema.verify_theorem_chain``) when first read.  A
-honeycomb pair the batch does not certify raises RuntimeError when the
-honeycomb is built, and a text prover that does not certify an edge the
-batch decided, in the graph or the honeycomb, raises RuntimeError when the
-edge's text is read.
+``_titrated_swaps``), and ``_titration_candidates`` derives the census
+kernel's candidate table from it.  The relation is read one class at a
+time: ``_relation_row`` decides a class's majorisations of every class in
+one batch (``orders._decide_majorisation``), adds its swap edges from the
+pass, and keeps a reference to each edge's proof; ``_edge_lines`` renders
+the edges of a printed chain once each.  ``_search_tree`` keeps one
+breadth-first tree per source class, so each class's chains are searched
+once and a cold query decides only the rows its search expands.  The 2x3
+honeycomb decides its 95 majorisation pairs in one batch and its 4 chain
+steps in one titration batch, without the relation rows; a
+``CertifiedEdge`` renders its certificate (read by
+``extrema.verify_theorem_chain``) when first read.  A honeycomb pair the
+batch does not certify raises RuntimeError when the honeycomb is built, and
+a text prover that does not certify an edge the batch decided, in a row or
+the honeycomb, raises RuntimeError when the edge's text is read.
 """
 from __future__ import annotations
 
@@ -97,7 +96,7 @@ __all__ = [
 
 #: Largest supported grid.  A shape has (mn)!/(m! n!) classes (half that
 #: when square): 15120 for 2x5, but 332,640 for 2x6 and 3,326,400 for 3x4,
-#: and every table, census and relation graph is built per class.
+#: and every table, census and relation row is built per class.
 MAX_CELLS = 10
 
 Grid = tuple[tuple[int, ...], ...]
@@ -396,26 +395,24 @@ def varpi(arrangement):
     return (top, (bottom[2], bottom[1], bottom[0]))
 
 
-def involution_xi(c: MatrixClass | int, table: ClassTable | None = None) -> MatrixClass:
+def involution_xi(c: MatrixClass | int) -> MatrixClass:
     """The mirror involution on classes: reverse the roles of the symbols.
 
     Relabels every symbol s as mn-1-s in the canonical representative (the
     k-th largest value becomes the k-th smallest) and canonicalises the
     result.  Equivalently, conjugates the class's positional permutation by
-    the order-reversing involution of the alphabet.
+    the order-reversing involution of the alphabet.  An int is a 2x3 class
+    index.
     """
-    if table is None:
-        table = class_table(c.m, c.n) if isinstance(c, MatrixClass) else r23_table()
-    cls = c if isinstance(c, MatrixClass) else table.get(int(c))
+    cls = c if isinstance(c, MatrixClass) else r23_table().get(int(c))
     mn = cls.m * cls.n
     mirrored = tuple(tuple(mn - 1 - s for s in row) for row in cls.canonical)
-    return canonical_form(mirrored, table=table)
+    return canonical_form(mirrored, table=class_table(cls.m, cls.n))
 
 
-def xi_pairs(table: ClassTable | None = None) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """Fixed points and swapped pairs of the mirror involution."""
-    if table is None:
-        table = r23_table()
+def xi_pairs() -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """Fixed points and swapped pairs of the mirror involution on the 2x3 classes."""
+    table = r23_table()
     fixed: list[int] = []
     pairs: list[tuple[int, int]] = []
     mirrored = table.m * table.n - 1 - table._grids
@@ -468,19 +465,19 @@ def standard_form_sets() -> StandardFormSets:
 
 
 # ---------------------------------------------------------------------------
-# Certified edges: titrated cell swaps and the all-pairs relation graph
+# Certified edges: titrated cell swaps and the relation, one class at a time
 # ---------------------------------------------------------------------------
 
-#: Shapes whose relation graph is built.  Deciding every edge of a larger
-#: shape, one process on a 2-vCPU VM, takes about 2 s for 2x4 (704,760
-#: ordered class pairs), and about 100 s for 3x3 and 16 min for 2x5
-#: (extrapolated from 1M pairs each); the majorisation pairs take nearly all
-#: of it, the cell swaps 0.1, 1.1 and 3.9 s.
+#: Shapes whose relation is searched.  A row costs one class's batch
+#: against every class: a median of about 0.4, 2.7, 18 and 44 ms for 2x3,
+#: 2x4, 3x3 and 2x5 (one process on a 2-vCPU VM), after a titration pass
+#: of 0.005, 0.12, 0.9 and 3.0 s.  It is the depth-4 search that stops
+#: larger shapes: it could expand thousands of 2x5 classes.
 RELATION_SHAPES = ((2, 2), (2, 3))
 
 
 def check_relation_shape(m: int, n: int) -> None:
-    """Raise ValueError unless the m x n relation graph is supported."""
+    """Raise ValueError unless the m x n relation is searched."""
     if (m, n) not in RELATION_SHAPES:
         supported = " and ".join(f"{a}x{b}" for a, b in RELATION_SHAPES)
         raise ValueError(f"relation supports the shapes {supported}, got {m}x{n}")
@@ -515,10 +512,11 @@ def _certified_swaps(m: int, n: int) -> tuple[np.ndarray, ...]:
     """Every certified swap of two cells in every class's canonical grid.
 
     Titrates the swaps of 2000 classes per batch, which bounds the batch's
-    memory.  Returns the arrays (src, a, b, dst, forward), in class then
-    cell-pair order, of the swaps of row-major cells a < b that take class
-    src to another class dst: I(src) <= I(dst) where forward, else
-    I(dst) <= I(src).
+    memory.  Returns the arrays (low, high, k, a, b), in class k then
+    cell-pair order, of the swaps of row-major cells a < b in the canonical
+    grid of class k that reach another class.  Each proves I(low) <=
+    I(high); k is low where the swap cannot decrease mutual information,
+    else high.
     """
     table = class_table(m, n)
     cells = np.array(list(itertools.combinations(range(m * n), 2)))
@@ -530,8 +528,9 @@ def _certified_swaps(m: int, n: int) -> tuple[np.ndarray, ...]:
         )
         swap = np.flatnonzero(kinds)
         swap = swap[images[swap] != lo + swap // len(cells) + 1]
-        src, (a, b) = lo + swap // len(cells) + 1, cells[swap % len(cells)].T
-        parts.append((src, a, b, images[swap], kinds[swap] > 0))
+        k, image, up = lo + swap // len(cells) + 1, images[swap], kinds[swap] > 0
+        a, b = cells[swap % len(cells)].T
+        parts.append((np.where(up, k, image), np.where(up, image, k), k, a, b))
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
@@ -543,8 +542,7 @@ def _titration_candidates(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     the other classes whose every edge up lands in ``C``; the min side is
     the mirror image.  Raises RuntimeError if the edges have a cycle.
     """
-    src, _, _, dst, forward = _certified_swaps(m, n)
-    low, high = np.where(forward, src, dst), np.where(forward, dst, src)
+    low, high = _certified_swaps(m, n)[:2]
     alive = np.arange(len(class_table(m, n)) + 1) > 0
     while alive.any():  # peel the classes with no live edge up
         tops = alive & (np.bincount(low[alive[low] & alive[high]], minlength=len(alive)) == 0)
@@ -559,58 +557,51 @@ def _titration_candidates(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sets)
 
 
-#: A relation-graph edge's reference to its proof: None for the majorisation
-#: of its end points, or (k, a, b) for the titrated swap of the row-major
-#: cells a < b in the canonical grid of class k, the edge's source when the
-#: swap cannot decrease mutual information and its target otherwise.
+#: A relation edge's reference to its proof: None for the majorisation of
+#: its end points, or (k, a, b) for the titrated swap of the row-major cells
+#: a < b in the canonical grid of class k, the edge's source when the swap
+#: cannot decrease mutual information and its target otherwise.
 _Proof = tuple[int, int, int] | None
 
 
 @functools.lru_cache(maxsize=None)
-def _relation_graph(m: int, n: int) -> dict[int, dict[int, _Proof]]:
-    """Directed certified edges i -> j meaning I(class i) <= I(class j).
+def _relation_row(m: int, n: int, i: int) -> dict[int, _Proof]:
+    """The certified edges i -> j, meaning I(class i) <= I(class j), of one class.
 
-    Edges come from symbolic matrix majorisation between class
-    representatives (the majoriser has the lower mutual information), in
-    (i, j) order, and from titrate-certified single transpositions of a
-    representative, in class then cell-pair order; the first proof of an
-    edge is kept.  Both are decided in batch, and each edge keeps only the
-    reference to its proof; :func:`_edge_lines` renders the text.
-    Only the shapes in RELATION_SHAPES are built.
+    First the classes that i majorises (the majoriser has the lower mutual
+    information), ascending, decided in one batch against every class; then
+    the high end of every titrated swap of :func:`_certified_swaps` whose
+    low end is i, in pass order.  An edge keeps its first proof, as a
+    reference only; :func:`_edge_lines` renders the text.
     """
-    check_relation_shape(m, n)
-    table = class_table(m, n)
-    grids, count = table._grids, len(table)
-    edges: dict[int, dict[int, _Proof]] = {i: {} for i in range(1, count + 1)}
-
-    pairs = np.argwhere(~np.eye(count, dtype=bool))
-    for i, j in (pairs[_decide_majorisation(grids[pairs[:, 0]], grids[pairs[:, 1]])] + 1).tolist():
-        edges[i][j] = None
-
-    for i, a, b, j, forward in zip(*(v.tolist() for v in _certified_swaps(m, n))):
-        if forward:
-            edges[i].setdefault(j, (i, a, b))
-        else:
-            edges[j].setdefault(i, (i, a, b))
-    return edges
+    grids = class_table(m, n)._grids
+    majorised = _decide_majorisation(np.broadcast_to(grids[i - 1], grids.shape), grids)
+    majorised[i - 1] = False
+    row: dict[int, _Proof] = dict.fromkeys((np.flatnonzero(majorised) + 1).tolist())
+    low, high, k, a, b = _certified_swaps(m, n)
+    mine = np.flatnonzero(low == i)
+    for j, *proof in zip(*(v[mine].tolist() for v in (high, k, a, b))):
+        row.setdefault(j, tuple(proof))
+    return row
 
 
 @functools.lru_cache(maxsize=None)
 def _search_tree(m: int, n: int, src: int) -> dict[int, int]:
-    """Breadth-first tree of the m x n relation graph from class src.
+    """Breadth-first tree of the m x n relation from class src.
 
     Maps every class within ``orders._SEARCH_DEPTH`` hops of src to its
     parent (src to itself).  Neighbours are expanded in sorted order and a
     class keeps the parent it was first discovered from, so the path read
     back from the tree is the one a search stopping at that class finds.
+    Only the shapes in RELATION_SHAPES are searched.
     """
-    edges = _relation_graph(m, n)
+    check_relation_shape(m, n)
     parent = {src: src}
     frontier = [src]
     for _ in range(_SEARCH_DEPTH):
         nxt = []
         for node in frontier:
-            for j in sorted(edges[node]):
+            for j in sorted(_relation_row(m, n, node)):
                 if j not in parent:
                     parent[j] = node
                     nxt.append(j)
@@ -638,13 +629,13 @@ def _certified_swap(
 
 @functools.lru_cache(maxsize=None)
 def _edge_lines(m: int, n: int, src: int, dst: int) -> tuple[str, ...]:
-    """The proof text of the edge src -> dst of the m x n relation graph.
+    """The proof text of the edge src -> dst of the m x n relation.
 
     Rendered by the text provers when first read, and kept.  Raises
     RuntimeError if the text prover does not certify the edge that the
-    batched decision put in the graph.
+    batched decision put in the row of src.
     """
-    proof = _relation_graph(m, n)[src][dst]
+    proof = _relation_row(m, n, src)[dst]
     table = class_table(m, n)
     if proof is None:
         return _certified_majorisation(table, src, dst)
@@ -777,7 +768,7 @@ def honeycomb() -> Honeycomb:
         CertifiedEdge(src, dst, "entropic", swap=(pos_a, pos_b))
         for src, pos_a, pos_b, dst in _CHAIN_STEPS
     ]
-    edges += [CertifiedEdge(lo, hi, "xi") for lo, hi in xi_pairs(table)[1]]
+    edges += [CertifiedEdge(lo, hi, "xi") for lo, hi in xi_pairs()[1]]
     return Honeycomb(hexagons=hexagons, edges=tuple(edges))
 
 

@@ -124,9 +124,15 @@ _CHECKPOINT_SCHEMA = 1
 #: 2500-sample 2x4 or 3x3 block, which doubled its time.
 _spare_work: list[dict[str, np.ndarray]] = []
 
-#: A census records a convergence row, and rewrites its checkpoint, each time
-#: the samples done reach a multiple of this, and at the last sample.
+#: A census records a convergence row, and rewrites its checkpoint, after each
+#: block whose samples done first reach or pass a multiple of this, and at
+#: the last sample.
 _RECORD_EVERY = 10_000
+
+
+def _records(done: int, block_size: int, samples: int) -> bool:
+    """Whether a census records a row at the block that ends at ``done`` samples."""
+    return done == samples or done // _RECORD_EVERY > (done - block_size) // _RECORD_EVERY
 
 
 @dataclasses.dataclass(frozen=True)
@@ -479,7 +485,7 @@ def _load_checkpoint(path: str, params: dict, n_classes: int) -> _CensusState:
     ):
         raise fail("has a convergence table that is not a list of three-count rows")
     dones = (min(b * block_size, samples) for b in range(1, blocks_done + 1))
-    recorded = [done for done in dones if done % _RECORD_EVERY == 0 or done == samples]
+    recorded = [done for done in dones if _records(done, block_size, samples)]
     if [row[0] for row in convergence] != recorded:
         raise fail(f"has convergence rows at other samples than the {len(recorded)} recorded")
     for col, side, hits in ((1, "max", tallies[0]), (2, "min", tallies[1])):
@@ -588,7 +594,7 @@ def census(
         state.tie_events_min += ties_min
         state.blocks_done = b + 1
         done = min(state.blocks_done * block_size, samples)
-        if done % _RECORD_EVERY == 0 or done == samples:
+        if _records(done, block_size, samples):
             point = ConvergencePoint(
                 samples=done,
                 n_max_classes=int((state.max_hits > 0).sum()),

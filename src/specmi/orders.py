@@ -679,9 +679,10 @@ def derive_relation(a, b, table=None) -> RelationVerdict:
     single transpositions, transitively composed up to four hops; only
     the edges of the chain found are rendered as text.  Chains are read
     from a per-source breadth-first tree (``classes._search_tree``), built
-    on the first query from that class and kept with the shape's graph.
-    The certified graph is built only for the shapes in
-    ``classes.RELATION_SHAPES``; other shapes raise ValueError.
+    on the first query from that class and kept; it reads the relation
+    rows (``classes._relation_row``) of the classes it expands.  Only the
+    shapes in ``classes.RELATION_SHAPES`` are searched; others raise
+    ValueError.
     """
     from . import classes as _classes
 

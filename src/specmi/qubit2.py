@@ -91,18 +91,27 @@ def tvector_from_spectrum(s: Spectrum) -> TVector:
     return TVector(t11=a - b + c - d, t22=-a + b + c - d, t33=a + b - c - d)
 
 
+def _tstate_eigenvalues(u, v, w):
+    """The four eigenvalues of the T-state with correlation diagonal (u, v, w).
+
+    The same expressions serve floats and equally shaped arrays.
+    """
+    return (
+        (1.0 + u - v + w) / 4.0,
+        (1.0 - u + v + w) / 4.0,
+        (1.0 + u + v - w) / 4.0,
+        (1.0 - u - v - w) / 4.0,
+    )
+
+
 def spectrum_from_tvector(t: TVector) -> tuple[tuple[float, float, float, float], bool]:
     """Eigenvalue 4-tuple of the T-state with correlation diagonal t.
 
     Returns the raw (unsorted) tuple and whether all four are nonnegative,
     i.e. whether t lies in the tetrahedron of valid states.
     """
-    u, v, w = t.t11, t.t22, t.t33
-    a = (1.0 + u - v + w) / 4.0
-    b = (1.0 - u + v + w) / 4.0
-    c = (1.0 + u + v - w) / 4.0
-    d = (1.0 - u - v - w) / 4.0
-    return (a, b, c, d), all(x >= -EPSILON for x in (a, b, c, d))
+    values = _tstate_eigenvalues(t.t11, t.t22, t.t33)
+    return values, all(x >= -EPSILON for x in values)
 
 
 #: Corners of the descending-spectrum domain used throughout: the pure-ish
@@ -371,17 +380,7 @@ def _scan_grid(function: str, resolution: int) -> tuple[np.ndarray, np.ndarray, 
     inside = (size[:, None, None] + size[None, :, None]) + size[None, None, :] <= 1.0 + EPSILON
     index = np.stack(np.nonzero(inside), axis=1)
     del inside
-    u, v, w = axis[index].T
-    spectra = np.stack(
-        [
-            (1.0 + u - v + w) / 4.0,
-            (1.0 - u + v + w) / 4.0,
-            (1.0 + u + v - w) / 4.0,
-            (1.0 - u - v - w) / 4.0,
-        ],
-        axis=1,
-    )
-    del u, v, w
+    spectra = np.stack(_tstate_eigenvalues(*axis[index].T), axis=1)
     np.clip(spectra, 0.0, None, out=spectra)
     spectra.sort(axis=1)
     spectra = spectra[:, ::-1]

@@ -5,25 +5,31 @@ feeders ``F``.  The kernel is exact only if every class outside ``C`` and
 ``F`` has a chain of certified edges that ends in ``F``; these tests
 re-derive the sets from one titration pass per shape, check that pass's
 edges at random spectra, and check the chains' existence instead of
-trusting the data.
+trusting the data.  They also test the paper's closing claim against the
+full relation (majorisation and titration edges): only 2x3 has a single
+undominated maximum.
 """
 import itertools
 
 import numpy as np
 import pytest
 
-from specmi import census, sample_spectra
-from specmi import extrema
+from specmi import census, majorisation_certificate, sample_spectra
+from specmi import classes, extrema
 from specmi._candidate_table import EVALUATION_SETS
 from specmi.classes import (
     _certified_swaps,
-    _relation_graph,
     _titration_candidates,
     class_table,
 )
 
 SHAPES = [(2, 4), (3, 3), (2, 5)]
 MINZ = {1, 7, 13, 25, 31}
+
+
+def _relation_graph(m, n):
+    """The whole m x n relation, read row by row."""
+    return {i: classes._relation_row(m, n, i) for i in range(1, len(class_table(m, n)) + 1)}
 
 
 def _sets(m, n):
@@ -33,8 +39,7 @@ def _sets(m, n):
 
 def _edges(m, n):
     """The certified edges ``(low, high)``, I(low) <= I(high), of the titration pass."""
-    src, _, _, dst, forward = _certified_swaps(m, n)
-    return np.where(forward, src, dst), np.where(forward, dst, src)
+    return _certified_swaps(m, n)[:2]
 
 
 @pytest.mark.parametrize("m,n", SHAPES)
@@ -99,10 +104,40 @@ def test_only_2x3_has_a_unique_candidate():
     assert sizes == {(2, 4): (7, 17), (3, 3): (18, 18), (2, 5): (40, 70)}
 
 
+def _undominated_maxima(m, n):
+    """The max-side candidates with no certified edge up in the full relation."""
+    return {i for i in _titration_candidates(m, n)[0] if not classes._relation_row(m, n, i)}
+
+
+def test_only_2x3_has_a_unique_undominated_maximum():
+    # the paper's closing claim against the full relation: majorisation
+    # edges remove two of 2x4's seven candidates and none of 3x3's or 2x5's
+    assert _undominated_maxima(2, 3) == {48}
+    assert _undominated_maxima(2, 4) == {360, 576, 672, 696, 768}
+    for shape, count in (((3, 3), 18), ((2, 5), 40)):
+        assert _undominated_maxima(*shape) == _sets(*shape)[0]
+        assert len(_sets(*shape)[0]) == count
+
+
+def test_the_majorisations_that_remove_2x4_maxima_hold_at_random_spectra():
+    table = class_table(2, 4)
+    edges = [(240, 504), (240, 696), (504, 696)]
+    removed = _sets(2, 4)[0] - _undominated_maxima(2, 4)
+    assert removed == {240, 504}
+    assert [(i, j) for i in sorted(removed) for j in classes._relation_row(2, 4, i)] == edges
+    for i, j in edges:  # the majoriser has the lower mutual information
+        assert majorisation_certificate(table.get(i).canonical, table.get(j).canonical)
+    dec = extrema._decomposition(2, 4)
+    spectra = sample_spectra(8, 256, np.random.default_rng(240))
+    totals = extrema._marginal_entropy_terms(spectra, dec.symbols_by_term) @ dec.term_counts
+    low, high = np.array(edges).T - 1
+    assert (totals[:, low] <= totals[:, high] + 1e-13).all()
+
+
 @pytest.mark.parametrize("m,n", SHAPES)
 def test_census_without_ties_credits_only_candidates(m, n):
     report = census(m, n, 20_000, 11)
     assert report.tie_events_max == report.tie_events_min == 0
     c_max, _, c_min, _ = _sets(m, n)
-    assert set(report.max_classes) <= c_max
+    assert set(report.max_classes) <= _undominated_maxima(m, n) <= c_max
     assert set(report.min_classes) <= c_min

@@ -495,7 +495,7 @@ def test_cold_honeycomb_derives_only_its_own_edges(monkeypatch, fresh_relation_c
     assert honeycomb_dot().encode() == (DATA / "honeycomb.dot").read_bytes()
     assert classes.honeycomb.__wrapped__() == hc
     assert calls == {"majorisation_certificate": 0, "titrate_check": 0}
-    assert classes._relation_graph.cache_info().currsize == 0
+    assert classes._relation_row.cache_info().currsize == 0
     certificates = [e.certificate for e in hc.edges]
     assert calls == {"majorisation_certificate": 95, "titrate_check": 4}
     assert [e.certificate for e in hc.edges] == certificates
@@ -583,17 +583,22 @@ def _text_relation_graph(m, n):
     return edges
 
 
+def _relation_graph(m, n):
+    """The whole m x n relation, read row by row."""
+    return {i: classes._relation_row(m, n, i) for i in range(1, len(class_table(m, n)) + 1)}
+
+
 @pytest.fixture
 def fresh_relation_caches(monkeypatch):
-    """New, empty memos of the relation graph, its search trees and edge texts for one test."""
-    for name in ("_relation_graph", "_search_tree", "_edge_lines"):
+    """New, empty memos of the relation rows, search trees and edge texts for one test."""
+    for name in ("_relation_row", "_search_tree", "_edge_lines"):
         fresh = functools.lru_cache(maxsize=None)(getattr(classes, name).__wrapped__)
         monkeypatch.setattr(classes, name, fresh)
 
 
 @pytest.mark.parametrize("m, n", [(2, 2), (2, 3)])
 def test_relation_graph_renders_what_the_text_provers_derive(m, n):
-    graph = classes._relation_graph(m, n)
+    graph = _relation_graph(m, n)
     rendered = {i: [(j, classes._edge_lines(m, n, i, j)) for j in out] for i, out in graph.items()}
     expected = {i: list(out.items()) for i, out in _text_relation_graph(m, n).items()}
     assert sum(map(len, expected.values())) == {(2, 2): 3, (2, 3): 498}[m, n]
@@ -608,7 +613,7 @@ def test_cold_relation_renders_only_the_edges_of_its_chain(monkeypatch, fresh_re
 
     with monkeypatch.context() as patch:
         patch.setattr(orders.SymbolicSum, "__post_init__", no_sums)
-        classes._relation_graph(2, 3)
+        _relation_graph(2, 3)
     assert calls == {"majorisation_certificate": 0, "titrate_check": 0}
     verdict = derive_relation(42, 48)
     hops = sum(line.startswith("step ") for line in verdict.certificate)
@@ -632,16 +637,29 @@ def test_cold_relation_builds_only_the_trees_it_reads(fresh_relation_caches, a, 
     assert classes._search_tree.cache_info().currsize == trees
 
 
+def test_cold_queries_decide_only_the_rows_they_search(fresh_relation_caches):
+    def decided(query):
+        classes._relation_row.cache_clear()
+        classes._search_tree.cache_clear()
+        query()
+        return classes._relation_row.cache_info().currsize
+
+    classes.honeycomb.cache_clear()
+    assert decided(honeycomb) == 0
+    pairs = [(42, 48), (48, 42), (37, 52), (44, 45)]
+    assert [decided(lambda: derive_relation(a, b)) for a, b in pairs] == [2, 2, 29, 28]
+
+
 def test_rejected_shapes_build_no_search_tree(fresh_relation_caches):
     for m, n in ((2, 4), (3, 3)):
         with pytest.raises(ValueError, match=f"got {m}x{n}"):
             derive_relation(1, 2, table=class_table(m, n))
     assert classes._search_tree.cache_info().currsize == 0
-    assert classes._relation_graph.cache_info().currsize == 0
+    assert classes._relation_row.cache_info().currsize == 0
 
 
 def test_rendering_an_edge_the_text_prover_rejects_raises(monkeypatch, fresh_relation_caches):
-    graph = classes._relation_graph(2, 3)
+    graph = _relation_graph(2, 3)
     i, j = next((i, j) for i, out in graph.items() for j, proof in out.items() if proof is None)
     monkeypatch.setattr(classes, "majorisation_certificate", lambda *args: None)
     with pytest.raises(RuntimeError, match=f"majorisation certificate for {i} -> {j}"):

@@ -443,12 +443,21 @@ def test_relation_inconclusive_pair_exit_code(capsys):
     assert "no certified chain" in out
 
 
-@pytest.mark.parametrize("a, b, code", [("37", "52", 0), ("44", "45", 1)])
-def test_relation_matches_golden(capsys, tmp_path, a, b, code):
-    golden = (DATA / f"relation_{a}_{b}.txt").read_bytes()
-    assert run(capsys, "relation", "--a", a, "--b", b) == (code, golden.decode(), "")
+@pytest.mark.parametrize(
+    "name, args, code",
+    [
+        ("relation_37_52.txt", "--a 37 --b 52", 0),
+        ("relation_44_45.txt", "--a 44 --b 45", 1),
+        ("relation_48_42.txt", "--a 48 --b 42", 0),
+        ("relation_2x2_3_1.txt", "--m 2 --n 2 --a 3 --b 1", 0),
+    ],
+    ids=["37-52-0", "44-45-1", "48-42-0", "2x2-3-1-0"],
+)
+def test_relation_matches_golden(capsys, tmp_path, name, args, code):
+    golden = (DATA / name).read_bytes()
+    assert run(capsys, "relation", *args.split()) == (code, golden.decode(), "")
     target = tmp_path / "relation.txt"
-    assert run(capsys, "relation", "--a", a, "--b", b, "--output", str(target)) == (code, "", "")
+    assert run(capsys, "relation", *args.split(), "--output", str(target)) == (code, "", "")
     assert target.read_bytes() == golden
 
 

@@ -388,6 +388,45 @@ def test_census_convergence_trace_is_cumulative():
         assert 1 <= p.n_min_classes <= 60
 
 
+@pytest.mark.parametrize(
+    "block_size, recorded",
+    [
+        (3000, [12_000, 21_000, 30_000, 42_000, 51_000, 60_000]),
+        (7000, [14_000, 21_000, 35_000, 42_000, 56_000, 60_000]),
+    ],
+)
+def test_census_records_each_block_that_reaches_or_passes_a_multiple_of_10000(
+    block_size, recorded
+):
+    rep = census(2, 3, 60_000, 7, block_size=block_size)
+    assert [p.samples for p in rep.convergence] == recorded
+
+
+@pytest.mark.parametrize(
+    "blocks, recorded", [(9, [12_000, 21_000]), (10, [12_000, 21_000, 30_000])]
+)
+def test_census_interrupted_off_the_10000_grid_resumes_to_the_direct_run(
+    tmp_path, monkeypatch, blocks, recorded
+):
+    ck = str(tmp_path / "census.json")
+    block_extrema, calls = extrema._block_extrema, itertools.count()
+
+    def interrupted(*args):  # the run stops once it has done `blocks` blocks
+        if next(calls) == blocks:
+            raise RuntimeError("interrupted")
+        return block_extrema(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(extrema, "_block_extrema", interrupted)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            census(2, 3, 60_000, 7, block_size=3000, checkpoint_path=ck)
+    payload = json.loads(Path(ck).read_text())
+    assert payload["blocks_done"] * 3000 == recorded[-1]
+    assert [row[0] for row in payload["convergence"]] == recorded
+    resumed = census(2, 3, 60_000, 7, block_size=3000, checkpoint_path=ck, resume=True)
+    assert resumed == census(2, 3, 60_000, 7, block_size=3000)
+
+
 def test_census_worker_count_does_not_change_the_tallies():
     a = census(2, 3, 10_000, 42, workers=1, block_size=1000)
     b = census(2, 3, 10_000, 42, workers=4, block_size=1000)

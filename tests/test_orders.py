@@ -31,7 +31,8 @@ from specmi import (
     vector_majorisation_certificate,
     vector_majorises,
 )
-from specmi.classes import _relation_graph, class_table, maxima_chain_steps, word_to_grid
+from specmi import classes
+from specmi.classes import class_table, maxima_chain_steps, word_to_grid
 from specmi.orders import (
     _SEARCH_DEPTH,
     SYMBOL_LETTERS,
@@ -581,6 +582,11 @@ def test_derive_relation_rejects_shapes_without_a_graph(monkeypatch, m, n):
             monkeypatch.setattr(f"{module}.{name}", no_work)
     with pytest.raises(ValueError, match=f"shapes 2x2 and 2x3, got {m}x{n}"):
         derive_relation(1, 2, table=table)
+
+
+def _relation_graph(m, n):
+    """The whole m x n relation, read row by row."""
+    return {i: classes._relation_row(m, n, i) for i in range(1, len(class_table(m, n)) + 1)}
 
 
 def _reference_bfs_path(edges, src, dst):
