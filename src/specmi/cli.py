@@ -127,6 +127,7 @@ def _run_extrema(args: argparse.Namespace) -> int:
 
 
 def _census_payload(report: CensusReport) -> dict:
+    max_classes, min_classes = report.max_classes, report.min_classes
     return {
         "schema_version": _SCHEMA_VERSION,
         "command": "census",
@@ -138,10 +139,10 @@ def _census_payload(report: CensusReport) -> dict:
         "block_size": report.block_size,
         "workers": report.workers,
         "n_classes": len(report.max_hits),
-        "max_classes": list(report.max_classes),
-        "min_classes": list(report.min_classes),
-        "max_hits": {str(i + 1): h for i, h in enumerate(report.max_hits) if h},
-        "min_hits": {str(i + 1): h for i, h in enumerate(report.min_hits) if h},
+        "max_classes": list(max_classes),
+        "min_classes": list(min_classes),
+        "max_hits": {str(c): report.max_hits[c - 1] for c in max_classes},
+        "min_hits": {str(c): report.min_hits[c - 1] for c in min_classes},
         "tie_events_max": report.tie_events_max,
         "tie_events_min": report.tie_events_min,
         "convergence": [

@@ -73,12 +73,17 @@ under the worker count, and blocks are accumulated in block order.
 from __future__ import annotations
 
 import collections
+import contextlib
+import ctypes
 import dataclasses
 import functools
+import itertools
 import json
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Iterator
+from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -158,14 +163,17 @@ def _decomposition(m: int, n: int) -> _TermDecomposition:
     # One symbol bitmask per marginal, in class order, rows before columns;
     # terms are numbered by first appearance in that sequence.
     masks = np.concatenate([bits.sum(axis=2), bits.sum(axis=1)], axis=1)
-    codes, first, inverse = np.unique(masks.ravel(), return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    terms = rank[inverse].reshape(masks.shape)
-    A = ((codes[order][None, :] >> np.arange(m * n)[:, None]) & 1).astype(np.float64)
+    first = np.full(1 << (m * n), masks.size)
+    np.minimum.at(first, masks.ravel(), np.arange(masks.size))
+    codes = np.flatnonzero(first < masks.size)
+    codes = codes[np.argsort(first[codes])]
+    number = np.empty_like(first)
+    number[codes] = np.arange(len(codes))
+    A = ((codes[None, :] >> np.arange(m * n)[:, None]) & 1).astype(np.float64)
+    # A class's marginals are distinct symbol sets, so no entry is set twice.
     G = np.zeros((len(codes), n_classes), dtype=np.float64)
-    np.add.at(G, (terms, np.arange(n_classes)[:, None]), 1.0)
+    G[number[masks], np.arange(n_classes)[:, None]] = 1.0
+    assert (G.sum(axis=0) == m + n).all()
 
     candidates = None
     if (m, n) in EVALUATION_SETS:
@@ -204,9 +212,8 @@ def _marginal_entropy_terms(
     shape = (spectra.shape[0], A.shape[1])
     sums = np.matmul(spectra, A, out=_work_array(work, "product", *shape))
     terms = _work_array(work, "terms", *shape)
-    terms.fill(1.0)
-    np.copyto(terms, sums, where=sums > 0)
-    np.log(terms, out=terms)
+    terms.fill(0.0)
+    np.log(sums, out=terms, where=sums > 0)
     terms *= sums
     return np.negative(terms, out=terms)
 
@@ -378,11 +385,11 @@ class CensusReport:
 
     @property
     def max_classes(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i, h in enumerate(self.max_hits) if h > 0)
+        return tuple(itertools.compress(range(1, len(self.max_hits) + 1), self.max_hits))
 
     @property
     def min_classes(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i, h in enumerate(self.min_hits) if h > 0)
+        return tuple(itertools.compress(range(1, len(self.min_hits) + 1), self.min_hits))
 
 
 @dataclasses.dataclass
@@ -395,12 +402,18 @@ class _CensusState:
     convergence: list[ConvergencePoint]
 
 
+def _credited_hits(hits: np.ndarray) -> dict[str, int]:
+    """The nonzero ``hits``, keyed by 1-based class index, in class order."""
+    credited = np.flatnonzero(hits)
+    return dict(zip(map(str, (credited + 1).tolist()), hits[credited].tolist()))
+
+
 def _checkpoint_payload(state: _CensusState, params: dict) -> dict:
     return {
         **params,
         "blocks_done": state.blocks_done,
-        "max_hits": {str(i + 1): int(h) for i, h in enumerate(state.max_hits) if h},
-        "min_hits": {str(i + 1): int(h) for i, h in enumerate(state.min_hits) if h},
+        "max_hits": _credited_hits(state.max_hits),
+        "min_hits": _credited_hits(state.min_hits),
         "tie_events_max": state.tie_events_max,
         "tie_events_min": state.tie_events_min,
         "convergence": [
@@ -514,6 +527,72 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+#: (prefix, suffix) of the thread-count functions of NumPy 2's bundled
+#: OpenBLAS, of an ILP64 build, and of a plain build, tried in this order.
+_OPENBLAS_SYMBOLS = (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", ""))
+
+
+@functools.cache
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The get and set functions of the thread count of NumPy's OpenBLAS, or None.
+
+    Looks for the library where NumPy's wheels bundle it.  Not
+    ``openblas_set_num_threads_local``: a pthreads build applies that one to
+    the whole process too.
+    """
+    pkg = Path(np.__file__).parent
+    for libdir in (pkg.parent / "numpy.libs", pkg / ".libs", pkg / ".dylibs"):
+        for path in sorted(libdir.glob("*openblas*")):
+            try:
+                lib = ctypes.CDLL(str(path))
+            except OSError:
+                continue
+            for prefix, suffix in _OPENBLAS_SYMBOLS:
+                get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return get, set_
+    return None
+
+
+#: Censuses inside :func:`_blas_budget`, and the OpenBLAS thread count the
+#: first of them found, which the last to leave restores.
+_budget_lock = threading.Lock()
+_budget_depth = 0
+_budget_prior = 0
+
+
+@contextlib.contextmanager
+def _blas_budget(threads: int) -> Iterator[None]:
+    """Cap OpenBLAS so that ``threads`` block threads times its threads fit the CPUs.
+
+    OpenBLAS would start a thread per CPU for each block thread's products.
+    The first census to enter caps the count at ``usable CPUs // threads``
+    (at least 1, never above the count it finds); the last to leave restores
+    it.  Without NumPy's OpenBLAS this does nothing.
+    """
+    global _budget_depth, _budget_prior
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    with _budget_lock:
+        if _budget_depth == 0:
+            _budget_prior = get()
+            set_(min(_budget_prior, max(1, _usable_cpus() // threads)))
+        _budget_depth += 1
+    try:
+        yield
+    finally:
+        with _budget_lock:
+            _budget_depth -= 1
+            if _budget_depth == 0:
+                set_(_budget_prior)
+
+
 def _in_order(pool: ThreadPoolExecutor, run_block, todo: range, threads: int) -> Iterator:
     """``run_block(b)`` for each block of ``todo``, in order, run on ``pool``.
 
@@ -553,6 +632,12 @@ def census(
     left off; ``resume=True`` without a ``checkpoint_path`` raises
     ValueError, and a checkpoint for different parameters raises
     CheckpointMismatchError.
+
+    While more than one thread runs, the thread count ``c`` of NumPy's
+    OpenBLAS is capped at ``min(c, max(1, cpus // threads))``, so it is
+    never raised, and ``c`` is restored when the census ends, also on an
+    error.  Other BLAS calls in the process get the capped count meanwhile.
+    Where NumPy's OpenBLAS is not found, the count is left alone.
     """
     for name, value in (("samples", samples), ("workers", workers), ("block_size", block_size)):
         if value < 1:
@@ -606,8 +691,10 @@ def census(
 
     todo = range(state.blocks_done, n_blocks)
     threads = min(workers, _usable_cpus())
-    # One thread runs the blocks here; a pool creates its threads on demand.
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    budget = _blas_budget(threads) if threads > 1 else contextlib.nullcontext()
+    # One thread runs the blocks here; a pool creates its threads on demand,
+    # and they are done before the budget ends.
+    with budget, ThreadPoolExecutor(max_workers=threads) as pool:
         if threads == 1:
             results = map(run_block, todo)
         else:
@@ -623,8 +710,8 @@ def census(
         seed=seed,
         block_size=block_size,
         workers=workers,
-        max_hits=tuple(int(h) for h in state.max_hits),
-        min_hits=tuple(int(h) for h in state.min_hits),
+        max_hits=tuple(state.max_hits.tolist()),
+        min_hits=tuple(state.min_hits.tolist()),
         tie_events_max=state.tie_events_max,
         tie_events_min=state.tie_events_min,
         convergence=tuple(state.convergence),

@@ -232,6 +232,19 @@ def test_census_checkpoint_matches_golden_and_resumes_to_the_census_golden(capsy
     assert resumed.read_bytes() == golden
 
 
+def test_threaded_2x5_census_and_checkpoint_match_their_goldens(capsys, tmp_path, monkeypatch):
+    # two block threads, so OpenBLAS runs capped, wherever this runs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    written, checkpoint = tmp_path / "census.json", tmp_path / "census.ck"
+    code, out, err = run(
+        capsys, "census", "--m", "2", "--n", "5", "--samples", "20000", "--seed", "7",
+        "--workers", "2", "--checkpoint", str(checkpoint), "--output", str(written),
+    )
+    assert (code, out, err) == (0, "", "")
+    assert written.read_bytes() == (DATA / "census_25_s7_20k.json").read_bytes()
+    assert checkpoint.read_bytes() == (DATA / "census_25_s7_20k_checkpoint.json").read_bytes()
+
+
 def test_census_worker_flag_keeps_output_identical(capsys, tmp_path):
     target = tmp_path / "census_w4.json"
     code, _, _ = run(

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import os
+import sys
 import threading
 import time
 import tracemalloc
@@ -186,10 +187,23 @@ def _loop_decomposition(m, n):
     return A, G
 
 
-@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (3, 3), (2, 5)])
-def test_decomposition_matches_the_loop_reference(m, n):
-    dec = extrema._decomposition(m, n)
-    A, G = _loop_decomposition(m, n)
+def _unique_decomposition(m, n):
+    """The term matrices built with ``np.unique``, a rank by first index and ``np.add.at``."""
+    table = extrema.class_table(m, n)
+    bits = np.left_shift(1, table._grids)
+    masks = np.concatenate([bits.sum(axis=2), bits.sum(axis=1)], axis=1)
+    codes, first, inverse = np.unique(masks.ravel(), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    terms = rank[inverse].reshape(masks.shape)
+    A = ((codes[order][None, :] >> np.arange(m * n)[:, None]) & 1).astype(np.float64)
+    G = np.zeros((len(codes), len(table)))
+    np.add.at(G, (terms, np.arange(len(table))[:, None]), 1.0)
+    return A, G
+
+
+def _assert_decomposition_is(dec, A, G, m, n):
     assert np.array_equal(dec.symbols_by_term, A)
     assert np.array_equal(dec.term_counts, G)
     cand = dec.candidates
@@ -202,6 +216,16 @@ def test_decomposition_matches_the_loop_reference(m, n):
         assert np.array_equal(cand.class_terms, rows)
         (max_c, *_), (min_c, *_) = cand.sides
         assert np.array_equal(max_c, c_max) and np.array_equal(min_c, c_min)
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (3, 3), (2, 5)])
+def test_decomposition_matches_the_loop_reference(m, n):
+    _assert_decomposition_is(extrema._decomposition(m, n), *_loop_decomposition(m, n), m, n)
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (3, 3), (2, 5)])
+def test_decomposition_matches_the_unique_and_add_at_reference(m, n):
+    _assert_decomposition_is(extrema._decomposition(m, n), *_unique_decomposition(m, n), m, n)
 
 
 def _tallies(spectra, dec):
@@ -349,6 +373,30 @@ def test_entropy_terms_equal_the_masked_log_bit_for_bit(m, n):
             assert (terms.view(np.int64) == expected.view(np.int64)).all()
 
 
+def _fill_copy_log_terms(spectra, A):
+    """``-s log s`` by filling 1, copying the positive sums over it, then one log."""
+    sums = spectra @ A
+    terms = np.ones_like(sums)
+    np.copyto(terms, sums, where=sums > 0)
+    np.log(terms, out=terms)
+    terms *= sums
+    return np.negative(terms, out=terms)
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (2, 5)])
+def test_entropy_terms_equal_the_fill_copy_log_steps_bit_for_bit(m, n):
+    # positive sums, sums of exactly 0 and sums of -1e-13 (round-off below 0)
+    dec = extrema._decomposition(m, n)
+    spectra = sample_spectra(m * n, 600, np.random.default_rng(m * n + 1))
+    spectra[::3, -3:] = 0.0
+    spectra[::6, -1] = -1e-13
+    sums = spectra @ dec.symbols_by_term
+    assert (sums > 0).any() and (sums == 0).any() and (sums == -1e-13).any()
+    terms = extrema._marginal_entropy_terms(spectra, dec.symbols_by_term)
+    expected = _fill_copy_log_terms(spectra, dec.symbols_by_term)
+    assert (terms.view(np.int64) == expected.view(np.int64)).all()
+
+
 def test_a_block_reuses_the_work_arrays_of_the_last():
     dec = extrema._decomposition(2, 5)
     spectra = sample_spectra(10, 2500, np.random.default_rng(12))
@@ -427,13 +475,104 @@ def test_census_interrupted_off_the_10000_grid_resumes_to_the_direct_run(
     assert resumed == census(2, 3, 60_000, 7, block_size=3000)
 
 
-def test_census_worker_count_does_not_change_the_tallies():
-    a = census(2, 3, 10_000, 42, workers=1, block_size=1000)
-    b = census(2, 3, 10_000, 42, workers=4, block_size=1000)
-    assert a.max_hits == b.max_hits
-    assert a.min_hits == b.min_hits
-    assert a.tie_events_max == b.tie_events_max
-    assert a.tie_events_min == b.tie_events_min
+@pytest.mark.parametrize("m,n", [(2, 3), (2, 4), (3, 3), (2, 5)])
+def test_census_worker_count_does_not_change_the_tallies(monkeypatch, m, n):
+    # two threads, each with its capped BLAS, against one thread with the full count
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    a = census(m, n, 10_000, 42, workers=1, block_size=1000)
+    b = census(m, n, 10_000, 42, workers=4, block_size=1000)
+    assert dataclasses.replace(b, workers=1) == a
+
+
+def _blas_thread_count():
+    """The get function of NumPy's OpenBLAS thread count; skips where it cannot be capped."""
+    blas = extrema._openblas_threads()
+    if blas is None:
+        pytest.skip("NumPy's OpenBLAS is not found")
+    get, _ = blas
+    if get() == 1:
+        pytest.skip("OpenBLAS already runs one thread")
+    return get
+
+
+def _recording_blas_threads(monkeypatch, get):
+    """The BLAS thread counts that ``_block_extrema`` calls see, in call order."""
+    counts = []
+    block_extrema = extrema._block_extrema
+
+    def recording(*args):
+        counts.append(get())
+        return block_extrema(*args)
+
+    monkeypatch.setattr(extrema, "_block_extrema", recording)
+    return counts
+
+
+def test_census_caps_blas_threads_only_while_it_runs_threads(monkeypatch):
+    get = _blas_thread_count()
+    prior = get()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    counts = _recording_blas_threads(monkeypatch, get)
+    census(2, 3, 4000, 7, workers=2, block_size=500)
+    assert counts == [1] * 8
+    assert get() == prior
+    counts.clear()
+    census(2, 3, 4000, 7, workers=1, block_size=500)
+    assert counts == [prior] * 8
+    assert get() == prior
+
+
+def test_census_restores_blas_threads_after_a_failing_block(monkeypatch):
+    get = _blas_thread_count()
+    prior = get()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    block_extrema, calls = extrema._block_extrema, itertools.count()
+
+    def failing(*args):
+        if next(calls) == 2:
+            raise RuntimeError("block failed")
+        return block_extrema(*args)
+
+    monkeypatch.setattr(extrema, "_block_extrema", failing)
+    with pytest.raises(RuntimeError, match="block failed"):
+        census(2, 3, 10_000, 7, workers=2, block_size=500)
+    assert get() == prior
+
+
+def test_concurrent_censuses_restore_blas_threads(monkeypatch):
+    # more censuses than CPUs, each with two block threads, started together
+    get = _blas_thread_count()
+    prior = get()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    counts = _recording_blas_threads(monkeypatch, get)
+    block_extrema = extrema._block_extrema
+    seeds = (7, 8, 9, 10)
+    first_blocks = [
+        sample_spectra(6, 500, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,))))
+        for seed in seeds
+    ]
+    all_running = threading.Barrier(len(seeds), timeout=30)
+
+    def meeting(spectra, dec):  # each census's first block waits for the others'
+        if any(np.array_equal(spectra, first) for first in first_blocks):
+            all_running.wait()
+        return block_extrema(spectra, dec)
+
+    def run(seed):
+        return census(2, 3, 10_000, seed, workers=2, block_size=500)
+
+    monkeypatch.setattr(extrema, "_block_extrema", meeting)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(seeds)) as pool:
+            reports = list(pool.map(run, seeds))
+    finally:
+        sys.setswitchinterval(interval)
+    assert counts == [1] * 20 * len(seeds)
+    assert get() == prior
+    monkeypatch.undo()
+    assert reports == [run(seed) for seed in seeds]
 
 
 def test_census_seed_changes_the_tallies():
