@@ -38,7 +38,7 @@ once and a cold query decides only the rows its search expands.  The 2x3
 honeycomb decides its 95 majorisation pairs in one batch and its 4 chain
 steps in one titration batch, without the relation rows; a
 ``CertifiedEdge`` renders its certificate (read by
-``extrema.verify_theorem_chain``) when first read.  A honeycomb pair the
+``verify_theorem_chain``) when first read.  A honeycomb pair the
 batch does not certify raises RuntimeError when the honeycomb is built, and
 a text prover that does not certify an edge the batch decided, in a row or
 the honeycomb, raises RuntimeError when the edge's text is read.
@@ -58,6 +58,7 @@ from .orders import (
     SYMBOL_LETTERS,
     _SEARCH_DEPTH,
     RelationKind,
+    RelationVerdict,
     _decide_majorisation,
     _decide_titration,
     grid_display,
@@ -90,7 +91,7 @@ __all__ = [
     "Honeycomb",
     "honeycomb",
     "maxima_chain_steps",
-    "cross_pairs",
+    "verify_theorem_chain",
     "honeycomb_dot",
 ]
 
@@ -694,11 +695,6 @@ def maxima_chain_steps() -> tuple[tuple[int, tuple[int, int], tuple[int, int], i
     return _CHAIN_STEPS
 
 
-def cross_pairs() -> tuple[tuple[int, int], ...]:
-    """The cross-hexagon majorisation pairs (majoriser, majorised)."""
-    return _CROSS_PAIRS
-
-
 @dataclasses.dataclass(frozen=True)
 class CertifiedEdge:
     """A directed certified relation of the honeycomb: I(class src) <= I(class dst).
@@ -770,6 +766,29 @@ def honeycomb() -> Honeycomb:
     ]
     edges += [CertifiedEdge(lo, hi, "xi") for lo, hi in xi_pairs()[1]]
     return Honeycomb(hexagons=hexagons, edges=tuple(edges))
+
+
+def verify_theorem_chain() -> list[RelationVerdict]:
+    """Render every certificate behind the 2x3 extremal classification.
+
+    Returns one ProvenForward verdict per certified step of the cached
+    :func:`honeycomb`: the four titration-certified transpositions walking
+    the maximal-side candidates up to class 48, then the fifteen
+    cross-hexagon majorisations that eliminate the remaining candidates.
+    Each edge's certificate is rendered by the text provers when first
+    read; RuntimeError if one is not derivable.
+    """
+    hc = honeycomb()
+    majorisations = {(e.src, e.dst): e for e in hc.edges_of_kind("majorisation")}
+    headed = [
+        (f"chain step: class {e.src} -> class {e.dst} "
+         f"(swap positions {e.swap[0]} and {e.swap[1]})", e)
+        for e in hc.edges_of_kind("entropic")
+    ] + [
+        (f"cross edge: class {src} majorises class {dst}", majorisations[src, dst])
+        for src, dst in _CROSS_PAIRS
+    ]
+    return [RelationVerdict(RelationKind.PROVEN_FORWARD, (h,) + e.certificate) for h, e in headed]
 
 
 #: Version of the 2x3 class table that ``honeycomb_dot`` prints.

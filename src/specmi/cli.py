@@ -31,12 +31,11 @@ from .classes import check_relation_shape, class_table, honeycomb_dot
 from .core import SUM_TOLERANCE, Spectrum, write_text_atomic
 from .extrema import CensusReport, CheckpointMismatchError, brute_force_extrema, census
 from .orders import derive_relation
-from .qubit2 import MAX_SCAN_GRID, SCAN_FUNCTIONS, _scan_grid
+from .qubit2 import LN2, MAX_SCAN_GRID, SCAN_FUNCTIONS, _scan_grid
 
 __all__ = ["build_parser", "main"]
 
 _SCHEMA_VERSION = 1
-_LN2 = math.log(2.0)
 _SCAN_CHUNK_ROWS = 8192
 
 
@@ -66,7 +65,7 @@ def _fmt(v: float) -> str:
 
 
 def _rescale(value: float, log_base: str) -> float:
-    return value / _LN2 if log_base == "2" else value
+    return value / LN2 if log_base == "2" else value
 
 
 def _write_text(path: str | None, text: str | Iterable[str]) -> None:
@@ -223,7 +222,7 @@ def _scan_csv_chunks(axis: np.ndarray, index: np.ndarray, values: np.ndarray) ->
 def _run_qubit2_scan(args: argparse.Namespace) -> int:
     axis, index, values = _scan_grid(args.function.replace("-", "_"), args.grid)
     if args.log_base == "2":
-        values = values / _LN2
+        values = values / LN2
     _write_text(args.output, _scan_csv_chunks(axis, index, values))
     return 0
 

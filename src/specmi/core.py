@@ -41,6 +41,7 @@ __all__ = [
     "ProbMatrix",
     "Marginals",
     "entropy_term",
+    "entropy_terms",
     "binary_entropy",
     "arrange",
     "marginals",
@@ -100,13 +101,18 @@ def _plain_xlogx_sum(values: Iterable[float]) -> float:
     return total
 
 
-def _xlogx_sum(values: np.ndarray) -> float:
-    """Sum of -v log v over an array, treating v <= 0 as contributing 0."""
-    v = np.asarray(values, dtype=float)
-    pos = v > 0.0
-    out = np.zeros_like(v)
-    out[pos] = -v[pos] * np.log(v[pos])
-    return float(out.sum())
+def entropy_terms(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``-v log v`` of every entry ``v`` of the float array ``x``, 0 where ``v <= 0``.
+
+    The package's one NumPy ``log``: :func:`entropy_term` over an array,
+    without its range check, written into ``out`` (``x``'s shape) or a new
+    array laid out as ``x``.  An entry where ``v`` is 0 or 1 is ``-0.0``.
+    """
+    out = np.empty_like(x) if out is None else out
+    out.fill(0.0)
+    np.log(x, out=out, where=x > 0.0)
+    out *= x
+    return np.negative(out, out=out)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -144,7 +150,7 @@ class Spectrum:
 
     def entropy(self) -> float:
         """Shannon entropy of the spectrum itself, sum_k H(lambda_k)."""
-        return _xlogx_sum(self.as_array())
+        return float(entropy_terms(self.as_array()).sum())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -279,18 +285,27 @@ def write_text_atomic(path: str, text: str | Iterable[str]) -> None:
     that raises included, the temporary file is removed and the target is
     left as it was.
     The new file gets the permissions a plain ``open`` would have given it.
+    A symbolic link stays, and the file it names is replaced.  A path that
+    exists and is not a regular file (a FIFO, a device) is written directly.
     """
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    if os.path.exists(path) and not os.path.isfile(path):  # nothing to replace
+        fd, tmp = os.open(path, os.O_WRONLY), None
+    else:
+        if os.path.islink(path):  # the temporary file goes beside the linked file
+            path = os.path.realpath(path)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             if isinstance(text, str):
                 fh.write(text)
             else:
                 fh.writelines(text)
-        umask = os.umask(0)  # the only way to read the umask is to set it
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
+        if tmp is not None:
+            umask = os.umask(0)  # the only way to read the umask is to set it
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, path)
     except BaseException:
-        os.unlink(tmp)
+        if tmp is not None:
+            os.unlink(tmp)
         raise

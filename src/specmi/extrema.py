@@ -88,9 +88,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from ._candidate_table import EVALUATION_SETS
-from .classes import class_table, cross_pairs, honeycomb, maxima_chain_steps
-from .core import EPSILON, Spectrum, sample_spectra, write_text_atomic
-from .orders import RelationKind, RelationVerdict
+from .classes import class_table
+from .core import EPSILON, Spectrum, entropy_terms, sample_spectra, write_text_atomic
 
 __all__ = [
     "MAX_BLOCK_SIZE",
@@ -100,7 +99,6 @@ __all__ = [
     "CensusReport",
     "CheckpointMismatchError",
     "census",
-    "verify_theorem_chain",
 ]
 
 #: Largest ``block_size`` of :func:`census`.  ``sample_spectra`` draws a whole
@@ -211,11 +209,7 @@ def _marginal_entropy_terms(
     work = {} if work is None else work
     shape = (spectra.shape[0], A.shape[1])
     sums = np.matmul(spectra, A, out=_work_array(work, "product", *shape))
-    terms = _work_array(work, "terms", *shape)
-    terms.fill(0.0)
-    np.log(sums, out=terms, where=sums > 0)
-    terms *= sums
-    return np.negative(terms, out=terms)
+    return entropy_terms(sums, out=_work_array(work, "terms", *shape))
 
 
 def _dense_tally(
@@ -717,28 +711,3 @@ def census(
         convergence=tuple(state.convergence),
     )
 
-
-def verify_theorem_chain() -> list[RelationVerdict]:
-    """Render every certificate behind the 2x3 extremal classification.
-
-    Returns one ProvenForward verdict per certified step of the cached
-    :func:`~specmi.classes.honeycomb`: the four titration-certified
-    transpositions walking the maximal-side candidates up to class 48, then
-    the fifteen cross-hexagon majorisations that eliminate the remaining
-    candidates.  Each edge's certificate is rendered by the text provers
-    when first read; RuntimeError if one is not derivable.
-    """
-    hc = honeycomb()
-    majorisations = {(e.src, e.dst): e for e in hc.edges_of_kind("majorisation")}
-    out: list[RelationVerdict] = []
-    for (src, pos_a, pos_b, dst), edge in zip(maxima_chain_steps(), hc.edges_of_kind("entropic")):
-        header = (
-            f"chain step: class {src} -> class {dst} "
-            f"(swap positions {pos_a} and {pos_b})"
-        )
-        out.append(RelationVerdict(RelationKind.PROVEN_FORWARD, (header,) + edge.certificate))
-    for src, dst in cross_pairs():
-        header = f"cross edge: class {src} majorises class {dst}"
-        edge = majorisations[(src, dst)]
-        out.append(RelationVerdict(RelationKind.PROVEN_FORWARD, (header,) + edge.certificate))
-    return out

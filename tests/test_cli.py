@@ -10,6 +10,7 @@ import math
 import os
 import stat
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -522,12 +523,13 @@ def _assert_same_text(got, want):
     assert len(got_lines) == len(want_lines), "one text is a prefix of the other"
 
 
-def test_qubit2_scan_matches_golden_and_reruns_identically(capsys, tmp_path):
-    golden = (DATA / "qubit2_scan_gamma_max_grid5.csv").read_bytes()
+@pytest.mark.parametrize("function", [name.replace("_", "-") for name in SCAN_FUNCTIONS])
+def test_qubit2_scan_matches_golden_and_reruns_identically(capsys, tmp_path, function):
+    golden = (DATA / f"qubit2_scan_{function.replace('-', '_')}_grid5.csv").read_bytes()
     for name in ("scan_a.csv", "scan_b.csv"):
         target = tmp_path / name
         code, _, _ = run(
-            capsys, "qubit2-scan", "--function", "gamma-max", "--grid", "5",
+            capsys, "qubit2-scan", "--function", function, "--grid", "5",
             "--output", str(target),
         )
         assert code == 0
@@ -617,6 +619,42 @@ def test_atomic_write_of_chunks_that_raise_keeps_the_old_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
     write_text_atomic(str(target), iter(["a,b\n", "", "c,d\n"]))
     assert target.read_text() == "a,b\nc,d\n"
+
+
+def test_output_through_a_symlink_replaces_the_linked_file(capsys, tmp_path):
+    real = tmp_path / "real" / "honeycomb.dot"
+    real.parent.mkdir()
+    link = tmp_path / "link.dot"
+    link.symlink_to(real)  # dangling: the first write creates the linked file
+    golden = (DATA / "honeycomb.dot").read_bytes()
+    for old in (None, "old\n"):
+        if old is not None:
+            real.write_text(old)
+        code, out, _ = run(capsys, "honeycomb", "--output", str(link))
+        assert (code, out) == (0, "")
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_bytes() == golden
+        assert [p.name for p in real.parent.iterdir()] == ["honeycomb.dot"]
+
+
+def test_output_to_a_fifo_writes_through_it(capsys, tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+
+    def read():
+        with open(fifo, "rb") as fh:
+            received.append(fh.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    code, out, _ = run(capsys, "honeycomb", "--output", str(fifo))
+    reader.join(timeout=30)
+    assert not reader.is_alive(), "the reader got no writer"
+    assert (code, out) == (0, "")
+    assert received == [(DATA / "honeycomb.dot").read_bytes()]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
 
 def test_qubit2_scan_rejects_a_grid_over_the_cap_before_allocating(capsys):

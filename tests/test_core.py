@@ -50,6 +50,21 @@ def test_entropy_term_bounded_by_inverse_e(x):
     assert 0.0 <= entropy_term(x) <= 1.0 / math.e + EPSILON
 
 
+def test_entropy_terms_match_the_masked_product_in_place_and_fresh():
+    rng = np.random.default_rng(7)
+    x = np.concatenate([rng.random(1000), [0.0, 1.0, -1e-17, 1e-300, 0.5]]).reshape(5, -1)
+    pos = x > 0.0
+    want = np.zeros_like(x)
+    want[pos] = -x[pos] * np.log(x[pos])
+    out = np.full_like(x, np.nan)
+    assert core.entropy_terms(x, out=out) is out
+    fresh, reversed_ = core.entropy_terms(x), core.entropy_terms(x[:, ::-1])
+    for got, ref in ((out, want), (fresh, want), (reversed_, want[:, ::-1])):
+        assert np.array_equal(got, ref)  # zeros are equal whatever their sign
+        assert got.tobytes() == np.where(ref == 0.0, got, ref).tobytes()
+    assert np.signbit(out[(x == 0.0) | (x == 1.0)]).all()
+
+
 def test_binary_entropy_values():
     assert binary_entropy(0.5) == pytest.approx(math.log(2.0), abs=1e-15)
     assert binary_entropy(0.75) == pytest.approx(0.5623351446188084, abs=1e-15)
