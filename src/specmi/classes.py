@@ -25,10 +25,13 @@ same listing holds each class twice, as a grid and its transpose, and the
 smaller of the two words is canonical.
 
 Certified edges between classes are derived here, once each.  One
-titration pass per shape, ``_certified_swaps``, decides every cell swap of
-every class in batch (``orders._decide_titration`` through
-``_titrated_swaps``), and ``_titration_candidates`` derives the census
-kernel's candidate table from it.  The relation is read one class at a
+titration pass per shape, ``_titration_pass``, decides every cell swap of
+every class in batch (``orders._decide_swaps``), reading the class each
+swap reaches from the action of symbol exchanges on classes
+(``_exchanges``); ``_certified_swaps`` keeps it for the relation rows.
+``_titration_candidates`` derives the census kernel's candidate sets from a
+pass of its own, when a census of 2x4, 3x3 or 2x5 first runs
+(``extrema._census_decomposition``).  The relation is read one class at a
 time: ``_relation_row`` decides a class's majorisations of every class in
 one batch (``orders._decide_majorisation``), adds its swap edges from the
 pass, and keeps a reference to each edge's proof; ``_edge_lines`` renders
@@ -49,7 +52,7 @@ import dataclasses
 import functools
 import itertools
 import operator
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -60,7 +63,10 @@ from .orders import (
     RelationKind,
     RelationVerdict,
     _decide_majorisation,
+    _decide_swaps,
     _decide_titration,
+    _line_masks,
+    _verdicts,
     grid_display,
     majorisation_certificate,
     symbolic_transposition_context,
@@ -330,11 +336,15 @@ def _canonical_codes(grids: np.ndarray) -> np.ndarray:
     return np.minimum.reduce(codes)
 
 
+def _class_rows(grids: np.ndarray, table: ClassTable) -> np.ndarray:
+    """0-based classes of a (count, m, n) batch of symbol grids of the table's shape."""
+    return np.searchsorted(table._codes, _canonical_codes(grids))
+
+
 def _classes_of(grids: Sequence[Grid] | np.ndarray, table: ClassTable) -> list[MatrixClass]:
     """Classes of a batch of symbol grids of the table's shape, in one pass."""
     batch = np.array(grids, dtype=np.int64).reshape(len(grids), table.m, table.n)
-    rows = np.searchsorted(table._codes, _canonical_codes(batch))
-    return [table.classes[i] for i in rows.tolist()]
+    return [table.classes[i] for i in _class_rows(batch, table).tolist()]
 
 
 def enumerate_classes(m: int, n: int) -> ClassTable:
@@ -470,9 +480,9 @@ def standard_form_sets() -> StandardFormSets:
 # ---------------------------------------------------------------------------
 
 #: Shapes whose relation is searched.  A row costs one class's batch
-#: against every class: a median of about 0.4, 2.7, 18 and 44 ms for 2x3,
+#: against every class: a median of about 0.3, 1.7, 10 and 22 ms for 2x3,
 #: 2x4, 3x3 and 2x5 (one process on a 2-vCPU VM), after a titration pass
-#: of 0.005, 0.12, 0.9 and 3.0 s.  It is the depth-4 search that stops
+#: of 0.002, 0.006, 0.03 and 0.1 s.  It is the depth-4 search that stops
 #: larger shapes: it could expand thousands of 2x5 classes.
 RELATION_SHAPES = ((2, 2), (2, 3))
 
@@ -484,76 +494,131 @@ def check_relation_shape(m: int, n: int) -> None:
         raise ValueError(f"relation supports the shapes {supported}, got {m}x{n}")
 
 
-def _titrated_swaps(
-    table: ClassTable, grids: np.ndarray, cells: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Titrate the swap of two cells in each grid of a batch.
+def _exchanges(table: ClassTable) -> np.ndarray:
+    """The classes that exchanging two symbols carries each class to.
 
-    ``grids`` is a (swaps, m, n) array of symbol grids of the table's shape,
-    ``cells`` a (swaps, 2) array of two distinct row-major cells per grid.
-    Returns, per swap, the verdict of ``orders._decide_titration`` (1: the
-    swap cannot decrease mutual information, -1: it cannot increase it, 0:
-    inconclusive) and the 1-based class of the swapped grid, 0 where the
-    verdict is inconclusive.  Only the images of certified swaps are
-    canonicalised, in one batch.
+    Returns ``images``, an (mn, mn, classes) int16 array: for symbols s < t,
+    ``images[s, t, k]`` is the 0-based class of class k's canonical grid
+    with s and t exchanged (other entries are 0).
+
+    Exchanging two symbols is the swap of the two cells that hold them.  It
+    commutes with permuting rows and columns, so it acts on classes, and a
+    product of exchanges acts as the product of their actions.  Two actions
+    are read by classifying every class grid once: the exchange of 0 and 1,
+    and the cycle s -> s + 1 (mod mn).  Conjugating (s s+1) by the cycle
+    gives (s+1 s+2), and conjugating (s t-1) by (t-1 t) gives (s t).
     """
-    kinds = _decide_titration(grids, cells)
-    hit = np.flatnonzero(kinds)
-    images = grids[hit].reshape(len(hit), -1)
-    k, a, b = np.arange(len(hit)), cells[hit, 0], cells[hit, 1]
-    images[k, a], images[k, b] = images[k, b], images[k, a]
-    classes = np.zeros(len(kinds), dtype=np.int64)
-    codes = _canonical_codes(images.reshape(len(hit), table.m, table.n))
-    classes[hit] = np.searchsorted(table._codes, codes) + 1
-    return kinds, classes
+    grids, mn = table._grids, table.m * table.n
+    cycle = _class_rows((grids + 1) % mn, table)
+    uncycle = np.empty_like(cycle)
+    uncycle[cycle] = np.arange(len(cycle))
+    images = np.zeros((mn, mn, len(table)), dtype=np.int16)
+    images[0, 1] = _class_rows(np.where(grids < 2, 1 - grids, grids), table)
+    for s in range(1, mn - 1):
+        images[s, s + 1] = cycle[images[s - 1, s][uncycle]]
+    for t in range(2, mn):
+        step = images[t - 1, t]
+        for s in range(t - 1):
+            images[s, t] = step[images[s, t - 1][step]]
+    return images
+
+
+def _titration_pass(
+    m: int, n: int
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Titrate the swap of every two symbols in every class's canonical grid.
+
+    The swap of symbols s and t in class k's grid, which carries k to class
+    j, mirrors the swap of s and t in j's grid, which carries j back to k.
+    The mirror's base sums are the swap's with the beta and alpha-tau sides
+    exchanged, so it proves forward what the swap proves in reverse, and the
+    other way round.  So the rules run once per mirrored pair, in the class
+    k < j: per pair of symbols s < t, one batch, yielded as ``(s, t, k, j,
+    forward, reverse)`` with 0-based classes k < j and the two directions
+    the rules prove for the swap in k (forward: I(k) <= I(j)).  A swap that
+    carries a class to itself is never titrated.
+    """
+    table = class_table(m, n)
+    mn, classes = m * n, np.arange(len(table))
+    # the row and the column through each symbol, symbol-major
+    cell_of = np.argsort(table._grids.reshape(len(table), mn), axis=1)
+    rows, cols = _line_masks(table._grids)
+    rows = np.take_along_axis(rows, cell_of // n, axis=1).T.copy()
+    cols = np.take_along_axis(cols, cell_of % n, axis=1).T.copy()
+    exchanged = _exchanges(table)
+    for s, t in itertools.combinations(range(mn), 2):
+        own = np.flatnonzero(classes < exchanged[s, t])
+        lines = rows[t, own], cols[t, own], rows[s, own], cols[s, own]
+        yield s, t, own, exchanged[s, t, own], *_decide_swaps(m, n, *lines, 1 << s | 1 << t)
 
 
 @functools.lru_cache(maxsize=None)
 def _certified_swaps(m: int, n: int) -> tuple[np.ndarray, ...]:
     """Every certified swap of two cells in every class's canonical grid.
 
-    Titrates the swaps of 2000 classes per batch, which bounds the batch's
-    memory.  Returns the arrays (low, high, k, a, b), in class k then
-    cell-pair order, of the swaps of row-major cells a < b in the canonical
-    grid of class k that reach another class.  Each proves I(low) <=
-    I(high); k is low where the swap cannot decrease mutual information,
-    else high.
+    Returns the arrays (low, high, k, a, b), in class k then cell-pair
+    order, of the swaps of row-major cells a < b in the canonical grid of
+    class k that reach another class: int16 classes and int8 cells, 3.3 MB
+    at 2x5.  Each proves I(low) <= I(high); k is low where the swap cannot
+    decrease mutual information, else high.  Read from
+    :func:`_titration_pass`, and kept for the relation rows.
     """
     table = class_table(m, n)
-    cells = np.array(list(itertools.combinations(range(m * n), 2)))
-    parts = []
-    for lo in range(0, len(table), 2000):
-        grids = table._grids[lo : lo + 2000]
-        kinds, images = _titrated_swaps(
-            table, np.repeat(grids, len(cells), axis=0), np.tile(cells, (len(grids), 1))
-        )
-        swap = np.flatnonzero(kinds)
-        swap = swap[images[swap] != lo + swap // len(cells) + 1]
-        k, image, up = lo + swap // len(cells) + 1, images[swap], kinds[swap] > 0
-        a, b = cells[swap % len(cells)].T
-        parts.append((np.where(up, k, image), np.where(up, image, k), k, a, b))
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    mn = m * n
+    cells = np.array(list(itertools.combinations(range(mn), 2)), dtype=np.int8)
+    pair_of = np.zeros((mn, mn), dtype=np.intp)  # the index of the cell pair (a, b)
+    pair_of[cells[:, 0], cells[:, 1]] = pair_of[cells[:, 1], cells[:, 0]] = range(len(cells))
+    cell_of = np.argsort(table._grids.reshape(len(table), mn), axis=1)
+    # per class and cell pair, in that order: the verdict and the 1-based image
+    kinds = np.zeros((len(table), len(cells)), dtype=np.int8)
+    images = np.zeros((len(table), len(cells)), dtype=np.int16)
+    for s, t, k, j, forward, reverse in _titration_pass(m, n):
+        for src, dst, kind in ((k, j, _verdicts(forward, reverse)), (j, k, _verdicts(reverse, forward))):
+            pair = pair_of[cell_of[src, s], cell_of[src, t]]
+            kinds[src, pair], images[src, pair] = kind, dst + 1
+    certified = kinds != 0
+    k, a, b = (
+        np.broadcast_to(v, kinds.shape)[certified]
+        for v in (np.arange(1, len(table) + 1, dtype=np.int16)[:, None], cells[:, 0], cells[:, 1])
+    )
+    image, up = images[certified], kinds[certified] > 0
+    return np.where(up, k, image), np.where(up, image, k), k, a, b
 
 
+@functools.lru_cache(maxsize=None)
 def _titration_candidates(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     """The census kernel's evaluation sets ``(C_max, F_max, C_min, F_min)``.
 
-    Read from the edges I(low) <= I(high) of :func:`_certified_swaps`.  On
-    the max side, ``C`` holds the classes no edge points above and ``F``
-    the other classes whose every edge up lands in ``C``; the min side is
-    the mirror image.  Raises RuntimeError if the edges have a cycle.
+    Read from the certified edges I(low) <= I(high) of a
+    :func:`_titration_pass`, which are not kept: a census needs the sets
+    only.  Each edge is read from the swap the pass titrates, not again from
+    its mirror.  On the max side, ``C`` holds the classes no edge points
+    above and ``F`` the other classes whose every edge up lands in ``C``;
+    the min side is the mirror image.  Raises RuntimeError if the edges have
+    a cycle.
     """
-    low, high = _certified_swaps(m, n)[:2]
-    alive = np.arange(len(class_table(m, n)) + 1) > 0
-    while alive.any():  # peel the classes with no live edge up
-        tops = alive & (np.bincount(low[alive[low] & alive[high]], minlength=len(alive)) == 0)
-        if not tops.any():
-            raise RuntimeError(f"the {m}x{n} titration edges have a cycle")
-        alive &= ~tops
+    edges = [
+        (np.concatenate([k[forward], j[reverse]]), np.concatenate([j[forward], k[reverse]]))
+        for _, _, k, j, forward, reverse in _titration_pass(m, n)
+    ]
+    low, high = (np.concatenate(ends).astype(np.int16) + 1 for ends in zip(*edges))
+    size = len(class_table(m, n)) + 1
+    # peel the classes with no edge up, then the edges into them (Kahn's algorithm)
+    by_head = np.argsort(high, kind="stable")
+    tails, ends = low[by_head], np.cumsum(np.bincount(high, minlength=size)).tolist()
+    up = np.bincount(low, minlength=size)
+    tops, left = np.flatnonzero(up[1:] == 0) + 1, size - 1
+    while len(tops):
+        left -= len(tops)
+        into = np.concatenate([tails[ends[top - 1] : ends[top]] for top in tops.tolist()])
+        up -= np.bincount(into, minlength=size)
+        tops = np.flatnonzero((up == 0) & (np.bincount(into, minlength=size) > 0))
+    if left:
+        raise RuntimeError(f"the {m}x{n} titration edges have a cycle")
     sets = []
     for tail, head in ((low, high), (high, low)):
-        c = np.bincount(tail, minlength=len(alive)) == 0
-        f = ~c & (np.bincount(tail[~c[head]], minlength=len(alive)) == 0)
+        c = np.bincount(tail, minlength=size) == 0
+        f = ~c & (np.bincount(tail[~c[head]], minlength=size) == 0)
         sets += [tuple(np.flatnonzero(c)[1:].tolist()), tuple(np.flatnonzero(f).tolist())]
     return tuple(sets)
 
@@ -757,7 +822,12 @@ def honeycomb() -> Honeycomb:
         raise RuntimeError(f"expected a majorisation certificate for {src} -> {dst}")
     edges = [CertifiedEdge(src, dst, "majorisation") for src, dst in pairs]
     steps = np.array([(src, 3 * ia + ja, 3 * ib + jb) for src, (ia, ja), (ib, jb), _ in _CHAIN_STEPS])
-    kinds, images = _titrated_swaps(table, table._grids[steps[:, 0] - 1], steps[:, 1:])
+    grids = table._grids[steps[:, 0] - 1]
+    kinds = _decide_titration(grids, steps[:, 1:])
+    images = grids.reshape(len(steps), -1)
+    k, a, b = np.arange(len(steps)), steps[:, 1], steps[:, 2]
+    images[k, a], images[k, b] = images[k, b], images[k, a]
+    images = _class_rows(images.reshape(grids.shape), table) + 1
     if kinds.tolist() != [1] * len(steps) or images.tolist() != [s[3] for s in _CHAIN_STEPS]:
         raise RuntimeError("a chain step is not a certified swap into its class")
     edges += [

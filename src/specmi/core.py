@@ -25,6 +25,7 @@ Conventions
 from __future__ import annotations
 
 import dataclasses
+import errno
 import itertools
 import math
 import os
@@ -285,14 +286,18 @@ def write_text_atomic(path: str, text: str | Iterable[str]) -> None:
     that raises included, the temporary file is removed and the target is
     left as it was.
     The new file gets the permissions a plain ``open`` would have given it.
-    A symbolic link stays, and the file it names is replaced.  A path that
-    exists and is not a regular file (a FIFO, a device) is written directly.
+    A symbolic link stays, and the file it names is replaced, or created if
+    the link dangles; a link that loops raises OSError (``ELOOP``), as a
+    plain ``open`` would.  A path that exists and is not a regular file (a
+    FIFO, a device) is written directly.
     """
     if os.path.exists(path) and not os.path.isfile(path):  # nothing to replace
         fd, tmp = os.open(path, os.O_WRONLY), None
     else:
         if os.path.islink(path):  # the temporary file goes beside the linked file
             path = os.path.realpath(path)
+            if os.path.islink(path):  # resolution stopped in a loop
+                raise OSError(errno.ELOOP, os.strerror(errno.ELOOP), path)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:

@@ -23,21 +23,25 @@ tally or tie count changed.  Memory stays at a tile's boolean masks: a
 side without ties has exactly one hit per sample, read from its ``rows``
 positions in the mask, and only a side with ties is counted per sample.
 
-Census tiles of 2x4, 3x3 and 2x5 evaluate only the classes of a certified
-table, ``_candidate_table``.  On the max side, ``C`` holds the classes that
-no certified titration edge I(x) <= I(y) points above, and ``F`` the other
-classes whose every edge up lands in ``C``.  So every other class has an
-edge up to a class outside ``C``, and the edges have no cycle: every walk
-along such edges ends in ``F``, and whenever a class outside ``C`` and
-``F`` is within some band of the maximum, a class of ``F`` is too.  The
-tests re-derive the table from the titration pass
-(``classes._titration_candidates``) and check its edges at random spectra.  The min side is the mirror image.  The kernel computes the totals
-of the classes ``[C_max | F_max | C_min | F_min]`` only (2x5: 536 of 15120),
-as one product of their term counts with the tile's terms, the min side's
-counts negated so that both extremes are maxima.  A row credits the
-candidate that is the only class of ``C`` within ``EPSILON + _SLACK`` of
-its extreme over ``C`` and ``F``, when no class of ``F`` is in that band,
-on both sides; every other row is tallied by the dense product.
+Census tiles of 2x4, 3x3 and 2x5 evaluate only certified candidate
+classes.  On the max side, ``C`` holds the classes that no certified
+titration edge I(x) <= I(y) points above, and ``F`` the other classes
+whose every edge up lands in ``C``.  So every other class has an edge up to
+a class outside ``C``, and the edges have no cycle: every walk along such
+edges ends in ``F``, and whenever a class outside ``C`` and ``F`` is within
+some band of the maximum, a class of ``F`` is too.  The min side is the
+mirror image.  The sets are derived from one titration pass per shape
+(``classes._titration_candidates``, 0.1-0.15 s at 2x5 on a 2-vCPU VM)
+when a census of the shape first runs, in ``_census_decomposition``;
+``brute_force_extrema`` and ``_decomposition`` never titrate.  The tests
+pin the sets and check the pass's edges at random spectra.  The kernel
+computes the totals of the classes ``[C_max | F_max | C_min | F_min]`` only
+(2x5: 536 of 15120), as one product of their term counts with the tile's
+terms, the min side's counts negated so that both extremes are maxima.  A
+row credits the candidate that is the only class of ``C`` within ``EPSILON
++ _SLACK`` of its extreme over ``C`` and ``F``, when no class of ``F`` is
+in that band, on both sides; every other row is tallied by the dense
+product.
 
 Exactness.  The certificates order exact totals, so computed totals must
 be close to them.  The rows must be the entropy terms of descending spectra
@@ -87,9 +91,9 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from ._candidate_table import EVALUATION_SETS
-from .classes import class_table
+from .classes import _titration_candidates, class_table
 from .core import EPSILON, Spectrum, entropy_terms, sample_spectra, write_text_atomic
+from .orders import _line_masks
 
 __all__ = [
     "MAX_BLOCK_SIZE",
@@ -115,6 +119,9 @@ _ELEMENT_BUDGET = 4_000_000
 #: above the 4 delta < 3.1e-14 by which a gap between two classes can differ
 #: between the pruned and the dense kernel (see above).
 _SLACK = 1e-13
+
+#: Shapes whose census tiles evaluate only candidate classes (see above).
+_PRUNED_SHAPES = ((2, 4), (3, 3), (2, 5))
 
 _CHECKPOINT_SCHEMA = 1
 
@@ -157,10 +164,9 @@ class _TermDecomposition:
 def _decomposition(m: int, n: int) -> _TermDecomposition:
     table = class_table(m, n)
     n_classes = len(table)
-    bits = np.left_shift(1, table._grids)
     # One symbol bitmask per marginal, in class order, rows before columns;
     # terms are numbered by first appearance in that sequence.
-    masks = np.concatenate([bits.sum(axis=2), bits.sum(axis=1)], axis=1)
+    masks = np.concatenate(_line_masks(table._grids), axis=1)
     first = np.full(1 << (m * n), masks.size)
     np.minimum.at(first, masks.ravel(), np.arange(masks.size))
     codes = np.flatnonzero(first < masks.size)
@@ -172,23 +178,54 @@ def _decomposition(m: int, n: int) -> _TermDecomposition:
     G = np.zeros((len(codes), n_classes), dtype=np.float64)
     G[number[masks], np.arange(n_classes)[:, None]] = 1.0
     assert (G.sum(axis=0) == m + n).all()
+    return _TermDecomposition(symbols_by_term=A, term_counts=G, candidates=None)
 
-    candidates = None
-    if (m, n) in EVALUATION_SETS:
-        c_max, f_max, c_min, f_min = (
-            np.array(s.split(), dtype=np.int64) - 1 for s in EVALUATION_SETS[m, n]
-        )
-        split = len(c_max) + len(f_max)
-        class_terms = np.ascontiguousarray(G[:, np.concatenate([c_max, f_max, c_min, f_min])].T)
-        class_terms[split:] *= -1.0
-        candidates = _Candidates(
-            class_terms=class_terms,
-            sides=(
-                (c_max, slice(0, len(c_max)), slice(len(c_max), split)),
-                (c_min, slice(split, split + len(c_min)), slice(split + len(c_min), None)),
-            ),
-        )
-    return _TermDecomposition(symbols_by_term=A, term_counts=G, candidates=candidates)
+
+@functools.lru_cache(maxsize=None)
+def _census_decomposition(m: int, n: int) -> _TermDecomposition:
+    """The decomposition a census evaluates: a pruned shape's carries its candidates.
+
+    The candidates of 2x4, 3x3 and 2x5 are derived here from one titration
+    pass (``classes._titration_candidates``) when a census of the shape
+    first runs; 2x2 and 2x3 take the dense product alone.
+    """
+    dec = _decomposition(m, n)
+    if (m, n) not in _PRUNED_SHAPES:
+        return dec
+    c_max, f_max, c_min, f_min = (
+        np.array(s, dtype=np.intp) - 1 for s in _titration_candidates(m, n)
+    )
+    _trim_heap()
+    split = len(c_max) + len(f_max)
+    class_terms = np.ascontiguousarray(
+        dec.term_counts[:, np.concatenate([c_max, f_max, c_min, f_min])].T
+    )
+    class_terms[split:] *= -1.0
+    candidates = _Candidates(
+        class_terms=class_terms,
+        sides=(
+            (c_max, slice(0, len(c_max)), slice(len(c_max), split)),
+            (c_min, slice(split, split + len(c_min)), slice(split + len(c_min), None)),
+        ),
+    )
+    return dataclasses.replace(dec, candidates=candidates)
+
+
+def _trim_heap() -> None:
+    """Hand the C heap's free memory back to the system, where glibc can.
+
+    The titration pass frees megabytes of temporaries, and glibc keeps up to
+    twice the largest block it has freed at the top of the heap.  Census
+    blocks on other threads do not reuse it: without this, a process that
+    ran five two-worker 2x5 censuses peaked about 3.5 MB (3%) higher.
+    """
+    try:
+        trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    except (OSError, TypeError):  # no process-wide symbol table to search
+        return
+    if trim is not None:
+        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+        trim(0)
 
 
 def _work_array(work: dict[str, np.ndarray], name: str, rows: int, cols: int) -> np.ndarray:
@@ -644,7 +681,7 @@ def census(
         schema_version=_CHECKPOINT_SCHEMA, m=m, n=n, samples=samples, seed=seed,
         block_size=block_size,
     )
-    dec = _decomposition(m, n)
+    dec = _census_decomposition(m, n)
     n_classes = dec.term_counts.shape[1]
     mn = m * n
     n_blocks = (samples + block_size - 1) // block_size

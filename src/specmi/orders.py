@@ -19,13 +19,14 @@ greedy matching of the left residue ``max(-d, 0)`` into the right residue
 ``max(d, 0)`` exists iff, for every symbol t, the left residue holds no
 more symbols up to t than the right residue holds strictly before t (a
 prefix-count test).  :func:`_leq` applies that one rule to count arrays of
-any leading shape: the batched deciders :func:`_decide_majorisation` and
-:func:`_decide_titration` call it on whole tables at once, and the text
-provers render their reason lines (common part, matched pairs, leftover)
-from the same counts, so a certificate is only ever the trace of a
-decision made by this rule.  The subset rule of majorisation is likewise
-one function, :func:`_subset_dominance`, which the batched decision reduces
-and :func:`vector_majorisation_certificate` reads to render its proof.
+any leading shape: the batched decider :func:`_decide_majorisation` calls
+it on whole tables at once, :func:`_decide_titration` reads it from a table
+it builds once per shape (:func:`_set_order`), and the text provers render
+their reason lines (common part, matched pairs, leftover) from the same
+counts, so a certificate is only ever the trace of a decision made by this
+rule.  The subset rule of majorisation is likewise one function,
+:func:`_subset_dominance`, which the batched decision reduces and
+:func:`vector_majorisation_certificate` reads to render its proof.
 
 The prover is deliberately incomplete: a verdict of ``Inconclusive`` means
 "not derivable by these rules", not "false".  Verdicts state non-strict
@@ -103,10 +104,12 @@ def _leq(low: np.ndarray, high: np.ndarray) -> np.ndarray:
     the batched deciders pass int8 counts of at most 12 symbols, while the
     counts of a :class:`SymbolicSum` are platform integers of any size.
     """
-    d = np.subtract(high, low)
-    left = np.cumsum(np.maximum(-d, 0), axis=-1, dtype=d.dtype)
-    right = np.cumsum(np.maximum(d, 0), axis=-1, dtype=d.dtype)
-    return (left[..., 0] == 0) & (left[..., 1:] <= right[..., :-1]).all(axis=-1)
+    # symbols first: NumPy runs a cumulative sum or a reduction over a short
+    # last axis several times slower
+    d = np.ascontiguousarray(np.moveaxis(np.subtract(high, low), -1, 0))
+    left = np.cumsum(np.maximum(-d, 0), axis=0, dtype=d.dtype)
+    right = np.cumsum(np.maximum(d, 0), axis=0, dtype=d.dtype)
+    return (left[0] == 0) & (left[1:] <= right[:-1]).all(axis=0)
 
 
 def _render_counts(counts: np.ndarray) -> str:
@@ -627,6 +630,47 @@ def titrate_check(ctx: TranspositionContext) -> RelationVerdict:
     return RelationVerdict(RelationKind.INCONCLUSIVE, header + (failure,))
 
 
+def _line_masks(grids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symbol bitmasks (bit s: symbol s) of the rows and of the columns of grids.
+
+    ``grids`` is a (count, m, n) batch of symbol grids that each hold every
+    symbol once; returns (count, m) and (count, n) int16 arrays.  Each line
+    is ORed one position at a time, because a NumPy reduction over a short
+    axis is several times slower.
+    """
+    bits = np.left_shift(1, grids, dtype=np.int16)
+    rows, cols = bits[:, :, 0].copy(), bits[:, 0, :].copy()
+    for j in range(1, bits.shape[2]):
+        rows |= bits[:, :, j]
+    for i in range(1, bits.shape[1]):
+        cols |= bits[:, i, :]
+    return rows, cols
+
+
+@functools.cache
+def _set_order(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The :func:`_leq` order of the symbol sets that an m x n titration compares.
+
+    Returns ``(number, leq)``: ``number[mask]`` numbers each set of m, n or
+    m + n - 1 of the mn symbols (bit s of ``mask`` is symbol s), and -1
+    marks every other mask; ``leq[x, y]`` is ``_leq`` of the sets numbered
+    x and y where both are lines (m or n symbols) or both side totals (m +
+    n - 1 symbols), the only comparisons made, and False elsewhere.  A
+    lookup table of ``_leq``, not a second rule.
+    """
+    masks = np.arange(1 << (m * n))
+    counts = (masks[:, None] >> np.arange(m * n) & 1).astype(np.int8)
+    sizes = counts.sum(axis=1)
+    lines, totals = np.flatnonzero((sizes == m) | (sizes == n)), np.flatnonzero(sizes == m + n - 1)
+    number = np.full(len(masks), -1, dtype=np.intp)
+    number[np.concatenate([lines, totals])] = np.arange(len(lines) + len(totals))
+    leq = np.zeros((len(lines) + len(totals),) * 2, dtype=bool)
+    for block, sets in ((slice(0, len(lines)), lines), (slice(len(lines), None), totals)):
+        leq[block, block] = _leq(counts[sets, None], counts[None, sets])
+    number.flags.writeable = leq.flags.writeable = False  # shared by every caller
+    return number, leq
+
+
 def _decide_titration(grids: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Batched decision of :func:`titrate_check` for swaps of two cells.
 
@@ -635,33 +679,72 @@ def _decide_titration(grids: np.ndarray, cells: np.ndarray) -> np.ndarray:
     row-major cells per grid.  Returns an int8 verdict per swap: 1 for
     ``ProvenForward``, -1 for ``ProvenReverse``, 0 for ``Inconclusive``, by
     the rules of :func:`titrate_check`, forward first.
+
+    Every comparison the rules make is between two symbol sets.  A grid
+    holds each symbol once, so a base sum (a row or a column, before or
+    after the swap) is a set of n or m symbols.  The two side totals, r_beta
+    + c_beta and r_alpha_tau + c_alpha_tau, each hold beta twice, since the
+    row and the column of a cell share only that cell; ``_leq`` cancels the
+    common beta, so the totals compare as the unions, sets of m + n - 1
+    symbols.  A line that holds both cells keeps its set under the swap, and
+    only the other line's base sums are compared.  So :func:`_decide_swaps`
+    reads every comparison from the shape's :func:`_set_order`.
     """
     count, m, n = grids.shape
+    rows, cols = _line_masks(grids)
     k = np.arange(count)
-    flat = grids.reshape(count, m * n)
+    symbols = np.take_along_axis(grids.reshape(count, m * n), cells, axis=1)
     # alpha is the larger value, i.e. the smaller symbol index
-    first_is_alpha = flat[k, cells[:, 0]] < flat[k, cells[:, 1]]
-    cell_alpha = np.where(first_is_alpha, cells[:, 0], cells[:, 1])
-    cell_beta = np.where(first_is_alpha, cells[:, 1], cells[:, 0])
-    (ia, ja), (ib, jb) = divmod(cell_alpha, n), divmod(cell_beta, n)
-    rows, cols = _line_counts(grids)
-    eye = np.eye(m * n, dtype=np.int8)
-    shift = eye[flat[k, cell_beta]] - eye[flat[k, cell_alpha]]
-    # r_beta, c_beta, r_alpha_tau, c_alpha_tau; leq[:, x, y] decides sum x <= sum y
-    sums = np.stack([rows[k, ib], cols[k, jb], rows[k, ia] + shift, cols[k, ja] + shift], axis=1)
-    leq = _leq(sums[:, :, None], sums[:, None, :])
+    alpha, beta = np.where(symbols[:, :1] < symbols[:, 1:], cells, cells[:, ::-1]).T
+    (ia, ja), (ib, jb) = divmod(alpha, n), divmod(beta, n)
+    bits = np.left_shift(1, symbols, dtype=np.int16)
+    lines = rows[k, ib], cols[k, jb], rows[k, ia], cols[k, ja]
+    return _verdicts(*_decide_swaps(m, n, *lines, bits[:, 0] | bits[:, 1]))
 
-    def proven(l0: int, l1: int, h0: int, h1: int) -> np.ndarray:
-        monotone = leq[:, l0, h0] & leq[:, l1, h1] | leq[:, l0, h1] & leq[:, l1, h0]
-        minimum = (leq[:, l0, l1] & leq[:, l0, h0] & leq[:, l0, h1]) | (
-            leq[:, l1, l0] & leq[:, l1, h0] & leq[:, l1, h1]
-        )
-        totals = _leq(sums[:, l0] + sums[:, l1], sums[:, h0] + sums[:, h1])
-        # a shared row (column) leaves only the column (row) base comparison
-        either = monotone | minimum & totals
-        return np.where(ia == ib, leq[:, l1, h1], np.where(ja == jb, leq[:, l0, h0], either))
 
-    forward, reverse = proven(0, 1, 2, 3), proven(2, 3, 0, 1)
+def _decide_swaps(
+    m: int, n: int, r_beta: np.ndarray, c_beta: np.ndarray, r_alpha: np.ndarray,
+    c_alpha: np.ndarray, flip: np.ndarray | int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The directions that :func:`titrate_check` proves, for swaps given by their lines.
+
+    The first four arguments are the symbol bitmasks of the row and the
+    column through beta's cell, then through alpha's, in m x n grids that
+    each hold every symbol once; ``flip`` holds the bits of alpha and beta.
+    Returns ``(forward, reverse)``: per swap, whether the rules prove that
+    it cannot decrease, and that it cannot increase, mutual information.
+    """
+    number, leq = _set_order(m, n)
+    same_row, same_col = r_alpha == r_beta, c_alpha == c_beta
+    r_alpha_tau = np.where(same_row, r_alpha, r_alpha ^ flip)
+    c_alpha_tau = np.where(same_col, c_alpha, c_alpha ^ flip)
+    # a shared row (column) leaves only the column (row) base comparison
+    beta = number[np.where(same_row, c_beta, r_beta)]
+    alpha_tau = number[np.where(same_row, c_alpha_tau, r_alpha_tau)]
+    forward, reverse = leq[beta, alpha_tau], leq[alpha_tau, beta]
+    apart = np.flatnonzero(~(same_row | same_col))
+    r_beta, c_beta, r_alpha_tau, c_alpha_tau = (
+        v[apart] for v in (r_beta, c_beta, r_alpha_tau, c_alpha_tau)
+    )
+    # r_beta, c_beta, r_alpha_tau, c_alpha_tau, then the beta and alpha-tau totals
+    sets = number[[r_beta, c_beta, r_alpha_tau, c_alpha_tau,
+                   r_beta | c_beta, r_alpha_tau | c_alpha_tau]]
+
+    @functools.cache
+    def le(x: int, y: int) -> np.ndarray:
+        return leq[sets[x], sets[y]]
+
+    def proven(l0: int, l1: int, h0: int, h1: int, totals: np.ndarray) -> np.ndarray:
+        monotone = le(l0, h0) & le(l1, h1) | le(l0, h1) & le(l1, h0)
+        minimum = (le(l0, l1) & le(l0, h0) & le(l0, h1)) | (le(l1, l0) & le(l1, h0) & le(l1, h1))
+        return monotone | minimum & totals
+
+    forward[apart], reverse[apart] = proven(0, 1, 2, 3, le(4, 5)), proven(2, 3, 0, 1, le(5, 4))
+    return forward, reverse
+
+
+def _verdicts(forward: np.ndarray, reverse: np.ndarray) -> np.ndarray:
+    """int8 verdicts: 1 where ``forward``, else -1 where ``reverse``, else 0."""
     return np.where(forward, 1, np.where(reverse, -1, 0)).astype(np.int8)
 
 

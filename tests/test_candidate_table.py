@@ -1,14 +1,15 @@
 """The census kernel's certified evaluation sets, and what they say of the paper.
 
-``_candidate_table`` ships, per shape and side, the candidates ``C`` and the
-feeders ``F``.  The kernel is exact only if every class outside ``C`` and
-``F`` has a chain of certified edges that ends in ``F``; these tests
-re-derive the sets from one titration pass per shape, check that pass's
-edges at random spectra, and check the chains' existence instead of
-trusting the data.  They also test the paper's closing claim against the
-full relation (majorisation and titration edges): only 2x3 has a single
-undominated maximum.
+The census derives, per shape and side, the candidates ``C`` and the
+feeders ``F`` from one titration pass (``classes._titration_candidates``)
+the first time it runs.  The kernel is exact only if every class outside
+``C`` and ``F`` has a chain of certified edges that ends in ``F``; these
+tests pin the pass and the sets, check the pass's edges at random spectra,
+and check the chains' existence instead of trusting the pass.  They also
+test the paper's closing claim against the full relation (majorisation and
+titration edges): only 2x3 has a single undominated maximum.
 """
+import hashlib
 import itertools
 
 import numpy as np
@@ -16,7 +17,6 @@ import pytest
 
 from specmi import census, majorisation_certificate, sample_spectra
 from specmi import classes, extrema
-from specmi._candidate_table import EVALUATION_SETS
 from specmi.classes import (
     _certified_swaps,
     _titration_candidates,
@@ -26,6 +26,25 @@ from specmi.classes import (
 SHAPES = [(2, 4), (3, 3), (2, 5)]
 MINZ = {1, 7, 13, 25, 31}
 
+#: Per shape, the sizes of ``C_max, F_max, C_min, F_min`` and the SHA-256 of
+#: the four sets written as space-separated indices, one set per line: the
+#: sets of the generated table that the census once read.
+PINNED_SETS = {
+    (2, 4): ((7, 26, 17, 51), "32f64ec953b728dd687198326608c86ca0c5becec5ac88d4941b558d7d7f6f42"),
+    (3, 3): ((18, 69, 18, 79), "b1947dab0245f4568f30ee6cecc8229623126b2da20a8e4cdf7319b1397111d1"),
+    (2, 5): ((40, 158, 70, 268), "3aceac3778e57e645421c4bada4edd3e16063d2c7515475ce4edf7d517526328"),
+}
+
+#: Per shape, the number of certified swaps and the SHA-256 of the arrays
+#: (low, high, k, a, b) of ``_certified_swaps`` as one int64 array.
+PINNED_SWAPS = {
+    (2, 2): (12, "7dced5b18126887f82f144155c82ac97e3e519148b5edb9c419a7a04f667ef11"),
+    (2, 3): (660, "631f4a5b060068d843df35968103bb725bc8cc090fcad846afb64e78e3b4e7ef"),
+    (2, 4): (15120, "6e5805abbbba8d51cd1cb38e337ee5a3e69521c07b854f882f3cd6091003b418"),
+    (3, 3): (113904, "1ce1c3d84b786232eca94756450862d9fd1556379bb9916bec785a2b5b1938c4"),
+    (2, 5): (408240, "e92358e679c8811a7819e14712b364a4064bf4f6c0df0121bb5805e1ff94da39"),
+}
+
 
 def _relation_graph(m, n):
     """The whole m x n relation, read row by row."""
@@ -34,7 +53,7 @@ def _relation_graph(m, n):
 
 def _sets(m, n):
     """``C_max, F_max, C_min, F_min`` of one shape as sets of class indices."""
-    return tuple(set(map(int, text.split())) for text in EVALUATION_SETS[m, n])
+    return tuple(map(set, _titration_candidates(m, n)))
 
 
 def _edges(m, n):
@@ -45,7 +64,17 @@ def _edges(m, n):
 @pytest.mark.parametrize("m,n", SHAPES)
 def test_titration_pass_reproduces_the_table(m, n):
     sets = _titration_candidates(m, n)
-    assert tuple(" ".join(map(str, s)) for s in sets) == EVALUATION_SETS[m, n]
+    text = "\n".join(" ".join(map(str, s)) for s in sets)
+    assert (tuple(map(len, sets)), hashlib.sha256(text.encode()).hexdigest()) == PINNED_SETS[m, n]
+    assert all(list(s) == sorted(set(s)) for s in sets)
+
+
+@pytest.mark.parametrize("m,n", sorted(PINNED_SWAPS))
+def test_certified_swaps_are_pinned(m, n):
+    swaps = _certified_swaps(m, n)
+    assert [v.dtype for v in swaps] == [np.int16] * 3 + [np.int8] * 2
+    values = np.stack(swaps).astype(np.int64)
+    assert (len(swaps[0]), hashlib.sha256(values.tobytes()).hexdigest()) == PINNED_SWAPS[m, n]
 
 
 @pytest.mark.parametrize("m,n", SHAPES)
@@ -100,7 +129,7 @@ def test_only_2x3_has_a_unique_candidate():
     assert {i for i, out in edges.items() if not out} == {48}
     assert set(edges) - set(itertools.chain.from_iterable(edges.values())) == MINZ
     # titration edges alone leave several candidates in every larger shape
-    sizes = {shape: (len(_sets(*shape)[0]), len(_sets(*shape)[2])) for shape in EVALUATION_SETS}
+    sizes = {shape: (len(_sets(*shape)[0]), len(_sets(*shape)[2])) for shape in SHAPES}
     assert sizes == {(2, 4): (7, 17), (3, 3): (18, 18), (2, 5): (40, 70)}
 
 

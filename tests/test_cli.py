@@ -1,5 +1,6 @@
 """End-to-end checks of the command line interface."""
 import contextlib
+import errno
 import hashlib
 import importlib
 import importlib.util
@@ -244,6 +245,11 @@ def test_threaded_2x5_census_and_checkpoint_match_their_goldens(capsys, tmp_path
     assert (code, out, err) == (0, "", "")
     assert written.read_bytes() == (DATA / "census_25_s7_20k.json").read_bytes()
     assert checkpoint.read_bytes() == (DATA / "census_25_s7_20k_checkpoint.json").read_bytes()
+
+
+def test_3x3_census_matches_its_golden(capsys):
+    code, out, err = run(capsys, "census", "--m", "3", "--n", "3", "--samples", "20000", "--seed", "7")
+    assert (code, out, err) == (0, (DATA / "census_33_s7_20k.json").read_text(), "")
 
 
 def test_census_worker_flag_keeps_output_identical(capsys, tmp_path):
@@ -635,6 +641,16 @@ def test_output_through_a_symlink_replaces_the_linked_file(capsys, tmp_path):
         assert link.is_symlink() and os.readlink(link) == str(real)
         assert real.read_bytes() == golden
         assert [p.name for p in real.parent.iterdir()] == ["honeycomb.dot"]
+
+
+def test_output_through_a_looping_symlink_exits_4_and_keeps_the_link(capsys, tmp_path):
+    loop = tmp_path / "loop"
+    loop.symlink_to(loop)
+    code, out, err = run(capsys, "honeycomb", "--output", str(loop))
+    assert (code, out) == (4, "")
+    assert err.startswith("error: ") and os.strerror(errno.ELOOP) in err
+    assert loop.is_symlink() and os.readlink(loop) == str(loop)
+    assert [p.name for p in tmp_path.iterdir()] == ["loop"]
 
 
 def test_output_to_a_fifo_writes_through_it(capsys, tmp_path):

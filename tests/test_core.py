@@ -1,5 +1,7 @@
 """Entropy primitives, spectra, arrangements, and simplex sampling."""
+import errno
 import math
+import os
 
 import numpy as np
 import pytest
@@ -346,3 +348,22 @@ def test_sample_spectrum_valid_for_any_seed(dim, seed):
     s = sample_spectrum(dim, np.random.default_rng(seed))
     assert s.dim == dim
     assert all(a > b for a, b in zip(s.values, s.values[1:]))
+
+
+def test_atomic_write_through_a_looping_link_raises_eloop_and_keeps_the_link(tmp_path):
+    loop = tmp_path / "loop"
+    loop.symlink_to(loop)
+    with pytest.raises(OSError) as info:
+        core.write_text_atomic(str(loop), "text\n")
+    assert info.value.errno == errno.ELOOP
+    assert loop.is_symlink() and os.readlink(loop) == str(loop)
+    assert [p.name for p in tmp_path.iterdir()] == ["loop"]
+
+
+def test_atomic_write_through_a_dangling_link_creates_its_target(tmp_path):
+    target = tmp_path / "sub" / "out.txt"
+    target.parent.mkdir()
+    link = tmp_path / "link"
+    link.symlink_to(target)
+    core.write_text_atomic(str(link), "text\n")
+    assert link.is_symlink() and target.read_text() == "text\n"

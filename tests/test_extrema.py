@@ -1,5 +1,6 @@
 """Brute-force extremes, the randomized census, and the ordering theorem."""
 import dataclasses
+import functools
 import itertools
 import json
 import os
@@ -27,8 +28,9 @@ from specmi import (
     sample_spectrum,
     verify_theorem_chain,
 )
-from specmi import extrema
-from specmi._candidate_table import EVALUATION_SETS
+from specmi import classes, extrema
+from specmi.cli import main
+from specmi.classes import _titration_candidates
 
 DATA = Path(__file__).parent / "data"
 PINNED = Spectrum((0.3, 0.25, 0.2, 0.15, 0.07, 0.03))
@@ -51,6 +53,27 @@ def test_brute_force_pinned_extremes():
     assert set(report.minima) <= {1, 7, 13, 25, 31}
     assert report.min_value == min(report.values)
     assert report.max_value == max(report.values)
+
+
+def test_extrema_builds_no_titration_pass(monkeypatch, capsys):
+    # set-up cost stays flat: only a census derives the candidate sets
+    def titrate(*args):
+        raise AssertionError("titrated")
+
+    monkeypatch.setattr(classes, "_decide_titration", titrate)
+    monkeypatch.setattr(classes, "_decide_swaps", titrate)
+    for name in ("_titration_candidates", "_decomposition"):
+        cold = functools.lru_cache(maxsize=None)(getattr(extrema, name).__wrapped__)
+        monkeypatch.setattr(extrema, name, cold)
+    spectrum = "0.18,0.16,0.14,0.12,0.1,0.09,0.08,0.06,0.04,0.03"
+    report = brute_force_extrema(Spectrum(tuple(map(float, spectrum.split(",")))), 2, 5)
+    assert len(report.values) == 15120
+    assert extrema._decomposition(2, 5).candidates is None
+    assert main(["extrema", "--m", "2", "--n", "5", "--spectrum", spectrum]) == 0
+    maxima = json.loads(capsys.readouterr().out)["maxima"]
+    assert [cls["index"] for cls in maxima] == list(report.maxima)
+    with pytest.raises(AssertionError, match="titrated"):  # the census would titrate
+        extrema._census_decomposition.__wrapped__(2, 5)
 
 
 def test_brute_force_rejects_dim_mismatch():
@@ -206,12 +229,14 @@ def _unique_decomposition(m, n):
 def _assert_decomposition_is(dec, A, G, m, n):
     assert np.array_equal(dec.symbols_by_term, A)
     assert np.array_equal(dec.term_counts, G)
-    cand = dec.candidates
-    assert (cand is not None) == ((m, n) in EVALUATION_SETS)
+    assert dec.candidates is None
+    census_dec = extrema._census_decomposition(m, n)
+    assert census_dec.symbols_by_term is dec.symbols_by_term
+    assert census_dec.term_counts is dec.term_counts
+    cand = census_dec.candidates
+    assert (cand is not None) == ((m, n) in [(2, 4), (3, 3), (2, 5)])
     if cand is not None:
-        c_max, f_max, c_min, f_min = (
-            np.array(c.split(), dtype=np.int64) - 1 for c in EVALUATION_SETS[m, n]
-        )
+        c_max, f_max, c_min, f_min = (np.array(c) - 1 for c in _titration_candidates(m, n))
         rows = np.concatenate([G[:, c_max].T, G[:, f_max].T, -G[:, c_min].T, -G[:, f_min].T])
         assert np.array_equal(cand.class_terms, rows)
         (max_c, *_), (min_c, *_) = cand.sides
@@ -251,7 +276,7 @@ def _recording_dense_tally(monkeypatch):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("m,n,rows", [(2, 4, 2500), (3, 3, 1700), (2, 5, 600)])
 def test_pruned_block_tallies_equal_the_dense_reference(monkeypatch, m, n, rows, seed):
-    dec = extrema._decomposition(m, n)
+    dec = extrema._census_decomposition(m, n)
     spectra = sample_spectra(m * n, rows, np.random.default_rng(seed))
     reference = _dense_reference(spectra, dec)
     fallback = _recording_dense_tally(monkeypatch)
@@ -313,7 +338,7 @@ def _near_tie_rows(mn, dec):
 @pytest.mark.parametrize("m,n", [(2, 4), (3, 3), (2, 5)])
 def test_pruned_kernel_hands_ties_and_near_ties_to_the_dense_product(monkeypatch, m, n):
     mn = m * n
-    dec = extrema._decomposition(m, n)
+    dec = extrema._census_decomposition(m, n)
     constructed = np.array([np.full(mn, 1.0 / mn)] + _near_tie_rows(mn, dec))
     step = max(1, extrema._ELEMENT_BUDGET // dec.term_counts.shape[1])
     spectra = sample_spectra(mn, 3 * step, np.random.default_rng(5))
@@ -332,7 +357,7 @@ def test_pruned_kernel_hands_ties_and_near_ties_to_the_dense_product(monkeypatch
 def test_block_memory_stays_within_the_tile_budget():
     # a block of 150 dense tiles' worth of spectra; the first 1.5 of them are
     # uniform, so every class ties and they go dense in two pieces
-    dec = extrema._decomposition(2, 5)
+    dec = extrema._census_decomposition(2, 5)
     step = extrema._ELEMENT_BUDGET // dec.term_counts.shape[1]
     spectra = sample_spectra(10, 150 * step, np.random.default_rng(6))
     uniform = 3 * step // 2
@@ -398,7 +423,7 @@ def test_entropy_terms_equal_the_fill_copy_log_steps_bit_for_bit(m, n):
 
 
 def test_a_block_reuses_the_work_arrays_of_the_last():
-    dec = extrema._decomposition(2, 5)
+    dec = extrema._census_decomposition(2, 5)
     spectra = sample_spectra(10, 2500, np.random.default_rng(12))
     first = extrema._block_extrema(spectra, dec)
     tracemalloc.start()
