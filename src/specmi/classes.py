@@ -33,7 +33,8 @@ swap reaches from the action of symbol exchanges on classes
 pass of its own, when a census of 2x4, 3x3 or 2x5 first runs
 (``extrema._census_decomposition``).  The relation is read one class at a
 time: ``_relation_row`` decides a class's majorisations of every class in
-one batch (``orders._decide_majorisation``), adds its swap edges from the
+one batch (``orders._decide_majorisation``, which reads the same per-shape
+table of symbol-set orders as the pass), adds its swap edges from the
 pass, and keeps a reference to each edge's proof; ``_edge_lines`` renders
 the edges of a printed chain once each.  ``_search_tree`` keeps one
 breadth-first tree per source class, so each class's chains are searched
@@ -480,10 +481,10 @@ def standard_form_sets() -> StandardFormSets:
 # ---------------------------------------------------------------------------
 
 #: Shapes whose relation is searched.  A row costs one class's batch
-#: against every class: a median of about 0.3, 1.7, 10 and 22 ms for 2x3,
-#: 2x4, 3x3 and 2x5 (one process on a 2-vCPU VM), after a titration pass
-#: of 0.002, 0.006, 0.03 and 0.1 s.  It is the depth-4 search that stops
-#: larger shapes: it could expand thousands of 2x5 classes.
+#: against every class: a median of about 0.2, 0.45, 1.6 and 3.4 ms for
+#: 2x3, 2x4, 3x3 and 2x5 (one process on a 2-vCPU VM), after a titration
+#: pass of 0.002, 0.006, 0.03 and 0.1 s.  It is the depth-4 search that
+#: stops larger shapes: it could expand thousands of 2x5 classes.
 RELATION_SHAPES = ((2, 2), (2, 3))
 
 
@@ -767,7 +768,7 @@ class CertifiedEdge:
     ``kind`` is 'majorisation' (src majorises dst), 'entropic' (the
     titration-certified transposition of the cells ``swap`` in the canonical
     grid of src), or 'xi' (an undirected mirror pairing, stored with src <
-    dst).  :func:`honeycomb` decides the edges on symbol counts, in batch;
+    dst).  :func:`honeycomb` decides the edges in batch, on symbol sets;
     ``certificate`` is the proof text, rendered by the text provers when
     first read and kept.  Reading it raises RuntimeError if the text prover
     does not certify the edge.

@@ -4,7 +4,7 @@ Subcommands
 -----------
 * ``extrema``      exact sweep of every arrangement class at one spectrum
 * ``census``       randomized census of extremal classes over random spectra
-* ``relation``     a-priori order between two 2x3 classes, with certificate
+* ``relation``     a-priori order between two 2x2 or 2x3 classes, with certificate
 * ``honeycomb``    the certified 2x3 class diagram as Graphviz DOT
 * ``qubit2-scan``  two-qubit information quantities over the separability
                    octahedron

@@ -19,14 +19,14 @@ greedy matching of the left residue ``max(-d, 0)`` into the right residue
 ``max(d, 0)`` exists iff, for every symbol t, the left residue holds no
 more symbols up to t than the right residue holds strictly before t (a
 prefix-count test).  :func:`_leq` applies that one rule to count arrays of
-any leading shape: the batched decider :func:`_decide_majorisation` calls
-it on whole tables at once, :func:`_decide_titration` reads it from a table
-it builds once per shape (:func:`_set_order`), and the text provers render
-their reason lines (common part, matched pairs, leftover) from the same
-counts, so a certificate is only ever the trace of a decision made by this
-rule.  The subset rule of majorisation is likewise one function,
-:func:`_subset_dominance`, which the batched decision reduces and
-:func:`vector_majorisation_certificate` reads to render its proof.
+any leading shape.  A grid holds each symbol once, so every sum that a
+batched decision compares (a line, a union of lines, a side total) is a
+symbol set, and both batched deciders, :func:`_decide_majorisation` and
+:func:`_decide_titration`, read the rule from one table per shape over
+symbol-set bitmasks (:func:`_set_order`).  The text provers call it on
+counts and render their reason lines (common part, matched pairs,
+leftover) from the same counts, so a certificate is only ever the trace of
+a decision made by this rule.
 
 The prover is deliberately incomplete: a verdict of ``Inconclusive`` means
 "not derivable by these rules", not "false".  Verdicts state non-strict
@@ -284,20 +284,6 @@ def matrix_majorises(M1: ProbMatrix, M2: ProbMatrix) -> bool:
     return vector_majorises(r1, r2) and vector_majorises(c1, c2)
 
 
-def _subset_dominance(low: np.ndarray, high: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Which j-subsets of the lines ``low`` are <= which j-subsets of ``high``.
-
-    ``low`` and ``high`` hold symbol counts of k lines, (..., k, symbols),
-    with any leading batch axes.  Returns the j-subsets of range(k) in
-    combination order, (C, j), and ``proven[..., t, s]``: the sum of subset
-    t of ``low`` is <= the sum of subset s of ``high`` by :func:`_leq`.
-    """
-    subsets = np.array(list(itertools.combinations(range(low.shape[-2]), j)))
-    sums_low = low[..., subsets, :].sum(axis=-2, dtype=low.dtype)
-    sums_high = high[..., subsets, :].sum(axis=-2, dtype=high.dtype)
-    return subsets, _leq(sums_low[..., :, None, :], sums_high[..., None, :, :])
-
-
 def vector_majorisation_certificate(
     u: Sequence[SymbolicSum], v: Sequence[SymbolicSum]
 ) -> tuple[str, ...] | None:
@@ -314,15 +300,16 @@ def vector_majorisation_certificate(
     v_counts = np.array([term.counts for term in v])
     lines: list[str] = []
     for j in range(1, len(u)):
-        subsets, proven = _subset_dominance(v_counts, u_counts, j)
+        subsets = np.array(list(itertools.combinations(range(len(u)), j)))
+        sums_v, sums_u = v_counts[subsets].sum(axis=1), u_counts[subsets].sum(axis=1)
+        proven = _leq(sums_v[:, None], sums_u[None, :])  # subset t of v <= subset s of u
         if not proven.any(axis=1).all():
             return None
         # the first j-subset of u, in combination order, that dominates each of v's
         for t, s in enumerate(proven.argmax(axis=1).tolist()):
             t_txt = "+".join(f"({v[x].render()})" for x in subsets[t])
             s_txt = "+".join(f"({u[x].render()})" for x in subsets[s])
-            reason = _leq_reason(v_counts[subsets[t]].sum(axis=0), u_counts[subsets[s]].sum(axis=0))
-            lines.append(f"  prefix {j}: {t_txt} <= {s_txt}  [{reason}]")
+            lines.append(f"  prefix {j}: {t_txt} <= {s_txt}  [{_leq_reason(sums_v[t], sums_u[s])}]")
     u_total, v_total = u_counts.sum(axis=0), v_counts.sum(axis=0)
     if not (_leq(v_total, u_total) and _leq(u_total, v_total)):
         return None
@@ -355,32 +342,6 @@ def majorisation_certificate(
         return None
     head = f"rule majorisation: {grid_display(grid_a)} majorises {grid_display(grid_b)}"
     return (head, "row sums:") + rows + ("column sums:",) + cols
-
-
-def _line_counts(grids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symbol counts of the rows and of the columns of a (count, m, n) grid batch.
-
-    Returns (count, m, mn) and (count, n, mn) int8 arrays.
-    """
-    one_hot = grids[..., None] == np.arange(grids.shape[1] * grids.shape[2])
-    return one_hot.sum(axis=2, dtype=np.int8), one_hot.sum(axis=1, dtype=np.int8)
-
-
-def _decide_majorisation(grids_a: np.ndarray, grids_b: np.ndarray) -> np.ndarray:
-    """Batched decision of :func:`majorisation_certificate`: is a certificate found?
-
-    ``grids_a`` and ``grids_b`` are (count, m, n) arrays of symbol grids that
-    each hold every symbol 0..mn-1 once, so their totals are equal.  Pair k
-    is certified when, for rows and for columns and every j, each j-subset
-    of B_k's line sums is <= some j-subset of A_k's.
-    """
-    certified = np.ones(len(grids_a), dtype=bool)
-    for lines_a, lines_b in zip(_line_counts(grids_a), _line_counts(grids_b)):
-        for j in range(1, lines_a.shape[1]):
-            live = np.flatnonzero(certified)  # each j only tests the pairs still certified
-            _, proven = _subset_dominance(lines_b[live], lines_a[live], j)
-            certified[live] = proven.any(axis=-1).all(axis=-1)
-    return certified
 
 
 # ---------------------------------------------------------------------------
@@ -648,27 +609,51 @@ def _line_masks(grids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _set_order(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The :func:`_leq` order of the symbol sets that an m x n titration compares.
+def _set_order(m: int, n: int) -> np.ndarray:
+    """The :func:`_leq` order of the symbol sets that m x n decisions compare.
 
-    Returns ``(number, leq)``: ``number[mask]`` numbers each set of m, n or
-    m + n - 1 of the mn symbols (bit s of ``mask`` is symbol s), and -1
-    marks every other mask; ``leq[x, y]`` is ``_leq`` of the sets numbered
-    x and y where both are lines (m or n symbols) or both side totals (m +
-    n - 1 symbols), the only comparisons made, and False elsewhere.  A
-    lookup table of ``_leq``, not a second rule.
+    ``leq[x, y]`` is ``_leq`` of the sets with bitmasks x and y (bit s:
+    symbol s of the mn) where the two sets are the same size or both lines
+    (m or n symbols), and False elsewhere.  Those are the only comparisons
+    made: a majorisation compares sums of j lines of one length, and a
+    titration compares lines with lines and side totals of m + n - 1
+    symbols with each other.  A lookup table of ``_leq``, not a second rule.
     """
     masks = np.arange(1 << (m * n))
     counts = (masks[:, None] >> np.arange(m * n) & 1).astype(np.int8)
     sizes = counts.sum(axis=1)
-    lines, totals = np.flatnonzero((sizes == m) | (sizes == n)), np.flatnonzero(sizes == m + n - 1)
-    number = np.full(len(masks), -1, dtype=np.intp)
-    number[np.concatenate([lines, totals])] = np.arange(len(lines) + len(totals))
-    leq = np.zeros((len(lines) + len(totals),) * 2, dtype=bool)
-    for block, sets in ((slice(0, len(lines)), lines), (slice(len(lines), None), totals)):
-        leq[block, block] = _leq(counts[sets, None], counts[None, sets])
-    number.flags.writeable = leq.flags.writeable = False  # shared by every caller
-    return number, leq
+    groups = np.where(sizes == n, m, sizes)  # rows and columns compare as one group
+    leq = np.zeros((len(masks),) * 2, dtype=bool)
+    for group in np.unique(groups):
+        sets = np.flatnonzero(groups == group)
+        leq[np.ix_(sets, sets)] = _leq(counts[sets, None], counts[None, sets])
+    leq.flags.writeable = False  # shared by every caller
+    return leq
+
+
+def _decide_majorisation(grids_a: np.ndarray, grids_b: np.ndarray) -> np.ndarray:
+    """Batched decision of :func:`majorisation_certificate`: is a certificate found?
+
+    ``grids_a`` and ``grids_b`` are (count, m, n) arrays of symbol grids that
+    each hold every symbol 0..mn-1 once, so their totals are equal.  Pair k
+    is certified when, for rows and for columns and every j, each j-subset
+    of B_k's line sums is <= some j-subset of A_k's.  The lines of a grid
+    are disjoint symbol sets, so the sum of j lines is the union of their
+    bitmasks, and every comparison is read from the shape's :func:`_set_order`.
+    """
+    count, m, n = grids_a.shape
+    leq = _set_order(m, n)
+    certified = np.ones(count, dtype=bool)
+    for lines_a, lines_b in zip(_line_masks(grids_a), _line_masks(grids_b)):
+        k = lines_a.shape[1]
+        for j in range(1, k):
+            live = np.flatnonzero(certified)  # each j only tests the pairs still certified
+            subsets = np.array(list(itertools.combinations(range(k), j)))
+            sums_a, sums_b = (
+                np.bitwise_or.reduce(lines[live][:, subsets], axis=2) for lines in (lines_a, lines_b)
+            )
+            certified[live] = leq[sums_b[:, :, None], sums_a[:, None, :]].any(axis=2).all(axis=1)
+    return certified
 
 
 def _decide_titration(grids: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -714,21 +699,19 @@ def _decide_swaps(
     Returns ``(forward, reverse)``: per swap, whether the rules prove that
     it cannot decrease, and that it cannot increase, mutual information.
     """
-    number, leq = _set_order(m, n)
+    leq = _set_order(m, n)
     same_row, same_col = r_alpha == r_beta, c_alpha == c_beta
     r_alpha_tau = np.where(same_row, r_alpha, r_alpha ^ flip)
     c_alpha_tau = np.where(same_col, c_alpha, c_alpha ^ flip)
     # a shared row (column) leaves only the column (row) base comparison
-    beta = number[np.where(same_row, c_beta, r_beta)]
-    alpha_tau = number[np.where(same_row, c_alpha_tau, r_alpha_tau)]
+    beta = np.where(same_row, c_beta, r_beta)
+    alpha_tau = np.where(same_row, c_alpha_tau, r_alpha_tau)
     forward, reverse = leq[beta, alpha_tau], leq[alpha_tau, beta]
     apart = np.flatnonzero(~(same_row | same_col))
     r_beta, c_beta, r_alpha_tau, c_alpha_tau = (
         v[apart] for v in (r_beta, c_beta, r_alpha_tau, c_alpha_tau)
     )
-    # r_beta, c_beta, r_alpha_tau, c_alpha_tau, then the beta and alpha-tau totals
-    sets = number[[r_beta, c_beta, r_alpha_tau, c_alpha_tau,
-                   r_beta | c_beta, r_alpha_tau | c_alpha_tau]]
+    sets = r_beta, c_beta, r_alpha_tau, c_alpha_tau, r_beta | c_beta, r_alpha_tau | c_alpha_tau
 
     @functools.cache
     def le(x: int, y: int) -> np.ndarray:
@@ -760,15 +743,17 @@ def derive_relation(a, b, table=None) -> RelationVerdict:
     """Search for an a-priori chain proving I(a) <= I(b) or the reverse.
 
     ``a``/``b`` are MatrixClass values or 1-based class indices (indices
-    resolve against ``table``, defaulting to the 2x3 table).  The search is
-    breadth-first over certified majorisation edges and titrate-certified
-    single transpositions, transitively composed up to four hops; only
-    the edges of the chain found are rendered as text.  Chains are read
-    from a per-source breadth-first tree (``classes._search_tree``), built
-    on the first query from that class and kept; it reads the relation
-    rows (``classes._relation_row``) of the classes it expands.  Only the
-    shapes in ``classes.RELATION_SHAPES`` are searched; others raise
-    ValueError.
+    resolve against ``table``, defaulting to the table of ``a``'s shape
+    when ``a`` is a MatrixClass and to the 2x3 table otherwise); a
+    MatrixClass of another shape than the table raises ValueError.  The
+    search is breadth-first over certified majorisation edges and
+    titrate-certified single transpositions, transitively composed up to
+    four hops; only the edges of the chain found are rendered as text.
+    Chains are read from a per-source breadth-first tree
+    (``classes._search_tree``), built on the first query from that class
+    and kept; it reads the relation rows (``classes._relation_row``) of the
+    classes it expands.  Only the shapes in ``classes.RELATION_SHAPES`` are
+    searched; others raise ValueError.
     """
     from . import classes as _classes
 
@@ -777,6 +762,9 @@ def derive_relation(a, b, table=None) -> RelationVerdict:
             table = _classes.class_table(a.m, a.n)
         else:
             table = _classes.r23_table()
+    for c in (a, b):
+        if isinstance(c, _classes.MatrixClass) and (c.m, c.n) != (table.m, table.n):
+            raise ValueError(f"class {c.index} is {c.m}x{c.n}, but the table is {table.m}x{table.n}")
     ia = a.index if isinstance(a, _classes.MatrixClass) else int(a)
     ib = b.index if isinstance(b, _classes.MatrixClass) else int(b)
     count = len(table)

@@ -40,6 +40,7 @@ from specmi.orders import (
     _decide_titration,
     _leq,
     _prove_leq,
+    _set_order,
 )
 
 
@@ -349,6 +350,36 @@ def test_batched_titration_matches_the_text_prover_at_random(m, n):
     assert kinds.tolist() == _text_titrations(grids, cells)
 
 
+def test_majorisation_rows_and_the_set_order_table_are_pinned():
+    """The majorisations of every 2x4 row and of 40 seeded 3x3 and 2x5 rows.
+
+    The digests were taken from the one-hot symbol-count decision that the
+    set-order table replaced.  The table is checked against ``_leq`` on
+    every pair of symbol sets at 2x2 and 2x3.
+    """
+    digests = {
+        (2, 4): "16e5ae2df3503b20f4a2e59a4d1c77047dc06beeb4b746057d50c51dac4d0f13",
+        (3, 3): "424bda10b096af979e566c1ffa44194d0c5c5a8abbc8fdcb943933eb3a047e50",
+        (2, 5): "595ae8bf65e9450d4480e92a48971f635442aa721bcab736aa6faf2a88bd9bce",
+    }
+    for (m, n), digest in digests.items():
+        rows = range(1, len(class_table(m, n)) + 1)
+        if (m, n) != (2, 4):
+            rows = (np.random.default_rng(m * n).choice(len(rows), 40, replace=False) + 1).tolist()
+        text = "\n".join(
+            f"{i}:" + ",".join(str(j) for j, proof in classes._relation_row(m, n, i).items()
+                               if proof is None)
+            for i in rows
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (m, n)
+    for m, n in [(2, 2), (2, 3)]:
+        counts = (np.arange(1 << m * n)[:, None] >> np.arange(m * n) & 1).astype(np.int8)
+        sizes = counts.sum(axis=1)
+        filled = (sizes[:, None] == sizes) | np.isin(sizes, (m, n))[:, None] & np.isin(sizes, (m, n))
+        expected = _leq(counts[:, None], counts[None, :]) & filled
+        assert np.array_equal(_set_order(m, n), expected)
+
+
 # -------------------------------------------------------------- identric mean
 
 def test_identric_mean_reference_value():
@@ -561,6 +592,16 @@ def test_derive_relation_inconclusive_pair():
 
 def test_derive_relation_identity():
     assert derive_relation(7, 7).kind is RelationKind.PROVEN_FORWARD
+
+
+def test_derive_relation_rejects_a_class_of_another_shape():
+    small, large = class_table(2, 2).get(1), class_table(2, 3).get(2)
+    with pytest.raises(ValueError, match="class 2 is 2x3, but the table is 2x2"):
+        derive_relation(small, large)
+    with pytest.raises(ValueError, match="class 1 is 2x2, but the table is 2x3"):
+        derive_relation(small, 2, table=r23_table())
+    with pytest.raises(ValueError, match="class 2 is 2x3, but the table is 2x2"):
+        derive_relation(1, large, table=class_table(2, 2))
 
 
 def test_derive_relation_validates_indices():
