@@ -29,13 +29,14 @@ titration pass per shape, ``_titration_pass``, decides every cell swap of
 every class in batch (``orders._decide_swaps``), reading the class each
 swap reaches from the action of symbol exchanges on classes
 (``_exchanges``); ``_certified_swaps`` keeps it for the relation rows.
-``_titration_candidates`` derives the census kernel's candidate sets from a
-pass of its own, when a census of 2x4, 3x3 or 2x5 first runs
-(``extrema._census_decomposition``).  The relation is read one class at a
-time: ``_relation_row`` decides a class's majorisations of every class in
-one batch (``orders._decide_majorisation``, which reads the same per-shape
-table of symbol-set orders as the pass), adds its swap edges from the
-pass, and keeps a reference to each edge's proof; ``_edge_lines`` renders
+``_titration_candidates`` derives the census kernel's candidate sets, and
+each candidate's feeder list, from a pass of its own, when a census of
+2x4, 3x3 or 2x5 first runs (``extrema._census_decomposition``).  The
+relation is read one class at a time: ``_relation_row`` decides a class's
+majorisations of every class in one batch (``orders._decide_line_majorisation``,
+which reads the same per-shape table of symbol-set orders as the pass, and
+the line masks the class table keeps), adds its swap edges from the pass,
+and keeps a reference to each edge's proof; ``_edge_lines`` renders
 the edges of a printed chain once each.  ``_search_tree`` keeps one
 breadth-first tree per source class, so each class's chains are searched
 once and a cold query decides only the rows its search expands.  The 2x3
@@ -53,7 +54,7 @@ import dataclasses
 import functools
 import itertools
 import operator
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,6 +64,7 @@ from .orders import (
     _SEARCH_DEPTH,
     RelationKind,
     RelationVerdict,
+    _decide_line_majorisation,
     _decide_majorisation,
     _decide_swaps,
     _decide_titration,
@@ -242,6 +244,14 @@ class ClassTable:
         """Canonical symbol grids of all classes, a (classes, m, n) int64 array."""
         letters = np.frombuffer(self.letters.encode(), np.uint8)
         return np.searchsorted(_LETTER_BYTES, letters).reshape(len(self), self.m, self.n)
+
+    @functools.cached_property
+    def _lines(self) -> tuple[np.ndarray, np.ndarray]:
+        """Symbol bitmasks of every class's rows and columns (``orders._line_masks``)."""
+        lines = _line_masks(self._grids)
+        for masks in lines:
+            masks.flags.writeable = False  # shared by every reader of the table
+        return lines
 
     @functools.cached_property
     def _codes(self) -> np.ndarray:
@@ -543,7 +553,7 @@ def _titration_pass(
     mn, classes = m * n, np.arange(len(table))
     # the row and the column through each symbol, symbol-major
     cell_of = np.argsort(table._grids.reshape(len(table), mn), axis=1)
-    rows, cols = _line_masks(table._grids)
+    rows, cols = table._lines
     rows = np.take_along_axis(rows, cell_of // n, axis=1).T.copy()
     cols = np.take_along_axis(cols, cell_of % n, axis=1).T.copy()
     exchanged = _exchanges(table)
@@ -586,17 +596,33 @@ def _certified_swaps(m: int, n: int) -> tuple[np.ndarray, ...]:
     return np.where(up, k, image), np.where(up, image, k), k, a, b
 
 
+class _CandidateSets(NamedTuple):
+    """The census kernel's evaluation sets, 1-based classes in ascending order.
+
+    ``feeders_max[i]`` lists the classes of ``f_max`` with an edge up into
+    ``c_max[i]``, and ``feeders_min`` is the min side's mirror image.
+    """
+
+    c_max: tuple[int, ...]
+    f_max: tuple[int, ...]
+    c_min: tuple[int, ...]
+    f_min: tuple[int, ...]
+    feeders_max: tuple[tuple[int, ...], ...]
+    feeders_min: tuple[tuple[int, ...], ...]
+
+
 @functools.lru_cache(maxsize=None)
-def _titration_candidates(m: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """The census kernel's evaluation sets ``(C_max, F_max, C_min, F_min)``.
+def _titration_candidates(m: int, n: int) -> _CandidateSets:
+    """The census kernel's evaluation sets ``C_max, F_max, C_min, F_min`` and feeders.
 
     Read from the certified edges I(low) <= I(high) of a
     :func:`_titration_pass`, which are not kept: a census needs the sets
-    only.  Each edge is read from the swap the pass titrates, not again from
+    and lists only.  Each edge is read from the swap the pass titrates, not again from
     its mirror.  On the max side, ``C`` holds the classes no edge points
     above and ``F`` the other classes whose every edge up lands in ``C``;
-    the min side is the mirror image.  Raises RuntimeError if the edges have
-    a cycle.
+    the feeders of a class of ``C`` are the classes of ``F`` with an edge
+    up into it, so every class of ``F`` feeds at least one.  The min side
+    is the mirror image.  Raises RuntimeError if the edges have a cycle.
     """
     edges = [
         (np.concatenate([k[forward], j[reverse]]), np.concatenate([j[forward], k[reverse]]))
@@ -616,12 +642,19 @@ def _titration_candidates(m: int, n: int) -> tuple[tuple[int, ...], ...]:
         tops = np.flatnonzero((up == 0) & (np.bincount(into, minlength=size) > 0))
     if left:
         raise RuntimeError(f"the {m}x{n} titration edges have a cycle")
-    sets = []
+    sets, feeders = [], []
     for tail, head in ((low, high), (high, low)):
         c = np.bincount(tail, minlength=size) == 0
         f = ~c & (np.bincount(tail[~c[head]], minlength=size) == 0)
-        sets += [tuple(np.flatnonzero(c)[1:].tolist()), tuple(np.flatnonzero(f).tolist())]
-    return tuple(sets)
+        members = np.flatnonzero(c)[1:]
+        sets += [tuple(members.tolist()), tuple(np.flatnonzero(f).tolist())]
+        # every edge out of F lands in C: its (head, tail) pairs, once each, by head
+        out_of_f = f[tail]
+        pairs = head[out_of_f].astype(np.intp) * size + tail[out_of_f]
+        fed, feeder = np.divmod(np.unique(pairs), size)
+        lists = np.split(feeder, np.searchsorted(fed, members[1:]))
+        feeders.append(tuple(tuple(group.tolist()) for group in lists))
+    return _CandidateSets(*sets, *feeders)
 
 
 #: A relation edge's reference to its proof: None for the majorisation of
@@ -641,8 +674,8 @@ def _relation_row(m: int, n: int, i: int) -> dict[int, _Proof]:
     low end is i, in pass order.  An edge keeps its first proof, as a
     reference only; :func:`_edge_lines` renders the text.
     """
-    grids = class_table(m, n)._grids
-    majorised = _decide_majorisation(np.broadcast_to(grids[i - 1], grids.shape), grids)
+    lines = class_table(m, n)._lines
+    majorised = _decide_line_majorisation(m, n, [masks[i - 1 : i] for masks in lines], lines)
     majorised[i - 1] = False
     row: dict[int, _Proof] = dict.fromkeys((np.flatnonzero(majorised) + 1).tolist())
     low, high, k, a, b = _certified_swaps(m, n)

@@ -35,13 +35,16 @@ mirror image.  The sets are derived from one titration pass per shape
 when a census of the shape first runs, in ``_census_decomposition``;
 ``brute_force_extrema`` and ``_decomposition`` never titrate.  The tests
 pin the sets and check the pass's edges at random spectra.  The kernel
-computes the totals of the classes ``[C_max | F_max | C_min | F_min]`` only
-(2x5: 536 of 15120), as one product of their term counts with the tile's
-terms, the min side's counts negated so that both extremes are maxima.  A
-row credits the candidate that is the only class of ``C`` within ``EPSILON
-+ _SLACK`` of its extreme over ``C`` and ``F``, when no class of ``F`` is
-in that band, on both sides; every other row is tallied by the dense
-product.
+computes the totals of ``C_max`` and ``C_min`` only (2x5: 110 of 15120;
+2x4: 24; 3x3: 36), as one product of their term counts with the tile's
+terms, ``C_min``'s counts negated so that both extremes are maxima.  The
+feeders of a class c of ``C`` are the classes of ``F`` with an edge into c:
+at most 9 per class at every pruned shape, 4.0 on average at 2x5.  A row
+credits, on each side, the class c that is the only class of ``C`` within
+``EPSILON + _SLACK`` of the extreme over ``C``, when none of c's feeders is
+in that band; their totals are sums of their m + n terms, gathered from the
+row's terms.  Every row that lacks such a class on either side is tallied
+by the dense product.
 
 Exactness.  The certificates order exact totals, so computed totals must
 be close to them.  The rows must be the entropy terms of descending spectra
@@ -57,14 +60,19 @@ first order in u:
 
 so each of the at most m + n <= 7 terms of a total is within 7.4u of
 exact, and adding them in any order costs at most 6u * 7/e < 15.5u more.
-Every computed total, in this kernel or the dense one, is therefore within
-delta = 7 * 7.4u + 15.5u < 68u < 7.6e-15 of exact, so a total moves by at
-most 2 delta between the two kernels.  Let c be credited at the maximum:
-every other class of ``C`` and ``F`` is more than ``EPSILON + _SLACK`` below
-c in this kernel, and a class x outside them has an f in ``F`` with exact
-I(x) <= I(f), so x's dense total is at most 2 delta above f's total here.
-In the dense product every class other than c is thus more than
-``EPSILON + _SLACK`` - 4 delta below c, which with ``_SLACK = 1e-13``
+Every computed total, by product or gather in this kernel or in the dense
+one, is therefore within delta = 7 * 7.4u + 15.5u < 68u < 7.6e-15 of exact,
+so a total moves by at most 2 delta between the two kernels.  Let c be
+credited at the maximum: every other class of ``C``, and every feeder of c,
+is more than ``EPSILON + _SLACK`` below c in this kernel.  Take a class x
+outside ``C``.  Walking up from x ends at some f in ``F`` (f = x if x is in
+``F``) with exact I(x) <= I(f), and every edge out of f lands in ``C``.  If
+one lands in c, f is a feeder of c; otherwise one lands in some c' of
+``C`` other than c, and exact I(x) <= I(f) <= I(c').  Either way x's exact
+total is at most that of a class computed here more than ``EPSILON +
+_SLACK`` below c, so x's dense total is at most 2 delta above that class's
+total here.  In the dense product every class other than c is thus more
+than ``EPSILON + _SLACK`` - 4 delta below c, which with ``_SLACK = 1e-13``
 exceeds ``EPSILON`` by far more than the rounding of the two thresholds
 (under 1e-15 at totals below 7/e): the dense kernel finds c alone within
 ``EPSILON``.  The other rows go to the dense kernel itself, so tallies and
@@ -83,6 +91,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -93,7 +102,6 @@ import numpy as np
 
 from .classes import _titration_candidates, class_table
 from .core import EPSILON, Spectrum, entropy_terms, sample_spectra, write_text_atomic
-from .orders import _line_masks
 
 __all__ = [
     "MAX_BLOCK_SIZE",
@@ -127,8 +135,9 @@ _CHECKPOINT_SCHEMA = 1
 
 #: Work arrays of the census kernel, one set per block in flight, handed on
 #: to the next block (and census) when a block is done.  A set holds a tile's
-#: entropy terms ("terms") and the product being reduced ("product": the
-#: marginal sums, then the candidates' or the dense totals).  Allocated
+#: entropy terms ("terms"), the product being reduced ("product": the
+#: marginal sums, then the candidates' or the dense totals) and the pruned
+#: kernel's band masks and feeder gathers (see ``_sole_candidates``).  Allocated
 #: afresh, these multi-megabyte arrays are paged in again whenever malloc has
 #: trimmed its heap in between: 1,400 to 2,200 minor page faults per
 #: 2500-sample 2x4 or 3x3 block, which doubled its time.
@@ -146,11 +155,31 @@ def _records(done: int, block_size: int, samples: int) -> bool:
 
 
 @dataclasses.dataclass(frozen=True)
-class _Candidates:
-    """The pruned kernel's classes ``[C_max | F_max | C_min | F_min]``."""
+class _Side:
+    """One side of the pruned kernel: its candidates ``C`` and their feeders."""
 
-    class_terms: np.ndarray  # (E, T): their columns of G as rows, the min side's negated
-    sides: tuple[tuple[np.ndarray, slice, slice], ...]  # per side: C (0-based), C rows, F rows
+    classes: np.ndarray  # C, 0-based
+    rows: slice  # C's rows of the candidates' class_terms
+    # (m + n, K, len(C)): the term indices of each C class's feeders, a list
+    # of up to K padded to K by repeating its first feeder
+    feeder_terms: np.ndarray
+    sign: float  # 1.0 at the max; -1.0 at the min, whose totals are negated
+    band_weights: np.ndarray  # (2, len(C)): ones, then each class's position in C
+
+
+@dataclasses.dataclass(frozen=True)
+class _Candidates:
+    """The pruned kernel's classes ``[C_max | C_min]`` and the feeders of each."""
+
+    class_terms: np.ndarray  # (len(C_max) + len(C_min), T): their columns of G, C_min's negated
+    sides: tuple[_Side, _Side]
+
+    @property
+    def row_elements(self) -> int:
+        """Work-array elements per row of a tile, at most: terms, totals, band, gathers."""
+        n_terms = self.class_terms.shape[1]
+        gathers = max(side.feeder_terms.size // len(side.classes) for side in self.sides)
+        return n_terms + 2 * len(self.class_terms) + 2 * gathers
 
 
 @dataclasses.dataclass(frozen=True)
@@ -166,7 +195,7 @@ def _decomposition(m: int, n: int) -> _TermDecomposition:
     n_classes = len(table)
     # One symbol bitmask per marginal, in class order, rows before columns;
     # terms are numbered by first appearance in that sequence.
-    masks = np.concatenate(_line_masks(table._grids), axis=1)
+    masks = np.concatenate(table._lines, axis=1)
     first = np.full(1 << (m * n), masks.size)
     np.minimum.at(first, masks.ravel(), np.arange(masks.size))
     codes = np.flatnonzero(first < masks.size)
@@ -192,22 +221,29 @@ def _census_decomposition(m: int, n: int) -> _TermDecomposition:
     dec = _decomposition(m, n)
     if (m, n) not in _PRUNED_SHAPES:
         return dec
-    c_max, f_max, c_min, f_min = (
-        np.array(s, dtype=np.intp) - 1 for s in _titration_candidates(m, n)
-    )
+    sets = _titration_candidates(m, n)
     _trim_heap()
-    split = len(c_max) + len(f_max)
-    class_terms = np.ascontiguousarray(
-        dec.term_counts[:, np.concatenate([c_max, f_max, c_min, f_min])].T
-    )
-    class_terms[split:] *= -1.0
-    candidates = _Candidates(
-        class_terms=class_terms,
-        sides=(
-            (c_max, slice(0, len(c_max)), slice(len(c_max), split)),
-            (c_min, slice(split, split + len(c_min)), slice(split + len(c_min), None)),
-        ),
-    )
+    G = dec.term_counts
+    sides, start = [], 0
+    max_side, min_side = (sets.c_max, sets.feeders_max, 1.0), (sets.c_min, sets.feeders_min, -1.0)
+    for c, feeders, sign in (max_side, min_side):
+        assert all(feeders), "every candidate of a pruned shape has a feeder"
+        width = max(map(len, feeders))
+        padded = np.array([f + f[:1] * (width - len(f)) for f in feeders], dtype=np.intp) - 1
+        # each class's m + n terms, ascending: the rows of its column of G
+        terms = np.nonzero(G[:, padded.ravel()].T)[1].reshape(*padded.shape, m + n)
+        sides.append(
+            _Side(
+                classes=np.array(c, dtype=np.intp) - 1,
+                rows=slice(start, start + len(c)),
+                feeder_terms=np.ascontiguousarray(terms.transpose(2, 1, 0)),
+                sign=sign,
+                band_weights=np.stack([np.ones(len(c)), np.arange(len(c), dtype=np.float64)]),
+            )
+        )
+        start += len(c)
+    class_terms = np.concatenate([G[:, side.classes].T * side.sign for side in sides])
+    candidates = _Candidates(class_terms=class_terms, sides=tuple(sides))
     return dataclasses.replace(dec, candidates=candidates)
 
 
@@ -228,12 +264,15 @@ def _trim_heap() -> None:
         trim(0)
 
 
-def _work_array(work: dict[str, np.ndarray], name: str, rows: int, cols: int) -> np.ndarray:
-    """The work array ``name`` of one set, grown as needed, as a rows x cols view."""
-    if name not in work or work[name].size < rows * cols:
+def _work_array(
+    work: dict[str, np.ndarray], name: str, *shape: int, dtype: type = np.float64
+) -> np.ndarray:
+    """The work array ``name`` of one set, grown as needed, as a view of ``shape``."""
+    size = math.prod(shape)
+    if name not in work or work[name].size < size:
         work.pop(name, None)  # free the smaller array before allocating
-        work[name] = np.empty(rows * cols)
-    return work[name][: rows * cols].reshape(rows, cols)
+        work[name] = np.empty(size, dtype=dtype)
+    return work[name][:size].reshape(shape)
 
 
 def _marginal_entropy_terms(
@@ -281,20 +320,39 @@ def _sole_candidates(
     """Per row, whether one candidate alone holds each extreme, and which.
 
     Returns ``(resolved, top, bottom)``: row i credits class ``top[i]`` at
-    the max and ``bottom[i]`` at the min if ``resolved[i]``, which needs one
-    class of ``C`` and none of ``F`` within ``EPSILON + _SLACK`` of the
-    extreme over ``C`` and ``F`` on both sides.
+    the max and ``bottom[i]`` at the min if ``resolved[i]``, which needs, on
+    both sides, one class of ``C`` alone within ``EPSILON + _SLACK`` of the
+    extreme over ``C``, and none of that class's feeders in the band.  The
+    feeders' totals are gathered from the row's terms.
     """
+    rows, n_terms = hterms.shape
     # the min side negated: both extremes are maxima
-    out = _work_array(work, "product", len(cand.class_terms), len(hterms))
+    out = _work_array(work, "product", len(cand.class_terms), rows)
     vals = np.matmul(cand.class_terms, hterms.T, out=out)
-    resolved = np.ones(vals.shape[1], dtype=bool)
+    offsets = np.arange(0, rows * n_terms, n_terms)  # of each row's terms in hterms.flat
+    resolved = np.ones(rows, dtype=bool)
     credited = []
-    for classes, c_rows, f_rows in cand.sides:
-        edge = vals[c_rows].max(axis=0) - (EPSILON + _SLACK)
-        resolved &= vals[f_rows].max(axis=0) < edge
-        resolved &= np.count_nonzero(vals[c_rows] >= edge, axis=0) == 1
-        credited.append(classes[vals[c_rows].argmax(axis=0)])
+    for side in cand.sides:
+        c_vals = vals[side.rows]
+        edge = c_vals.max(axis=0) - (EPSILON + _SLACK)
+        band = np.greater_equal(c_vals, edge, out=_work_array(work, "band", *c_vals.shape))
+        # per row, the classes of C in the band and the sum of their
+        # positions in C: the position of the best one where it is alone,
+        # elsewhere a position that is only read clipped into range
+        counts = _work_array(work, "count", 2, rows)
+        count, position = np.matmul(side.band_weights, band, out=counts)
+        resolved &= count == 1
+        best = position.astype(np.intp)
+        # per term of each feeder slot, row by row: the term's index, then value
+        shape = (*side.feeder_terms.shape[:2], rows)
+        index = _work_array(work, "index", *shape, dtype=np.intp)
+        np.take(side.feeder_terms, best, axis=2, out=index, mode="clip")
+        index += offsets
+        feeds = np.take(hterms, index, out=_work_array(work, "feeds", *shape), mode="clip")
+        totals = np.add.reduce(feeds, axis=0, out=_work_array(work, "totals", *shape[1:]))
+        totals *= side.sign
+        resolved &= totals.max(axis=0) < edge
+        credited.append(np.take(side.classes, best, mode="clip"))
     return resolved, *credited
 
 
@@ -305,7 +363,8 @@ def _block_extrema(
 
     Tile by tile, so memory stays bounded whatever the block size: a tile's
     entropy terms, then, where the shape has candidates, its rows that one
-    candidate resolves credit it (tiles of ``_ELEMENT_BUDGET // E`` spectra).
+    candidate resolves credit it (tiles of ``_ELEMENT_BUDGET //
+    row_elements`` spectra, which bounds every work array of the tile).
     Every other row, and every row of a shape without candidates, is
     tallied by the dense product, ``_ELEMENT_BUDGET // n_classes`` rows at
     a time.
@@ -314,7 +373,7 @@ def _block_extrema(
     n_classes = G.shape[1]
     step = max(1, _ELEMENT_BUDGET // n_classes)
     cand = dec.candidates
-    tile = step if cand is None else max(1, _ELEMENT_BUDGET // cand.class_terms.shape[0])
+    tile = step if cand is None else max(1, _ELEMENT_BUDGET // cand.row_elements)
     max_hits = np.zeros(n_classes, dtype=np.int64)
     min_hits = np.zeros(n_classes, dtype=np.int64)
     ties_max = ties_min = 0

@@ -641,18 +641,34 @@ def _decide_majorisation(grids_a: np.ndarray, grids_b: np.ndarray) -> np.ndarray
     are disjoint symbol sets, so the sum of j lines is the union of their
     bitmasks, and every comparison is read from the shape's :func:`_set_order`.
     """
-    count, m, n = grids_a.shape
+    _, m, n = grids_a.shape
+    return _decide_line_majorisation(m, n, _line_masks(grids_a), _line_masks(grids_b))
+
+
+def _decide_line_majorisation(
+    m: int, n: int, lines_a: Sequence[np.ndarray], lines_b: Sequence[np.ndarray]
+) -> np.ndarray:
+    """:func:`_decide_majorisation` of m x n grids given by their :func:`_line_masks`.
+
+    ``lines_a`` holds the row and column masks of as many grids as
+    ``lines_b``, or of one grid, which is then decided against each of them:
+    per j, the sets that some j lines of that grid dominate are read once.
+    """
     leq = _set_order(m, n)
-    certified = np.ones(count, dtype=bool)
-    for lines_a, lines_b in zip(_line_masks(grids_a), _line_masks(grids_b)):
-        k = lines_a.shape[1]
+    certified = np.ones(len(lines_b[0]), dtype=bool)
+    for masks_a, masks_b in zip(lines_a, lines_b):
+        k = masks_a.shape[1]
         for j in range(1, k):
             live = np.flatnonzero(certified)  # each j only tests the pairs still certified
             subsets = np.array(list(itertools.combinations(range(k), j)))
-            sums_a, sums_b = (
-                np.bitwise_or.reduce(lines[live][:, subsets], axis=2) for lines in (lines_a, lines_b)
-            )
-            certified[live] = leq[sums_b[:, :, None], sums_a[:, None, :]].any(axis=2).all(axis=1)
+            sums_b = np.bitwise_or.reduce(masks_b[live][:, subsets], axis=2)
+            if len(masks_a) == 1:
+                sums_a = np.bitwise_or.reduce(masks_a[:, subsets], axis=2)
+                certified[live] = leq[:, sums_a[0]].any(axis=1)[sums_b].all(axis=1)
+            else:
+                sums_a = np.bitwise_or.reduce(masks_a[live][:, subsets], axis=2)
+                found = leq[sums_b[:, :, None], sums_a[:, None, :]].any(axis=2)
+                certified[live] = found.all(axis=1)
     return certified
 
 

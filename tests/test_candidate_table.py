@@ -1,11 +1,13 @@
 """The census kernel's certified evaluation sets, and what they say of the paper.
 
-The census derives, per shape and side, the candidates ``C`` and the
-feeders ``F`` from one titration pass (``classes._titration_candidates``)
+The census derives, per shape and side, the candidates ``C``, the
+feeders ``F`` and each candidate's feeder list (the classes of ``F`` with
+an edge into it) from one titration pass (``classes._titration_candidates``)
 the first time it runs.  The kernel is exact only if every class outside
-``C`` and ``F`` has a chain of certified edges that ends in ``F``; these
-tests pin the pass and the sets, check the pass's edges at random spectra,
-and check the chains' existence instead of trusting the pass.  They also
+``C`` and ``F`` has a chain of certified edges that ends in ``F``, and
+every edge out of ``F`` is listed; these tests pin the pass, the sets and
+the longest lists, check the pass's edges and the listed ones at random
+spectra, and check the chains' existence instead of trusting the pass.  They also
 test the paper's closing claim against the full relation (majorisation and
 titration edges): only 2x3 has a single undominated maximum.
 """
@@ -53,7 +55,7 @@ def _relation_graph(m, n):
 
 def _sets(m, n):
     """``C_max, F_max, C_min, F_min`` of one shape as sets of class indices."""
-    return tuple(map(set, _titration_candidates(m, n)))
+    return tuple(map(set, _titration_candidates(m, n)[:4]))
 
 
 def _edges(m, n):
@@ -63,10 +65,53 @@ def _edges(m, n):
 
 @pytest.mark.parametrize("m,n", SHAPES)
 def test_titration_pass_reproduces_the_table(m, n):
-    sets = _titration_candidates(m, n)
+    sets = _titration_candidates(m, n)[:4]
     text = "\n".join(" ".join(map(str, s)) for s in sets)
     assert (tuple(map(len, sets)), hashlib.sha256(text.encode()).hexdigest()) == PINNED_SETS[m, n]
     assert all(list(s) == sorted(set(s)) for s in sets)
+
+
+#: Per shape, the longest feeder list of a ``C_max`` and of a ``C_min`` class.
+PINNED_FEEDER_WIDTHS = {(2, 4): (9, 7), (3, 3): (7, 7), (2, 5): (7, 9)}
+
+
+def _feeder_edges(m, n):
+    """Per side, the feeder lists as edges ``(low, high)``, I(low) <= I(high)."""
+    sets = _titration_candidates(m, n)
+    up = [(f, c) for c, fed in zip(sets.c_max, sets.feeders_max) for f in fed]
+    down = [(c, f) for c, fed in zip(sets.c_min, sets.feeders_min) for f in fed]
+    return up, down
+
+
+@pytest.mark.parametrize("m,n", SHAPES)
+def test_feeder_lists_are_the_edges_out_of_the_feeders(m, n):
+    sets = _titration_candidates(m, n)
+    widths = []
+    for c, f, feeders in ((sets.c_max, sets.f_max, sets.feeders_max),
+                          (sets.c_min, sets.f_min, sets.feeders_min)):
+        assert len(feeders) == len(c)
+        assert all(fed and list(fed) == sorted(set(fed)) for fed in feeders)
+        assert set().union(*feeders) == set(f)
+        widths.append(max(map(len, feeders)))
+    assert tuple(widths) == PINNED_FEEDER_WIDTHS[m, n]
+    # every listed pair is a certified edge, and every edge out of F is listed
+    certified = set(zip(*(side.tolist() for side in _edges(m, n))))
+    up, down = _feeder_edges(m, n)
+    c_max, f_max, c_min, f_min = _sets(m, n)
+    assert set(up) == {(x, y) for x, y in certified if x in f_max}
+    assert set(down) == {(x, y) for x, y in certified if y in f_min}
+    assert len(set(up)) == len(up) and len(set(down)) == len(down)
+
+
+@pytest.mark.parametrize("m,n", SHAPES)
+def test_feeder_edges_hold_at_random_spectra(m, n):
+    dec = extrema._decomposition(m, n)
+    spectra = sample_spectra(m * n, 64, np.random.default_rng(m * n + 2))
+    totals = extrema._marginal_entropy_terms(spectra, dec.symbols_by_term) @ dec.term_counts
+    up, down = _feeder_edges(m, n)
+    low, high = np.array(up + down).T - 1
+    # the allowance of test_certified_swaps_hold_at_random_spectra
+    assert (totals[:, low] <= totals[:, high] + 1e-13).all()
 
 
 @pytest.mark.parametrize("m,n", sorted(PINNED_SWAPS))

@@ -236,11 +236,21 @@ def _assert_decomposition_is(dec, A, G, m, n):
     cand = census_dec.candidates
     assert (cand is not None) == ((m, n) in [(2, 4), (3, 3), (2, 5)])
     if cand is not None:
-        c_max, f_max, c_min, f_min = (np.array(c) - 1 for c in _titration_candidates(m, n))
-        rows = np.concatenate([G[:, c_max].T, G[:, f_max].T, -G[:, c_min].T, -G[:, f_min].T])
-        assert np.array_equal(cand.class_terms, rows)
-        (max_c, *_), (min_c, *_) = cand.sides
-        assert np.array_equal(max_c, c_max) and np.array_equal(min_c, c_min)
+        # the C rows only, C_max then C_min negated; each C class's feeders
+        # as their term indices, the list padded by its first feeder
+        sets = _titration_candidates(m, n)
+        c_max, c_min = (np.array(c) - 1 for c in (sets.c_max, sets.c_min))
+        assert np.array_equal(cand.class_terms, np.concatenate([G[:, c_max].T, -G[:, c_min].T]))
+        sides = zip(cand.sides, (c_max, c_min), (sets.feeders_max, sets.feeders_min), (1.0, -1.0))
+        for side, c, feeders, sign in sides:
+            assert np.array_equal(side.classes, c) and side.sign == sign
+            assert np.array_equal(cand.class_terms[side.rows], sign * G[:, c].T)
+            width = max(map(len, feeders))
+            assert side.feeder_terms.shape == (m + n, width, len(c))
+            for i, fed in enumerate(feeders):
+                slots = fed + fed[:1] * (width - len(fed))
+                expected = [np.flatnonzero(G[:, f - 1]) for f in slots]
+                assert np.array_equal(side.feeder_terms[:, :, i].T, expected)
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (3, 3), (2, 5)])
@@ -433,8 +443,9 @@ def test_a_block_reuses_the_work_arrays_of_the_last():
     finally:
         tracemalloc.stop()
     assert [np.asarray(x).tolist() for x in again] == [np.asarray(x).tolist() for x in first]
-    # only masks and per-row results are new (1.7 MB); the block's terms
-    # (5.9 MB) and candidate totals (10.7 MB) are not allocated again
+    # only masks and per-row results are new; the block's terms (5.9 MB),
+    # candidate totals (2.2 MB), band masks (1.4 MB) and feeder gathers
+    # (2.5 MB) are not allocated again
     assert peak < 4 * 2**20
 
 
