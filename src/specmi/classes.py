@@ -201,13 +201,18 @@ class MatrixClass:
         )
 
     def instantiate(self, spectrum: Spectrum) -> ProbMatrix:
-        """Fill the canonical grid with the spectrum's values."""
+        """Fill the canonical grid with the spectrum's values.
+
+        Only the spectrum's length is checked here: its values were checked
+        when it was built, and the grid places each of them once, so the
+        matrix is built by ``ProbMatrix._of``.
+        """
         if spectrum.dim != self.m * self.n:
             raise ValueError(
                 f"spectrum has {spectrum.dim} entries; class needs {self.m * self.n}"
             )
         values = spectrum.values
-        return ProbMatrix(tuple([pick(values) for pick in self._row_pickers]))
+        return ProbMatrix._of(tuple([pick(values) for pick in self._row_pickers]))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -403,13 +408,14 @@ def varpi(arrangement):
     Swaps the bottom-left and bottom-right entries and returns the same
     kind of object (ProbMatrix in, ProbMatrix out; grid in, grid out).
     An involution; it maps each standard-form non-minimal head to a
-    maximal-side class.
+    maximal-side class.  A ProbMatrix result only moves the input's checked
+    values, so it is built by ``ProbMatrix._of``.
     """
     if isinstance(arrangement, ProbMatrix):
         if (arrangement.m, arrangement.n) != (2, 3):
             raise ValueError("varpi acts on 2x3 arrangements")
         top, bottom = arrangement.entries
-        return ProbMatrix((top, (bottom[2], bottom[1], bottom[0])))
+        return ProbMatrix._of((top, (bottom[2], bottom[1], bottom[0])))
     rows = tuple(tuple(row) for row in arrangement)
     if len(rows) != 2 or any(len(r) != 3 for r in rows):
         raise ValueError("varpi acts on 2x3 arrangements")

@@ -16,7 +16,10 @@ Conventions
   entries themselves.  ``I`` depends only on the arrangement's row/column
   permutation class, not on the labelling of rows and columns.
 * Values are validated where they enter the API, in the :class:`Spectrum`
-  and :class:`ProbMatrix` constructors, and nowhere after.  The scalar
+  and :class:`ProbMatrix` constructors, and nowhere after: an arrangement
+  that only rearranges validated values (:func:`arrange`,
+  ``MatrixClass.instantiate``, ``varpi``) is built unchecked by
+  ``ProbMatrix._of``.  The scalar
   functions (:func:`cmi` and the two-qubit quantities of ``qubit2``) then
   compute in plain Python floats with ``math.log``; NumPy is kept for
   arrays of spectra.  ``Spectrum.entropy`` stays NumPy, because the
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 import dataclasses
 import errno
-import itertools
 import math
 import os
 import tempfile
@@ -156,7 +158,13 @@ class Spectrum:
 
 @dataclasses.dataclass(frozen=True)
 class ProbMatrix:
-    """An m x n arrangement of a spectrum (a joint probability matrix)."""
+    """An m x n arrangement of a spectrum (a joint probability matrix).
+
+    The constructor and :meth:`from_array` check their input: rows of equal
+    length, finite entries of at least -EPSILON, total within SUM_TOLERANCE
+    of 1.  Arrangements of values that were checked already are built by
+    :meth:`_of`, which checks nothing.
+    """
 
     entries: tuple[tuple[float, ...], ...]
 
@@ -179,6 +187,19 @@ class ProbMatrix:
         total = math.fsum(flat)
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise ValueError(f"ProbMatrix entries sum to {total!r}, not 1")
+
+    @classmethod
+    def _of(cls, rows: tuple[tuple[float, ...], ...]) -> "ProbMatrix":
+        """The arrangement with these rows, stored without any check.
+
+        Only for rows, a tuple of equally long tuples of floats, that hold
+        each value of an already validated :class:`Spectrum` or
+        :class:`ProbMatrix` exactly once: such rows pass every check of the
+        constructor, so it would only repeat them.
+        """
+        P = object.__new__(cls)
+        object.__setattr__(P, "entries", rows)
+        return P
 
     @property
     def m(self) -> int:
@@ -211,15 +232,17 @@ def arrange(s: Spectrum, perm: Sequence[int], m: int, n: int) -> ProbMatrix:
     """Arrange spectrum ``s`` into an ``m x n`` matrix along ``perm``.
 
     ``perm`` is a zero-based permutation of ``range(m * n)``: the entry at
-    flat (row-major) position ``k`` is ``s.values[perm[k]]``.
+    flat (row-major) position ``k`` is ``s.values[perm[k]]``.  Only the
+    shape and ``perm`` are checked here; the values were checked when ``s``
+    was built, so the matrix is built by ``ProbMatrix._of``.
     """
     if s.dim != m * n:
         raise ValueError(f"spectrum dim {s.dim} != m*n = {m * n}")
     p = tuple(int(k) for k in perm)
     if sorted(p) != list(range(m * n)):
         raise ValueError(f"perm {perm!r} is not a permutation of range({m * n})")
-    flat = [s.values[p[k]] for k in range(m * n)]
-    return ProbMatrix(tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(m)))
+    flat = tuple(s.values[k] for k in p)
+    return ProbMatrix._of(tuple(flat[i * n : (i + 1) * n] for i in range(m)))
 
 
 def marginals(P: ProbMatrix) -> Marginals:
@@ -234,14 +257,28 @@ def marginals(P: ProbMatrix) -> Marginals:
 def cmi(P: ProbMatrix) -> float:
     """Classical mutual information of the arrangement, in nats.
 
-    ``I(P) = sum_i H(r_i) + sum_j H(c_j) - sum_k H(lambda_k)``.
+    ``I(P) = sum_i H(r_i) + sum_j H(c_j) - sum_k H(lambda_k)``.  Each row
+    and column sum is added left to right from 0.0, as ``sum`` does before
+    Python 3.12, and the row, column and entry terms each go into their own
+    total, the entries in row-major order.
     """
-    rows = P.entries
-    return (
-        _plain_xlogx_sum(map(sum, rows))
-        + _plain_xlogx_sum(map(sum, zip(*rows)))
-        - _plain_xlogx_sum(itertools.chain.from_iterable(rows))
-    )
+    log = math.log
+    h_rows = h_cols = h_entries = 0.0
+    for row in P.entries:
+        r = 0.0
+        for v in row:
+            r += v
+            if v > 0.0:
+                h_entries -= v * log(v)
+        if r > 0.0:
+            h_rows -= r * log(r)
+    for col in zip(*P.entries):
+        c = 0.0
+        for v in col:
+            c += v
+        if c > 0.0:
+            h_cols -= c * log(c)
+    return h_rows + h_cols - h_entries
 
 
 def sample_spectrum(dim: int, rng: np.random.Generator) -> Spectrum:

@@ -179,7 +179,7 @@ def mems_concurrence(s: Spectrum) -> float:
     return max(0.0, a - c - 2.0 * math.sqrt(max(b * d, 0.0)))
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Qubit2Informations:
     """The five information quantities of one T-state spectrum."""
 
@@ -234,7 +234,7 @@ def bloch_classical(
     )
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class TotalOrder2x2:
     """The strict information order of the three 2x2 arrangement classes.
 

@@ -1,5 +1,7 @@
 """T-states of two qubits: information gaps, separability, the 2x2 order."""
+import dataclasses
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -197,6 +199,17 @@ def test_total_order_endpoints_match_the_information_extremes():
     order = verify_total_order_2x2(s)
     assert order.i_identity == pytest.approx(i_min(s), abs=1e-12)
     assert order.i_antidiagonal == pytest.approx(i_max_class(s), abs=1e-12)
+
+
+def test_per_spectrum_results_have_slots_and_survive_pickle_and_replace():
+    s = Spectrum((0.4, 0.3, 0.2, 0.1))
+    for result in (verify_total_order_2x2(s), qubit2_informations(s)):
+        assert not hasattr(result, "__dict__")
+        assert pickle.loads(pickle.dumps(result)) == result
+        assert dataclasses.replace(result) == result
+        name = dataclasses.fields(result)[0].name
+        changed = dataclasses.replace(result, **{name: -1.0})
+        assert getattr(changed, name) == -1.0 and changed != result
 
 
 def test_total_order_rejects_ties():
