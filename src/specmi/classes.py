@@ -26,12 +26,13 @@ smaller of the two words is canonical.
 
 Certified edges between classes are derived here, once each.  One
 titration pass per shape, ``_titration_pass``, decides every cell swap of
-every class in batch (``orders._decide_swaps``), reading the class each
-swap reaches from the action of symbol exchanges on classes
-(``_exchanges``); ``_certified_swaps`` keeps it for the relation rows.
-``_titration_candidates`` derives the census kernel's candidate sets, and
-each candidate's feeder list, from a pass of its own, when a census of
-2x4, 3x3 or 2x5 first runs (``extrema._census_decomposition``).  The
+every class in one batch (one ``orders._decide_swaps`` call), reading the
+class each swap reaches from the action of symbol exchanges on classes
+(``_exchanges``), and returns flat arrays; ``_certified_swaps`` keeps them
+for the relation rows.  ``_titration_candidates`` derives the census
+kernel's candidate sets, and each candidate's feeder list, from a pass of
+its own, when a census of 2x4, 3x3 or 2x5 first runs
+(``extrema._census_decomposition``).  The
 relation is read one class at a time: ``_relation_row`` decides a class's
 majorisations of every class in one batch (``orders._decide_line_majorisation``,
 which reads the same per-shape table of symbol-set orders as the pass, and
@@ -54,7 +55,7 @@ import dataclasses
 import functools
 import itertools
 import operator
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -184,7 +185,9 @@ class MatrixClass:
 
     @functools.cached_property
     def display(self) -> str:
-        return grid_display(self.canonical)
+        """The word's m rows of n letters, joined by '|' (``grid_display`` of the grid)."""
+        n = self.n
+        return "|".join(self.word[r * n : (r + 1) * n] for r in range(self.m))
 
     @functools.cached_property
     def _row_pickers(self) -> tuple[operator.itemgetter, ...]:
@@ -497,10 +500,10 @@ def standard_form_sets() -> StandardFormSets:
 # ---------------------------------------------------------------------------
 
 #: Shapes whose relation is searched.  A row costs one class's batch
-#: against every class: a median of about 0.2, 0.45, 1.6 and 3.4 ms for
-#: 2x3, 2x4, 3x3 and 2x5 (one process on a 2-vCPU VM), after a titration
-#: pass of 0.002, 0.006, 0.03 and 0.1 s.  It is the depth-4 search that
-#: stops larger shapes: it could expand thousands of 2x5 classes.
+#: against every class: a median of about 0.1, 0.2, 0.5-0.8 and 1.4-1.7 ms
+#: for 2x3, 2x4, 3x3 and 2x5 (one process on a 2-vCPU VM), after a
+#: titration pass of about 0.3, 2, 16 and 40 ms.  It is the depth-4 search
+#: that stops larger shapes: it could expand thousands of 2x5 classes.
 RELATION_SHAPES = ((2, 2), (2, 3))
 
 
@@ -540,9 +543,7 @@ def _exchanges(table: ClassTable) -> np.ndarray:
     return images
 
 
-def _titration_pass(
-    m: int, n: int
-) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+def _titration_pass(m: int, n: int) -> tuple[np.ndarray, ...]:
     """Titrate the swap of every two symbols in every class's canonical grid.
 
     The swap of symbols s and t in class k's grid, which carries k to class
@@ -550,23 +551,27 @@ def _titration_pass(
     The mirror's base sums are the swap's with the beta and alpha-tau sides
     exchanged, so it proves forward what the swap proves in reverse, and the
     other way round.  So the rules run once per mirrored pair, in the class
-    k < j: per pair of symbols s < t, one batch, yielded as ``(s, t, k, j,
-    forward, reverse)`` with 0-based classes k < j and the two directions
-    the rules prove for the swap in k (forward: I(k) <= I(j)).  A swap that
-    carries a class to itself is never titrated.
+    k < j, and every pair of every class is decided in one batch.  Returns
+    the flat arrays ``(s, t, k, j, forward, reverse)``, ordered by the pair
+    of symbols s < t and then by class: 0-based classes k < j and the two
+    directions the rules prove for the swap in k (forward: I(k) <= I(j)).
+    A swap that carries a class to itself is never titrated.
     """
     table = class_table(m, n)
-    mn, classes = m * n, np.arange(len(table))
+    mn = m * n
     # the row and the column through each symbol, symbol-major
     cell_of = np.argsort(table._grids.reshape(len(table), mn), axis=1)
     rows, cols = table._lines
     rows = np.take_along_axis(rows, cell_of // n, axis=1).T.copy()
     cols = np.take_along_axis(cols, cell_of % n, axis=1).T.copy()
-    exchanged = _exchanges(table)
-    for s, t in itertools.combinations(range(mn), 2):
-        own = np.flatnonzero(classes < exchanged[s, t])
-        lines = rows[t, own], cols[t, own], rows[s, own], cols[s, own]
-        yield s, t, own, exchanged[s, t, own], *_decide_swaps(m, n, *lines, 1 << s | 1 << t)
+    s, t = np.triu_indices(mn, 1)  # the pairs s < t in combination order
+    images = _exchanges(table)[s, t]
+    own = np.arange(len(table)) < images  # per pair, the classes k < j
+    k = np.broadcast_to(np.arange(len(table), dtype=np.int16), own.shape)[own]
+    lines = rows[t][own], cols[t][own], rows[s][own], cols[s][own]
+    s, t = (np.repeat(v.astype(np.int8), own.sum(axis=1)) for v in (s, t))
+    flip = np.left_shift(1, s, dtype=np.int16) | np.left_shift(1, t, dtype=np.int16)
+    return s, t, k, images[own], *_decide_swaps(m, n, *lines, flip)
 
 
 @functools.lru_cache(maxsize=None)
@@ -577,8 +582,9 @@ def _certified_swaps(m: int, n: int) -> tuple[np.ndarray, ...]:
     order, of the swaps of row-major cells a < b in the canonical grid of
     class k that reach another class: int16 classes and int8 cells, 3.3 MB
     at 2x5.  Each proves I(low) <= I(high); k is low where the swap cannot
-    decrease mutual information, else high.  Read from
-    :func:`_titration_pass`, and kept for the relation rows.
+    decrease mutual information, else high.  Read from the flat arrays of
+    :func:`_titration_pass`, with one assignment per direction of the
+    mirrored swaps, and kept for the relation rows.
     """
     table = class_table(m, n)
     mn = m * n
@@ -589,10 +595,10 @@ def _certified_swaps(m: int, n: int) -> tuple[np.ndarray, ...]:
     # per class and cell pair, in that order: the verdict and the 1-based image
     kinds = np.zeros((len(table), len(cells)), dtype=np.int8)
     images = np.zeros((len(table), len(cells)), dtype=np.int16)
-    for s, t, k, j, forward, reverse in _titration_pass(m, n):
-        for src, dst, kind in ((k, j, _verdicts(forward, reverse)), (j, k, _verdicts(reverse, forward))):
-            pair = pair_of[cell_of[src, s], cell_of[src, t]]
-            kinds[src, pair], images[src, pair] = kind, dst + 1
+    s, t, k, j, forward, reverse = _titration_pass(m, n)
+    for src, dst, kind in ((k, j, _verdicts(forward, reverse)), (j, k, _verdicts(reverse, forward))):
+        pair = pair_of[cell_of[src, s], cell_of[src, t]]
+        kinds[src, pair], images[src, pair] = kind, dst + 1
     certified = kinds != 0
     k, a, b = (
         np.broadcast_to(v, kinds.shape)[certified]
@@ -622,19 +628,18 @@ def _titration_candidates(m: int, n: int) -> _CandidateSets:
     """The census kernel's evaluation sets ``C_max, F_max, C_min, F_min`` and feeders.
 
     Read from the certified edges I(low) <= I(high) of a
-    :func:`_titration_pass`, which are not kept: a census needs the sets
-    and lists only.  Each edge is read from the swap the pass titrates, not again from
-    its mirror.  On the max side, ``C`` holds the classes no edge points
+    :func:`_titration_pass`, one batch whose flat arrays are not kept: a
+    census needs the sets and lists only.  Each edge is read from the swap
+    the pass titrates, not again from its mirror.  On the max side, ``C`` holds the classes no edge points
     above and ``F`` the other classes whose every edge up lands in ``C``;
     the feeders of a class of ``C`` are the classes of ``F`` with an edge
     up into it, so every class of ``F`` feeds at least one.  The min side
     is the mirror image.  Raises RuntimeError if the edges have a cycle.
     """
-    edges = [
-        (np.concatenate([k[forward], j[reverse]]), np.concatenate([j[forward], k[reverse]]))
-        for _, _, k, j, forward, reverse in _titration_pass(m, n)
-    ]
-    low, high = (np.concatenate(ends).astype(np.int16) + 1 for ends in zip(*edges))
+    _, _, k, j, forward, reverse = _titration_pass(m, n)
+    low, high = (
+        np.concatenate(ends) + 1 for ends in ((k[forward], j[reverse]), (j[forward], k[reverse]))
+    )
     size = len(class_table(m, n)) + 1
     # peel the classes with no edge up, then the edges into them (Kahn's algorithm)
     by_head = np.argsort(high, kind="stable")

@@ -631,6 +631,15 @@ def _set_order(m: int, n: int) -> np.ndarray:
     return leq
 
 
+def _set_leq(m: int, n: int, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """``_set_order(m, n)[low, high]`` for int16 set bitmasks, read as one flat table.
+
+    A flat ``take`` at int32 positions is about 2.5 times faster than
+    indexing the table by two arrays, which NumPy widens to intp first.
+    """
+    return _set_order(m, n).ravel().take(np.left_shift(low, m * n, dtype=np.int32) | high)
+
+
 def _decide_majorisation(grids_a: np.ndarray, grids_b: np.ndarray) -> np.ndarray:
     """Batched decision of :func:`majorisation_certificate`: is a certificate found?
 
@@ -715,14 +724,13 @@ def _decide_swaps(
     Returns ``(forward, reverse)``: per swap, whether the rules prove that
     it cannot decrease, and that it cannot increase, mutual information.
     """
-    leq = _set_order(m, n)
     same_row, same_col = r_alpha == r_beta, c_alpha == c_beta
     r_alpha_tau = np.where(same_row, r_alpha, r_alpha ^ flip)
     c_alpha_tau = np.where(same_col, c_alpha, c_alpha ^ flip)
     # a shared row (column) leaves only the column (row) base comparison
     beta = np.where(same_row, c_beta, r_beta)
     alpha_tau = np.where(same_row, c_alpha_tau, r_alpha_tau)
-    forward, reverse = leq[beta, alpha_tau], leq[alpha_tau, beta]
+    forward, reverse = _set_leq(m, n, beta, alpha_tau), _set_leq(m, n, alpha_tau, beta)
     apart = np.flatnonzero(~(same_row | same_col))
     r_beta, c_beta, r_alpha_tau, c_alpha_tau = (
         v[apart] for v in (r_beta, c_beta, r_alpha_tau, c_alpha_tau)
@@ -731,7 +739,7 @@ def _decide_swaps(
 
     @functools.cache
     def le(x: int, y: int) -> np.ndarray:
-        return leq[sets[x], sets[y]]
+        return _set_leq(m, n, sets[x], sets[y])
 
     def proven(l0: int, l1: int, h0: int, h1: int, totals: np.ndarray) -> np.ndarray:
         monotone = le(l0, h0) & le(l1, h1) | le(l0, h1) & le(l1, h0)
@@ -755,13 +763,36 @@ def _verdicts(forward: np.ndarray, reverse: np.ndarray) -> np.ndarray:
 _SEARCH_DEPTH = 4
 
 
+def _class_index(c, table, count: int) -> int:
+    """The 1-based index in ``table``, of ``count`` classes, of a MatrixClass or an index.
+
+    An index is a Python or NumPy integer, never a bool; anything else,
+    a class of another shape, or an index outside the table raises
+    ValueError.
+    """
+    if type(c) is int:  # the common case first; a bool's type is bool
+        index = c
+    elif isinstance(c, _classes.MatrixClass):
+        if (c.m, c.n) != (table.m, table.n):
+            raise ValueError(f"class {c.index} is {c.m}x{c.n}, but the table is {table.m}x{table.n}")
+        index = c.index
+    elif isinstance(c, (int, np.integer)) and not isinstance(c, bool):
+        index = int(c)
+    else:
+        raise ValueError(f"class index {c!r} is not an integer")
+    if not 1 <= index <= count:
+        raise ValueError(f"class index {index} outside 1..{count}")
+    return index
+
+
 def derive_relation(a, b, table=None) -> RelationVerdict:
     """Search for an a-priori chain proving I(a) <= I(b) or the reverse.
 
-    ``a``/``b`` are MatrixClass values or 1-based class indices (indices
-    resolve against ``table``, defaulting to the table of ``a``'s shape
-    when ``a`` is a MatrixClass and to the 2x3 table otherwise); a
-    MatrixClass of another shape than the table raises ValueError.  The
+    ``a``/``b`` are MatrixClass values or 1-based class indices, Python or
+    NumPy integers but not bools (indices resolve against ``table``,
+    defaulting to the table of ``a``'s shape when ``a`` is a MatrixClass
+    and to the 2x3 table otherwise); any other index, or a MatrixClass of
+    another shape than the table, raises ValueError.  The
     search is breadth-first over certified majorisation edges and
     titrate-certified single transpositions, transitively composed up to
     four hops; only the edges of the chain found are rendered as text.
@@ -771,22 +802,13 @@ def derive_relation(a, b, table=None) -> RelationVerdict:
     classes it expands.  Only the shapes in ``classes.RELATION_SHAPES`` are
     searched; others raise ValueError.
     """
-    from . import classes as _classes
-
     if table is None:
         if isinstance(a, _classes.MatrixClass):
             table = _classes.class_table(a.m, a.n)
         else:
             table = _classes.r23_table()
-    for c in (a, b):
-        if isinstance(c, _classes.MatrixClass) and (c.m, c.n) != (table.m, table.n):
-            raise ValueError(f"class {c.index} is {c.m}x{c.n}, but the table is {table.m}x{table.n}")
-    ia = a.index if isinstance(a, _classes.MatrixClass) else int(a)
-    ib = b.index if isinstance(b, _classes.MatrixClass) else int(b)
     count = len(table)
-    for idx in (ia, ib):
-        if not 1 <= idx <= count:
-            raise ValueError(f"class index {idx} outside 1..{count}")
+    ia, ib = _class_index(a, table, count), _class_index(b, table, count)
     header = f"derive: class {ia} vs class {ib}"
     if ia == ib:
         return RelationVerdict(
@@ -820,3 +842,8 @@ def derive_relation(a, b, table=None) -> RelationVerdict:
         (header, "no certified chain found in either direction "
          f"(search depth {_SEARCH_DEPTH})"),
     )
+
+
+# classes imports this module at its top, so it is bound here, once every
+# name it imports from this module is defined
+from . import classes as _classes  # noqa: E402

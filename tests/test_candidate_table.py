@@ -114,6 +114,29 @@ def test_feeder_edges_hold_at_random_spectra(m, n):
     assert (totals[:, low] <= totals[:, high] + 1e-13).all()
 
 
+#: Per shape, the number of titrated swaps and the SHA-256 of the arrays
+#: (s, t, k, j, forward, reverse) of ``_titration_pass`` as one int64 array,
+#: taken when the pass yielded one batch per pair of symbols s < t, from
+#: those batches concatenated in the order they were yielded.
+PINNED_PASS = {
+    (2, 2): (6, "9439a403736fe30bedc5d61ae38a677ba89087024bbc5e1c0b222fe8b5a61cc3"),
+    (2, 3): (450, "016f910960ffdd184eb54d80009e6234d0cdbcf736f352207b4289c83774a398"),
+    (2, 4): (11760, "13e8d6ef230821ca035943d544a6a37a1cb9268910673cdfa5805401ba3b726b"),
+    (3, 3): (90720, "b1b9c44fee0424633183a91fbdb0ee625fcc5c0901e56495d7a0e270f25a5254"),
+    (2, 5): (340200, "223caeaa2a8197c59681eb483754436f542923d3d1f16e6fcdeae27e79f364a7"),
+}
+
+
+@pytest.mark.parametrize("m,n", sorted(PINNED_PASS))
+def test_titration_pass_is_pinned(m, n):
+    arrays = classes._titration_pass(m, n)
+    assert len({len(v) for v in arrays}) == 1
+    values = np.stack(arrays).astype(np.int64)
+    assert (values.shape[1], hashlib.sha256(values.tobytes()).hexdigest()) == PINNED_PASS[m, n]
+    s, t, k, j = values[:4]
+    assert (s < t).all() and (k < j).all()
+
+
 @pytest.mark.parametrize("m,n", sorted(PINNED_SWAPS))
 def test_certified_swaps_are_pinned(m, n):
     swaps = _certified_swaps(m, n)

@@ -160,6 +160,14 @@ def test_cached_grid_display_and_fill_match_the_word(m, n):
         assert not wrong.any(), f"misfilled classes {(np.flatnonzero(wrong) + 1).tolist()[:10]}"
 
 
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (3, 3), (2, 5)])
+def test_display_is_read_from_the_word_without_building_the_grid(m, n):
+    members = enumerate_classes(m, n).classes
+    displays = [cls.display for cls in members]
+    assert not any("canonical" in vars(cls) for cls in members)
+    assert displays == [grid_display(cls.canonical) for cls in members]
+
+
 def test_a_fresh_table_answers_size_grids_and_terms_without_building_classes(monkeypatch):
     table = enumerate_classes(2, 5)
     assert len(table) == 15120

@@ -474,9 +474,10 @@ def test_relation_inconclusive_pair_exit_code(capsys):
         ("relation_37_52.txt", "--a 37 --b 52", 0),
         ("relation_44_45.txt", "--a 44 --b 45", 1),
         ("relation_48_42.txt", "--a 48 --b 42", 0),
+        ("relation_42_48.txt", "--a 42 --b 48", 0),
         ("relation_2x2_3_1.txt", "--m 2 --n 2 --a 3 --b 1", 0),
     ],
-    ids=["37-52-0", "44-45-1", "48-42-0", "2x2-3-1-0"],
+    ids=["37-52-0", "44-45-1", "48-42-0", "42-48-0", "2x2-3-1-0"],
 )
 def test_relation_matches_golden(capsys, tmp_path, name, args, code):
     golden = (DATA / name).read_bytes()
@@ -701,6 +702,12 @@ def test_qubit2_scan_rejects_unknown_function(capsys):
 
 
 # --------------------------------------------------------- benchmark hooks
+
+def test_the_cold_query_golden_is_the_benchmark_reference():
+    reference = json.loads((Path(__file__).parents[1] / "bench" / "reference.json").read_text())
+    digest = hashlib.sha256((DATA / "relation_42_48.txt").read_bytes()).hexdigest()
+    assert digest == reference["certify"]["relation_42_48_sha256"]
+
 
 def test_every_function_the_benchmark_tracer_wraps_still_resolves():
     path = Path(__file__).parents[1] / "bench" / "tracer.py"

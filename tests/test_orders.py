@@ -1,6 +1,7 @@
 """Symbolic comparison, majorisation, the identric mean, and swap analysis."""
 import hashlib
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations, permutations
@@ -31,7 +32,7 @@ from specmi import (
     vector_majorisation_certificate,
     vector_majorises,
 )
-from specmi import classes
+from specmi import classes, orders
 from specmi.classes import class_table, maxima_chain_steps, word_to_grid
 from specmi.orders import (
     _SEARCH_DEPTH,
@@ -611,6 +612,28 @@ def test_derive_relation_validates_indices():
         derive_relation(1, 61)
 
 
+@pytest.mark.parametrize(
+    "bad", [42.9, 42.0, np.float64(42), True, np.bool_(True), "42", None],
+    ids=["float", "whole-float", "numpy-float", "bool", "numpy-bool", "str", "none"],
+)
+def test_derive_relation_rejects_indices_that_are_not_integers(bad):
+    # int() would truncate 42.9 to class 42 and read True as class 1
+    for a, b in ((bad, 48), (2, bad)):
+        with pytest.raises(ValueError, match=re.escape(f"class index {bad!r} is not an integer")):
+            derive_relation(a, b)
+
+
+def test_derive_relation_accepts_numpy_integers():
+    assert derive_relation(np.int64(42), np.int16(48)) == derive_relation(42, 48)
+    assert derive_relation(np.int64(42), 48).certificate[0] == "derive: class 42 vs class 48"
+    with pytest.raises(ValueError, match="class index 61 outside 1..60"):
+        derive_relation(np.uint8(61), 1)
+
+
+def test_orders_binds_the_classes_module_once():
+    assert orders._classes is classes
+
+
 @pytest.mark.parametrize("m, n", [(2, 4), (3, 3)])
 def test_derive_relation_rejects_shapes_without_a_graph(monkeypatch, m, n):
     def no_work(*args, **kwargs):
@@ -721,6 +744,8 @@ def test_prover_text_is_pinned():
 
     The digests were taken from the prover before its verdict code was
     folded into one loop per decision; any change to a trace changes them.
+    The 3540 2x3 relations between distinct classes, a-major, have the
+    digest that the benchmark checks.
     """
     relations = []
     for m, n in ((2, 2), (2, 3)):
@@ -730,6 +755,9 @@ def test_prover_text_is_pinned():
     assert _sha256(relations) == (
         "9ab98f844f4ef3633bfc655dbab3ddf10d4741ca8e115d067f6f541fb9009f22"
     )
+    distinct = [text for k, text in enumerate(relations[9:]) if k // 60 != k % 60]
+    assert len(distinct) == 3540
+    assert _sha256(distinct) == "670822d3a926d1cadf5ce9f6f5d5b17b1d90f6842275278f1cbb01ca2c2fb28f"
     cells = [(i, j) for i in range(2) for j in range(3)]
     swaps = []
     for cls in r23_table().classes:
