@@ -110,10 +110,15 @@ def entropy_terms(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     The package's one NumPy ``log``: :func:`entropy_term` over an array,
     without its range check, written into ``out`` (``x``'s shape) or a new
     array laid out as ``x``.  An entry where ``v`` is 0 or 1 is ``-0.0``.
+    Where every entry is positive, one plain ``log`` gives the same bits
+    without a mask.
     """
     out = np.empty_like(x) if out is None else out
-    out.fill(0.0)
-    np.log(x, out=out, where=x > 0.0)
+    if x.size and x.min() > 0.0:
+        np.log(x, out=out)
+    else:
+        out.fill(0.0)
+        np.log(x, out=out, where=x > 0.0)
     out *= x
     return np.negative(out, out=out)
 

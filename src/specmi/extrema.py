@@ -14,6 +14,21 @@ entropy.  The subtraction is constant across classes, so argmax/argmin and
 tie detection work on the totals directly.  ``brute_force_extrema`` and
 every census tile of 2x2 and 2x3 take this dense product.
 
+G is 0/1 with m + n ones per column, and it is never kept whole: at 2x5 it
+would be 297 x 15120 float64, 36 MB.  A decomposition holds each class's
+m + n term indices instead (423 KB at 2x5).  The two dense products,
+``brute_force_extrema``'s ``terms @ G`` and the census's ``G.T @ terms.T``,
+build G's columns ``_TILE_COLUMNS`` at a time in one reused zeroed buffer
+(``_column_tiles``).  The tiles keep the bits of the whole G: BLAS sums
+each class's total from its own column in an order set by T alone, as long
+as a tile is laid out as G is (C-contiguous, T x w) and its width w does
+not put the class in the kernel's leftover columns.  On OpenBLAS, widths
+that are multiples of 8 gave the bits of the whole G at 2x3, 2x4, 3x3 and
+2x5; widths of 841 and 842, and an F-order tile at 2x3, did not.  Full tiles
+are 256 wide and the last holds the rest: 72 at 2x4, 176 at 3x3 and 16 at
+2x5, and at 2x2 and 2x3 the one tile is G.  The tests pin the bits of both
+products against a whole G and the digests of ``specmi extrema`` output.
+
 The census lays the dense product out classes x samples, ``G.T @ terms.T``,
 as the pruned kernel below does, so its band masks reduce along the long
 axis.  Its tallies are defined by the totals it computes, whatever order
@@ -115,13 +130,22 @@ __all__ = [
 
 #: Largest ``block_size`` of :func:`census`.  ``sample_spectra`` draws a whole
 #: block at once, so peak memory grows with it: a 2x3 census peaks at about
-#: 41 MB RSS at block 2500, 102 MB at this cap and 180 MB at 1,000,000.
+#: 41 MB RSS at block 2500 and 102 MB at this cap.
 MAX_BLOCK_SIZE = 100_000
 
 #: Largest samples-x-classes tile evaluated in one allocation; a block of
 #: samples is reduced tile by tile, so its memory stays bounded whatever the
 #: block size or the number of classes.
 _ELEMENT_BUDGET = 4_000_000
+
+#: Columns of G in one dense tile of ``_column_tiles``: a multiple of 64, so
+#: that BLAS sums every column as it does in a whole G (see above).  A 2x5
+#: tile takes 594 KB, which stays in cache while its ones are set and read;
+#: at 2x5 a warm ``brute_force_extrema`` was slower with 128 or 1024.
+_TILE_COLUMNS = 256
+
+#: Each tile column's offset in the tile's flat buffer, one row per class.
+_TILE_OFFSETS = np.arange(_TILE_COLUMNS)[:, None]
 
 #: Round-off allowance of the pruned kernel's band around each extreme, far
 #: above the 4 delta < 3.1e-14 by which a gap between two classes can differ
@@ -184,15 +208,17 @@ class _Candidates:
 
 @dataclasses.dataclass(frozen=True)
 class _TermDecomposition:
-    symbols_by_term: np.ndarray  # (mn, T) 0/1
-    term_counts: np.ndarray  # (T, C)
+    symbols_by_term: np.ndarray  # (mn, T) 0/1: A
+    # (C, m + n) int32: each class's term indices, ascending, the rows where
+    # its column of G holds a 1.  G itself is never stored: ``_column_tiles``
+    # builds it a tile at a time for the two dense products.
+    terms_by_class: np.ndarray
     candidates: _Candidates | None  # None: every tile takes the dense product
 
 
 @functools.lru_cache(maxsize=None)
 def _decomposition(m: int, n: int) -> _TermDecomposition:
     table = class_table(m, n)
-    n_classes = len(table)
     # One symbol bitmask per marginal, in class order, rows before columns;
     # terms are numbered by first appearance in that sequence.
     masks = np.concatenate(table._lines, axis=1)
@@ -203,11 +229,10 @@ def _decomposition(m: int, n: int) -> _TermDecomposition:
     number = np.empty_like(first)
     number[codes] = np.arange(len(codes))
     A = ((codes[None, :] >> np.arange(m * n)[:, None]) & 1).astype(np.float64)
-    # A class's marginals are distinct symbol sets, so no entry is set twice.
-    G = np.zeros((len(codes), n_classes), dtype=np.float64)
-    G[number[masks], np.arange(n_classes)[:, None]] = 1.0
-    assert (G.sum(axis=0) == m + n).all()
-    return _TermDecomposition(symbols_by_term=A, term_counts=G, candidates=None)
+    terms = np.sort(number[masks], axis=1).astype(np.int32)
+    # A class's marginals are distinct symbol sets, so each term counts once.
+    assert (terms[:, 1:] > terms[:, :-1]).all()
+    return _TermDecomposition(symbols_by_term=A, terms_by_class=terms, candidates=None)
 
 
 @functools.lru_cache(maxsize=None)
@@ -223,28 +248,50 @@ def _census_decomposition(m: int, n: int) -> _TermDecomposition:
         return dec
     sets = _titration_candidates(m, n)
     _trim_heap()
-    G = dec.term_counts
+    terms = dec.terms_by_class
     sides, start = [], 0
     max_side, min_side = (sets.c_max, sets.feeders_max, 1.0), (sets.c_min, sets.feeders_min, -1.0)
     for c, feeders, sign in (max_side, min_side):
         assert all(feeders), "every candidate of a pruned shape has a feeder"
         width = max(map(len, feeders))
         padded = np.array([f + f[:1] * (width - len(f)) for f in feeders], dtype=np.intp) - 1
-        # each class's m + n terms, ascending: the rows of its column of G
-        terms = np.nonzero(G[:, padded.ravel()].T)[1].reshape(*padded.shape, m + n)
         sides.append(
             _Side(
                 classes=np.array(c, dtype=np.intp) - 1,
                 rows=slice(start, start + len(c)),
-                feeder_terms=np.ascontiguousarray(terms.transpose(2, 1, 0)),
+                feeder_terms=np.ascontiguousarray(terms[padded].transpose(2, 1, 0), dtype=np.intp),
                 sign=sign,
                 band_weights=np.stack([np.ones(len(c)), np.arange(len(c), dtype=np.float64)]),
             )
         )
         start += len(c)
-    class_terms = np.concatenate([G[:, side.classes].T * side.sign for side in sides])
+    # the candidates' columns of G as rows, C_min's negated
+    class_terms = np.zeros((start, dec.symbols_by_term.shape[1]))
+    for side in sides:
+        np.put_along_axis(class_terms[side.rows], terms[side.classes], side.sign, axis=1)
     candidates = _Candidates(class_terms=class_terms, sides=tuple(sides))
     return dataclasses.replace(dec, candidates=candidates)
+
+
+def _column_tiles(dec: _TermDecomposition) -> Iterator[tuple[slice, np.ndarray]]:
+    """G's columns in class order, as ``(columns, tile)`` pairs of dense tiles.
+
+    Each ``tile`` is the C-contiguous (T x w) float64 block of G's
+    ``columns``, ``_TILE_COLUMNS`` wide but the last, laid out as a whole G
+    would be.  One zeroed buffer serves every tile: a tile's ones are set
+    with one flat index and cleared when the caller asks for the next tile,
+    so a tile must be used before then.
+    """
+    terms = dec.terms_by_class
+    n_terms, n_classes = dec.symbols_by_term.shape[1], len(terms)
+    buffer = np.zeros(n_terms * min(n_classes, _TILE_COLUMNS))
+    for lo in range(0, n_classes, _TILE_COLUMNS):
+        if lo:
+            buffer[ones] = 0.0
+        width = min(_TILE_COLUMNS, n_classes - lo)
+        ones = terms[lo : lo + width] * width + _TILE_OFFSETS[:width]
+        buffer[ones] = 1.0
+        yield slice(lo, lo + width), buffer[: n_terms * width].reshape(n_terms, width)
 
 
 def _trim_heap() -> None:
@@ -288,21 +335,32 @@ def _marginal_entropy_terms(
     return entropy_terms(sums, out=_work_array(work, "terms", *shape))
 
 
+def _class_totals(hterms: np.ndarray, dec: _TermDecomposition) -> np.ndarray:
+    """``hterms @ G``: every class's total at each row of entropy terms."""
+    totals = np.empty((len(hterms), len(dec.terms_by_class)))
+    for columns, tile in _column_tiles(dec):
+        np.matmul(hterms, tile, out=totals[:, columns])
+    return totals
+
+
 def _dense_tally(
-    hterms: np.ndarray, G: np.ndarray, work: dict[str, np.ndarray]
+    hterms: np.ndarray, dec: _TermDecomposition, work: dict[str, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Argmax/argmin hit counts and tie events of every class over one tile.
 
     The totals are laid out classes x samples, as in the pruned kernel, so
-    every reduction runs along the long axis.  A tally is defined by the
-    totals computed here, whatever order BLAS sums them in.  Each sample's
-    extreme lies in its own band, so a side without ties has exactly one
-    hit per sample; its hits are read from those ``rows`` positions, and
-    only a side with ties counts them per sample, which keeps the memory of
-    an all-tie tile at its boolean mask.
+    every reduction runs along the long axis, and computed from G one
+    column tile at a time.  A tally is defined by the totals computed here,
+    whatever order BLAS sums them in.  Each sample's extreme lies in its
+    own band, so a side without ties has exactly one hit per sample; its
+    hits are read from those ``rows`` positions, and only a side with ties
+    counts them per sample, which keeps the memory of an all-tie tile at
+    its boolean mask.
     """
-    n_classes, rows = G.shape[1], len(hterms)
-    vals = np.matmul(G.T, hterms.T, out=_work_array(work, "product", n_classes, rows))
+    n_classes, rows = len(dec.terms_by_class), len(hterms)
+    vals = _work_array(work, "product", n_classes, rows)
+    for columns, tile in _column_tiles(dec):
+        np.matmul(tile.T, hterms.T, out=vals[columns])
     tallies = []
     for mask in (vals >= vals.max(axis=0) - EPSILON, vals <= vals.min(axis=0) + EPSILON):
         if np.count_nonzero(mask) == rows:
@@ -369,8 +427,7 @@ def _block_extrema(
     tallied by the dense product, ``_ELEMENT_BUDGET // n_classes`` rows at
     a time.
     """
-    G = dec.term_counts
-    n_classes = G.shape[1]
+    n_classes = len(dec.terms_by_class)
     step = max(1, _ELEMENT_BUDGET // n_classes)
     cand = dec.candidates
     tile = step if cand is None else max(1, _ELEMENT_BUDGET // cand.row_elements)
@@ -390,7 +447,7 @@ def _block_extrema(
             hterms = hterms[~resolved]
         for d0 in range(0, hterms.shape[0], step):
             tile_max, tile_min, tile_ties_max, tile_ties_min = _dense_tally(
-                hterms[d0 : d0 + step], G, work
+                hterms[d0 : d0 + step], dec, work
             )
             max_hits += tile_max
             min_hits += tile_min
@@ -419,13 +476,12 @@ def brute_force_extrema(s: Spectrum, m: int, n: int) -> ExtremaReport:
     if s.dim != m * n:
         raise ValueError(f"spectrum has {s.dim} entries; a {m}x{n} grid needs {m * n}")
     dec = _decomposition(m, n)
-    row = s.as_array()[None, :]
-    totals = (_marginal_entropy_terms(row, dec.symbols_by_term) @ dec.term_counts)[0]
-    values = totals - s.entropy()
+    terms = entropy_terms(s.as_array()[None, :] @ dec.symbols_by_term)
+    values = _class_totals(terms, dec)[0] - s.entropy()
     vmax = float(values.max())
     vmin = float(values.min())
-    maxima = tuple(int(i) + 1 for i in np.flatnonzero(values >= vmax - EPSILON))
-    minima = tuple(int(i) + 1 for i in np.flatnonzero(values <= vmin + EPSILON))
+    maxima = tuple((np.flatnonzero(values >= vmax - EPSILON) + 1).tolist())
+    minima = tuple((np.flatnonzero(values <= vmin + EPSILON) + 1).tolist())
     return ExtremaReport(
         m=m,
         n=n,
@@ -741,7 +797,7 @@ def census(
         block_size=block_size,
     )
     dec = _census_decomposition(m, n)
-    n_classes = dec.term_counts.shape[1]
+    n_classes = len(dec.terms_by_class)
     mn = m * n
     n_blocks = (samples + block_size - 1) // block_size
 

@@ -676,8 +676,10 @@ def _decide_line_majorisation(
                 certified[live] = leq[:, sums_a[0]].any(axis=1)[sums_b].all(axis=1)
             else:
                 sums_a = np.bitwise_or.reduce(masks_a[live][:, subsets], axis=2)
-                found = leq[sums_b[:, :, None], sums_a[:, None, :]].any(axis=2)
-                certified[live] = found.all(axis=1)
+                # (A's j-sums, B's j-sums, pairs), reduced along the leading
+                # axes: a NumPy reduction over a short last axis is slow
+                found = _set_leq(m, n, sums_b.T[None, :, :], sums_a.T[:, None, :])
+                certified[live] = found.any(axis=0).all(axis=0)
     return certified
 
 

@@ -173,8 +173,8 @@ def test_a_fresh_table_answers_size_grids_and_terms_without_building_classes(mon
     assert len(table) == 15120
     assert table._grids.shape == (15120, 2, 5)
     monkeypatch.setattr(extrema, "class_table", lambda m, n: table)
-    terms = extrema._decomposition.__wrapped__(2, 5).term_counts
-    assert np.array_equal(terms, extrema._decomposition(2, 5).term_counts)
+    terms = extrema._decomposition.__wrapped__(2, 5).terms_by_class
+    assert np.array_equal(terms, extrema._decomposition(2, 5).terms_by_class)
     assert "classes" not in table.__dict__
     assert table.get(7) is table.classes[6]
     assert table.classes[6].word == table.letters[60:70]

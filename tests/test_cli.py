@@ -127,6 +127,31 @@ def test_extrema_matches_golden_on_both_targets(capsys, tmp_path, fmt, golden):
     assert target.read_bytes() == expected.encode()
 
 
+#: SHA-256 of ``specmi extrema`` JSON at one spectrum per larger shape, taken
+#: when G was kept whole: its column tiles must print the same bits.
+EXTREMA_SHA256 = {
+    (2, 4, "0.25,0.2,0.15,0.12,0.1,0.08,0.06,0.04"):
+        "09bbeb66a777017b4eb754de2c221bf0816e3fca8c68a3a3959c084d48da9ba9",
+    (3, 3, "0.2,0.17,0.14,0.12,0.1,0.09,0.08,0.06,0.04"):
+        "a9974430adbe440921f9180de23edc33b26e659c1673841669899e4bf3203327",
+    (2, 5, "0.2,0.16,0.13,0.11,0.1,0.09,0.08,0.06,0.04,0.03"):
+        "72fd5291ac65c728bee96de137c6ced0c664de4cfc464d1462dd85b943d15c25",
+}
+
+
+@pytest.mark.parametrize("m,n,spectrum", list(EXTREMA_SHA256), ids=["2x4", "3x3", "2x5"])
+def test_extrema_json_of_larger_shapes_is_pinned(capsys, m, n, spectrum):
+    code, out, _ = run(capsys, "extrema", "--m", str(m), "--n", str(n), "--spectrum", spectrum)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXTREMA_SHA256[m, n, spectrum]
+
+
+def test_the_2x5_extrema_digest_file_holds_the_pinned_digest():
+    # CI pipes the installed command through ``sha256sum -c`` against this file
+    line = (DATA / "extrema_2x5.sha256").read_text()
+    assert line == EXTREMA_SHA256[2, 5, "0.2,0.16,0.13,0.11,0.1,0.09,0.08,0.06,0.04,0.03"] + "  -\n"
+
+
 @pytest.mark.filterwarnings("error")
 def test_extrema_with_zero_entries_writes_finite_json(capsys):
     code, out, err = run(

@@ -174,7 +174,7 @@ _TIE_SIZES = {
 def test_dense_tally_with_and_without_ties_equals_a_per_row_recount(monkeypatch, m, n):
     mn = m * n
     dec = extrema._decomposition(m, n)
-    n_classes = dec.term_counts.shape[1]
+    n_classes = len(dec.terms_by_class)
     tied = _tied_spectra(mn, seed=21)
     sizes = {
         (len(r.maxima), len(r.minima))
@@ -228,11 +228,26 @@ def _unique_decomposition(m, n):
 
 def _assert_decomposition_is(dec, A, G, m, n):
     assert np.array_equal(dec.symbols_by_term, A)
-    assert np.array_equal(dec.term_counts, G)
+    # each class's m + n term indices, ascending, count G's column exactly
+    terms = dec.terms_by_class
+    n_classes = G.shape[1]
+    assert terms.dtype == np.int32 and terms.shape == (n_classes, m + n)
+    assert (np.diff(terms, axis=1) > 0).all()
+    counts = np.zeros_like(G)
+    np.add.at(counts, (terms, np.arange(n_classes)[:, None]), 1.0)
+    assert np.array_equal(counts, G)
+    # the dense tiles, in class order, are G's columns, laid out as G
+    bounds = []
+    for cols, tile in extrema._column_tiles(dec):
+        assert tile.flags.c_contiguous and tile.dtype == np.float64
+        assert np.array_equal(tile, G[:, cols])
+        bounds.append((cols.start, cols.stop))
+    step = extrema._TILE_COLUMNS
+    assert bounds == [(lo, min(lo + step, n_classes)) for lo in range(0, n_classes, step)]
     assert dec.candidates is None
     census_dec = extrema._census_decomposition(m, n)
     assert census_dec.symbols_by_term is dec.symbols_by_term
-    assert census_dec.term_counts is dec.term_counts
+    assert census_dec.terms_by_class is dec.terms_by_class
     cand = census_dec.candidates
     assert (cand is not None) == ((m, n) in [(2, 4), (3, 3), (2, 5)])
     if cand is not None:
@@ -263,6 +278,51 @@ def test_decomposition_matches_the_unique_and_add_at_reference(m, n):
     _assert_decomposition_is(extrema._decomposition(m, n), *_unique_decomposition(m, n), m, n)
 
 
+@pytest.mark.parametrize("m,n", [(2, 3), (2, 4), (3, 3), (2, 5)])
+def test_tiled_products_equal_the_dense_products_bit_for_bit(m, n):
+    # G built whole by the reference; the program builds it a tile at a time
+    A, G = _unique_decomposition(m, n)
+    dec = extrema._decomposition(m, n)
+    spectra = sample_spectra(m * n, 20, np.random.default_rng(m * n + 30))
+    for row in spectra:
+        s = Spectrum(tuple(row))
+        values = np.array(brute_force_extrema(s, m, n).values)
+        terms = extrema._marginal_entropy_terms(row[None, :], A)
+        expected = (terms @ G)[0] - s.entropy()
+        assert (values.view(np.int64) == expected.view(np.int64)).all()
+    # the census's dense product, laid out classes x samples
+    hterms = extrema._marginal_entropy_terms(spectra, A)
+    work = {}
+    extrema._dense_tally(hterms, dec, work)
+    product = work["product"][: G.shape[1] * len(hterms)].reshape(G.shape[1], len(hterms))
+    assert (product.view(np.int64) == (G.T @ hterms.T).view(np.int64)).all()
+
+
+def test_the_2x5_decomposition_holds_no_dense_term_counts():
+    # the term indices take 423 KB where a dense G took 36 MB
+    dec = extrema._census_decomposition(2, 5)
+    arrays = [dec.symbols_by_term, dec.terms_by_class, dec.candidates.class_terms]
+    for side in dec.candidates.sides:
+        arrays += [side.classes, side.feeder_terms, side.band_weights]
+    assert sum(a.nbytes for a in arrays) < 2**20
+
+
+def test_brute_force_builds_g_a_tile_at_a_time(monkeypatch):
+    # a dense 297 x 15120 G would take 36 MB, whether built or kept
+    cold = functools.lru_cache(maxsize=None)(extrema._decomposition.__wrapped__)
+    monkeypatch.setattr(extrema, "_decomposition", cold)
+    extrema.class_table(2, 5)
+    s = Spectrum((0.2, 0.16, 0.13, 0.11, 0.1, 0.09, 0.08, 0.06, 0.04, 0.03))
+    for _ in range(2):  # the decomposition built, then read from the cache
+        tracemalloc.start()
+        try:
+            brute_force_extrema(s, 2, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
+
 def _tallies(spectra, dec):
     return tuple(np.asarray(x).tolist() for x in extrema._block_extrema(spectra, dec))
 
@@ -275,9 +335,9 @@ def _recording_dense_tally(monkeypatch):
     rows = []
     dense_tally = extrema._dense_tally
 
-    def recording(hterms, G, work):
+    def recording(hterms, dec, work):
         rows.extend(hterms.copy())
-        return dense_tally(hterms, G, work)
+        return dense_tally(hterms, dec, work)
 
     monkeypatch.setattr(extrema, "_dense_tally", recording)
     return rows
@@ -297,7 +357,7 @@ def test_pruned_block_tallies_equal_the_dense_reference(monkeypatch, m, n, rows,
 def _max_gap(spectrum, dec):
     """Dense gap between the largest class total and the next one below it."""
     hterms = extrema._marginal_entropy_terms(spectrum[None, :], dec.symbols_by_term)
-    top = np.sort((hterms @ dec.term_counts)[0])
+    top = np.sort(extrema._class_totals(hterms, dec)[0])
     return top[-1], top[-2]
 
 
@@ -350,7 +410,7 @@ def test_pruned_kernel_hands_ties_and_near_ties_to_the_dense_product(monkeypatch
     mn = m * n
     dec = extrema._census_decomposition(m, n)
     constructed = np.array([np.full(mn, 1.0 / mn)] + _near_tie_rows(mn, dec))
-    step = max(1, extrema._ELEMENT_BUDGET // dec.term_counts.shape[1])
+    step = max(1, extrema._ELEMENT_BUDGET // len(dec.terms_by_class))
     spectra = sample_spectra(mn, 3 * step, np.random.default_rng(5))
     spread = step // len(constructed)
     spectra[step : 2 * step : spread][: len(constructed)] = constructed  # the middle third
@@ -368,7 +428,7 @@ def test_block_memory_stays_within_the_tile_budget():
     # a block of 150 dense tiles' worth of spectra; the first 1.5 of them are
     # uniform, so every class ties and they go dense in two pieces
     dec = extrema._census_decomposition(2, 5)
-    step = extrema._ELEMENT_BUDGET // dec.term_counts.shape[1]
+    step = extrema._ELEMENT_BUDGET // len(dec.terms_by_class)
     spectra = sample_spectra(10, 150 * step, np.random.default_rng(6))
     uniform = 3 * step // 2
     spectra[:uniform] = 0.1
@@ -396,9 +456,12 @@ def test_entropy_terms_equal_the_masked_log_bit_for_bit(m, n):
     dec = extrema._decomposition(m, n)
     rng = np.random.default_rng(m * n)
     work = {}
-    for rows in (1, 300, 2500, 40, 2500):
+    for rows, zeros in itertools.product((1, 300, 2500, 40, 2500), (True, False)):
         spectra = sample_spectra(m * n, rows, rng)
-        spectra[::3, -2:] = 0.0  # marginal sums of 0: 0 log 0 = 0
+        if zeros:
+            spectra[::3, -2:] = 0.0  # marginal sums of 0: 0 log 0 = 0
+        else:  # every sum positive: the log takes no mask
+            assert (spectra @ dec.symbols_by_term > 0).all()
         expected = _masked_log_terms(spectra, dec.symbols_by_term)
         for terms in (
             extrema._marginal_entropy_terms(spectra, dec.symbols_by_term, work),
