@@ -26,12 +26,13 @@ smaller of the two words is canonical.
 
 Certified edges between classes are derived here, once each.  One
 titration pass per shape, ``_titration_pass``, decides every cell swap of
-every class in one batch (one ``orders._decide_swaps`` call), reading the
-class each swap reaches from the action of symbol exchanges on classes
-(``_exchanges``), and returns flat arrays; ``_certified_swaps`` keeps them
-for the relation rows.  ``_titration_candidates`` derives the census
-kernel's candidate sets, and each candidate's feeder list, from a pass of
-its own, when a census of 2x4, 3x3 or 2x5 first runs
+every class in a few batches (``orders._decide_swaps`` calls of
+``_SWAP_CHUNK`` swaps), reading the class each swap reaches from the
+action of symbol exchanges on classes (``_exchanges``), and returns flat
+arrays; ``_certified_swaps`` keeps them for the relation rows.
+``_titration_candidates`` derives the census kernel's candidate sets, and
+each candidate's feeder list, from a pass of its own, when a census of
+2x4, 3x3 or 2x5 first runs
 (``extrema._census_decomposition``).  The
 relation is read one class at a time: ``_relation_row`` decides a class's
 majorisations of every class in one batch (``orders._decide_line_majorisation``,
@@ -265,6 +266,46 @@ class ClassTable:
     def _codes(self) -> np.ndarray:
         """Base-mn codes of the canonical words, ascending like the words."""
         return _encode(self._grids.reshape(len(self), -1))
+
+    @functools.cached_property
+    def _cycle_labels(self) -> tuple[str, ...]:
+        """Every class's ``cycle_label``, in class order, derived in one batch.
+
+        Each element of each class's permutation sigma (symbol x at position
+        sigma(x)) is written as a token: "(" if it is the smallest of its
+        cycle, then its 1-based number, then ")" if sigma takes it to that
+        smallest element, else the separator.  Sorted by (smallest element
+        of their cycle, steps from it), the tokens list the cycles as
+        ``cycle_label_of_word`` does; fixed points are left out, and a
+        permutation of fixed points alone reads "()".
+        """
+        count, mn = len(self), self.m * self.n
+        # elements as flat positions k * mn + x; ``after`` is sigma's action
+        flat = np.arange(count * mn)
+        after = (np.argsort(self._grids.reshape(count, mn), axis=1) + flat[::mn, None]).ravel()
+        leader, image = flat.copy(), flat
+        for _ in range(mn - 1):
+            image = after[image]
+            np.minimum(leader, image, out=leader)
+        steps, image = np.zeros_like(flat), leader
+        for step in range(1, mn):
+            image = after[image]
+            steps[(image == flat) & (steps == 0) & (leader != flat)] = step
+        fixed = after == flat
+        key = np.where(fixed, mn * mn, (leader % mn) * mn + steps).reshape(count, mn)
+        order = (np.argsort(key, axis=1) + flat[::mn, None]).ravel()
+        # token 0 is a fixed point's, empty; then four per element
+        sep = "," if mn > 9 else ""
+        tokens = [""] + [
+            ("(" if opens else "") + str(x + 1) + (")" if closes else sep)
+            for x in range(mn)
+            for opens in (False, True)
+            for closes in (False, True)
+        ]
+        ids = 1 + 4 * (order % mn) + 2 * (steps[order] == 0) + (after[order] == leader[order])
+        ids[fixed[order]] = 0
+        rows = np.array(tokens, dtype=object)[ids.reshape(count, mn)].tolist()
+        return tuple("".join(row) or "()" for row in rows)
 
     def get(self, index: int) -> MatrixClass:
         if not 1 <= index <= len(self):
@@ -529,11 +570,14 @@ def _exchanges(table: ClassTable) -> np.ndarray:
     gives (s+1 s+2), and conjugating (s t-1) by (t-1 t) gives (s t).
     """
     grids, mn = table._grids, table.m * table.n
+    # both classifications before the images array, so that their
+    # temporaries and it are not held at once
     cycle = _class_rows((grids + 1) % mn, table)
+    exchange = _class_rows(np.where(grids < 2, 1 - grids, grids), table)
     uncycle = np.empty_like(cycle)
     uncycle[cycle] = np.arange(len(cycle))
     images = np.zeros((mn, mn, len(table)), dtype=np.int16)
-    images[0, 1] = _class_rows(np.where(grids < 2, 1 - grids, grids), table)
+    images[0, 1] = exchange
     for s in range(1, mn - 1):
         images[s, s + 1] = cycle[images[s - 1, s][uncycle]]
     for t in range(2, mn):
@@ -541,6 +585,27 @@ def _exchanges(table: ClassTable) -> np.ndarray:
         for s in range(t - 1):
             images[s, t] = step[images[s, t - 1][step]]
     return images
+
+
+def _symbol_lines(table: ClassTable) -> tuple[np.ndarray, np.ndarray]:
+    """The row and the column mask through each symbol of each class, flat.
+
+    Returns ``(rows, cols)``, int16 arrays whose entry ``s * len(table) + k``
+    is the mask of the row (column) through symbol s in class k's grid.
+    """
+    cell_of = np.argsort(table._grids.reshape(len(table), table.m * table.n), axis=1)
+    rows, cols = table._lines
+    return (
+        np.take_along_axis(rows, cell_of // table.n, axis=1).T.ravel(),
+        np.take_along_axis(cols, cell_of % table.n, axis=1).T.ravel(),
+    )
+
+
+#: Swaps of a titration pass decided in one ``_decide_swaps`` call, so that
+#: the pass holds one chunk's temporaries: its tracemalloc peak at 2x5 is
+#: 6.5 MB (20 MB in one batch of 340,200 swaps), and it took 38 ms against
+#: 54 (2-vCPU VM).  2x2, 2x3 and 2x4 take one chunk.
+_SWAP_CHUNK = 1 << 14
 
 
 def _titration_pass(m: int, n: int) -> tuple[np.ndarray, ...]:
@@ -551,27 +616,31 @@ def _titration_pass(m: int, n: int) -> tuple[np.ndarray, ...]:
     The mirror's base sums are the swap's with the beta and alpha-tau sides
     exchanged, so it proves forward what the swap proves in reverse, and the
     other way round.  So the rules run once per mirrored pair, in the class
-    k < j, and every pair of every class is decided in one batch.  Returns
+    k < j, and the swaps of every pair and class are listed flat and decided
+    ``_SWAP_CHUNK`` at a time, each chunk's lines gathered for it.  Returns
     the flat arrays ``(s, t, k, j, forward, reverse)``, ordered by the pair
     of symbols s < t and then by class: 0-based classes k < j and the two
     directions the rules prove for the swap in k (forward: I(k) <= I(j)).
     A swap that carries a class to itself is never titrated.
     """
     table = class_table(m, n)
-    mn = m * n
-    # the row and the column through each symbol, symbol-major
-    cell_of = np.argsort(table._grids.reshape(len(table), mn), axis=1)
-    rows, cols = table._lines
-    rows = np.take_along_axis(rows, cell_of // n, axis=1).T.copy()
-    cols = np.take_along_axis(cols, cell_of % n, axis=1).T.copy()
+    mn, count = m * n, len(table)
     s, t = np.triu_indices(mn, 1)  # the pairs s < t in combination order
     images = _exchanges(table)[s, t]
-    own = np.arange(len(table)) < images  # per pair, the classes k < j
-    k = np.broadcast_to(np.arange(len(table), dtype=np.int16), own.shape)[own]
-    lines = rows[t][own], cols[t][own], rows[s][own], cols[s][own]
+    own = np.arange(count) < images  # per pair, the classes k < j
+    k = np.broadcast_to(np.arange(count, dtype=np.int16), own.shape)[own]
+    j = images[own]
     s, t = (np.repeat(v.astype(np.int8), own.sum(axis=1)) for v in (s, t))
-    flip = np.left_shift(1, s, dtype=np.int16) | np.left_shift(1, t, dtype=np.int16)
-    return s, t, k, images[own], *_decide_swaps(m, n, *lines, flip)
+    del images, own
+    rows, cols = _symbol_lines(table)
+    forward, reverse = np.empty(len(k), dtype=bool), np.empty(len(k), dtype=bool)
+    for lo in range(0, len(k), _SWAP_CHUNK):
+        chunk = slice(lo, lo + _SWAP_CHUNK)
+        at_s, at_t = (v[chunk].astype(np.intp) * count + k[chunk] for v in (s, t))
+        flip = np.left_shift(1, s[chunk], dtype=np.int16) | np.left_shift(1, t[chunk], dtype=np.int16)
+        lines = rows.take(at_t), cols.take(at_t), rows.take(at_s), cols.take(at_s)
+        forward[chunk], reverse[chunk] = _decide_swaps(m, n, *lines, flip)
+    return s, t, k, j, forward, reverse
 
 
 @functools.lru_cache(maxsize=None)

@@ -92,9 +92,10 @@ def _run_extrema(args: argparse.Namespace) -> int:
     table = class_table(args.m, args.n)
     values = [_rescale(v, args.log_base) for v in report.values]
     if args.format == "csv":
+        mn, words = args.m * args.n, table.letters
         lines = ["class,word,cycle_label,value"]
-        for cls, value in zip(table.classes, values):
-            lines.append(f"{cls.index},{cls.word},{cls.cycle_label},{_fmt(value)}")
+        for i, (label, value) in enumerate(zip(table._cycle_labels, values)):
+            lines.append(f"{i + 1},{words[i * mn : (i + 1) * mn]},{label},{_fmt(value)}")
         _write_text(args.output, "\n".join(lines) + "\n")
         return 0
 

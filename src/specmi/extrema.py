@@ -38,6 +38,14 @@ tally or tie count changed.  Memory stays at a tile's boolean masks: a
 side without ties has exactly one hit per sample, read from its ``rows``
 positions in the mask, and only a side with ties is counted per sample.
 
+Each block is reduced in tiles whose work arrays fit one byte budget,
+``_WORK_BYTES`` (6 MB): the fewest tiles that fit, of equal size within one
+row, so a 2500-sample 2x5 block runs as three tiles of 834 rows, not two of
+936 and one of 628.  The dense product of a tile's rows that the pruned
+kernel leaves takes as many rows at a time as the budget leaves beside the
+tile's other arrays.  Each block thread keeps its set of arrays for the
+next block (``_spare_work``).
+
 Census tiles of 2x4, 3x3 and 2x5 evaluate only certified candidate
 classes.  On the max side, ``C`` holds the classes that no certified
 titration edge I(x) <= I(y) points above, and ``F`` the other classes
@@ -130,13 +138,19 @@ __all__ = [
 
 #: Largest ``block_size`` of :func:`census`.  ``sample_spectra`` draws a whole
 #: block at once, so peak memory grows with it: a 2x3 census peaks at about
-#: 41 MB RSS at block 2500 and 102 MB at this cap.
+#: 42 MB RSS at block 2500 and 61 MB at this cap, a one-worker 2x5 census at
+#: 82 MB at this cap.
 MAX_BLOCK_SIZE = 100_000
 
-#: Largest samples-x-classes tile evaluated in one allocation; a block of
-#: samples is reduced tile by tile, so its memory stays bounded whatever the
-#: block size or the number of classes.
-_ELEMENT_BUDGET = 4_000_000
+#: Bytes of one set of census work arrays (see ``_spare_work``).  A block of
+#: samples is reduced tile by tile, each tile as many rows as fit here
+#: (``_tiles``), so a set stays bounded whatever the block size, the shape
+#: or the number of workers.  A 2500-sample block runs as three 834-row
+#: tiles at 2x5 (a 5.3 MB set), two at 2x4 (3.3 MB) and one at 2x3 and 3x3
+#: (1.9 and 5.6 MB).  A tile costs about 0.1 ms of fixed NumPy calls: a
+#: two-worker 2x5 census ran 0-4% slower than with one 2500-row tile (16
+#: MB), and 625-row tiles (4.0 MB) cost about 3% more (2-vCPU VM).
+_WORK_BYTES = 6_000_000
 
 #: Columns of G in one dense tile of ``_column_tiles``: a multiple of 64, so
 #: that BLAS sums every column as it does in a whole G (see above).  A 2x5
@@ -158,13 +172,15 @@ _PRUNED_SHAPES = ((2, 4), (3, 3), (2, 5))
 _CHECKPOINT_SCHEMA = 1
 
 #: Work arrays of the census kernel, one set per block in flight, handed on
-#: to the next block (and census) when a block is done.  A set holds a tile's
-#: entropy terms ("terms"), the product being reduced ("product": the
-#: marginal sums, then the candidates' or the dense totals) and the pruned
-#: kernel's band masks and feeder gathers (see ``_sole_candidates``).  Allocated
-#: afresh, these multi-megabyte arrays are paged in again whenever malloc has
-#: trimmed its heap in between: 1,400 to 2,200 minor page faults per
-#: 2500-sample 2x4 or 3x3 block, which doubled its time.
+#: to the next block (and census) when a block is done if they fit
+#: ``_WORK_BYTES``, which a set grown by one shape always does.  A set holds
+#: a tile's entropy terms ("terms"), the product being reduced ("product":
+#: the marginal sums, then the candidates' or the dense totals) and the
+#: pruned kernel's band masks and feeder gathers (see ``_sole_candidates``):
+#: 5.3 MB at 2x5, 10.7 MB for two workers.  Allocated afresh, these
+#: multi-megabyte arrays are paged in again whenever malloc has trimmed its
+#: heap in between: 1,400 to 2,200 minor page faults per 2500-sample 2x4 or
+#: 3x3 block, which doubled its time.
 _spare_work: list[dict[str, np.ndarray]] = []
 
 #: A census records a convergence row, and rewrites its checkpoint, after each
@@ -197,13 +213,6 @@ class _Candidates:
 
     class_terms: np.ndarray  # (len(C_max) + len(C_min), T): their columns of G, C_min's negated
     sides: tuple[_Side, _Side]
-
-    @property
-    def row_elements(self) -> int:
-        """Work-array elements per row of a tile, at most: terms, totals, band, gathers."""
-        n_terms = self.class_terms.shape[1]
-        gathers = max(side.feeder_terms.size // len(side.classes) for side in self.sides)
-        return n_terms + 2 * len(self.class_terms) + 2 * gathers
 
 
 @dataclasses.dataclass(frozen=True)
@@ -351,16 +360,22 @@ def _dense_tally(
     The totals are laid out classes x samples, as in the pruned kernel, so
     every reduction runs along the long axis, and computed from G one
     column tile at a time.  A tally is defined by the totals computed here,
-    whatever order BLAS sums them in.  Each sample's extreme lies in its
-    own band, so a side without ties has exactly one hit per sample; its
-    hits are read from those ``rows`` positions, and only a side with ties
-    counts them per sample, which keeps the memory of an all-tie tile at
-    its boolean mask.
+    whatever order BLAS sums them in, and a row's totals do not depend on
+    the other rows of the product: BLAS would take a product of one row
+    through its matrix-vector kernel, which sums in another order than its
+    matrix-matrix kernel, so a lone row is multiplied as two copies of
+    itself.  Each sample's extreme lies in its own band, so a side without
+    ties has exactly one hit per sample; its hits are read from those
+    ``rows`` positions, and only a side with ties counts them per sample,
+    which keeps the memory of an all-tie tile at its boolean mask.
     """
     n_classes, rows = len(dec.terms_by_class), len(hterms)
-    vals = _work_array(work, "product", n_classes, rows)
+    if rows == 1:
+        hterms = np.repeat(hterms, 2, axis=0)
+    vals = _work_array(work, "product", n_classes, len(hterms))
     for columns, tile in _column_tiles(dec):
         np.matmul(tile.T, hterms.T, out=vals[columns])
+    vals = vals[:, :rows]
     tallies = []
     for mask in (vals >= vals.max(axis=0) - EPSILON, vals <= vals.min(axis=0) + EPSILON):
         if np.count_nonzero(mask) == rows:
@@ -414,23 +429,62 @@ def _sole_candidates(
     return resolved, *credited
 
 
+def _row_elements(dec: _TermDecomposition) -> tuple[int, int]:
+    """Census work-array elements per tile row, 8 bytes each: beside the product, and in it.
+
+    A tile holds its entropy terms and the product (the marginal sums, then
+    the candidates' totals, or without candidates the dense totals).  The
+    pruned kernel adds the band of its larger side and the band's two
+    counts, then each feeder term's index and value and each feeder's total
+    (``_sole_candidates``).
+    """
+    n_terms, cand = dec.symbols_by_term.shape[1], dec.candidates
+    if cand is None:
+        return n_terms, max(n_terms, len(dec.terms_by_class))
+    band = max(len(side.classes) for side in cand.sides)
+    slots = max(side.feeder_terms.shape[1] for side in cand.sides)
+    gathers = (2 * dec.terms_by_class.shape[1] + 1) * slots
+    return n_terms + band + 2 + gathers, max(n_terms, len(cand.class_terms))
+
+
+def _tiles(dec: _TermDecomposition, rows: int) -> tuple[list[int], int]:
+    """The bounds of the tiles of a block of ``rows`` spectra, and the dense step.
+
+    The block is split into the fewest tiles whose work arrays
+    (``_row_elements``) fit ``_WORK_BYTES``, equal within one row and
+    largest first: ``ceil(rows / ceil(rows / most))`` rows, so no small
+    leftover tile costs a round of calls, and a set's arrays grow only at
+    its first tile.  A tile holds two rows at least, unless the block has
+    one: BLAS would take the marginal sums of one row through its
+    matrix-vector kernel, which sums in another order than its
+    matrix-matrix kernel, so a row's entropy terms, and a tally near a tie,
+    would depend on the tiling.  The dense product of a tile's unresolved
+    rows takes ``step`` rows at a time, as many as the budget leaves beside
+    the tile's other arrays, so a set never outgrows the budget: 21 rows at
+    2x5, and a whole tile at 2x2 and 2x3, where every row is dense.
+    """
+    other, product = _row_elements(dec)
+    elements = _WORK_BYTES // 8
+    most = max(1, elements // (other + product))
+    count = max(1, min(-(-rows // most), rows // 2))  # two rows each at least
+    bounds = [-(-rows * i // count) for i in range(count + 1)]
+    return bounds, max(1, (elements - bounds[1] * other) // len(dec.terms_by_class))
+
+
 def _block_extrema(
     spectra: np.ndarray, dec: _TermDecomposition
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Per-class argmax/argmin hit counts and tie-event counts for one block.
 
-    Tile by tile, so memory stays bounded whatever the block size: a tile's
-    entropy terms, then, where the shape has candidates, its rows that one
-    candidate resolves credit it (tiles of ``_ELEMENT_BUDGET //
-    row_elements`` spectra, which bounds every work array of the tile).
-    Every other row, and every row of a shape without candidates, is
-    tallied by the dense product, ``_ELEMENT_BUDGET // n_classes`` rows at
-    a time.
+    Tile by tile (``_tiles``), so memory stays within ``_WORK_BYTES``
+    whatever the block size: a tile's entropy terms, then, where the shape
+    has candidates, its rows that one candidate resolves credit it.  Every
+    other row, and every row of a shape without candidates, is tallied by
+    the dense product, a dense step of rows at a time.
     """
     n_classes = len(dec.terms_by_class)
-    step = max(1, _ELEMENT_BUDGET // n_classes)
     cand = dec.candidates
-    tile = step if cand is None else max(1, _ELEMENT_BUDGET // cand.row_elements)
+    bounds, step = _tiles(dec, spectra.shape[0])
     max_hits = np.zeros(n_classes, dtype=np.int64)
     min_hits = np.zeros(n_classes, dtype=np.int64)
     ties_max = ties_min = 0
@@ -438,8 +492,8 @@ def _block_extrema(
         work = _spare_work.pop()
     except IndexError:
         work = {}
-    for r0 in range(0, spectra.shape[0], tile):
-        hterms = _marginal_entropy_terms(spectra[r0 : r0 + tile], dec.symbols_by_term, work)
+    for r0, r1 in zip(bounds, bounds[1:]):
+        hterms = _marginal_entropy_terms(spectra[r0:r1], dec.symbols_by_term, work)
         if cand is not None:
             resolved, top, bottom = _sole_candidates(hterms, cand, work)
             max_hits += np.bincount(top[resolved], minlength=n_classes)
@@ -453,7 +507,9 @@ def _block_extrema(
             min_hits += tile_min
             ties_max += tile_ties_max
             ties_min += tile_ties_min
-    _spare_work.append(work)
+    # a set grown by tiles of another shape may hold more; it is dropped
+    if sum(a.nbytes for a in work.values()) <= _WORK_BYTES:
+        _spare_work.append(work)
     return max_hits, min_hits, ties_max, ties_min
 
 

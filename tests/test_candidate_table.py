@@ -13,12 +13,13 @@ titration edges): only 2x3 has a single undominated maximum.
 """
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from specmi import census, majorisation_certificate, sample_spectra
-from specmi import classes, extrema
+from specmi import classes, extrema, orders
 from specmi.classes import (
     _certified_swaps,
     _titration_candidates,
@@ -136,6 +137,19 @@ def test_titration_pass_is_pinned(m, n):
     assert (values.shape[1], hashlib.sha256(values.tobytes()).hexdigest()) == PINNED_PASS[m, n]
     s, t, k, j = values[:4]
     assert (s < t).all() and (k < j).all()
+
+
+def test_the_2x5_titration_pass_decides_its_swaps_a_chunk_at_a_time():
+    # one batch of all 340,200 swaps peaked at 20 MB
+    class_table(2, 5)._lines
+    orders._set_order(2, 5)
+    tracemalloc.start()
+    try:
+        classes._titration_pass(2, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 @pytest.mark.parametrize("m,n", sorted(PINNED_SWAPS))

@@ -67,6 +67,16 @@ def test_cycle_label_uses_commas_beyond_nine_cells():
     assert label == "(11,12)"
 
 
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (3, 3), (2, 5)])
+def test_table_cycle_labels_are_each_words_label(m, n):
+    # one batch over the word array against the per-word loop
+    table = classes.ClassTable(m, n, class_table(m, n).letters)  # a fresh table
+    labels = table._cycle_labels
+    assert "classes" not in vars(table)  # no MatrixClass was built
+    assert labels == tuple(cycle_label_of_word(cls.word) for cls in table.classes)
+    assert labels[0] == "()" and labels.count("()") == 1
+
+
 # ----------------------------------------------------------------- the table
 
 def _golden_2x3_entries():

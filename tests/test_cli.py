@@ -10,6 +10,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import tempfile
 import threading
 import tracemalloc
@@ -152,6 +154,33 @@ def test_the_2x5_extrema_digest_file_holds_the_pinned_digest():
     assert line == EXTREMA_SHA256[2, 5, "0.2,0.16,0.13,0.11,0.1,0.09,0.08,0.06,0.04,0.03"] + "  -\n"
 
 
+#: SHA-256 of ``specmi extrema --format csv`` at the same spectra, taken
+#: when each cycle label was derived from its own word in Python: the labels
+#: read from the whole word array must print the same bytes.
+EXTREMA_CSV_SHA256 = {
+    (2, 4, "0.25,0.2,0.15,0.12,0.1,0.08,0.06,0.04"):
+        "6177f819d6ec1163d4fa12db7a1b00346e4afddecf0f886697c67520329f8040",
+    (3, 3, "0.2,0.17,0.14,0.12,0.1,0.09,0.08,0.06,0.04"):
+        "b4f2008477ebd09fd3bb53971ae5cc0852b454fdfd57e172940759c77497fdd1",
+    (2, 5, "0.2,0.16,0.13,0.11,0.1,0.09,0.08,0.06,0.04,0.03"):
+        "0bb323c87f64485303ee77ac1d7647f2899a5142beacbffcfba4f7361f7c9da7",
+}
+
+
+@pytest.mark.parametrize("m,n,spectrum", list(EXTREMA_CSV_SHA256), ids=["2x4", "3x3", "2x5"])
+def test_extrema_csv_of_larger_shapes_is_pinned(capsys, m, n, spectrum):
+    args = ("extrema", "--m", str(m), "--n", str(n), "--spectrum", spectrum, "--format", "csv")
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXTREMA_CSV_SHA256[m, n, spectrum]
+
+
+def test_the_2x5_extrema_csv_digest_file_holds_the_pinned_digest():
+    # CI pipes the installed command's CSV through ``sha256sum -c`` against this file
+    line = (DATA / "extrema_2x5_csv.sha256").read_text()
+    assert line == EXTREMA_CSV_SHA256[2, 5, "0.2,0.16,0.13,0.11,0.1,0.09,0.08,0.06,0.04,0.03"] + "  -\n"
+
+
 @pytest.mark.filterwarnings("error")
 def test_extrema_with_zero_entries_writes_finite_json(capsys):
     code, out, err = run(
@@ -270,6 +299,42 @@ def test_threaded_2x5_census_and_checkpoint_match_their_goldens(capsys, tmp_path
     assert (code, out, err) == (0, "", "")
     assert written.read_bytes() == (DATA / "census_25_s7_20k.json").read_bytes()
     assert checkpoint.read_bytes() == (DATA / "census_25_s7_20k_checkpoint.json").read_bytes()
+
+
+#: Peak RSS, in MiB, of a fresh interpreter that runs the threaded 2x5
+#: census below: 58.1 on a 2-vCPU VM, where it was 80.4 while each block
+#: thread kept a 2500-row tile's 15.3 MB of work arrays.  The bound leaves
+#: 17 MiB for other NumPy and BLAS builds.
+CENSUS_25_RSS_BOUND_MIB = 75
+
+# The interpreter reports the high-water mark of its own address space:
+# its ``ru_maxrss`` would also hold the test process's peak, which Linux
+# carries across the exec that starts it.
+_CENSUS_25_SCRIPT = """
+import sys
+from specmi.cli import main
+code = main(["census", "--m", "2", "--n", "5", "--samples", "20000", "--seed", "7", "--workers", "2"])
+sys.stdout.flush()
+with open("/proc/self/status") as status:
+    print(next(line for line in status if line.startswith("VmHWM:")), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_a_fresh_threaded_2x5_census_matches_its_golden_within_its_memory_bound():
+    if not Path("/proc/self/status").exists():
+        pytest.skip("no /proc to read a process's peak RSS from")
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CENSUS_25_SCRIPT], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (DATA / "census_25_s7_20k.json").read_text()
+    _, kib, unit = proc.stderr.split()[-3:]
+    assert unit == "kB"
+    assert int(kib) / 2**10 < CENSUS_25_RSS_BOUND_MIB
 
 
 def test_3x3_census_matches_its_golden(capsys):

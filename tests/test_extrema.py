@@ -125,18 +125,23 @@ def _brute_force_tally(spectra, m, n):
     return max_hits, min_hits, ties_max, ties_min
 
 
+def _budget(dec, rows):
+    """The ``_WORK_BYTES`` whose tiles hold at most ``rows`` spectra."""
+    return 8 * rows * sum(extrema._row_elements(dec))
+
+
 def test_block_extrema_tiles_agree_with_one_pass_and_brute_force(monkeypatch):
     dec = extrema._decomposition(2, 3)
     spectra = sample_spectra(6, 40, np.random.default_rng(8))
     spectra[[0, 17, 39]] = 1.0 / 6.0  # the uniform spectrum: every class ties
 
     def block_tally(rows_per_tile):
-        monkeypatch.setattr(extrema, "_ELEMENT_BUDGET", 60 * rows_per_tile)
+        monkeypatch.setattr(extrema, "_WORK_BYTES", _budget(dec, rows_per_tile))
         max_hits, min_hits, ties_max, ties_min = extrema._block_extrema(spectra, dec)
         return max_hits.tolist(), min_hits.tolist(), ties_max, ties_min
 
     one_pass = block_tally(len(spectra))
-    assert block_tally(7) == one_pass  # five full tiles and one of five rows
+    assert block_tally(7) == one_pass  # four tiles of 7 rows and two of 6
     assert one_pass == _brute_force_tally(spectra, 2, 3)
     assert one_pass[2] == one_pass[3] == 3
 
@@ -174,7 +179,6 @@ _TIE_SIZES = {
 def test_dense_tally_with_and_without_ties_equals_a_per_row_recount(monkeypatch, m, n):
     mn = m * n
     dec = extrema._decomposition(m, n)
-    n_classes = len(dec.terms_by_class)
     tied = _tied_spectra(mn, seed=21)
     sizes = {
         (len(r.maxima), len(r.minima))
@@ -189,7 +193,7 @@ def test_dense_tally_with_and_without_ties_equals_a_per_row_recount(monkeypatch,
     expected = _brute_force_tally(spectra, m, n)
     assert expected[2] > 64 and expected[3] > 64
     for rows_per_tile in (1, 5, 64, len(spectra)):
-        monkeypatch.setattr(extrema, "_ELEMENT_BUDGET", n_classes * rows_per_tile)
+        monkeypatch.setattr(extrema, "_WORK_BYTES", _budget(dec, rows_per_tile))
         assert _tallies(spectra, dec) == expected, rows_per_tile
 
 
@@ -410,10 +414,10 @@ def test_pruned_kernel_hands_ties_and_near_ties_to_the_dense_product(monkeypatch
     mn = m * n
     dec = extrema._census_decomposition(m, n)
     constructed = np.array([np.full(mn, 1.0 / mn)] + _near_tie_rows(mn, dec))
-    step = max(1, extrema._ELEMENT_BUDGET // len(dec.terms_by_class))
-    spectra = sample_spectra(mn, 3 * step, np.random.default_rng(5))
-    spread = step // len(constructed)
-    spectra[step : 2 * step : spread][: len(constructed)] = constructed  # the middle third
+    third = 200
+    spectra = sample_spectra(mn, 3 * third, np.random.default_rng(5))
+    spread = third // len(constructed)
+    spectra[third : 2 * third : spread][: len(constructed)] = constructed  # the middle third
     reference = _dense_reference(spectra, dec)
     fallback = _recording_dense_tally(monkeypatch)
     assert _tallies(spectra, dec) == reference
@@ -424,15 +428,16 @@ def test_pruned_kernel_hands_ties_and_near_ties_to_the_dense_product(monkeypatch
     assert np.allclose(fallback, expected, rtol=0.0, atol=1e-15)
 
 
-def test_block_memory_stays_within_the_tile_budget():
-    # a block of 150 dense tiles' worth of spectra; the first 1.5 of them are
+def test_block_memory_stays_within_the_tile_budget(monkeypatch):
+    # a block of nine tiles; its first 1.5 dense steps of spectra are
     # uniform, so every class ties and they go dense in two pieces
+    monkeypatch.setattr(extrema, "_spare_work", [])  # a set allocated while traced
     dec = extrema._census_decomposition(2, 5)
-    step = extrema._ELEMENT_BUDGET // len(dec.terms_by_class)
-    spectra = sample_spectra(10, 150 * step, np.random.default_rng(6))
+    spectra = sample_spectra(10, 8000, np.random.default_rng(6))
+    bounds, step = extrema._tiles(dec, len(spectra))
+    assert len(bounds) - 1 == 9
     uniform = 3 * step // 2
     spectra[:uniform] = 0.1
-    tile_bytes = extrema._ELEMENT_BUDGET * spectra.itemsize
     tracemalloc.start()
     try:
         max_hits, min_hits, ties_max, ties_min = extrema._block_extrema(spectra, dec)
@@ -441,8 +446,103 @@ def test_block_memory_stays_within_the_tile_budget():
         tracemalloc.stop()
     assert ties_max == ties_min == uniform
     assert max_hits.sum() == min_hits.sum() == uniform * 15120 + len(spectra) - uniform
-    # the whole block's entropy terms alone would take three tile budgets
-    assert peak < 2 * tile_bytes
+    # the whole block's entropy terms alone would take three budgets
+    assert peak < 2 * extrema._WORK_BYTES
+
+
+#: Tiles of a 2500-sample block at the default budget: one at 2x3 and 3x3,
+#: whose code paths stay those of one tile per block.
+_DEFAULT_TILES = {(2, 2): 1, (2, 3): 1, (2, 4): 2, (3, 3): 1, (2, 5): 3}
+
+
+@pytest.mark.parametrize("m,n", list(_DEFAULT_TILES))
+def test_tiles_split_a_block_equally_within_the_budget(monkeypatch, m, n):
+    dec = extrema._census_decomposition(m, n)
+    other, product = extrema._row_elements(dec)
+    n_classes = len(dec.terms_by_class)
+    default = extrema._WORK_BYTES
+    bounds, step = extrema._tiles(dec, 2500)
+    assert len(bounds) - 1 == _DEFAULT_TILES[m, n]
+    if dec.candidates is None:
+        assert step >= bounds[1]  # every row of a tile is dense, in one step
+    for budget in (8, _budget(dec, 7), default, _budget(dec, 10**6)):
+        monkeypatch.setattr(extrema, "_WORK_BYTES", budget)
+        for rows in (1, 6, 7, 8, 2500, 9001, 100_000):
+            bounds, step = extrema._tiles(dec, rows)
+            sizes = np.diff(bounds)
+            # every row once, in tiles equal within one row, the largest
+            # first, and of two rows at least
+            assert bounds[0] == 0 and bounds[-1] == rows and sizes.min() >= min(2, rows)
+            assert sizes.max() - sizes.min() <= 1 and sizes[0] == sizes.max()
+            if budget < 8 * 3 * (other + product):
+                continue  # the budget fits less than the smallest tiles
+            # no tile exceeds the budget, nor with its dense step unless one
+            # dense row does, and the tiles are the fewest that fit
+            assert 8 * sizes[0] * (other + product) <= budget
+            fits = 8 * (sizes[0] * other + max(sizes[0] * product, step * n_classes)) <= budget
+            assert fits or (step == 1 and budget != default)
+            if len(sizes) > 1:
+                assert 8 * -(-rows // (len(sizes) - 1)) * (other + product) > budget
+
+
+@pytest.mark.parametrize("m,n", [(2, 4), (3, 3), (2, 5)])
+def test_pruned_block_tallies_do_not_depend_on_the_tile_size(monkeypatch, m, n):
+    mn = m * n
+    dec = extrema._census_decomposition(m, n)
+    constructed = [np.full(mn, 1.0 / mn)] + _near_tie_rows(mn, dec)
+    spectra = sample_spectra(mn, 40 + len(constructed), np.random.default_rng(mn + 50))
+    spectra[1::2][: len(constructed)] = constructed
+    spectra[-1] = 1.0 / mn
+    tallies = []
+    # the smallest tiles (two rows), uneven tiles of 7 rows and one tile; the
+    # default holds the whole block in one tile too, so two tiles also run.
+    # The near-tie rows sit within the last bit of EPSILON in the dense
+    # product, so the tallies agree only if a row's totals do not depend on
+    # how many rows share its products.
+    for budget in (8, _budget(dec, 7), extrema._WORK_BYTES, _budget(dec, len(spectra))):
+        monkeypatch.setattr(extrema, "_WORK_BYTES", budget)
+        tallies.append(_tallies(spectra, dec))
+    assert tallies[1:] == tallies[:-1]
+    assert tallies[0] == _dense_reference(spectra, dec)
+    assert tallies[0][2] >= 2 and tallies[0][3] >= 2  # the uniform rows tie both sides
+    monkeypatch.setattr(extrema, "_WORK_BYTES", _budget(dec, 2 * len(spectra) // 3))
+    assert len(extrema._tiles(dec, len(spectra))[0]) == 3
+    assert _tallies(spectra, dec) == tallies[0]
+
+
+def _set_bytes(work):
+    return sum(a.nbytes for a in work.values())
+
+
+def test_census_work_arrays_stay_within_the_budget(monkeypatch):
+    spare = []
+    monkeypatch.setattr(extrema, "_spare_work", spare)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    census(2, 5, 20_000, 7, workers=2)
+    assert 1 <= len(spare) <= 2  # one set per block thread, kept
+    assert all(_set_bytes(work) <= extrema._WORK_BYTES for work in spare)
+    # a tie-heavy block: the dense product takes full steps of 15120 classes
+    dec = extrema._census_decomposition(2, 5)
+    spectra = sample_spectra(10, 2500, np.random.default_rng(13))
+    spectra[:100] = 0.1
+    _, step = extrema._tiles(dec, len(spectra))
+    ties_max, ties_min = extrema._block_extrema(spectra, dec)[2:]
+    assert ties_max == ties_min == 100
+    assert 1 <= len(spare) <= 2
+    assert max(work["product"].size for work in spare) >= step * 15120
+    assert all(_set_bytes(work) <= extrema._WORK_BYTES for work in spare)
+
+
+def test_a_set_grown_beyond_the_budget_is_not_kept(monkeypatch):
+    # as tiles of another shape can leave it: here one array the 2x4 tiles
+    # do not use takes the whole budget
+    unused = np.empty(extrema._WORK_BYTES // 8)
+    monkeypatch.setattr(extrema, "_spare_work", [{"unused": unused}])
+    dec = extrema._census_decomposition(2, 4)
+    extrema._block_extrema(sample_spectra(8, 100, np.random.default_rng(14)), dec)
+    assert extrema._spare_work == []
+    extrema._block_extrema(sample_spectra(8, 100, np.random.default_rng(15)), dec)
+    assert len(extrema._spare_work) == 1 and "index" in extrema._spare_work[0]
 
 
 def _masked_log_terms(spectra, A):
@@ -495,7 +595,9 @@ def test_entropy_terms_equal_the_fill_copy_log_steps_bit_for_bit(m, n):
     assert (terms.view(np.int64) == expected.view(np.int64)).all()
 
 
-def test_a_block_reuses_the_work_arrays_of_the_last():
+def test_a_block_reuses_the_work_arrays_of_the_last(monkeypatch):
+    # a set that tiles of other shapes grew may not fit the budget, and is dropped
+    monkeypatch.setattr(extrema, "_spare_work", [])
     dec = extrema._census_decomposition(2, 5)
     spectra = sample_spectra(10, 2500, np.random.default_rng(12))
     first = extrema._block_extrema(spectra, dec)
@@ -506,9 +608,9 @@ def test_a_block_reuses_the_work_arrays_of_the_last():
     finally:
         tracemalloc.stop()
     assert [np.asarray(x).tolist() for x in again] == [np.asarray(x).tolist() for x in first]
-    # only masks and per-row results are new; the block's terms (5.9 MB),
-    # candidate totals (2.2 MB), band masks (1.4 MB) and feeder gathers
-    # (2.5 MB) are not allocated again
+    # only masks and per-row results are new; a tile's terms and candidate
+    # totals (2.0 MB each), band masks (0.5 MB) and feeder gathers (0.9 MB)
+    # are not allocated again
     assert peak < 4 * 2**20
 
 
