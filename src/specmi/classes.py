@@ -233,6 +233,11 @@ class ClassTable:
     letters: str
 
     def __len__(self) -> int:
+        return self._count
+
+    @functools.cached_property
+    def _count(self) -> int:
+        """The number of classes; kept, so a relation query reads it as an attribute."""
         return len(self.letters) // (self.m * self.n)
 
     @functools.cached_property

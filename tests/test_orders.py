@@ -1,9 +1,10 @@
 """Symbolic comparison, majorisation, the identric mean, and swap analysis."""
 import hashlib
 import math
+import pickle
 import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from itertools import combinations, permutations
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from specmi import (
     ProbMatrix,
     RelationKind,
+    RelationVerdict,
     Spectrum,
     SymbolicSum,
     arrange,
@@ -606,10 +608,79 @@ def test_derive_relation_rejects_a_class_of_another_shape():
 
 
 def test_derive_relation_validates_indices():
-    with pytest.raises(ValueError, match="index"):
+    # in-range Python ints take a fast path; every other index takes
+    # _class_index, and both must reject the same values with the same text
+    for m, n in ((2, 2), (2, 3)):
+        table = class_table(m, n)
+        count = len(table)
+        for bad in (0, -1, count + 1):
+            message = re.escape(f"class index {bad} outside 1..{count}")
+            for a, b in ((bad, 1), (1, bad)):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    derive_relation(a, b, table=table)
+    with pytest.raises(ValueError, match=r"^class index 0 outside 1\.\.60$"):
         derive_relation(0, 48)
-    with pytest.raises(ValueError, match="index"):
+    with pytest.raises(ValueError, match=r"^class index 61 outside 1\.\.60$"):
         derive_relation(1, 61)
+
+
+class _Index(int):
+    """An int subclass, so its type is not int and it skips the fast path."""
+
+
+@pytest.mark.parametrize("kind", [_Index, np.int64, np.uint8], ids=["int-subclass", "int64", "uint8"])
+def test_derive_relation_takes_other_integers_like_ints_at_the_bounds(kind):
+    for m, n in ((2, 2), (2, 3)):
+        table = class_table(m, n)
+        count = len(table)
+        for good in (1, count):
+            other = 2 if good == 1 else 1
+            for a, b in ((good, other), (other, good)):
+                expected = derive_relation(a, b, table=table)
+                assert derive_relation(kind(a), kind(b), table=table) == expected
+                assert derive_relation(kind(a), b, table=table) == expected
+                assert derive_relation(a, kind(b), table=table) == expected
+        for bad in (0, count + 1):
+            message = re.escape(f"class index {bad} outside 1..{count}")
+            for a, b in ((kind(bad), 1), (1, kind(bad))):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    derive_relation(a, b, table=table)
+
+
+def _verdicts_of_every_kind():
+    """Derived verdicts: identical classes, forward, reverse, multi-hop and inconclusive."""
+    pairs = ((7, 7), (42, 48), (48, 42), (37, 52), (44, 45))
+    verdicts = [derive_relation(a, b) for a, b in pairs]
+    assert [v.kind.value for v in verdicts] == [
+        "ProvenForward", "ProvenForward", "ProvenReverse", "ProvenForward", "Inconclusive",
+    ]
+    return verdicts
+
+
+def test_derived_verdicts_match_the_dataclass_constructor():
+    for verdict in _verdicts_of_every_kind():
+        built = RelationVerdict(verdict.kind, verdict.certificate)
+        assert type(verdict) is RelationVerdict
+        assert verdict == built and not verdict != built
+        assert hash(verdict) == hash(built)
+        assert repr(verdict) == repr(built)
+        assert verdict.render() == built.render()
+        assert (verdict.is_forward, verdict.is_reverse, verdict.is_inconclusive) == (
+            built.is_forward, built.is_reverse, built.is_inconclusive)
+        assert replace(verdict) == verdict
+        assert {verdict: 1}[built] == 1
+
+
+def test_derived_verdicts_pickle_and_stay_frozen():
+    for verdict in _verdicts_of_every_kind():
+        copy = pickle.loads(pickle.dumps(verdict))
+        assert copy == verdict and hash(copy) == hash(verdict) and copy is not verdict
+        for name, value in (("kind", RelationKind.INCONCLUSIVE), ("certificate", ())):
+            with pytest.raises(FrozenInstanceError):
+                setattr(verdict, name, value)
+            with pytest.raises(FrozenInstanceError):
+                setattr(copy, name, value)
+        assert copy == verdict
 
 
 @pytest.mark.parametrize(
