@@ -31,10 +31,8 @@ every class in a few batches (``orders._decide_swaps`` calls of
 action of symbol exchanges on classes (``_exchanges``), and returns flat
 arrays; ``_certified_swaps`` keeps them for the relation rows.
 ``_titration_candidates`` derives the census kernel's candidate sets, and
-each candidate's feeder list, from a pass of its own, when a census of
-2x4, 3x3 or 2x5 first runs
-(``extrema._census_decomposition``).  The
-relation is read one class at a time: ``_relation_row`` decides a class's
+each candidate's feeder list, from a pass of its own, when a census of a
+shape first runs (``extrema._census_decomposition``).  The relation is read one class at a time: ``_relation_row`` decides a class's
 majorisations of every class in one batch (``orders._decide_line_majorisation``,
 which reads the same per-shape table of symbol-set orders as the pass, and
 the line masks the class table keeps), adds its swap edges from the pass,

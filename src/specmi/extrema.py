@@ -11,8 +11,9 @@ often each term appears among a class's marginals.  For a block of spectra
 
 and the mutual information of class c is that total minus the spectrum
 entropy.  The subtraction is constant across classes, so argmax/argmin and
-tie detection work on the totals directly.  ``brute_force_extrema`` and
-every census tile of 2x2 and 2x3 take this dense product.
+tie detection work on the totals directly.  ``brute_force_extrema`` takes
+this dense product, and a census tile takes it for the rows that the
+pruned kernel below leaves unresolved.
 
 G is 0/1 with m + n ones per column, and it is never kept whole: at 2x5 it
 would be 297 x 15120 float64, 36 MB.  A decomposition holds each class's
@@ -34,9 +35,9 @@ as the pruned kernel below does, so its band masks reduce along the long
 axis.  Its tallies are defined by the totals it computes, whatever order
 BLAS sums them in: this product differs from ``terms @ G`` in the last bit
 at some thousands of the 18M entries of 120 seeded 2x3 blocks, and no
-tally or tie count changed.  Memory stays at a tile's boolean masks: a
-side without ties has exactly one hit per sample, read from its ``rows``
-positions in the mask, and only a side with ties is counted per sample.
+tally or tie count changed.  Memory stays at a tile's boolean masks: the
+hits are each class's count of samples in the band and the tie events the
+samples with two classes or more in it.
 
 Each block is reduced in tiles whose work arrays fit one byte budget,
 ``_WORK_BYTES`` (6 MB): the fewest tiles that fit, of equal size within one
@@ -46,10 +47,10 @@ kernel leaves takes as many rows at a time as the budget leaves beside the
 tile's other arrays.  Each block thread keeps its set of arrays for the
 next block (``_spare_work``).
 
-Census tiles of 2x4, 3x3 and 2x5 evaluate only certified candidate
-classes.  On the max side, ``C`` holds the classes that no certified
-titration edge I(x) <= I(y) points above, and ``F`` the other classes
-whose every edge up lands in ``C``.  So every other class has an edge up to
+Census tiles of every shape evaluate only certified candidate classes.
+On the max side, ``C`` holds the classes that no certified titration edge
+I(x) <= I(y) points above, and ``F`` the other classes whose every edge up
+lands in ``C``.  So every other class has an edge up to
 a class outside ``C``, and the edges have no cycle: every walk along such
 edges ends in ``F``, and whenever a class outside ``C`` and ``F`` is within
 some band of the maximum, a class of ``F`` is too.  The min side is the
@@ -59,10 +60,11 @@ when a census of the shape first runs, in ``_census_decomposition``;
 ``brute_force_extrema`` and ``_decomposition`` never titrate.  The tests
 pin the sets and check the pass's edges at random spectra.  The kernel
 computes the totals of ``C_max`` and ``C_min`` only (2x5: 110 of 15120;
-2x4: 24; 3x3: 36), as one product of their term counts with the tile's
+2x4: 24 of 840; 3x3: 36 of 378; 2x3: 6 of 60, class 48 and the five
+``minz``; 2x2: 2 of 3), as one product of their term counts with the tile's
 terms, ``C_min``'s counts negated so that both extremes are maxima.  The
 feeders of a class c of ``C`` are the classes of ``F`` with an edge into c:
-at most 9 per class at every pruned shape, 4.0 on average at 2x5.  A row
+at most 9 per class at every shape, 4.0 on average at 2x5.  A row
 credits, on each side, the class c that is the only class of ``C`` within
 ``EPSILON + _SLACK`` of the extreme over ``C``, when none of c's feeders is
 in that band; their totals are sums of their m + n terms, gathered from the
@@ -147,7 +149,7 @@ MAX_BLOCK_SIZE = 100_000
 #: (``_tiles``), so a set stays bounded whatever the block size, the shape
 #: or the number of workers.  A 2500-sample block runs as three 834-row
 #: tiles at 2x5 (a 5.3 MB set), two at 2x4 (3.3 MB) and one at 2x3 and 3x3
-#: (1.9 and 5.6 MB).  A tile costs about 0.1 ms of fixed NumPy calls: a
+#: (2.4 and 5.6 MB).  A tile costs about 0.1 ms of fixed NumPy calls: a
 #: two-worker 2x5 census ran 0-4% slower than with one 2500-row tile (16
 #: MB), and 625-row tiles (4.0 MB) cost about 3% more (2-vCPU VM).
 _WORK_BYTES = 6_000_000
@@ -165,9 +167,6 @@ _TILE_OFFSETS = np.arange(_TILE_COLUMNS)[:, None]
 #: above the 4 delta < 3.1e-14 by which a gap between two classes can differ
 #: between the pruned and the dense kernel (see above).
 _SLACK = 1e-13
-
-#: Shapes whose census tiles evaluate only candidate classes (see above).
-_PRUNED_SHAPES = ((2, 4), (3, 3), (2, 5))
 
 _CHECKPOINT_SCHEMA = 1
 
@@ -222,7 +221,7 @@ class _TermDecomposition:
     # its column of G holds a 1.  G itself is never stored: ``_column_tiles``
     # builds it a tile at a time for the two dense products.
     terms_by_class: np.ndarray
-    candidates: _Candidates | None  # None: every tile takes the dense product
+    candidates: _Candidates | None  # None in ``_decomposition``, which never titrates
 
 
 @functools.lru_cache(maxsize=None)
@@ -246,22 +245,20 @@ def _decomposition(m: int, n: int) -> _TermDecomposition:
 
 @functools.lru_cache(maxsize=None)
 def _census_decomposition(m: int, n: int) -> _TermDecomposition:
-    """The decomposition a census evaluates: a pruned shape's carries its candidates.
+    """The decomposition a census evaluates, with its candidates.
 
-    The candidates of 2x4, 3x3 and 2x5 are derived here from one titration
-    pass (``classes._titration_candidates``) when a census of the shape
-    first runs; 2x2 and 2x3 take the dense product alone.
+    The candidates are derived here from one titration pass
+    (``classes._titration_candidates``) when a census of the shape first
+    runs.
     """
     dec = _decomposition(m, n)
-    if (m, n) not in _PRUNED_SHAPES:
-        return dec
     sets = _titration_candidates(m, n)
     _trim_heap()
     terms = dec.terms_by_class
     sides, start = [], 0
     max_side, min_side = (sets.c_max, sets.feeders_max, 1.0), (sets.c_min, sets.feeders_min, -1.0)
     for c, feeders, sign in (max_side, min_side):
-        assert all(feeders), "every candidate of a pruned shape has a feeder"
+        assert all(feeders), "every candidate has a feeder"
         width = max(map(len, feeders))
         padded = np.array([f + f[:1] * (width - len(f)) for f in feeders], dtype=np.intp) - 1
         sides.append(
@@ -364,10 +361,8 @@ def _dense_tally(
     the other rows of the product: BLAS would take a product of one row
     through its matrix-vector kernel, which sums in another order than its
     matrix-matrix kernel, so a lone row is multiplied as two copies of
-    itself.  Each sample's extreme lies in its own band, so a side without
-    ties has exactly one hit per sample; its hits are read from those
-    ``rows`` positions, and only a side with ties counts them per sample,
-    which keeps the memory of an all-tie tile at its boolean mask.
+    itself.  The hits are counted per class and the tie events per sample,
+    from the boolean masks alone.
     """
     n_classes, rows = len(dec.terms_by_class), len(hterms)
     if rows == 1:
@@ -378,11 +373,8 @@ def _dense_tally(
     vals = vals[:, :rows]
     tallies = []
     for mask in (vals >= vals.max(axis=0) - EPSILON, vals <= vals.min(axis=0) + EPSILON):
-        if np.count_nonzero(mask) == rows:
-            tallies.append((np.bincount(np.flatnonzero(mask) // rows, minlength=n_classes), 0))
-        else:
-            ties = int((np.count_nonzero(mask, axis=0) >= 2).sum())
-            tallies.append((np.count_nonzero(mask, axis=1), ties))
+        ties = int((np.count_nonzero(mask, axis=0) >= 2).sum())
+        tallies.append((np.count_nonzero(mask, axis=1), ties))
     (max_hits, ties_max), (min_hits, ties_min) = tallies
     return max_hits, min_hits, ties_max, ties_min
 
@@ -433,14 +425,11 @@ def _row_elements(dec: _TermDecomposition) -> tuple[int, int]:
     """Census work-array elements per tile row, 8 bytes each: beside the product, and in it.
 
     A tile holds its entropy terms and the product (the marginal sums, then
-    the candidates' totals, or without candidates the dense totals).  The
-    pruned kernel adds the band of its larger side and the band's two
+    the candidates' totals), the band of its larger side and the band's two
     counts, then each feeder term's index and value and each feeder's total
     (``_sole_candidates``).
     """
     n_terms, cand = dec.symbols_by_term.shape[1], dec.candidates
-    if cand is None:
-        return n_terms, max(n_terms, len(dec.terms_by_class))
     band = max(len(side.classes) for side in cand.sides)
     slots = max(side.feeder_terms.shape[1] for side in cand.sides)
     gathers = (2 * dec.terms_by_class.shape[1] + 1) * slots
@@ -461,7 +450,7 @@ def _tiles(dec: _TermDecomposition, rows: int) -> tuple[list[int], int]:
     would depend on the tiling.  The dense product of a tile's unresolved
     rows takes ``step`` rows at a time, as many as the budget leaves beside
     the tile's other arrays, so a set never outgrows the budget: 21 rows at
-    2x5, and a whole tile at 2x2 and 2x3, where every row is dense.
+    2x5 and 52 at 3x3, and a whole tile at 2x2 and 2x3.
     """
     other, product = _row_elements(dec)
     elements = _WORK_BYTES // 8
@@ -477,13 +466,11 @@ def _block_extrema(
     """Per-class argmax/argmin hit counts and tie-event counts for one block.
 
     Tile by tile (``_tiles``), so memory stays within ``_WORK_BYTES``
-    whatever the block size: a tile's entropy terms, then, where the shape
-    has candidates, its rows that one candidate resolves credit it.  Every
-    other row, and every row of a shape without candidates, is tallied by
-    the dense product, a dense step of rows at a time.
+    whatever the block size: a tile's entropy terms, then its rows that one
+    candidate resolves credit it.  Every other row is tallied by the dense
+    product, a dense step of rows at a time.
     """
     n_classes = len(dec.terms_by_class)
-    cand = dec.candidates
     bounds, step = _tiles(dec, spectra.shape[0])
     max_hits = np.zeros(n_classes, dtype=np.int64)
     min_hits = np.zeros(n_classes, dtype=np.int64)
@@ -494,11 +481,10 @@ def _block_extrema(
         work = {}
     for r0, r1 in zip(bounds, bounds[1:]):
         hterms = _marginal_entropy_terms(spectra[r0:r1], dec.symbols_by_term, work)
-        if cand is not None:
-            resolved, top, bottom = _sole_candidates(hterms, cand, work)
-            max_hits += np.bincount(top[resolved], minlength=n_classes)
-            min_hits += np.bincount(bottom[resolved], minlength=n_classes)
-            hterms = hterms[~resolved]
+        resolved, top, bottom = _sole_candidates(hterms, dec.candidates, work)
+        max_hits += np.bincount(top[resolved], minlength=n_classes)
+        min_hits += np.bincount(bottom[resolved], minlength=n_classes)
+        hterms = hterms[~resolved]
         for d0 in range(0, hterms.shape[0], step):
             tile_max, tile_min, tile_ties_max, tile_ties_min = _dense_tally(
                 hterms[d0 : d0 + step], dec, work

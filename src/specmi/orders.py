@@ -841,9 +841,11 @@ def derive_relation(a, b, table=None) -> RelationVerdict:
     ia = a if type(a) is int and 0 < a <= count else _class_index(a, table, count)
     ib = b if type(b) is int and 0 < b <= count else _class_index(b, table, count)
     header = f"derive: class {ia} vs class {ib}"
-    if ia == ib:
-        return _verdict(_FORWARD, (header, *_IDENTICAL_LINES))
     m, n = table.m, table.n
+    if ia == ib:
+        # the search tree checks the shape of every other pair
+        _classes.check_relation_shape(m, n)
+        return _verdict(_FORWARD, (header, *_IDENTICAL_LINES))
     search_tree = _classes._search_tree
     tree = search_tree(m, n, ia)
     if ib in tree:

@@ -18,21 +18,31 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from specmi import census, majorisation_certificate, sample_spectra
+from specmi import (
+    Spectrum,
+    brute_force_extrema,
+    census,
+    majorisation_certificate,
+    sample_spectra,
+    verify_total_order_2x2,
+)
 from specmi import classes, extrema, orders
 from specmi.classes import (
     _certified_swaps,
     _titration_candidates,
     class_table,
+    standard_form_sets,
 )
 
-SHAPES = [(2, 4), (3, 3), (2, 5)]
+SHAPES = [(2, 2), (2, 3), (2, 4), (3, 3), (2, 5)]
 MINZ = {1, 7, 13, 25, 31}
 
 #: Per shape, the sizes of ``C_max, F_max, C_min, F_min`` and the SHA-256 of
-#: the four sets written as space-separated indices, one set per line: the
-#: sets of the generated table that the census once read.
+#: the four sets written as space-separated indices, one set per line; at
+#: 2x4, 3x3 and 2x5 the sets of the generated table that the census once read.
 PINNED_SETS = {
+    (2, 2): ((1, 1, 1, 1), "9740b32781952f60d7920caa86a78ccfdb9ef57598041932dd415d3e88530799"),
+    (2, 3): ((1, 4, 5, 9), "1451cad1475d3d56fbfd36c7b18a696f578d038795680f1896de99e25d851176"),
     (2, 4): ((7, 26, 17, 51), "32f64ec953b728dd687198326608c86ca0c5becec5ac88d4941b558d7d7f6f42"),
     (3, 3): ((18, 69, 18, 79), "b1947dab0245f4568f30ee6cecc8229623126b2da20a8e4cdf7319b1397111d1"),
     (2, 5): ((40, 158, 70, 268), "3aceac3778e57e645421c4bada4edd3e16063d2c7515475ce4edf7d517526328"),
@@ -73,7 +83,9 @@ def test_titration_pass_reproduces_the_table(m, n):
 
 
 #: Per shape, the longest feeder list of a ``C_max`` and of a ``C_min`` class.
-PINNED_FEEDER_WIDTHS = {(2, 4): (9, 7), (3, 3): (7, 7), (2, 5): (7, 9)}
+PINNED_FEEDER_WIDTHS = {
+    (2, 2): (1, 1), (2, 3): (4, 3), (2, 4): (9, 7), (3, 3): (7, 7), (2, 5): (7, 9)
+}
 
 
 def _feeder_edges(m, n):
@@ -214,7 +226,26 @@ def test_only_2x3_has_a_unique_candidate():
     assert set(edges) - set(itertools.chain.from_iterable(edges.values())) == MINZ
     # titration edges alone leave several candidates in every larger shape
     sizes = {shape: (len(_sets(*shape)[0]), len(_sets(*shape)[2])) for shape in SHAPES}
-    assert sizes == {(2, 4): (7, 17), (3, 3): (18, 18), (2, 5): (40, 70)}
+    assert sizes == {
+        (2, 2): (1, 1), (2, 3): (1, 5), (2, 4): (7, 17), (3, 3): (18, 18), (2, 5): (40, 70)
+    }
+
+
+def test_the_2x2_and_2x3_candidates_are_the_extremes_of_the_paper():
+    # at 2x3 the census scores class 48 and the five MINZ classes only; at
+    # 2x2 the antidiagonal ac|db and the identity ab|cd, the two ends of
+    # the total order of qubit2.verify_total_order_2x2
+    sets = _titration_candidates(2, 3)
+    assert sets.c_max == (48,) and sets.c_min == standard_form_sets().minz
+    sets = _titration_candidates(2, 2)
+    assert (sets.c_max, sets.c_min) == ((3,), (1,))
+    table = class_table(2, 2)
+    assert (table.get(3).display, table.get(1).display) == ("ac|db", "ab|cd")
+    s = Spectrum((0.4, 0.3, 0.2, 0.1))
+    order, report = verify_total_order_2x2(s), brute_force_extrema(s, 2, 2)
+    assert (report.maxima, report.minima) == ((3,), (1,))
+    assert report.max_value == pytest.approx(order.i_antidiagonal, abs=1e-15)
+    assert report.min_value == pytest.approx(order.i_identity, abs=1e-15)
 
 
 def _undominated_maxima(m, n):

@@ -347,6 +347,11 @@ def test_2x4_census_matches_its_golden(capsys):
     assert (code, out, err) == (0, (DATA / "census_24_s7_20k.json").read_text(), "")
 
 
+def test_2x2_census_matches_its_golden(capsys):
+    code, out, err = run(capsys, "census", "--m", "2", "--n", "2", "--samples", "20000", "--seed", "7")
+    assert (code, out, err) == (0, (DATA / "census_22_s7_20k.json").read_text(), "")
+
+
 def test_census_worker_flag_keeps_output_identical(capsys, tmp_path):
     target = tmp_path / "census_w4.json"
     code, _, _ = run(

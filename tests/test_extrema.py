@@ -131,7 +131,7 @@ def _budget(dec, rows):
 
 
 def test_block_extrema_tiles_agree_with_one_pass_and_brute_force(monkeypatch):
-    dec = extrema._decomposition(2, 3)
+    dec = extrema._census_decomposition(2, 3)
     spectra = sample_spectra(6, 40, np.random.default_rng(8))
     spectra[[0, 17, 39]] = 1.0 / 6.0  # the uniform spectrum: every class ties
 
@@ -178,7 +178,7 @@ _TIE_SIZES = {
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3)])
 def test_dense_tally_with_and_without_ties_equals_a_per_row_recount(monkeypatch, m, n):
     mn = m * n
-    dec = extrema._decomposition(m, n)
+    dec = extrema._census_decomposition(m, n)
     tied = _tied_spectra(mn, seed=21)
     sizes = {
         (len(r.maxima), len(r.minima))
@@ -253,23 +253,21 @@ def _assert_decomposition_is(dec, A, G, m, n):
     assert census_dec.symbols_by_term is dec.symbols_by_term
     assert census_dec.terms_by_class is dec.terms_by_class
     cand = census_dec.candidates
-    assert (cand is not None) == ((m, n) in [(2, 4), (3, 3), (2, 5)])
-    if cand is not None:
-        # the C rows only, C_max then C_min negated; each C class's feeders
-        # as their term indices, the list padded by its first feeder
-        sets = _titration_candidates(m, n)
-        c_max, c_min = (np.array(c) - 1 for c in (sets.c_max, sets.c_min))
-        assert np.array_equal(cand.class_terms, np.concatenate([G[:, c_max].T, -G[:, c_min].T]))
-        sides = zip(cand.sides, (c_max, c_min), (sets.feeders_max, sets.feeders_min), (1.0, -1.0))
-        for side, c, feeders, sign in sides:
-            assert np.array_equal(side.classes, c) and side.sign == sign
-            assert np.array_equal(cand.class_terms[side.rows], sign * G[:, c].T)
-            width = max(map(len, feeders))
-            assert side.feeder_terms.shape == (m + n, width, len(c))
-            for i, fed in enumerate(feeders):
-                slots = fed + fed[:1] * (width - len(fed))
-                expected = [np.flatnonzero(G[:, f - 1]) for f in slots]
-                assert np.array_equal(side.feeder_terms[:, :, i].T, expected)
+    # the C rows only, C_max then C_min negated; each C class's feeders as
+    # their term indices, the list padded by its first feeder
+    sets = _titration_candidates(m, n)
+    c_max, c_min = (np.array(c) - 1 for c in (sets.c_max, sets.c_min))
+    assert np.array_equal(cand.class_terms, np.concatenate([G[:, c_max].T, -G[:, c_min].T]))
+    sides = zip(cand.sides, (c_max, c_min), (sets.feeders_max, sets.feeders_min), (1.0, -1.0))
+    for side, c, feeders, sign in sides:
+        assert np.array_equal(side.classes, c) and side.sign == sign
+        assert np.array_equal(cand.class_terms[side.rows], sign * G[:, c].T)
+        width = max(map(len, feeders))
+        assert side.feeder_terms.shape == (m + n, width, len(c))
+        for i, fed in enumerate(feeders):
+            slots = fed + fed[:1] * (width - len(fed))
+            expected = [np.flatnonzero(G[:, f - 1]) for f in slots]
+            assert np.array_equal(side.feeder_terms[:, :, i].T, expected)
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (3, 3), (2, 5)])
@@ -332,7 +330,11 @@ def _tallies(spectra, dec):
 
 
 def _dense_reference(spectra, dec):
-    return _tallies(spectra, dataclasses.replace(dec, candidates=None))
+    """The tallies of the dense product alone, 64 rows of the block at a time."""
+    hterms = extrema._marginal_entropy_terms(spectra, dec.symbols_by_term)
+    steps = range(0, len(hterms), 64)
+    tallies = [extrema._dense_tally(hterms[r : r + 64], dec, {}) for r in steps]
+    return tuple(np.sum(x, axis=0).tolist() for x in zip(*tallies))
 
 
 def _recording_dense_tally(monkeypatch):
@@ -348,7 +350,9 @@ def _recording_dense_tally(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("m,n,rows", [(2, 4, 2500), (3, 3, 1700), (2, 5, 600)])
+@pytest.mark.parametrize(
+    "m,n,rows", [(2, 2, 2500), (2, 3, 2500), (2, 4, 2500), (3, 3, 1700), (2, 5, 600)]
+)
 def test_pruned_block_tallies_equal_the_dense_reference(monkeypatch, m, n, rows, seed):
     dec = extrema._census_decomposition(m, n)
     spectra = sample_spectra(m * n, rows, np.random.default_rng(seed))
@@ -409,7 +413,7 @@ def _near_tie_rows(mn, dec):
     return rows
 
 
-@pytest.mark.parametrize("m,n", [(2, 4), (3, 3), (2, 5)])
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (3, 3), (2, 5)])
 def test_pruned_kernel_hands_ties_and_near_ties_to_the_dense_product(monkeypatch, m, n):
     mn = m * n
     dec = extrema._census_decomposition(m, n)
@@ -463,8 +467,8 @@ def test_tiles_split_a_block_equally_within_the_budget(monkeypatch, m, n):
     default = extrema._WORK_BYTES
     bounds, step = extrema._tiles(dec, 2500)
     assert len(bounds) - 1 == _DEFAULT_TILES[m, n]
-    if dec.candidates is None:
-        assert step >= bounds[1]  # every row of a tile is dense, in one step
+    # at 2x2 and 2x3 a tile's unresolved rows go dense in one step
+    assert (step >= bounds[1]) == ((m, n) in [(2, 2), (2, 3)])
     for budget in (8, _budget(dec, 7), default, _budget(dec, 10**6)):
         monkeypatch.setattr(extrema, "_WORK_BYTES", budget)
         for rows in (1, 6, 7, 8, 2500, 9001, 100_000):
@@ -485,7 +489,7 @@ def test_tiles_split_a_block_equally_within_the_budget(monkeypatch, m, n):
                 assert 8 * -(-rows // (len(sizes) - 1)) * (other + product) > budget
 
 
-@pytest.mark.parametrize("m,n", [(2, 4), (3, 3), (2, 5)])
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (3, 3), (2, 5)])
 def test_pruned_block_tallies_do_not_depend_on_the_tile_size(monkeypatch, m, n):
     mn = m * n
     dec = extrema._census_decomposition(m, n)

@@ -715,8 +715,9 @@ def test_derive_relation_rejects_shapes_without_a_graph(monkeypatch, m, n):
         for name in ("majorisation_certificate", "titrate_check", "_decide_majorisation",
                      "_decide_titration"):
             monkeypatch.setattr(f"{module}.{name}", no_work)
-    with pytest.raises(ValueError, match=f"shapes 2x2 and 2x3, got {m}x{n}"):
-        derive_relation(1, 2, table=table)
+    for a, b in ((1, 2), (1, 1)):  # the identical pair too
+        with pytest.raises(ValueError, match=f"shapes 2x2 and 2x3, got {m}x{n}"):
+            derive_relation(a, b, table=table)
 
 
 def _relation_graph(m, n):
