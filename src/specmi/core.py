@@ -331,16 +331,22 @@ def write_text_atomic(path: str, text: str | Iterable[str]) -> None:
     A symbolic link stays, and the file it names is replaced, or created if
     the link dangles; a link that loops raises OSError (``ELOOP``), as a
     plain ``open`` would.  A path that exists and is not a regular file (a
-    FIFO, a device) is written directly.
+    FIFO, a device) is written directly.  When the temporary file cannot be
+    created, as in a missing directory, the OSError names ``path``, not the
+    temporary file.
     """
     if os.path.exists(path) and not os.path.isfile(path):  # nothing to replace
         fd, tmp = os.open(path, os.O_WRONLY), None
     else:
+        given = path
         if os.path.islink(path):  # the temporary file goes beside the linked file
             path = os.path.realpath(path)
             if os.path.islink(path):  # resolution stopped in a loop
                 raise OSError(errno.ELOOP, os.strerror(errno.ELOOP), path)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+        try:
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, given) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             if isinstance(text, str):

@@ -30,14 +30,22 @@ are 256 wide and the last holds the rest: 72 at 2x4, 176 at 3x3 and 16 at
 2x5, and at 2x2 and 2x3 the one tile is G.  The tests pin the bits of both
 products against a whole G and the digests of ``specmi extrema`` output.
 
-The census lays the dense product out classes x samples, ``G.T @ terms.T``,
-as the pruned kernel below does, so its band masks reduce along the long
-axis.  Its tallies are defined by the totals it computes, whatever order
-BLAS sums them in: this product differs from ``terms @ G`` in the last bit
-at some thousands of the 18M entries of 120 seeded 2x3 blocks, and no
-tally or tie count changed.  Memory stays at a tile's boolean masks: the
-hits are each class's count of samples in the band and the tie events the
-samples with two classes or more in it.
+A census tile lays its entropy terms out terms x samples: the marginal sums
+are one product ``A.T @ S.T``, of ``term_symbols``, a C-contiguous copy of
+A.T, with the tile's spectra, and each term is one C-contiguous row over
+the tile's samples, so a class's total is the sum of its m + n term rows.
+The dense product is laid out classes x samples, ``G.T @ terms``, as the
+pruned kernel below lays out its totals, so its band masks reduce along the
+long axis.  Its tallies are defined by the totals it computes, whatever
+order BLAS sums them in.  ``A.T @ S.T`` sums some marginals in another
+order than ``S @ A``: over 40 seeded 2500-sample blocks per shape they
+differed in the last bit at 0.01% of the sums at 2x3, 0.03% at 2x4, 0.02%
+at 3x3 and 0.17% at 2x5, and never at 2x2; ``G.T @ terms`` differs from
+``terms @ G`` in the last bit at some thousands of the 18M entries of 120
+seeded 2x3 blocks.  The census goldens' tallies and tie counts are the same
+under either order.  Memory stays at a tile's boolean masks: the hits are
+each class's count of samples in the band and the tie events the samples
+with two classes or more in it.
 
 Each block is reduced in tiles whose work arrays fit one byte budget,
 ``_WORK_BYTES`` (6 MB): the fewest tiles that fit, of equal size within one
@@ -61,15 +69,18 @@ when a census of the shape first runs, in ``_census_decomposition``;
 pin the sets and check the pass's edges at random spectra.  The kernel
 computes the totals of ``C_max`` and ``C_min`` only (2x5: 110 of 15120;
 2x4: 24 of 840; 3x3: 36 of 378; 2x3: 6 of 60, class 48 and the five
-``minz``; 2x2: 2 of 3), as one product of their term counts with the tile's
-terms, ``C_min``'s counts negated so that both extremes are maxima.  The
-feeders of a class c of ``C`` are the classes of ``F`` with an edge into c:
-at most 9 per class at every shape, 4.0 on average at 2x5.  A row
-credits, on each side, the class c that is the only class of ``C`` within
-``EPSILON + _SLACK`` of the extreme over ``C``, when none of c's feeders is
-in that band; their totals are sums of their m + n terms, gathered from the
-row's terms.  Every row that lacks such a class on either side is tallied
-by the dense product.
+``minz``; 2x2: 2 of 3), each as the sum of its m + n term rows: m + n row
+gathers over the (m + n) x len(C) table of their term indices, added in
+term order, then ``C_min``'s totals negated so that both extremes are
+maxima.  A product with their rows of G would spend 97.6% of its
+multiply-adds on zeros at 2x5, where each of the 110 rows holds 7 ones
+among 297 terms.  The feeders of a class c of ``C`` are the classes of
+``F`` with an edge into c: at most 9 per class at every shape, 4.0 on
+average at 2x5.  A sample credits, on each side, the class c that is the
+only class of ``C`` within ``EPSILON + _SLACK`` of the extreme over ``C``,
+when none of c's feeders is in that band; their totals are sums of their
+m + n terms too, gathered from the sample's column of terms.  Every sample
+that lacks such a class on either side is tallied by the dense product.
 
 Exactness.  The certificates order exact totals, so computed totals must
 be close to them.  The rows must be the entropy terms of descending spectra
@@ -85,11 +96,12 @@ first order in u:
 
 so each of the at most m + n <= 7 terms of a total is within 7.4u of
 exact, and adding them in any order costs at most 6u * 7/e < 15.5u more.
-Every computed total, by product or gather in this kernel or in the dense
+Every computed total, gathered in this kernel or multiplied in the dense
 one, is therefore within delta = 7 * 7.4u + 15.5u < 68u < 7.6e-15 of exact,
-so a total moves by at most 2 delta between the two kernels.  Let c be
-credited at the maximum: every other class of ``C``, and every feeder of c,
-is more than ``EPSILON + _SLACK`` below c in this kernel.  Take a class x
+so a total moves by at most 2 delta between the two kernels; the tests
+check that bound on every gathered total against the dense product.  Let
+c be credited at the maximum: every other class of ``C``, and every feeder
+of c, is more than ``EPSILON + _SLACK`` below c in this kernel.  Take a class x
 outside ``C``.  Walking up from x ends at some f in ``F`` (f = x if x is in
 ``F``) with exact I(x) <= I(f), and every edge out of f lands in ``C``.  If
 one lands in c, f is a feeder of c; otherwise one lands in some c' of
@@ -148,10 +160,12 @@ MAX_BLOCK_SIZE = 100_000
 #: samples is reduced tile by tile, each tile as many rows as fit here
 #: (``_tiles``), so a set stays bounded whatever the block size, the shape
 #: or the number of workers.  A 2500-sample block runs as three 834-row
-#: tiles at 2x5 (a 5.3 MB set), two at 2x4 (3.3 MB) and one at 2x3 and 3x3
-#: (2.4 and 5.6 MB).  A tile costs about 0.1 ms of fixed NumPy calls: a
-#: two-worker 2x5 census ran 0-4% slower than with one 2500-row tile (16
-#: MB), and 625-row tiles (4.0 MB) cost about 3% more (2-vCPU VM).
+#: tiles at 2x5 (a 5.3 MB set), two at 2x4 (3.3 MB) and one at 2x2, 2x3
+#: and 3x3 (0.5, 2.4 and 5.6 MB).  A tile costs about 0.1 ms of fixed NumPy
+#: calls, yet small tiles keep the gathers in cache: with one BLAS thread a
+#: 2500-sample 2x5 block took 6.6-6.7 ms as one 2500-row tile (a 16 MB
+#: set), 5.5-5.7 ms as three 834-row tiles and 5.4-5.6 ms as four 625-row
+#: ones (4.0 MB; medians of 30 rounds, one process, 2-vCPU VM).
 _WORK_BYTES = 6_000_000
 
 #: Columns of G in one dense tile of ``_column_tiles``: a multiple of 64, so
@@ -176,7 +190,10 @@ _CHECKPOINT_SCHEMA = 1
 #: a tile's entropy terms ("terms"), the product being reduced ("product":
 #: the marginal sums, then the candidates' or the dense totals) and the
 #: pruned kernel's band masks and feeder gathers (see ``_sole_candidates``):
-#: 5.3 MB at 2x5, 10.7 MB for two workers.  Allocated afresh, these
+#: 5.3 MB at 2x5, 10.7 MB for two workers.  The candidates' term rows are
+#: gathered outside the set, at most two at a time (0.7 MB each in an
+#: 834-row 2x5 tile), and so is the copy of a tile's unresolved columns
+#: that each dense step multiplies.  Allocated afresh, these
 #: multi-megabyte arrays are paged in again whenever malloc has trimmed its
 #: heap in between: 1,400 to 2,200 minor page faults per 2500-sample 2x4 or
 #: 3x3 block, which doubled its time.
@@ -198,7 +215,6 @@ class _Side:
     """One side of the pruned kernel: its candidates ``C`` and their feeders."""
 
     classes: np.ndarray  # C, 0-based
-    rows: slice  # C's rows of the candidates' class_terms
     # (m + n, K, len(C)): the term indices of each C class's feeders, a list
     # of up to K padded to K by repeating its first feeder
     feeder_terms: np.ndarray
@@ -210,13 +226,16 @@ class _Side:
 class _Candidates:
     """The pruned kernel's classes ``[C_max | C_min]`` and the feeders of each."""
 
-    class_terms: np.ndarray  # (len(C_max) + len(C_min), T): their columns of G, C_min's negated
+    # (m + n, len(C_max) + len(C_min)): the term indices of each class of
+    # [C_max | C_min], one row per term of a class
+    terms: np.ndarray
     sides: tuple[_Side, _Side]
 
 
 @dataclasses.dataclass(frozen=True)
 class _TermDecomposition:
     symbols_by_term: np.ndarray  # (mn, T) 0/1: A
+    term_symbols: np.ndarray  # (T, mn) 0/1: A.T, C-contiguous, for census tiles
     # (C, m + n) int32: each class's term indices, ascending, the rows where
     # its column of G holds a 1.  G itself is never stored: ``_column_tiles``
     # builds it a tile at a time for the two dense products.
@@ -240,7 +259,12 @@ def _decomposition(m: int, n: int) -> _TermDecomposition:
     terms = np.sort(number[masks], axis=1).astype(np.int32)
     # A class's marginals are distinct symbol sets, so each term counts once.
     assert (terms[:, 1:] > terms[:, :-1]).all()
-    return _TermDecomposition(symbols_by_term=A, terms_by_class=terms, candidates=None)
+    return _TermDecomposition(
+        symbols_by_term=A,
+        term_symbols=np.ascontiguousarray(A.T),
+        terms_by_class=terms,
+        candidates=None,
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -255,7 +279,7 @@ def _census_decomposition(m: int, n: int) -> _TermDecomposition:
     sets = _titration_candidates(m, n)
     _trim_heap()
     terms = dec.terms_by_class
-    sides, start = [], 0
+    sides = []
     max_side, min_side = (sets.c_max, sets.feeders_max, 1.0), (sets.c_min, sets.feeders_min, -1.0)
     for c, feeders, sign in (max_side, min_side):
         assert all(feeders), "every candidate has a feeder"
@@ -264,18 +288,15 @@ def _census_decomposition(m: int, n: int) -> _TermDecomposition:
         sides.append(
             _Side(
                 classes=np.array(c, dtype=np.intp) - 1,
-                rows=slice(start, start + len(c)),
                 feeder_terms=np.ascontiguousarray(terms[padded].transpose(2, 1, 0), dtype=np.intp),
                 sign=sign,
                 band_weights=np.stack([np.ones(len(c)), np.arange(len(c), dtype=np.float64)]),
             )
         )
-        start += len(c)
-    # the candidates' columns of G as rows, C_min's negated
-    class_terms = np.zeros((start, dec.symbols_by_term.shape[1]))
-    for side in sides:
-        np.put_along_axis(class_terms[side.rows], terms[side.classes], side.sign, axis=1)
-    candidates = _Candidates(class_terms=class_terms, sides=tuple(sides))
+    classes = np.concatenate([side.classes for side in sides])
+    candidates = _Candidates(
+        terms=np.ascontiguousarray(terms[classes].T, dtype=np.intp), sides=tuple(sides)
+    )
     return dataclasses.replace(dec, candidates=candidates)
 
 
@@ -329,15 +350,19 @@ def _work_array(
 
 
 def _marginal_entropy_terms(
-    spectra: np.ndarray, A: np.ndarray, work: dict[str, np.ndarray] | None = None
+    spectra: np.ndarray, term_symbols: np.ndarray, work: dict[str, np.ndarray] | None = None
 ) -> np.ndarray:
-    """``-s log s`` of every marginal sum ``s = spectra @ A``, with 0 log 0 = 0.
+    """``-s log s`` of every marginal sum ``s = A.T @ spectra.T``, with 0 log 0 = 0.
 
-    Given a set of work arrays, returns a view of its "terms".
+    ``term_symbols`` is A.T, C-contiguous: in a census block, one BLAS
+    thread, the sums of a 2500-sample 2x4 block took 170 us from it and
+    310 us from the transposed view of A.  The terms are laid out terms x
+    samples, one C-contiguous row per term.  Given a set of work arrays,
+    returns a view of its "terms".
     """
     work = {} if work is None else work
-    shape = (spectra.shape[0], A.shape[1])
-    sums = np.matmul(spectra, A, out=_work_array(work, "product", *shape))
+    shape = (term_symbols.shape[0], spectra.shape[0])
+    sums = np.matmul(term_symbols, spectra.T, out=_work_array(work, "product", *shape))
     return entropy_terms(sums, out=_work_array(work, "terms", *shape))
 
 
@@ -354,22 +379,24 @@ def _dense_tally(
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Argmax/argmin hit counts and tie events of every class over one tile.
 
-    The totals are laid out classes x samples, as in the pruned kernel, so
-    every reduction runs along the long axis, and computed from G one
-    column tile at a time.  A tally is defined by the totals computed here,
-    whatever order BLAS sums them in, and a row's totals do not depend on
-    the other rows of the product: BLAS would take a product of one row
-    through its matrix-vector kernel, which sums in another order than its
-    matrix-matrix kernel, so a lone row is multiplied as two copies of
-    itself.  The hits are counted per class and the tie events per sample,
-    from the boolean masks alone.
+    ``hterms`` holds the entropy terms of the tile's samples as C-contiguous
+    columns (terms x samples).  The totals are laid out classes x samples,
+    as in the pruned kernel, so every reduction runs along the long axis,
+    and computed from G one column tile at a time.  A tally is defined by
+    the totals computed here, whatever order BLAS sums them in, and a
+    sample's totals do not depend on the other samples of the product:
+    BLAS would take a product of one column through its matrix-vector
+    kernel, which sums in another order than its matrix-matrix kernel, so a
+    lone column is multiplied as two copies of itself.  The hits are
+    counted per class and the tie events per sample, from the boolean masks
+    alone.
     """
-    n_classes, rows = len(dec.terms_by_class), len(hterms)
+    n_classes, rows = len(dec.terms_by_class), hterms.shape[1]
     if rows == 1:
-        hterms = np.repeat(hterms, 2, axis=0)
-    vals = _work_array(work, "product", n_classes, len(hterms))
+        hterms = np.repeat(hterms, 2, axis=1)
+    vals = _work_array(work, "product", n_classes, hterms.shape[1])
     for columns, tile in _column_tiles(dec):
-        np.matmul(tile.T, hterms.T, out=vals[columns])
+        np.matmul(tile.T, hterms, out=vals[columns])
     vals = vals[:, :rows]
     tallies = []
     for mask in (vals >= vals.max(axis=0) - EPSILON, vals <= vals.min(axis=0) + EPSILON):
@@ -382,36 +409,42 @@ def _dense_tally(
 def _sole_candidates(
     hterms: np.ndarray, cand: _Candidates, work: dict[str, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row, whether one candidate alone holds each extreme, and which.
+    """Per sample, whether one candidate alone holds each extreme, and which.
 
-    Returns ``(resolved, top, bottom)``: row i credits class ``top[i]`` at
-    the max and ``bottom[i]`` at the min if ``resolved[i]``, which needs, on
-    both sides, one class of ``C`` alone within ``EPSILON + _SLACK`` of the
-    extreme over ``C``, and none of that class's feeders in the band.  The
-    feeders' totals are gathered from the row's terms.
+    Returns ``(resolved, top, bottom)``: sample i credits class ``top[i]``
+    at the max and ``bottom[i]`` at the min if ``resolved[i]``, which needs,
+    on both sides, one class of ``C`` alone within ``EPSILON + _SLACK`` of
+    the extreme over ``C``, and none of that class's feeders in the band.
+    Every total, of a candidate or a feeder, is the sum of its m + n term
+    rows of ``hterms`` (terms x samples): the candidates' as m + n row
+    gathers, the feeders' as one flat gather.
     """
-    rows, n_terms = hterms.shape
-    # the min side negated: both extremes are maxima
-    out = _work_array(work, "product", len(cand.class_terms), rows)
-    vals = np.matmul(cand.class_terms, hterms.T, out=out)
-    offsets = np.arange(0, rows * n_terms, n_terms)  # of each row's terms in hterms.flat
+    rows = hterms.shape[1]
+    vals = _work_array(work, "product", cand.terms.shape[1], rows)
+    first, second, *rest = cand.terms
+    np.add(hterms[first], hterms[second], out=vals)
+    for term in rest:
+        vals += hterms[term]
+    n_max = len(cand.sides[0].classes)
+    vals[n_max:] *= -1.0  # the min side negated: both extremes are maxima
+    offsets = np.arange(rows)  # of each sample in a term row of hterms.flat
     resolved = np.ones(rows, dtype=bool)
     credited = []
-    for side in cand.sides:
-        c_vals = vals[side.rows]
+    for side, c_vals in zip(cand.sides, (vals[:n_max], vals[n_max:])):
         edge = c_vals.max(axis=0) - (EPSILON + _SLACK)
         band = np.greater_equal(c_vals, edge, out=_work_array(work, "band", *c_vals.shape))
-        # per row, the classes of C in the band and the sum of their
+        # per sample, the classes of C in the band and the sum of their
         # positions in C: the position of the best one where it is alone,
         # elsewhere a position that is only read clipped into range
         counts = _work_array(work, "count", 2, rows)
         count, position = np.matmul(side.band_weights, band, out=counts)
         resolved &= count == 1
         best = position.astype(np.intp)
-        # per term of each feeder slot, row by row: the term's index, then value
+        # per term of each feeder slot, sample by sample: the term's flat
+        # index in hterms, then its value
         shape = (*side.feeder_terms.shape[:2], rows)
         index = _work_array(work, "index", *shape, dtype=np.intp)
-        np.take(side.feeder_terms, best, axis=2, out=index, mode="clip")
+        np.take(side.feeder_terms * rows, best, axis=2, out=index, mode="clip")
         index += offsets
         feeds = np.take(hterms, index, out=_work_array(work, "feeds", *shape), mode="clip")
         totals = np.add.reduce(feeds, axis=0, out=_work_array(work, "totals", *shape[1:]))
@@ -433,7 +466,7 @@ def _row_elements(dec: _TermDecomposition) -> tuple[int, int]:
     band = max(len(side.classes) for side in cand.sides)
     slots = max(side.feeder_terms.shape[1] for side in cand.sides)
     gathers = (2 * dec.terms_by_class.shape[1] + 1) * slots
-    return n_terms + band + 2 + gathers, max(n_terms, len(cand.class_terms))
+    return n_terms + band + 2 + gathers, max(n_terms, cand.terms.shape[1])
 
 
 def _tiles(dec: _TermDecomposition, rows: int) -> tuple[list[int], int]:
@@ -450,7 +483,7 @@ def _tiles(dec: _TermDecomposition, rows: int) -> tuple[list[int], int]:
     would depend on the tiling.  The dense product of a tile's unresolved
     rows takes ``step`` rows at a time, as many as the budget leaves beside
     the tile's other arrays, so a set never outgrows the budget: 21 rows at
-    2x5 and 52 at 3x3, and a whole tile at 2x2 and 2x3.
+    2x5, 52 at 3x3 and 544 at 2x4, and a whole tile at 2x2 and 2x3.
     """
     other, product = _row_elements(dec)
     elements = _WORK_BYTES // 8
@@ -468,7 +501,8 @@ def _block_extrema(
     Tile by tile (``_tiles``), so memory stays within ``_WORK_BYTES``
     whatever the block size: a tile's entropy terms, then its rows that one
     candidate resolves credit it.  Every other row is tallied by the dense
-    product, a dense step of rows at a time.
+    product, a dense step of rows at a time, each step a C-contiguous copy
+    of those rows' columns of terms.
     """
     n_classes = len(dec.terms_by_class)
     bounds, step = _tiles(dec, spectra.shape[0])
@@ -480,14 +514,14 @@ def _block_extrema(
     except IndexError:
         work = {}
     for r0, r1 in zip(bounds, bounds[1:]):
-        hterms = _marginal_entropy_terms(spectra[r0:r1], dec.symbols_by_term, work)
+        hterms = _marginal_entropy_terms(spectra[r0:r1], dec.term_symbols, work)
         resolved, top, bottom = _sole_candidates(hterms, dec.candidates, work)
         max_hits += np.bincount(top[resolved], minlength=n_classes)
         min_hits += np.bincount(bottom[resolved], minlength=n_classes)
-        hterms = hterms[~resolved]
-        for d0 in range(0, hterms.shape[0], step):
+        unresolved = np.flatnonzero(~resolved)
+        for d0 in range(0, len(unresolved), step):
             tile_max, tile_min, tile_ties_max, tile_ties_min = _dense_tally(
-                hterms[d0 : d0 + step], dec, work
+                np.take(hterms, unresolved[d0 : d0 + step], axis=1), dec, work
             )
             max_hits += tile_max
             min_hits += tile_min
@@ -814,12 +848,12 @@ def census(
     every class, and tallies which classes attain the extremes.  The result
     is independent of ``workers``, of which at most as many as the process
     has CPUs in its affinity mask run as threads at once, each with at most
-    one block in flight past the one being tallied.  ``block_size`` above
-    ``MAX_BLOCK_SIZE`` raises ValueError.  With ``resume=True`` and an
-    existing checkpoint written by the same parameters, continues where it
-    left off; ``resume=True`` without a ``checkpoint_path`` raises
-    ValueError, and a checkpoint for different parameters raises
-    CheckpointMismatchError.
+    one block in flight past the one being tallied.  A ``seed`` below 0, or
+    ``block_size`` above ``MAX_BLOCK_SIZE``, raises ValueError before any
+    work.  With ``resume=True`` and an existing checkpoint written by the
+    same parameters, continues where it left off; ``resume=True`` without a
+    ``checkpoint_path`` raises ValueError, and a checkpoint for different
+    parameters raises CheckpointMismatchError.
 
     While more than one thread runs, the thread count ``c`` of NumPy's
     OpenBLAS is capped at ``min(c, max(1, cpus // threads))``, so it is
@@ -827,9 +861,12 @@ def census(
     error.  Other BLAS calls in the process get the capped count meanwhile.
     Where NumPy's OpenBLAS is not found, the count is left alone.
     """
-    for name, value in (("samples", samples), ("workers", workers), ("block_size", block_size)):
-        if value < 1:
-            raise ValueError(f"census needs {name} >= 1")
+    for name, value, least in (
+        ("samples", samples, 1), ("workers", workers, 1), ("block_size", block_size, 1),
+        ("seed", seed, 0),
+    ):
+        if value < least:
+            raise ValueError(f"census needs {name} >= {least}")
     if block_size > MAX_BLOCK_SIZE:
         raise ValueError(f"census needs block_size <= {MAX_BLOCK_SIZE} (the cap), got {block_size}")
     if resume and not checkpoint_path:

@@ -120,8 +120,8 @@ def test_feeder_lists_are_the_edges_out_of_the_feeders(m, n):
 def test_feeder_edges_hold_at_random_spectra(m, n):
     dec = extrema._decomposition(m, n)
     spectra = sample_spectra(m * n, 64, np.random.default_rng(m * n + 2))
-    hterms = extrema._marginal_entropy_terms(spectra, dec.symbols_by_term)
-    totals = extrema._class_totals(hterms, dec)
+    hterms = extrema._marginal_entropy_terms(spectra, dec.term_symbols)
+    totals = extrema._class_totals(hterms.T, dec)
     up, down = _feeder_edges(m, n)
     low, high = np.array(up + down).T - 1
     # the allowance of test_certified_swaps_hold_at_random_spectra
@@ -209,8 +209,8 @@ def test_every_class_outside_the_table_walks_into_the_feeders(m, n):
 def test_certified_swaps_hold_at_random_spectra(m, n):
     dec = extrema._decomposition(m, n)
     spectra = sample_spectra(m * n, 64, np.random.default_rng(m * n))
-    hterms = extrema._marginal_entropy_terms(spectra, dec.symbols_by_term)
-    totals = extrema._class_totals(hterms, dec)
+    hterms = extrema._marginal_entropy_terms(spectra, dec.term_symbols)
+    totals = extrema._class_totals(hterms.T, dec)
     low, high = (side - 1 for side in _edges(m, n))
     # 1e-13 covers the round-off of two computed totals, under 2e-14; one
     # spectrum at a time keeps the 2x5 check to two 408k-entry rows
@@ -273,8 +273,8 @@ def test_the_majorisations_that_remove_2x4_maxima_hold_at_random_spectra():
         assert majorisation_certificate(table.get(i).canonical, table.get(j).canonical)
     dec = extrema._decomposition(2, 4)
     spectra = sample_spectra(8, 256, np.random.default_rng(240))
-    hterms = extrema._marginal_entropy_terms(spectra, dec.symbols_by_term)
-    totals = extrema._class_totals(hterms, dec)
+    hterms = extrema._marginal_entropy_terms(spectra, dec.term_symbols)
+    totals = extrema._class_totals(hterms.T, dec)
     low, high = np.array(edges).T - 1
     assert (totals[:, low] <= totals[:, high] + 1e-13).all()
 

@@ -548,6 +548,29 @@ def test_census_validates_samples(capsys):
     assert "samples" in err
 
 
+def test_census_rejects_a_negative_seed_before_any_work(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a census with a negative seed did work")
+
+    monkeypatch.setattr(extrema, "_census_decomposition", no_work)
+    monkeypatch.setattr(extrema, "sample_spectra", no_work)
+    code, out, err = run(
+        capsys, "census", "--m", "2", "--n", "5", "--samples", "10", "--seed", "-1"
+    )
+    assert (code, out, err) == (2, "", "error: census needs seed >= 0\n")
+
+
+def test_census_checkpoint_in_a_missing_directory_names_the_given_path(capsys, tmp_path):
+    ck = tmp_path / "no_such_dir" / "census.ck"
+    code, out, err = run(
+        capsys, "census", "--m", "2", "--n", "3", "--samples", "100", "--seed", "7",
+        "--checkpoint", str(ck),
+    )
+    assert (code, out) == (4, "")
+    assert err == f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {str(ck)!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # ------------------------------------------------------------------- relation
 
 def test_relation_provable_pair(capsys):

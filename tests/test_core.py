@@ -364,6 +364,16 @@ def test_atomic_write_through_a_looping_link_raises_eloop_and_keeps_the_link(tmp
     assert [p.name for p in tmp_path.iterdir()] == ["loop"]
 
 
+def test_atomic_write_into_a_missing_directory_names_the_target(tmp_path):
+    # not the temporary file that could not be created beside it
+    target = tmp_path / "no_such_dir" / "out.txt"
+    with pytest.raises(FileNotFoundError) as info:
+        core.write_text_atomic(str(target), "text\n")
+    assert info.value.errno == errno.ENOENT and info.value.filename == str(target)
+    assert ".tmp" not in str(info.value)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_atomic_write_through_a_dangling_link_creates_its_target(tmp_path):
     target = tmp_path / "sub" / "out.txt"
     target.parent.mkdir()

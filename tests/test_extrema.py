@@ -1,4 +1,5 @@
 """Brute-force extremes, the randomized census, and the ordering theorem."""
+import collections
 import dataclasses
 import functools
 import itertools
@@ -31,6 +32,7 @@ from specmi import (
 from specmi import classes, extrema
 from specmi.cli import main
 from specmi.classes import _titration_candidates
+from specmi.core import entropy_terms
 
 DATA = Path(__file__).parent / "data"
 PINNED = Spectrum((0.3, 0.25, 0.2, 0.15, 0.07, 0.03))
@@ -232,6 +234,7 @@ def _unique_decomposition(m, n):
 
 def _assert_decomposition_is(dec, A, G, m, n):
     assert np.array_equal(dec.symbols_by_term, A)
+    assert dec.term_symbols.flags.c_contiguous and np.array_equal(dec.term_symbols, A.T)
     # each class's m + n term indices, ascending, count G's column exactly
     terms = dec.terms_by_class
     n_classes = G.shape[1]
@@ -251,17 +254,19 @@ def _assert_decomposition_is(dec, A, G, m, n):
     assert dec.candidates is None
     census_dec = extrema._census_decomposition(m, n)
     assert census_dec.symbols_by_term is dec.symbols_by_term
+    assert census_dec.term_symbols is dec.term_symbols
     assert census_dec.terms_by_class is dec.terms_by_class
     cand = census_dec.candidates
-    # the C rows only, C_max then C_min negated; each C class's feeders as
-    # their term indices, the list padded by its first feeder
+    # the term indices of the C classes only, C_max then C_min, one column
+    # per class; each C class's feeders as their term indices, the list
+    # padded by its first feeder
     sets = _titration_candidates(m, n)
     c_max, c_min = (np.array(c) - 1 for c in (sets.c_max, sets.c_min))
-    assert np.array_equal(cand.class_terms, np.concatenate([G[:, c_max].T, -G[:, c_min].T]))
+    expected = [np.flatnonzero(G[:, c]) for c in np.concatenate([c_max, c_min])]
+    assert cand.terms.flags.c_contiguous and np.array_equal(cand.terms, np.transpose(expected))
     sides = zip(cand.sides, (c_max, c_min), (sets.feeders_max, sets.feeders_min), (1.0, -1.0))
     for side, c, feeders, sign in sides:
         assert np.array_equal(side.classes, c) and side.sign == sign
-        assert np.array_equal(cand.class_terms[side.rows], sign * G[:, c].T)
         width = max(map(len, feeders))
         assert side.feeder_terms.shape == (m + n, width, len(c))
         for i, fed in enumerate(feeders):
@@ -289,21 +294,22 @@ def test_tiled_products_equal_the_dense_products_bit_for_bit(m, n):
     for row in spectra:
         s = Spectrum(tuple(row))
         values = np.array(brute_force_extrema(s, m, n).values)
-        terms = extrema._marginal_entropy_terms(row[None, :], A)
+        terms = entropy_terms(row[None, :] @ A)
         expected = (terms @ G)[0] - s.entropy()
         assert (values.view(np.int64) == expected.view(np.int64)).all()
     # the census's dense product, laid out classes x samples
-    hterms = extrema._marginal_entropy_terms(spectra, A)
+    hterms = extrema._marginal_entropy_terms(spectra, np.ascontiguousarray(A.T))
     work = {}
     extrema._dense_tally(hterms, dec, work)
-    product = work["product"][: G.shape[1] * len(hterms)].reshape(G.shape[1], len(hterms))
-    assert (product.view(np.int64) == (G.T @ hterms.T).view(np.int64)).all()
+    rows = hterms.shape[1]
+    product = work["product"][: G.shape[1] * rows].reshape(G.shape[1], rows)
+    assert (product.view(np.int64) == (G.T @ hterms).view(np.int64)).all()
 
 
 def test_the_2x5_decomposition_holds_no_dense_term_counts():
     # the term indices take 423 KB where a dense G took 36 MB
     dec = extrema._census_decomposition(2, 5)
-    arrays = [dec.symbols_by_term, dec.terms_by_class, dec.candidates.class_terms]
+    arrays = [dec.symbols_by_term, dec.term_symbols, dec.terms_by_class, dec.candidates.terms]
     for side in dec.candidates.sides:
         arrays += [side.classes, side.feeder_terms, side.band_weights]
     assert sum(a.nbytes for a in arrays) < 2**20
@@ -331,9 +337,9 @@ def _tallies(spectra, dec):
 
 def _dense_reference(spectra, dec):
     """The tallies of the dense product alone, 64 rows of the block at a time."""
-    hterms = extrema._marginal_entropy_terms(spectra, dec.symbols_by_term)
-    steps = range(0, len(hterms), 64)
-    tallies = [extrema._dense_tally(hterms[r : r + 64], dec, {}) for r in steps]
+    hterms = extrema._marginal_entropy_terms(spectra, dec.term_symbols)
+    steps = range(0, hterms.shape[1], 64)
+    tallies = [extrema._dense_tally(hterms[:, r : r + 64].copy(), dec, {}) for r in steps]
     return tuple(np.sum(x, axis=0).tolist() for x in zip(*tallies))
 
 
@@ -342,7 +348,7 @@ def _recording_dense_tally(monkeypatch):
     dense_tally = extrema._dense_tally
 
     def recording(hterms, dec, work):
-        rows.extend(hterms.copy())
+        rows.extend(hterms.T.copy())
         return dense_tally(hterms, dec, work)
 
     monkeypatch.setattr(extrema, "_dense_tally", recording)
@@ -364,7 +370,7 @@ def test_pruned_block_tallies_equal_the_dense_reference(monkeypatch, m, n, rows,
 
 def _max_gap(spectrum, dec):
     """Dense gap between the largest class total and the next one below it."""
-    hterms = extrema._marginal_entropy_terms(spectrum[None, :], dec.symbols_by_term)
+    hterms = entropy_terms(spectrum[None, :] @ dec.symbols_by_term)
     top = np.sort(extrema._class_totals(hterms, dec)[0])
     return top[-1], top[-2]
 
@@ -413,11 +419,17 @@ def _near_tie_rows(mn, dec):
     return rows
 
 
+@functools.cache
+def _shape_near_tie_rows(m, n):
+    """``_near_tie_rows`` of the census decomposition of one shape, built once."""
+    return tuple(_near_tie_rows(m * n, extrema._census_decomposition(m, n)))
+
+
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (3, 3), (2, 5)])
 def test_pruned_kernel_hands_ties_and_near_ties_to_the_dense_product(monkeypatch, m, n):
     mn = m * n
     dec = extrema._census_decomposition(m, n)
-    constructed = np.array([np.full(mn, 1.0 / mn)] + _near_tie_rows(mn, dec))
+    constructed = np.array([np.full(mn, 1.0 / mn), *_shape_near_tie_rows(m, n)])
     third = 200
     spectra = sample_spectra(mn, 3 * third, np.random.default_rng(5))
     spread = third // len(constructed)
@@ -427,9 +439,107 @@ def test_pruned_kernel_hands_ties_and_near_ties_to_the_dense_product(monkeypatch
     assert _tallies(spectra, dec) == reference
     assert reference[2] >= 1 and reference[3] >= 1  # the uniform row ties both sides
     # the dense product received exactly the constructed rows, no random one
-    expected = extrema._marginal_entropy_terms(constructed, dec.symbols_by_term)
+    expected = extrema._marginal_entropy_terms(constructed, dec.term_symbols).T
     assert len(fallback) == len(constructed)
     assert np.allclose(fallback, expected, rtol=0.0, atol=1e-15)
+
+
+#: Twice the bound delta < 68 * 2**-53 on the distance of every computed
+#: total from the exact one (the ``extrema`` docstring): two computed totals
+#: of one class may differ by this much, whoever computes them.
+_TWO_DELTA = 1.52e-14
+
+
+def _recording_work_arrays(monkeypatch):
+    """Every work array the kernel asks for, fresh and kept, as (name, array) pairs."""
+    arrays = []
+
+    def fresh(work, name, *shape, dtype=np.float64):
+        arrays.append((name, np.empty(shape, dtype=dtype)))
+        return arrays[-1][1]
+
+    monkeypatch.setattr(extrema, "_work_array", fresh)
+    return arrays
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (3, 3), (2, 5)])
+def test_gathered_totals_lie_within_two_delta_of_the_dense_product(monkeypatch, m, n, seed):
+    # the premise of the exactness proof: the candidates' and the feeders'
+    # totals, gathered from a tile's term rows, against the dense product
+    # of the same rows, tied and near-tied rows included
+    dec = extrema._census_decomposition(m, n)
+    cand, sets = dec.candidates, _titration_candidates(m, n)
+    spectra = sample_spectra(m * n, 96, np.random.default_rng(seed))
+    spectra[::16] = _tied_spectra(m * n, seed)[::7][:6]
+    hterms = extrema._marginal_entropy_terms(spectra, dec.term_symbols)
+    work = {}
+    extrema._dense_tally(hterms, dec, work)
+    rows = hterms.shape[1]
+    dense = work["product"][: len(dec.terms_by_class) * rows].reshape(-1, rows).copy()
+    arrays = _recording_work_arrays(monkeypatch)
+    extrema._sole_candidates(hterms, cand, {})
+    recorded = collections.defaultdict(list)
+    for name, array in arrays:
+        recorded[name].append(array)
+    # every candidate, C_max then C_min negated, at every row
+    classes = np.concatenate([side.classes for side in cand.sides])
+    signs = np.concatenate([np.full(len(side.classes), side.sign) for side in cand.sides])
+    (totals,) = recorded["product"]
+    assert np.abs(totals - signs[:, None] * dense[classes]).max() <= _TWO_DELTA
+    # per side, the feeders of each row's best candidate (its position
+    # clipped into C, as the kernel reads it), slot by slot
+    feeders = (sets.feeders_max, sets.feeders_min)
+    sides = zip(cand.sides, feeders, recorded["count"], recorded["totals"])
+    for side, fed_by, counts, feeder_totals in sides:
+        width = side.feeder_terms.shape[1]
+        padded = np.array([f + f[:1] * (width - len(f)) for f in fed_by]) - 1
+        best = np.clip(counts[1].astype(np.intp), 0, len(side.classes) - 1)
+        fed = padded[best].T  # (K, rows): the class in each feeder slot
+        expected = side.sign * np.take_along_axis(dense, fed, axis=0)
+        assert np.abs(feeder_totals - expected).max() <= _TWO_DELTA
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (3, 3), (2, 5)])
+def test_forced_dense_rows_tally_as_a_per_row_dense_reference(monkeypatch, m, n):
+    # every 7th row of each tile leaves the pruned kernel whatever its totals,
+    # and the dense product tallies it as a product of that row alone would
+    mn = m * n
+    dec = extrema._census_decomposition(m, n)
+    near_ties = _shape_near_tie_rows(m, n)
+    spectra = sample_spectra(mn, 60 + len(near_ties), np.random.default_rng(mn + 70))
+    spectra[5::9][:7] = _tied_spectra(mn, seed=mn)[::5][:7]
+    spectra[60:] = near_ties
+    hterms = extrema._marginal_entropy_terms(spectra, dec.term_symbols)
+    lone = [extrema._dense_tally(hterms[:, [r]], dec, {}) for r in range(len(spectra))]
+    expected = tuple(np.sum(x, axis=0).tolist() for x in zip(*lone))
+    assert expected[2] >= 1 and expected[3] >= 1
+    sole = extrema._sole_candidates
+
+    def forcing(hterms, cand, work):
+        resolved, top, bottom = sole(hterms, cand, work)
+        resolved[::7] = False
+        return resolved, top, bottom
+
+    monkeypatch.setattr(extrema, "_sole_candidates", forcing)
+    fallback = _recording_dense_tally(monkeypatch)
+    # two-row tiles, whose forced row goes dense alone; uneven 7-row tiles
+    # with one forced row each; one tile whose dense steps take them together
+    for rows_per_tile in (2, 7, len(spectra)):
+        monkeypatch.setattr(extrema, "_WORK_BYTES", _budget(dec, rows_per_tile))
+        fallback.clear()
+        assert _tallies(spectra, dec) == expected, rows_per_tile
+        bounds, _ = extrema._tiles(dec, len(spectra))
+        forced = [r for r0, r1 in zip(bounds, bounds[1:]) for r in range(r0, r1, 7)]
+        went_dense = {row.tobytes() for row in fallback}
+        assert all(hterms[:, r].tobytes() in went_dense for r in forced)
+    # one-row blocks: one tile of one row, forced dense
+    for row in spectra[:3]:
+        alone = extrema._marginal_entropy_terms(row[None, :], dec.term_symbols)
+        expected = tuple(np.asarray(x).tolist() for x in extrema._dense_tally(alone, dec, {}))
+        fallback.clear()
+        assert _tallies(row[None, :], dec) == expected
+        assert len(fallback) == 1
 
 
 def test_block_memory_stays_within_the_tile_budget(monkeypatch):
@@ -493,7 +603,7 @@ def test_tiles_split_a_block_equally_within_the_budget(monkeypatch, m, n):
 def test_pruned_block_tallies_do_not_depend_on_the_tile_size(monkeypatch, m, n):
     mn = m * n
     dec = extrema._census_decomposition(m, n)
-    constructed = [np.full(mn, 1.0 / mn)] + _near_tie_rows(mn, dec)
+    constructed = [np.full(mn, 1.0 / mn), *_shape_near_tie_rows(m, n)]
     spectra = sample_spectra(mn, 40 + len(constructed), np.random.default_rng(mn + 50))
     spectra[1::2][: len(constructed)] = constructed
     spectra[-1] = 1.0 / mn
@@ -549,8 +659,8 @@ def test_a_set_grown_beyond_the_budget_is_not_kept(monkeypatch):
     assert len(extrema._spare_work) == 1 and "index" in extrema._spare_work[0]
 
 
-def _masked_log_terms(spectra, A):
-    sums = spectra @ A
+def _masked_log_terms(spectra, term_symbols):
+    sums = term_symbols @ spectra.T
     return -(sums * np.log(sums, out=np.zeros_like(sums), where=sums > 0))
 
 
@@ -566,18 +676,18 @@ def test_entropy_terms_equal_the_masked_log_bit_for_bit(m, n):
             spectra[::3, -2:] = 0.0  # marginal sums of 0: 0 log 0 = 0
         else:  # every sum positive: the log takes no mask
             assert (spectra @ dec.symbols_by_term > 0).all()
-        expected = _masked_log_terms(spectra, dec.symbols_by_term)
+        expected = _masked_log_terms(spectra, dec.term_symbols)
         for terms in (
-            extrema._marginal_entropy_terms(spectra, dec.symbols_by_term, work),
-            extrema._marginal_entropy_terms(spectra, dec.symbols_by_term),
+            extrema._marginal_entropy_terms(spectra, dec.term_symbols, work),
+            extrema._marginal_entropy_terms(spectra, dec.term_symbols),
         ):
             assert terms.shape == expected.shape
             assert (terms.view(np.int64) == expected.view(np.int64)).all()
 
 
-def _fill_copy_log_terms(spectra, A):
+def _fill_copy_log_terms(spectra, term_symbols):
     """``-s log s`` by filling 1, copying the positive sums over it, then one log."""
-    sums = spectra @ A
+    sums = term_symbols @ spectra.T
     terms = np.ones_like(sums)
     np.copyto(terms, sums, where=sums > 0)
     np.log(terms, out=terms)
@@ -594,8 +704,8 @@ def test_entropy_terms_equal_the_fill_copy_log_steps_bit_for_bit(m, n):
     spectra[::6, -1] = -1e-13
     sums = spectra @ dec.symbols_by_term
     assert (sums > 0).any() and (sums == 0).any() and (sums == -1e-13).any()
-    terms = extrema._marginal_entropy_terms(spectra, dec.symbols_by_term)
-    expected = _fill_copy_log_terms(spectra, dec.symbols_by_term)
+    terms = extrema._marginal_entropy_terms(spectra, dec.term_symbols)
+    expected = _fill_copy_log_terms(spectra, dec.term_symbols)
     assert (terms.view(np.int64) == expected.view(np.int64)).all()
 
 
@@ -612,7 +722,8 @@ def test_a_block_reuses_the_work_arrays_of_the_last(monkeypatch):
     finally:
         tracemalloc.stop()
     assert [np.asarray(x).tolist() for x in again] == [np.asarray(x).tolist() for x in first]
-    # only masks and per-row results are new; a tile's terms and candidate
+    # only masks, per-row results and the candidates' gathered term rows
+    # (0.7 MB each, two at a time) are new; a tile's terms and candidate
     # totals (2.0 MB each), band masks (0.5 MB) and feeder gathers (0.9 MB)
     # are not allocated again
     assert peak < 4 * 2**20
@@ -956,6 +1067,19 @@ def test_census_rejects_a_block_over_the_cap_before_any_work(monkeypatch):
     cap = extrema.MAX_BLOCK_SIZE
     with pytest.raises(ValueError, match=f"block_size <= {cap}"):
         census(2, 3, 10 * cap, 7, block_size=cap + 1)
+
+
+def test_census_rejects_a_negative_seed_before_any_work(monkeypatch):
+    # the titration pass and the sampling would come first otherwise
+    def no_work(*args, **kwargs):
+        raise AssertionError("a census with a negative seed did work")
+
+    monkeypatch.setattr(extrema, "_census_decomposition", no_work)
+    monkeypatch.setattr(extrema, "sample_spectra", no_work)
+    with pytest.raises(ValueError, match="seed >= 0"):
+        census(2, 5, 10, -1)
+    with pytest.raises(ValueError, match="seed >= 0"):
+        census(2, 3, 10, np.int64(-7), workers=2, block_size=5)
 
 
 def test_census_last_partial_block():
