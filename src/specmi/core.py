@@ -22,8 +22,9 @@ Conventions
   ``ProbMatrix._of``.  The scalar
   functions (:func:`cmi` and the two-qubit quantities of ``qubit2``) then
   compute in plain Python floats with ``math.log``; NumPy is kept for
-  arrays of spectra.  ``Spectrum.entropy`` stays NumPy, because the
-  extrema sweep subtracts it and its figures are pinned to the last bit.
+  arrays of spectra.  ``Spectrum.entropy`` stays NumPy: it is the sum
+  ``entropy_terms(values).sum()`` that the extrema sweep subtracts, whose
+  figures are pinned to the last bit.
 """
 from __future__ import annotations
 

@@ -2,58 +2,39 @@
 
 The mutual information of every class of one shape is evaluated together
 through a term decomposition: the distinct row/column symbol subsets that
-occur across all canonical representatives become columns of a 0/1 matrix
-``A`` (symbols x terms), and a count matrix ``G`` (terms x classes) says how
-often each term appears among a class's marginals.  For a block of spectra
-``S`` (samples x symbols, descending rows = symbol values),
+occur across all canonical representatives are the terms, and each class's
+marginals are m + n of them.  At a spectrum (descending, symbol k its k-th
+value) each term's marginal sum s gives one entropy term ``-s log s``; a
+class's total is the sum of its m + n terms, and its mutual information is
+that total minus the spectrum entropy.  The subtraction is constant across
+classes, so the census's kernel works on the totals directly.  A
+decomposition holds each class's m + n term indices (423 KB at 2x5), never
+the terms x classes count matrix G (297 x 15120 float64 at 2x5, 36 MB).
 
-    marginal entropy totals = (-(S @ A) * log(S @ A)) @ G
-
-and the mutual information of class c is that total minus the spectrum
-entropy.  The subtraction is constant across classes, so argmax/argmin and
-tie detection work on the totals directly.  ``brute_force_extrema`` takes
-this dense product, and a census tile takes it for the rows that the
-pruned kernel below leaves unresolved.
-
-G is 0/1 with m + n ones per column, and it is never kept whole: at 2x5 it
-would be 297 x 15120 float64, 36 MB.  A decomposition holds each class's
-m + n term indices instead (423 KB at 2x5).  The two dense products,
-``brute_force_extrema``'s ``terms @ G`` and the census's ``G.T @ terms.T``,
-build G's columns ``_TILE_COLUMNS`` at a time in one reused zeroed buffer
-(``_column_tiles``).  The tiles keep the bits of the whole G: BLAS sums
-each class's total from its own column in an order set by T alone, as long
-as a tile is laid out as G is (C-contiguous, T x w) and its width w does
-not put the class in the kernel's leftover columns.  On OpenBLAS, widths
-that are multiples of 8 gave the bits of the whole G at 2x3, 2x4, 3x3 and
-2x5; widths of 841 and 842, and an F-order tile at 2x3, did not.  Full tiles
-are 256 wide and the last holds the rest: 72 at 2x4, 176 at 3x3 and 16 at
-2x5, and at 2x2 and 2x3 the one tile is G.  The tests pin the bits of both
-products against a whole G and the digests of ``specmi extrema`` output.
+One spectrum is evaluated without BLAS (``_spectrum_extremes``): each
+marginal sum adds its symbols' values in ascending symbol order, each
+class's total adds its m + n entropy terms in term order, as m + n gathers
+over ``terms_by_class``, and the spectrum entropy is subtracted before the
+``EPSILON`` masks.  Elementwise adds are exact IEEE operations, so the
+values do not depend on the BLAS kernel, a tile's width or the thread
+count.  ``brute_force_extrema`` and the census's unresolved rows both take
+this path, so a census credits each spectrum as ``specmi extrema`` does,
+ties included.
 
 A census tile lays its entropy terms out terms x samples: the marginal sums
-are one product ``A.T @ S.T``, of ``term_symbols``, a C-contiguous copy of
-A.T, with the tile's spectra, and each term is one C-contiguous row over
-the tile's samples, so a class's total is the sum of its m + n term rows.
-The dense product is laid out classes x samples, ``G.T @ terms``, as the
-pruned kernel below lays out its totals, so its band masks reduce along the
-long axis.  Its tallies are defined by the totals it computes, whatever
-order BLAS sums them in.  ``A.T @ S.T`` sums some marginals in another
-order than ``S @ A``: over 40 seeded 2500-sample blocks per shape they
-differed in the last bit at 0.01% of the sums at 2x3, 0.03% at 2x4, 0.02%
-at 3x3 and 0.17% at 2x5, and never at 2x2; ``G.T @ terms`` differs from
-``terms @ G`` in the last bit at some thousands of the 18M entries of 120
-seeded 2x3 blocks.  The census goldens' tallies and tie counts are the same
-under either order.  Memory stays at a tile's boolean masks: the hits are
-each class's count of samples in the band and the tie events the samples
-with two classes or more in it.
+are one product ``A.T @ S.T``, of ``term_symbols`` (the symbols x terms 0/1
+matrix A, transposed and C-contiguous) with the tile's spectra, and each
+term is one C-contiguous row over the tile's samples, so a class's total is
+the sum of its m + n term rows.  Fixed-order adds would cost 3-10x the
+product's time on whole tiles, so it stays a BLAS call: the rows it leaves
+unresolved are evaluated again from their spectra, and the rows it
+resolves are credited the same class whatever order BLAS sums in (below).
 
 Each block is reduced in tiles whose work arrays fit one byte budget,
 ``_WORK_BYTES`` (6 MB): the fewest tiles that fit, of equal size within one
 row, so a 2500-sample 2x5 block runs as three tiles of 834 rows, not two of
-936 and one of 628.  The dense product of a tile's rows that the pruned
-kernel leaves takes as many rows at a time as the budget leaves beside the
-tile's other arrays.  Each block thread keeps its set of arrays for the
-next block (``_spare_work``).
+936 and one of 628.  Each block thread keeps its set of arrays for the next
+block (``_spare_work``).
 
 Census tiles of every shape evaluate only certified candidate classes.
 On the max side, ``C`` holds the classes that no certified titration edge
@@ -80,7 +61,8 @@ average at 2x5.  A sample credits, on each side, the class c that is the
 only class of ``C`` within ``EPSILON + _SLACK`` of the extreme over ``C``,
 when none of c's feeders is in that band; their totals are sums of their
 m + n terms too, gathered from the sample's column of terms.  Every sample
-that lacks such a class on either side is tallied by the dense product.
+that lacks such a class on either side is evaluated alone, as
+``brute_force_extrema`` evaluates it.
 
 Exactness.  The certificates order exact totals, so computed totals must
 be close to them.  The rows must be the entropy terms of descending spectra
@@ -96,24 +78,25 @@ first order in u:
 
 so each of the at most m + n <= 7 terms of a total is within 7.4u of
 exact, and adding them in any order costs at most 6u * 7/e < 15.5u more.
-Every computed total, gathered in this kernel or multiplied in the dense
-one, is therefore within delta = 7 * 7.4u + 15.5u < 68u < 7.6e-15 of exact,
-so a total moves by at most 2 delta between the two kernels; the tests
-check that bound on every gathered total against the dense product.  Let
-c be credited at the maximum: every other class of ``C``, and every feeder
-of c, is more than ``EPSILON + _SLACK`` below c in this kernel.  Take a class x
-outside ``C``.  Walking up from x ends at some f in ``F`` (f = x if x is in
-``F``) with exact I(x) <= I(f), and every edge out of f lands in ``C``.  If
-one lands in c, f is a feeder of c; otherwise one lands in some c' of
+Every computed total, gathered in a tile or added in the fixed order of one
+spectrum's evaluation, is therefore within delta = 7 * 7.4u + 15.5u < 68u <
+7.6e-15 of exact, so a total moves by at most 2 delta between the two; the
+tests check that bound on every gathered total against a whole G.  Let c be
+credited at the maximum: every other class of ``C``, and every feeder of
+c, is more than ``EPSILON + _SLACK`` below c in this kernel.  Take a class
+x outside ``C``.  Walking up from x ends at some f in ``F`` (f = x if x is
+in ``F``) with exact I(x) <= I(f), and every edge out of f lands in ``C``.
+If one lands in c, f is a feeder of c; otherwise one lands in some c' of
 ``C`` other than c, and exact I(x) <= I(f) <= I(c').  Either way x's exact
 total is at most that of a class computed here more than ``EPSILON +
-_SLACK`` below c, so x's dense total is at most 2 delta above that class's
-total here.  In the dense product every class other than c is thus more
-than ``EPSILON + _SLACK`` - 4 delta below c, which with ``_SLACK = 1e-13``
-exceeds ``EPSILON`` by far more than the rounding of the two thresholds
-(under 1e-15 at totals below 7/e): the dense kernel finds c alone within
-``EPSILON``.  The other rows go to the dense kernel itself, so tallies and
-tie counts equal the dense kernel's, whatever order BLAS sums in.
+_SLACK`` below c, so x's total in the evaluation of the spectrum alone is
+at most 2 delta above that class's total here.  There every class other
+than c is thus more than ``EPSILON + _SLACK`` - 4 delta below c, which
+with ``_SLACK = 1e-13`` exceeds ``EPSILON`` by far more than the rounding
+of the entropy's subtraction and of the two thresholds (each under 1e-15
+at values below 7/e): the evaluation finds c alone within ``EPSILON``.
+The other rows are evaluated alone, so tallies and tie counts equal those
+of a ``brute_force_extrema`` at each spectrum.
 
 Censuses draw each block of spectra from its own child of the seed
 (``SeedSequence(seed, spawn_key=(block,))``), so results are invariant
@@ -168,18 +151,9 @@ MAX_BLOCK_SIZE = 100_000
 #: ones (4.0 MB; medians of 30 rounds, one process, 2-vCPU VM).
 _WORK_BYTES = 6_000_000
 
-#: Columns of G in one dense tile of ``_column_tiles``: a multiple of 64, so
-#: that BLAS sums every column as it does in a whole G (see above).  A 2x5
-#: tile takes 594 KB, which stays in cache while its ones are set and read;
-#: at 2x5 a warm ``brute_force_extrema`` was slower with 128 or 1024.
-_TILE_COLUMNS = 256
-
-#: Each tile column's offset in the tile's flat buffer, one row per class.
-_TILE_OFFSETS = np.arange(_TILE_COLUMNS)[:, None]
-
 #: Round-off allowance of the pruned kernel's band around each extreme, far
 #: above the 4 delta < 3.1e-14 by which a gap between two classes can differ
-#: between the pruned and the dense kernel (see above).
+#: between the pruned kernel and the evaluation of one spectrum (see above).
 _SLACK = 1e-13
 
 _CHECKPOINT_SCHEMA = 1
@@ -188,12 +162,11 @@ _CHECKPOINT_SCHEMA = 1
 #: to the next block (and census) when a block is done if they fit
 #: ``_WORK_BYTES``, which a set grown by one shape always does.  A set holds
 #: a tile's entropy terms ("terms"), the product being reduced ("product":
-#: the marginal sums, then the candidates' or the dense totals) and the
-#: pruned kernel's band masks and feeder gathers (see ``_sole_candidates``):
-#: 5.3 MB at 2x5, 10.7 MB for two workers.  The candidates' term rows are
-#: gathered outside the set, at most two at a time (0.7 MB each in an
-#: 834-row 2x5 tile), and so is the copy of a tile's unresolved columns
-#: that each dense step multiplies.  Allocated afresh, these
+#: the marginal sums, then the candidates' totals) and the pruned kernel's
+#: band masks and feeder gathers (see ``_sole_candidates``): 5.3 MB at 2x5,
+#: 10.7 MB for two workers.  The candidates' term rows are gathered outside
+#: the set, at most two at a time (0.7 MB each in an 834-row 2x5 tile).
+#: Allocated afresh, these
 #: multi-megabyte arrays are paged in again whenever malloc has trimmed its
 #: heap in between: 1,400 to 2,200 minor page faults per 2500-sample 2x4 or
 #: 3x3 block, which doubled its time.
@@ -234,11 +207,11 @@ class _Candidates:
 
 @dataclasses.dataclass(frozen=True)
 class _TermDecomposition:
-    symbols_by_term: np.ndarray  # (mn, T) 0/1: A
     term_symbols: np.ndarray  # (T, mn) 0/1: A.T, C-contiguous, for census tiles
+    # (max(m, n), T) intp: each term's symbols, ascending, padded with mn
+    padded_symbols: np.ndarray
     # (C, m + n) int32: each class's term indices, ascending, the rows where
-    # its column of G holds a 1.  G itself is never stored: ``_column_tiles``
-    # builds it a tile at a time for the two dense products.
+    # its column of G holds a 1
     terms_by_class: np.ndarray
     candidates: _Candidates | None  # None in ``_decomposition``, which never titrates
 
@@ -255,13 +228,14 @@ def _decomposition(m: int, n: int) -> _TermDecomposition:
     codes = codes[np.argsort(first[codes])]
     number = np.empty_like(first)
     number[codes] = np.arange(len(codes))
-    A = ((codes[None, :] >> np.arange(m * n)[:, None]) & 1).astype(np.float64)
+    A_T = (codes[:, None] >> np.arange(m * n)) & 1
+    padded = np.sort(np.where(A_T == 1, np.arange(m * n), m * n), axis=1)[:, : max(m, n)]
     terms = np.sort(number[masks], axis=1).astype(np.int32)
     # A class's marginals are distinct symbol sets, so each term counts once.
     assert (terms[:, 1:] > terms[:, :-1]).all()
     return _TermDecomposition(
-        symbols_by_term=A,
-        term_symbols=np.ascontiguousarray(A.T),
+        term_symbols=A_T.astype(np.float64),
+        padded_symbols=np.ascontiguousarray(padded.T),
         terms_by_class=terms,
         candidates=None,
     )
@@ -298,27 +272,6 @@ def _census_decomposition(m: int, n: int) -> _TermDecomposition:
         terms=np.ascontiguousarray(terms[classes].T, dtype=np.intp), sides=tuple(sides)
     )
     return dataclasses.replace(dec, candidates=candidates)
-
-
-def _column_tiles(dec: _TermDecomposition) -> Iterator[tuple[slice, np.ndarray]]:
-    """G's columns in class order, as ``(columns, tile)`` pairs of dense tiles.
-
-    Each ``tile`` is the C-contiguous (T x w) float64 block of G's
-    ``columns``, ``_TILE_COLUMNS`` wide but the last, laid out as a whole G
-    would be.  One zeroed buffer serves every tile: a tile's ones are set
-    with one flat index and cleared when the caller asks for the next tile,
-    so a tile must be used before then.
-    """
-    terms = dec.terms_by_class
-    n_terms, n_classes = dec.symbols_by_term.shape[1], len(terms)
-    buffer = np.zeros(n_terms * min(n_classes, _TILE_COLUMNS))
-    for lo in range(0, n_classes, _TILE_COLUMNS):
-        if lo:
-            buffer[ones] = 0.0
-        width = min(_TILE_COLUMNS, n_classes - lo)
-        ones = terms[lo : lo + width] * width + _TILE_OFFSETS[:width]
-        buffer[ones] = 1.0
-        yield slice(lo, lo + width), buffer[: n_terms * width].reshape(n_terms, width)
 
 
 def _trim_heap() -> None:
@@ -364,46 +317,6 @@ def _marginal_entropy_terms(
     shape = (term_symbols.shape[0], spectra.shape[0])
     sums = np.matmul(term_symbols, spectra.T, out=_work_array(work, "product", *shape))
     return entropy_terms(sums, out=_work_array(work, "terms", *shape))
-
-
-def _class_totals(hterms: np.ndarray, dec: _TermDecomposition) -> np.ndarray:
-    """``hterms @ G``: every class's total at each row of entropy terms."""
-    totals = np.empty((len(hterms), len(dec.terms_by_class)))
-    for columns, tile in _column_tiles(dec):
-        np.matmul(hterms, tile, out=totals[:, columns])
-    return totals
-
-
-def _dense_tally(
-    hterms: np.ndarray, dec: _TermDecomposition, work: dict[str, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Argmax/argmin hit counts and tie events of every class over one tile.
-
-    ``hterms`` holds the entropy terms of the tile's samples as C-contiguous
-    columns (terms x samples).  The totals are laid out classes x samples,
-    as in the pruned kernel, so every reduction runs along the long axis,
-    and computed from G one column tile at a time.  A tally is defined by
-    the totals computed here, whatever order BLAS sums them in, and a
-    sample's totals do not depend on the other samples of the product:
-    BLAS would take a product of one column through its matrix-vector
-    kernel, which sums in another order than its matrix-matrix kernel, so a
-    lone column is multiplied as two copies of itself.  The hits are
-    counted per class and the tie events per sample, from the boolean masks
-    alone.
-    """
-    n_classes, rows = len(dec.terms_by_class), hterms.shape[1]
-    if rows == 1:
-        hterms = np.repeat(hterms, 2, axis=1)
-    vals = _work_array(work, "product", n_classes, hterms.shape[1])
-    for columns, tile in _column_tiles(dec):
-        np.matmul(tile.T, hterms, out=vals[columns])
-    vals = vals[:, :rows]
-    tallies = []
-    for mask in (vals >= vals.max(axis=0) - EPSILON, vals <= vals.min(axis=0) + EPSILON):
-        ties = int((np.count_nonzero(mask, axis=0) >= 2).sum())
-        tallies.append((np.count_nonzero(mask, axis=1), ties))
-    (max_hits, ties_max), (min_hits, ties_min) = tallies
-    return max_hits, min_hits, ties_max, ties_min
 
 
 def _sole_candidates(
@@ -454,43 +367,55 @@ def _sole_candidates(
     return resolved, *credited
 
 
-def _row_elements(dec: _TermDecomposition) -> tuple[int, int]:
-    """Census work-array elements per tile row, 8 bytes each: beside the product, and in it.
+def _row_elements(dec: _TermDecomposition) -> int:
+    """Census work-array elements per tile row, 8 bytes each.
 
     A tile holds its entropy terms and the product (the marginal sums, then
     the candidates' totals), the band of its larger side and the band's two
     counts, then each feeder term's index and value and each feeder's total
     (``_sole_candidates``).
     """
-    n_terms, cand = dec.symbols_by_term.shape[1], dec.candidates
+    n_terms, cand = dec.term_symbols.shape[0], dec.candidates
     band = max(len(side.classes) for side in cand.sides)
     slots = max(side.feeder_terms.shape[1] for side in cand.sides)
     gathers = (2 * dec.terms_by_class.shape[1] + 1) * slots
-    return n_terms + band + 2 + gathers, max(n_terms, cand.terms.shape[1])
+    return n_terms + max(n_terms, cand.terms.shape[1]) + band + 2 + gathers
 
 
-def _tiles(dec: _TermDecomposition, rows: int) -> tuple[list[int], int]:
-    """The bounds of the tiles of a block of ``rows`` spectra, and the dense step.
+def _tiles(dec: _TermDecomposition, rows: int) -> list[int]:
+    """The bounds of the tiles of a block of ``rows`` spectra.
 
     The block is split into the fewest tiles whose work arrays
     (``_row_elements``) fit ``_WORK_BYTES``, equal within one row and
     largest first: ``ceil(rows / ceil(rows / most))`` rows, so no small
     leftover tile costs a round of calls, and a set's arrays grow only at
-    its first tile.  A tile holds two rows at least, unless the block has
-    one: BLAS would take the marginal sums of one row through its
-    matrix-vector kernel, which sums in another order than its
-    matrix-matrix kernel, so a row's entropy terms, and a tally near a tie,
-    would depend on the tiling.  The dense product of a tile's unresolved
-    rows takes ``step`` rows at a time, as many as the budget leaves beside
-    the tile's other arrays, so a set never outgrows the budget: 21 rows at
-    2x5, 52 at 3x3 and 544 at 2x4, and a whole tile at 2x2 and 2x3.
+    its first tile.
     """
-    other, product = _row_elements(dec)
-    elements = _WORK_BYTES // 8
-    most = max(1, elements // (other + product))
-    count = max(1, min(-(-rows // most), rows // 2))  # two rows each at least
-    bounds = [-(-rows * i // count) for i in range(count + 1)]
-    return bounds, max(1, (elements - bounds[1] * other) // len(dec.terms_by_class))
+    most = max(1, _WORK_BYTES // 8 // _row_elements(dec))
+    count = -(-rows // most)
+    return [-(-rows * i // count) for i in range(count + 1)]
+
+
+def _spectrum_extremes(
+    spectrum: np.ndarray, dec: _TermDecomposition
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every class's mutual information at one spectrum, and the classes at its extremes.
+
+    Returns ``(values, at_max, at_min)``, the last two the 0-based classes
+    within ``EPSILON`` of the largest and of the smallest value, ascending.
+    No BLAS call: each marginal sum adds its symbols' values in ascending
+    symbol order (the padding symbol reads 0.0, which adds exactly), and
+    each class's total adds its m + n entropy terms in term order.
+    """
+    sums, *rest = np.append(spectrum, 0.0).take(dec.padded_symbols)
+    for symbols in rest:
+        sums += symbols
+    values, *rest = entropy_terms(sums).take(dec.terms_by_class.T)
+    for terms in rest:
+        values += terms
+    values -= entropy_terms(spectrum).sum()
+    at_max = np.flatnonzero(values >= values.max() - EPSILON)
+    return values, at_max, np.flatnonzero(values <= values.min() + EPSILON)
 
 
 def _block_extrema(
@@ -500,12 +425,11 @@ def _block_extrema(
 
     Tile by tile (``_tiles``), so memory stays within ``_WORK_BYTES``
     whatever the block size: a tile's entropy terms, then its rows that one
-    candidate resolves credit it.  Every other row is tallied by the dense
-    product, a dense step of rows at a time, each step a C-contiguous copy
-    of those rows' columns of terms.
+    candidate resolves credit it.  Every other row is evaluated alone
+    (``_spectrum_extremes``), as ``brute_force_extrema`` evaluates it.
     """
     n_classes = len(dec.terms_by_class)
-    bounds, step = _tiles(dec, spectra.shape[0])
+    bounds = _tiles(dec, spectra.shape[0])
     max_hits = np.zeros(n_classes, dtype=np.int64)
     min_hits = np.zeros(n_classes, dtype=np.int64)
     ties_max = ties_min = 0
@@ -518,15 +442,12 @@ def _block_extrema(
         resolved, top, bottom = _sole_candidates(hterms, dec.candidates, work)
         max_hits += np.bincount(top[resolved], minlength=n_classes)
         min_hits += np.bincount(bottom[resolved], minlength=n_classes)
-        unresolved = np.flatnonzero(~resolved)
-        for d0 in range(0, len(unresolved), step):
-            tile_max, tile_min, tile_ties_max, tile_ties_min = _dense_tally(
-                np.take(hterms, unresolved[d0 : d0 + step], axis=1), dec, work
-            )
-            max_hits += tile_max
-            min_hits += tile_min
-            ties_max += tile_ties_max
-            ties_min += tile_ties_min
+        for spectrum in spectra[r0:r1][~resolved]:
+            _, at_max, at_min = _spectrum_extremes(spectrum, dec)
+            max_hits[at_max] += 1
+            min_hits[at_min] += 1
+            ties_max += len(at_max) >= 2
+            ties_min += len(at_min) >= 2
     # a set grown by tiles of another shape may hold more; it is dropped
     if sum(a.nbytes for a in work.values()) <= _WORK_BYTES:
         _spare_work.append(work)
@@ -551,22 +472,16 @@ def brute_force_extrema(s: Spectrum, m: int, n: int) -> ExtremaReport:
     """Evaluate every class at one spectrum and report the extremal ones."""
     if s.dim != m * n:
         raise ValueError(f"spectrum has {s.dim} entries; a {m}x{n} grid needs {m * n}")
-    dec = _decomposition(m, n)
-    terms = entropy_terms(s.as_array()[None, :] @ dec.symbols_by_term)
-    values = _class_totals(terms, dec)[0] - s.entropy()
-    vmax = float(values.max())
-    vmin = float(values.min())
-    maxima = tuple((np.flatnonzero(values >= vmax - EPSILON) + 1).tolist())
-    minima = tuple((np.flatnonzero(values <= vmin + EPSILON) + 1).tolist())
+    values, at_max, at_min = _spectrum_extremes(s.as_array(), _decomposition(m, n))
     return ExtremaReport(
         m=m,
         n=n,
         spectrum=s,
         values=tuple(values.tolist()),
-        maxima=maxima,
-        minima=minima,
-        max_value=vmax,
-        min_value=vmin,
+        maxima=tuple((at_max + 1).tolist()),
+        minima=tuple((at_min + 1).tolist()),
+        max_value=float(values.max()),
+        min_value=float(values.min()),
     )
 
 

@@ -26,7 +26,7 @@ from specmi import (
     sample_spectra,
     verify_total_order_2x2,
 )
-from specmi import classes, extrema, orders
+from specmi import classes, orders
 from specmi.classes import (
     _certified_swaps,
     _titration_candidates,
@@ -88,6 +88,11 @@ PINNED_FEEDER_WIDTHS = {
 }
 
 
+def _class_values(spectra, m, n):
+    """Every class's mutual information at each spectrum, as ``brute_force_extrema`` reports it."""
+    return np.array([brute_force_extrema(Spectrum(tuple(row)), m, n).values for row in spectra])
+
+
 def _feeder_edges(m, n):
     """Per side, the feeder lists as edges ``(low, high)``, I(low) <= I(high)."""
     sets = _titration_candidates(m, n)
@@ -118,14 +123,12 @@ def test_feeder_lists_are_the_edges_out_of_the_feeders(m, n):
 
 @pytest.mark.parametrize("m,n", SHAPES)
 def test_feeder_edges_hold_at_random_spectra(m, n):
-    dec = extrema._decomposition(m, n)
     spectra = sample_spectra(m * n, 64, np.random.default_rng(m * n + 2))
-    hterms = extrema._marginal_entropy_terms(spectra, dec.term_symbols)
-    totals = extrema._class_totals(hterms.T, dec)
+    values = _class_values(spectra, m, n)
     up, down = _feeder_edges(m, n)
     low, high = np.array(up + down).T - 1
     # the allowance of test_certified_swaps_hold_at_random_spectra
-    assert (totals[:, low] <= totals[:, high] + 1e-13).all()
+    assert (values[:, low] <= values[:, high] + 1e-13).all()
 
 
 #: Per shape, the number of titrated swaps and the SHA-256 of the arrays
@@ -207,14 +210,12 @@ def test_every_class_outside_the_table_walks_into_the_feeders(m, n):
 
 @pytest.mark.parametrize("m,n", SHAPES)
 def test_certified_swaps_hold_at_random_spectra(m, n):
-    dec = extrema._decomposition(m, n)
     spectra = sample_spectra(m * n, 64, np.random.default_rng(m * n))
-    hterms = extrema._marginal_entropy_terms(spectra, dec.term_symbols)
-    totals = extrema._class_totals(hterms.T, dec)
+    values = _class_values(spectra, m, n)
     low, high = (side - 1 for side in _edges(m, n))
-    # 1e-13 covers the round-off of two computed totals, under 2e-14; one
+    # 1e-13 covers the round-off of two computed values, under 2e-14; one
     # spectrum at a time keeps the 2x5 check to two 408k-entry rows
-    for row in totals:
+    for row in values:
         assert (row[low] <= row[high] + 1e-13).all()
 
 
@@ -271,12 +272,10 @@ def test_the_majorisations_that_remove_2x4_maxima_hold_at_random_spectra():
     assert [(i, j) for i in sorted(removed) for j in classes._relation_row(2, 4, i)] == edges
     for i, j in edges:  # the majoriser has the lower mutual information
         assert majorisation_certificate(table.get(i).canonical, table.get(j).canonical)
-    dec = extrema._decomposition(2, 4)
     spectra = sample_spectra(8, 256, np.random.default_rng(240))
-    hterms = extrema._marginal_entropy_terms(spectra, dec.term_symbols)
-    totals = extrema._class_totals(hterms.T, dec)
+    values = _class_values(spectra, 2, 4)
     low, high = np.array(edges).T - 1
-    assert (totals[:, low] <= totals[:, high] + 1e-13).all()
+    assert (values[:, low] <= values[:, high] + 1e-13).all()
 
 
 @pytest.mark.parametrize("m,n", SHAPES)

@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import os
+import platform
 import stat
 import subprocess
 import sys
@@ -130,14 +131,14 @@ def test_extrema_matches_golden_on_both_targets(capsys, tmp_path, fmt, golden):
 
 
 #: SHA-256 of ``specmi extrema`` JSON at one spectrum per larger shape, taken
-#: when G was kept whole: its column tiles must print the same bits.
+#: when each value was first summed in a fixed order, without BLAS.
 EXTREMA_SHA256 = {
     (2, 4, "0.25,0.2,0.15,0.12,0.1,0.08,0.06,0.04"):
-        "09bbeb66a777017b4eb754de2c221bf0816e3fca8c68a3a3959c084d48da9ba9",
+        "2b13d35ae3b6dab261c947fc8a1a5fa4f3fa25708e665f0d852e10dc200fce80",
     (3, 3, "0.2,0.17,0.14,0.12,0.1,0.09,0.08,0.06,0.04"):
-        "a9974430adbe440921f9180de23edc33b26e659c1673841669899e4bf3203327",
+        "ff1875677041698ac82602d22710ada10e9a45c367f55261797c46945c73c33f",
     (2, 5, "0.2,0.16,0.13,0.11,0.1,0.09,0.08,0.06,0.04,0.03"):
-        "72fd5291ac65c728bee96de137c6ced0c664de4cfc464d1462dd85b943d15c25",
+        "b25fd83db730d6097a458c780422b5f2680dc47ea1d1084bf3517b411b7da894",
 }
 
 
@@ -159,11 +160,11 @@ def test_the_2x5_extrema_digest_file_holds_the_pinned_digest():
 #: read from the whole word array must print the same bytes.
 EXTREMA_CSV_SHA256 = {
     (2, 4, "0.25,0.2,0.15,0.12,0.1,0.08,0.06,0.04"):
-        "6177f819d6ec1163d4fa12db7a1b00346e4afddecf0f886697c67520329f8040",
+        "c8f9d0f99314e558102fbf64c57fce78afe7671011d5721ec4119c9c58f7117a",
     (3, 3, "0.2,0.17,0.14,0.12,0.1,0.09,0.08,0.06,0.04"):
-        "b4f2008477ebd09fd3bb53971ae5cc0852b454fdfd57e172940759c77497fdd1",
+        "3617af1fa01ad36834d43d0d950966f1f23b6647b5f7bf554ada64d424e84a37",
     (2, 5, "0.2,0.16,0.13,0.11,0.1,0.09,0.08,0.06,0.04,0.03"):
-        "0bb323c87f64485303ee77ac1d7647f2899a5142beacbffcfba4f7361f7c9da7",
+        "8f3d0ffdfa352844429acde5db0f7f3ab3756dea9f4f3c26a2abf255f1a55ad8",
 }
 
 
@@ -179,6 +180,35 @@ def test_the_2x5_extrema_csv_digest_file_holds_the_pinned_digest():
     # CI pipes the installed command's CSV through ``sha256sum -c`` against this file
     line = (DATA / "extrema_2x5_csv.sha256").read_text()
     assert line == EXTREMA_CSV_SHA256[2, 5, "0.2,0.16,0.13,0.11,0.1,0.09,0.08,0.06,0.04,0.03"] + "  -\n"
+
+
+#: Prints ``specmi extrema`` JSON at the 2x3 golden's spectrum, then the
+#: SHA-256 of the 2x5 JSON at its pinned spectrum, from one process.
+_EXTREMA_GOLDENS_SCRIPT = """
+import contextlib, hashlib, io
+from specmi.cli import main
+assert main(["extrema", "--m", "2", "--n", "3", "--spectrum", "0.3,0.25,0.2,0.12,0.08,0.05"]) == 0
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert main(["extrema", "--m", "2", "--n", "5", "--spectrum", "%s"]) == 0
+print(hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="x86 kernels")
+@pytest.mark.parametrize("kernel", ["Haswell", "Nehalem"])
+def test_extrema_goldens_hold_under_other_openblas_kernels(kernel):
+    # OpenBLAS picks its kernel when it loads, so each kernel runs in a fresh
+    # process; the outputs must not depend on it
+    spectrum = "0.2,0.16,0.13,0.11,0.1,0.09,0.08,0.06,0.04,0.03"
+    proc = subprocess.run(
+        [sys.executable, "-c", _EXTREMA_GOLDENS_SCRIPT % spectrum],
+        env=_fresh_process_env(OPENBLAS_CORETYPE=kernel), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = (DATA / "extrema_2x3.json").read_text() + EXTREMA_SHA256[2, 5, spectrum] + "\n"
+    assert proc.stdout == expected
 
 
 @pytest.mark.filterwarnings("error")
@@ -321,14 +351,20 @@ sys.exit(code)
 """
 
 
+def _fresh_process_env(**extra):
+    """The environment of a fresh interpreter that imports this checkout's specmi."""
+    env = dict(os.environ, **extra)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
 def test_a_fresh_threaded_2x5_census_matches_its_golden_within_its_memory_bound():
     if not Path("/proc/self/status").exists():
         pytest.skip("no /proc to read a process's peak RSS from")
-    env = dict(os.environ)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run(
-        [sys.executable, "-c", _CENSUS_25_SCRIPT], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", _CENSUS_25_SCRIPT], env=_fresh_process_env(), capture_output=True,
+        text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (DATA / "census_25_s7_20k.json").read_text()

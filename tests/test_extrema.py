@@ -129,7 +129,7 @@ def _brute_force_tally(spectra, m, n):
 
 def _budget(dec, rows):
     """The ``_WORK_BYTES`` whose tiles hold at most ``rows`` spectra."""
-    return 8 * rows * sum(extrema._row_elements(dec))
+    return 8 * rows * extrema._row_elements(dec)
 
 
 def test_block_extrema_tiles_agree_with_one_pass_and_brute_force(monkeypatch):
@@ -233,8 +233,14 @@ def _unique_decomposition(m, n):
 
 
 def _assert_decomposition_is(dec, A, G, m, n):
-    assert np.array_equal(dec.symbols_by_term, A)
     assert dec.term_symbols.flags.c_contiguous and np.array_equal(dec.term_symbols, A.T)
+    # each term's symbols, ascending, then the padding symbol m * n
+    padded = dec.padded_symbols
+    assert padded.flags.c_contiguous and padded.shape == (max(m, n), A.shape[1])
+    for symbols, column in zip(padded.T, A.T):
+        listed = np.flatnonzero(column)
+        pad = len(symbols) - len(listed)
+        assert np.array_equal(symbols, np.pad(listed, (0, pad), constant_values=m * n))
     # each class's m + n term indices, ascending, count G's column exactly
     terms = dec.terms_by_class
     n_classes = G.shape[1]
@@ -243,18 +249,10 @@ def _assert_decomposition_is(dec, A, G, m, n):
     counts = np.zeros_like(G)
     np.add.at(counts, (terms, np.arange(n_classes)[:, None]), 1.0)
     assert np.array_equal(counts, G)
-    # the dense tiles, in class order, are G's columns, laid out as G
-    bounds = []
-    for cols, tile in extrema._column_tiles(dec):
-        assert tile.flags.c_contiguous and tile.dtype == np.float64
-        assert np.array_equal(tile, G[:, cols])
-        bounds.append((cols.start, cols.stop))
-    step = extrema._TILE_COLUMNS
-    assert bounds == [(lo, min(lo + step, n_classes)) for lo in range(0, n_classes, step)]
     assert dec.candidates is None
     census_dec = extrema._census_decomposition(m, n)
-    assert census_dec.symbols_by_term is dec.symbols_by_term
     assert census_dec.term_symbols is dec.term_symbols
+    assert census_dec.padded_symbols is dec.padded_symbols
     assert census_dec.terms_by_class is dec.terms_by_class
     cand = census_dec.candidates
     # the term indices of the C classes only, C_max then C_min, one column
@@ -285,37 +283,42 @@ def test_decomposition_matches_the_unique_and_add_at_reference(m, n):
     _assert_decomposition_is(extrema._decomposition(m, n), *_unique_decomposition(m, n), m, n)
 
 
-@pytest.mark.parametrize("m,n", [(2, 3), (2, 4), (3, 3), (2, 5)])
-def test_tiled_products_equal_the_dense_products_bit_for_bit(m, n):
-    # G built whole by the reference; the program builds it a tile at a time
+def _fixed_order_values(row, m, n):
+    """Every class's mutual information at one spectrum, summed one float at a time.
+
+    Each marginal sum adds its entries in ascending symbol order and each
+    class's total its entropy terms in ascending term order, in Python
+    floats; the terms take NumPy's ``log``, as the program does.
+    """
     A, G = _unique_decomposition(m, n)
-    dec = extrema._decomposition(m, n)
-    spectra = sample_spectra(m * n, 20, np.random.default_rng(m * n + 30))
+    add = functools.partial(functools.reduce, float.__add__)
+    sums = np.array([add(row[np.flatnonzero(symbols)].tolist()) for symbols in A.T])
+    hterms = entropy_terms(sums).tolist()
+    totals = [add(hterms[t] for t in np.flatnonzero(col)) for col in G.T]
+    return np.array(totals) - float(entropy_terms(row).sum())
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (2, 4), (3, 3), (2, 5)])
+def test_one_spectrum_is_evaluated_in_fixed_order_bit_for_bit(m, n):
+    spectra = sample_spectra(m * n, 3, np.random.default_rng(m * n + 30))
+    spectra[2, -2:] = 0.0  # zero entries and zero marginal sums
+    spectra[2] /= spectra[2].sum()
     for row in spectra:
-        s = Spectrum(tuple(row))
-        values = np.array(brute_force_extrema(s, m, n).values)
-        terms = entropy_terms(row[None, :] @ A)
-        expected = (terms @ G)[0] - s.entropy()
-        assert (values.view(np.int64) == expected.view(np.int64)).all()
-    # the census's dense product, laid out classes x samples
-    hterms = extrema._marginal_entropy_terms(spectra, np.ascontiguousarray(A.T))
-    work = {}
-    extrema._dense_tally(hterms, dec, work)
-    rows = hterms.shape[1]
-    product = work["product"][: G.shape[1] * rows].reshape(G.shape[1], rows)
-    assert (product.view(np.int64) == (G.T @ hterms).view(np.int64)).all()
+        want = _fixed_order_values(row, m, n)
+        values = np.array(brute_force_extrema(Spectrum(tuple(row)), m, n).values)
+        assert (values.view(np.int64) == want.view(np.int64)).all()
 
 
 def test_the_2x5_decomposition_holds_no_dense_term_counts():
     # the term indices take 423 KB where a dense G took 36 MB
     dec = extrema._census_decomposition(2, 5)
-    arrays = [dec.symbols_by_term, dec.term_symbols, dec.terms_by_class, dec.candidates.terms]
+    arrays = [dec.term_symbols, dec.padded_symbols, dec.terms_by_class, dec.candidates.terms]
     for side in dec.candidates.sides:
         arrays += [side.classes, side.feeder_terms, side.band_weights]
     assert sum(a.nbytes for a in arrays) < 2**20
 
 
-def test_brute_force_builds_g_a_tile_at_a_time(monkeypatch):
+def test_brute_force_builds_no_dense_g(monkeypatch):
     # a dense 297 x 15120 G would take 36 MB, whether built or kept
     cold = functools.lru_cache(maxsize=None)(extrema._decomposition.__wrapped__)
     monkeypatch.setattr(extrema, "_decomposition", cold)
@@ -335,23 +338,16 @@ def _tallies(spectra, dec):
     return tuple(np.asarray(x).tolist() for x in extrema._block_extrema(spectra, dec))
 
 
-def _dense_reference(spectra, dec):
-    """The tallies of the dense product alone, 64 rows of the block at a time."""
-    hterms = extrema._marginal_entropy_terms(spectra, dec.term_symbols)
-    steps = range(0, hterms.shape[1], 64)
-    tallies = [extrema._dense_tally(hterms[:, r : r + 64].copy(), dec, {}) for r in steps]
-    return tuple(np.sum(x, axis=0).tolist() for x in zip(*tallies))
-
-
-def _recording_dense_tally(monkeypatch):
+def _recording_evaluations(monkeypatch):
+    """The spectra that the census kernel evaluates alone, in call order."""
     rows = []
-    dense_tally = extrema._dense_tally
+    spectrum_extremes = extrema._spectrum_extremes
 
-    def recording(hterms, dec, work):
-        rows.extend(hterms.T.copy())
-        return dense_tally(hterms, dec, work)
+    def recording(spectrum, dec):
+        rows.append(spectrum.copy())
+        return spectrum_extremes(spectrum, dec)
 
-    monkeypatch.setattr(extrema, "_dense_tally", recording)
+    monkeypatch.setattr(extrema, "_spectrum_extremes", recording)
     return rows
 
 
@@ -362,21 +358,20 @@ def _recording_dense_tally(monkeypatch):
 def test_pruned_block_tallies_equal_the_dense_reference(monkeypatch, m, n, rows, seed):
     dec = extrema._census_decomposition(m, n)
     spectra = sample_spectra(m * n, rows, np.random.default_rng(seed))
-    reference = _dense_reference(spectra, dec)
-    fallback = _recording_dense_tally(monkeypatch)
+    reference = _brute_force_tally(spectra, m, n)
+    evaluated = _recording_evaluations(monkeypatch)
     assert _tallies(spectra, dec) == reference
-    assert fallback == []  # random rows resolve among the candidates
+    assert evaluated == []  # random rows resolve among the candidates
 
 
 def _max_gap(spectrum, dec):
-    """Dense gap between the largest class total and the next one below it."""
-    hterms = entropy_terms(spectrum[None, :] @ dec.symbols_by_term)
-    top = np.sort(extrema._class_totals(hterms, dec)[0])
+    """The largest class value at one spectrum and the next one below it."""
+    top = np.sort(extrema._spectrum_extremes(spectrum, dec)[0])
     return top[-1], top[-2]
 
 
 #: Half the pruned kernel's slack: a runner-up this far beyond EPSILON is no
-#: tie for the dense product but must still leave the row to it.
+#: tie when the row is evaluated alone, but must still leave the row to it.
 _HALF_SLACK = 5e-14
 
 
@@ -384,9 +379,9 @@ def _near_tie_rows(mn, dec):
     """Spectra with two equal entries, then nudged to either side of the band.
 
     Returns per tie the row with the exact tie, then, after bisection, the
-    last nudge whose runner-up the dense mask still credits, the first one
-    it does not, and the first one whose runner-up is ``_HALF_SLACK`` beyond
-    ``EPSILON``.
+    last nudge whose runner-up ``brute_force_extrema`` still credits, the
+    first one it does not, and the first one whose runner-up is
+    ``_HALF_SLACK`` beyond ``EPSILON``.
     """
     base = sample_spectra(mn, 1, np.random.default_rng(4))[0]
 
@@ -406,7 +401,7 @@ def _near_tie_rows(mn, dec):
     for i in range(mn - 1):
         s = base.copy()
         s[i] = s[i + 1] = (s[i] + s[i + 1]) / 2
-        if np.subtract(*_max_gap(s, dec)) != 0.0:
+        if abs(np.subtract(*_max_gap(s, dec))) > 1e-14:
             continue  # swapping these two entries maps the argmax class to itself
         nudge = np.zeros(mn)
         nudge[i], nudge[i + 1] = 1.0, -1.0
@@ -434,14 +429,12 @@ def test_pruned_kernel_hands_ties_and_near_ties_to_the_dense_product(monkeypatch
     spectra = sample_spectra(mn, 3 * third, np.random.default_rng(5))
     spread = third // len(constructed)
     spectra[third : 2 * third : spread][: len(constructed)] = constructed  # the middle third
-    reference = _dense_reference(spectra, dec)
-    fallback = _recording_dense_tally(monkeypatch)
+    reference = _brute_force_tally(spectra, m, n)
+    evaluated = _recording_evaluations(monkeypatch)
     assert _tallies(spectra, dec) == reference
     assert reference[2] >= 1 and reference[3] >= 1  # the uniform row ties both sides
-    # the dense product received exactly the constructed rows, no random one
-    expected = extrema._marginal_entropy_terms(constructed, dec.term_symbols).T
-    assert len(fallback) == len(constructed)
-    assert np.allclose(fallback, expected, rtol=0.0, atol=1e-15)
+    # exactly the constructed rows were evaluated alone, no random one
+    assert np.array_equal(evaluated, constructed)
 
 
 #: Twice the bound delta < 68 * 2**-53 on the distance of every computed
@@ -466,17 +459,14 @@ def _recording_work_arrays(monkeypatch):
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (3, 3), (2, 5)])
 def test_gathered_totals_lie_within_two_delta_of_the_dense_product(monkeypatch, m, n, seed):
     # the premise of the exactness proof: the candidates' and the feeders'
-    # totals, gathered from a tile's term rows, against the dense product
-    # of the same rows, tied and near-tied rows included
+    # totals, gathered from a tile's term rows, against the product of the
+    # same rows with a whole G, tied and near-tied rows included
     dec = extrema._census_decomposition(m, n)
     cand, sets = dec.candidates, _titration_candidates(m, n)
     spectra = sample_spectra(m * n, 96, np.random.default_rng(seed))
     spectra[::16] = _tied_spectra(m * n, seed)[::7][:6]
     hterms = extrema._marginal_entropy_terms(spectra, dec.term_symbols)
-    work = {}
-    extrema._dense_tally(hterms, dec, work)
-    rows = hterms.shape[1]
-    dense = work["product"][: len(dec.terms_by_class) * rows].reshape(-1, rows).copy()
+    dense = _unique_decomposition(m, n)[1].T @ hterms
     arrays = _recording_work_arrays(monkeypatch)
     extrema._sole_candidates(hterms, cand, {})
     recorded = collections.defaultdict(list)
@@ -503,16 +493,14 @@ def test_gathered_totals_lie_within_two_delta_of_the_dense_product(monkeypatch, 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (3, 3), (2, 5)])
 def test_forced_dense_rows_tally_as_a_per_row_dense_reference(monkeypatch, m, n):
     # every 7th row of each tile leaves the pruned kernel whatever its totals,
-    # and the dense product tallies it as a product of that row alone would
+    # and is tallied as a brute_force_extrema of that row alone
     mn = m * n
     dec = extrema._census_decomposition(m, n)
     near_ties = _shape_near_tie_rows(m, n)
     spectra = sample_spectra(mn, 60 + len(near_ties), np.random.default_rng(mn + 70))
     spectra[5::9][:7] = _tied_spectra(mn, seed=mn)[::5][:7]
     spectra[60:] = near_ties
-    hterms = extrema._marginal_entropy_terms(spectra, dec.term_symbols)
-    lone = [extrema._dense_tally(hterms[:, [r]], dec, {}) for r in range(len(spectra))]
-    expected = tuple(np.sum(x, axis=0).tolist() for x in zip(*lone))
+    expected = _brute_force_tally(spectra, m, n)
     assert expected[2] >= 1 and expected[3] >= 1
     sole = extrema._sole_candidates
 
@@ -522,35 +510,45 @@ def test_forced_dense_rows_tally_as_a_per_row_dense_reference(monkeypatch, m, n)
         return resolved, top, bottom
 
     monkeypatch.setattr(extrema, "_sole_candidates", forcing)
-    fallback = _recording_dense_tally(monkeypatch)
-    # two-row tiles, whose forced row goes dense alone; uneven 7-row tiles
-    # with one forced row each; one tile whose dense steps take them together
-    for rows_per_tile in (2, 7, len(spectra)):
+    evaluated = _recording_evaluations(monkeypatch)
+    # one-row tiles, all forced; two-row tiles, whose forced row is
+    # evaluated alone; uneven 7-row tiles with one forced row each; one tile
+    for rows_per_tile in (1, 2, 7, len(spectra)):
         monkeypatch.setattr(extrema, "_WORK_BYTES", _budget(dec, rows_per_tile))
-        fallback.clear()
+        evaluated.clear()
         assert _tallies(spectra, dec) == expected, rows_per_tile
-        bounds, _ = extrema._tiles(dec, len(spectra))
-        forced = [r for r0, r1 in zip(bounds, bounds[1:]) for r in range(r0, r1, 7)]
-        went_dense = {row.tobytes() for row in fallback}
-        assert all(hterms[:, r].tobytes() in went_dense for r in forced)
-    # one-row blocks: one tile of one row, forced dense
+        bounds = extrema._tiles(dec, len(spectra))
+        forced = {r for r0, r1 in zip(bounds, bounds[1:]) for r in range(r0, r1, 7)}
+        went_alone = {row.tobytes() for row in evaluated}
+        assert all(spectra[r].tobytes() in went_alone for r in forced)
+    # one-row blocks: one tile of one row, forced
     for row in spectra[:3]:
-        alone = extrema._marginal_entropy_terms(row[None, :], dec.term_symbols)
-        expected = tuple(np.asarray(x).tolist() for x in extrema._dense_tally(alone, dec, {}))
-        fallback.clear()
+        expected = _brute_force_tally(row[None, :], m, n)
+        evaluated.clear()
         assert _tallies(row[None, :], dec) == expected
-        assert len(fallback) == 1
+        assert len(evaluated) == 1
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (3, 3), (2, 5)])
+def test_a_one_row_block_tallies_as_its_row_in_a_larger_block(m, n):
+    # a tile of one row takes its marginal sums through another BLAS kernel
+    # than a tile of many, yet every row is credited alike
+    dec = extrema._census_decomposition(m, n)
+    spectra = _near_tie_block(m, n)
+    alone = [_tallies(row[None, :], dec) for row in spectra]
+    whole = _tallies(spectra, dec)
+    assert tuple(np.sum(x, axis=0).tolist() for x in zip(*alone)) == whole
+    assert whole[2] >= 2 and whole[3] >= 2
 
 
 def test_block_memory_stays_within_the_tile_budget(monkeypatch):
-    # a block of nine tiles; its first 1.5 dense steps of spectra are
-    # uniform, so every class ties and they go dense in two pieces
+    # a block of nine tiles; its first 31 spectra are uniform, so every
+    # class ties and they are evaluated one at a time
     monkeypatch.setattr(extrema, "_spare_work", [])  # a set allocated while traced
     dec = extrema._census_decomposition(2, 5)
     spectra = sample_spectra(10, 8000, np.random.default_rng(6))
-    bounds, step = extrema._tiles(dec, len(spectra))
-    assert len(bounds) - 1 == 9
-    uniform = 3 * step // 2
+    assert len(extrema._tiles(dec, len(spectra))) - 1 == 9
+    uniform = 31
     spectra[:uniform] = 0.1
     tracemalloc.start()
     try:
@@ -572,56 +570,60 @@ _DEFAULT_TILES = {(2, 2): 1, (2, 3): 1, (2, 4): 2, (3, 3): 1, (2, 5): 3}
 @pytest.mark.parametrize("m,n", list(_DEFAULT_TILES))
 def test_tiles_split_a_block_equally_within_the_budget(monkeypatch, m, n):
     dec = extrema._census_decomposition(m, n)
-    other, product = extrema._row_elements(dec)
-    n_classes = len(dec.terms_by_class)
-    default = extrema._WORK_BYTES
-    bounds, step = extrema._tiles(dec, 2500)
-    assert len(bounds) - 1 == _DEFAULT_TILES[m, n]
-    # at 2x2 and 2x3 a tile's unresolved rows go dense in one step
-    assert (step >= bounds[1]) == ((m, n) in [(2, 2), (2, 3)])
-    for budget in (8, _budget(dec, 7), default, _budget(dec, 10**6)):
+    row_bytes = 8 * extrema._row_elements(dec)
+    assert len(extrema._tiles(dec, 2500)) - 1 == _DEFAULT_TILES[m, n]
+    for budget in (8, _budget(dec, 7), extrema._WORK_BYTES, _budget(dec, 10**6)):
         monkeypatch.setattr(extrema, "_WORK_BYTES", budget)
         for rows in (1, 6, 7, 8, 2500, 9001, 100_000):
-            bounds, step = extrema._tiles(dec, rows)
+            bounds = extrema._tiles(dec, rows)
             sizes = np.diff(bounds)
-            # every row once, in tiles equal within one row, the largest
-            # first, and of two rows at least
-            assert bounds[0] == 0 and bounds[-1] == rows and sizes.min() >= min(2, rows)
+            # every row once, in tiles equal within one row, the largest first
+            assert bounds[0] == 0 and bounds[-1] == rows and sizes.min() >= 1
             assert sizes.max() - sizes.min() <= 1 and sizes[0] == sizes.max()
-            if budget < 8 * 3 * (other + product):
-                continue  # the budget fits less than the smallest tiles
-            # no tile exceeds the budget, nor with its dense step unless one
-            # dense row does, and the tiles are the fewest that fit
-            assert 8 * sizes[0] * (other + product) <= budget
-            fits = 8 * (sizes[0] * other + max(sizes[0] * product, step * n_classes)) <= budget
-            assert fits or (step == 1 and budget != default)
+            if budget < row_bytes:
+                assert sizes[0] == 1  # the budget fits no row: one row a tile
+                continue
+            # no tile exceeds the budget, and the tiles are the fewest that fit
+            assert sizes[0] * row_bytes <= budget
             if len(sizes) > 1:
-                assert 8 * -(-rows // (len(sizes) - 1)) * (other + product) > budget
+                assert -(-rows // (len(sizes) - 1)) * row_bytes > budget
 
 
-@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (3, 3), (2, 5)])
-def test_pruned_block_tallies_do_not_depend_on_the_tile_size(monkeypatch, m, n):
+def _near_tie_block(m, n):
+    """A seeded block with the uniform spectrum and ``_near_tie_rows`` at every other row."""
     mn = m * n
-    dec = extrema._census_decomposition(m, n)
     constructed = [np.full(mn, 1.0 / mn), *_shape_near_tie_rows(m, n)]
     spectra = sample_spectra(mn, 40 + len(constructed), np.random.default_rng(mn + 50))
     spectra[1::2][: len(constructed)] = constructed
     spectra[-1] = 1.0 / mn
+    return spectra
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (3, 3), (2, 5)])
+def test_pruned_block_tallies_do_not_depend_on_the_tile_size(monkeypatch, m, n):
+    dec = extrema._census_decomposition(m, n)
+    spectra = _near_tie_block(m, n)
     tallies = []
-    # the smallest tiles (two rows), uneven tiles of 7 rows and one tile; the
-    # default holds the whole block in one tile too, so two tiles also run.
-    # The near-tie rows sit within the last bit of EPSILON in the dense
-    # product, so the tallies agree only if a row's totals do not depend on
-    # how many rows share its products.
+    # one-row tiles, uneven tiles of 7 rows and one tile; the default holds
+    # the whole block in one tile too, so two tiles also run.  The near-tie
+    # rows sit within the last bit of EPSILON, so the tallies agree only if
+    # a row's credit does not depend on how many rows share its tile.
     for budget in (8, _budget(dec, 7), extrema._WORK_BYTES, _budget(dec, len(spectra))):
         monkeypatch.setattr(extrema, "_WORK_BYTES", budget)
         tallies.append(_tallies(spectra, dec))
     assert tallies[1:] == tallies[:-1]
-    assert tallies[0] == _dense_reference(spectra, dec)
     assert tallies[0][2] >= 2 and tallies[0][3] >= 2  # the uniform rows tie both sides
     monkeypatch.setattr(extrema, "_WORK_BYTES", _budget(dec, 2 * len(spectra) // 3))
-    assert len(extrema._tiles(dec, len(spectra))[0]) == 3
+    assert len(extrema._tiles(dec, len(spectra))) == 3
     assert _tallies(spectra, dec) == tallies[0]
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (3, 3), (2, 5)])
+def test_near_tie_blocks_count_the_ties_of_a_per_row_recount(m, n):
+    # the census credits each row as specmi extrema does, ties included
+    dec = extrema._census_decomposition(m, n)
+    spectra = _near_tie_block(m, n)
+    assert _tallies(spectra, dec) == _brute_force_tally(spectra, m, n)
 
 
 def _set_bytes(work):
@@ -635,15 +637,13 @@ def test_census_work_arrays_stay_within_the_budget(monkeypatch):
     census(2, 5, 20_000, 7, workers=2)
     assert 1 <= len(spare) <= 2  # one set per block thread, kept
     assert all(_set_bytes(work) <= extrema._WORK_BYTES for work in spare)
-    # a tie-heavy block: the dense product takes full steps of 15120 classes
+    # a tie-heavy block: its tied rows are evaluated outside the set
     dec = extrema._census_decomposition(2, 5)
     spectra = sample_spectra(10, 2500, np.random.default_rng(13))
     spectra[:100] = 0.1
-    _, step = extrema._tiles(dec, len(spectra))
     ties_max, ties_min = extrema._block_extrema(spectra, dec)[2:]
     assert ties_max == ties_min == 100
     assert 1 <= len(spare) <= 2
-    assert max(work["product"].size for work in spare) >= step * 15120
     assert all(_set_bytes(work) <= extrema._WORK_BYTES for work in spare)
 
 
@@ -675,7 +675,7 @@ def test_entropy_terms_equal_the_masked_log_bit_for_bit(m, n):
         if zeros:
             spectra[::3, -2:] = 0.0  # marginal sums of 0: 0 log 0 = 0
         else:  # every sum positive: the log takes no mask
-            assert (spectra @ dec.symbols_by_term > 0).all()
+            assert (spectra @ dec.term_symbols.T > 0).all()
         expected = _masked_log_terms(spectra, dec.term_symbols)
         for terms in (
             extrema._marginal_entropy_terms(spectra, dec.term_symbols, work),
@@ -702,7 +702,7 @@ def test_entropy_terms_equal_the_fill_copy_log_steps_bit_for_bit(m, n):
     spectra = sample_spectra(m * n, 600, np.random.default_rng(m * n + 1))
     spectra[::3, -3:] = 0.0
     spectra[::6, -1] = -1e-13
-    sums = spectra @ dec.symbols_by_term
+    sums = spectra @ dec.term_symbols.T
     assert (sums > 0).any() and (sums == 0).any() and (sums == -1e-13).any()
     terms = extrema._marginal_entropy_terms(spectra, dec.term_symbols)
     expected = _fill_copy_log_terms(spectra, dec.term_symbols)
