@@ -22,6 +22,7 @@ import argparse
 import functools
 import json
 import math
+import operator
 import sys
 from typing import Iterable, Iterator, Sequence
 
@@ -36,7 +37,6 @@ from .qubit2 import LN2, MAX_SCAN_GRID, SCAN_FUNCTIONS, _scan_grid
 __all__ = ["build_parser", "main"]
 
 _SCHEMA_VERSION = 1
-_SCAN_CHUNK_ROWS = 8192
 
 
 def _parse_spectrum(text: str) -> Spectrum:
@@ -190,41 +190,48 @@ def _run_honeycomb(args: argparse.Namespace) -> int:
 
 
 def _distinct_labels(a: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """The %.17g text of each distinct value of the 1-d ``a``, and each entry's index into it.
+    """The ``"%.17g\\n"`` text of each distinct value of the 1-d ``a``, and each entry's index.
 
     Values are told apart by their bits, so an entry's text is what
     formatting that entry alone gives, -0.0 included.
     """
     bits, where = np.unique(a.view(np.int64), return_inverse=True)
-    return [_fmt(v) for v in bits.view(np.float64).tolist()], where
+    return [f"{v:.17g}\n" for v in bits.view(np.float64).tolist()], where
 
 
-def _scan_csv_chunks(axis: np.ndarray, index: np.ndarray, values: np.ndarray) -> Iterator[str]:
-    """The scan CSV, ``_SCAN_CHUNK_ROWS`` rows per string.
+def _gather(texts: list[str], at: np.ndarray) -> tuple[str, ...]:
+    """``texts[a]`` for each entry ``a`` of the non-empty 1-d ``at``, read in C."""
+    at = at.tolist()
+    return operator.itemgetter(*at)(texts) if len(at) > 1 else (texts[at[0]],)
 
-    A grid-101 scan has 101 coordinates and 500 to 15,000 distinct values
-    among its 171,801 rows, so rows are joined from texts formatted once.
-    Chunks keep the whole text (13.6 MB at grid 101) from being held at once.
+
+def _scan_csv_chunks(axis: np.ndarray, chunks: Iterable[tuple[np.ndarray, ...]]) -> Iterator[str]:
+    """The scan CSV, one string per chunk of :func:`~specmi.qubit2._scan_grid`.
+
+    A row is joined from three texts, each formatted once per chunk or
+    scan and read by a C-level gather: its ``"t11,t22,"``, its ``"t33,"``
+    and its ``"value\\n"``.  Chunks keep the whole text (13.6 MB at grid
+    101) from being held at once.
     """
     coords = [_fmt(v) for v in axis.tolist()]
-    labels, label_at = _distinct_labels(values)
+    t33 = [f"{c}," for c in coords]
     yield "t11,t22,t33,value\n"
-    for start in range(0, len(values), _SCAN_CHUNK_ROWS):
-        rows = slice(start, start + _SCAN_CHUNK_ROWS)
-        yield "".join([
-            f"{coords[i]},{coords[j]},{coords[k]},{labels[v]}\n"
-            for i, j, k, v in zip(
-                index[rows, 0].tolist(), index[rows, 1].tolist(), index[rows, 2].tolist(),
-                label_at[rows].tolist(),
-            )
-        ])
+    for i, j, k, values in chunks:
+        first = int(i[0])
+        pairs = [f"{a},{b}," for a in coords[first : int(i[-1]) + 1] for b in coords]
+        labels, label_at = _distinct_labels(values)
+        parts = [""] * (3 * len(values))
+        parts[0::3] = _gather(pairs, (i - first) * len(coords) + j)
+        parts[1::3] = _gather(t33, k)
+        parts[2::3] = _gather(labels, label_at)
+        yield "".join(parts)
 
 
 def _run_qubit2_scan(args: argparse.Namespace) -> int:
-    axis, index, values = _scan_grid(args.function.replace("-", "_"), args.grid)
+    axis, chunks = _scan_grid(args.function.replace("-", "_"), args.grid)
     if args.log_base == "2":
-        values = values / LN2
-    _write_text(args.output, _scan_csv_chunks(axis, index, values))
+        chunks = ((i, j, k, values / LN2) for i, j, k, values in chunks)
+    _write_text(args.output, _scan_csv_chunks(axis, chunks))
     return 0
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -327,12 +328,15 @@ def _scan_gamma_min(sp: np.ndarray) -> np.ndarray:
     return 2.0 * LN2 - _h_rows(a + b) - _h_rows(a + c)
 
 
-#: Largest ``resolution`` of :func:`octahedron_scan`.  Only the octahedron
-#: test spans the whole grid (one float64 array of ``resolution**3`` points);
-#: the rest holds the kept sixth.  A scan peaks at 2.0-2.2 such arrays
-#: (tracemalloc, all five functions at grids 101 and 201), 141 MB at grid
-#: 201, where a ``qubit2-scan`` process peaks at about 175 MB RSS.
+#: Largest ``resolution`` of :func:`octahedron_scan`.  A scan is computed a
+#: few t11 slabs at a time and never holds a grid cube: written to a file,
+#: ``qubit2-scan`` peaks at 5.5-6.3 MB (tracemalloc, all five functions) and
+#: its process at about 40 MB RSS at grid 201, 31 MB of which is the import.
 MAX_SCAN_GRID = 201
+
+#: Row budget of one chunk of :func:`_scan_grid`: a chunk is a run of whole
+#: consecutive t11 slabs with at most this many rows, or one larger slab.
+_SCAN_CHUNK_ROWS = 8192
 
 SCAN_FUNCTIONS = {
     "gamma_max": _scan_gamma_max,
@@ -348,8 +352,18 @@ def scan_axis(resolution: int) -> np.ndarray:
     return np.linspace(-1.0, 1.0, resolution)
 
 
-def _scan_grid(function: str, resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`octahedron_scan` as (axis, index, values); the points are ``axis[index]``."""
+#: One chunk of a scan: the axis indices (i, j, k) of its points and their values.
+_ScanChunk = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _scan_grid(function: str, resolution: int) -> tuple[np.ndarray, Iterator[_ScanChunk]]:
+    """:func:`octahedron_scan` as (axis, chunks), its arguments checked before any chunk.
+
+    Each chunk is (i, j, k, values): the kept points ``axis[i], axis[j],
+    axis[k]`` of a run of whole consecutive t11 slabs, in row-major order,
+    and ``function`` at each.  A chunk holds at most ``_SCAN_CHUNK_ROWS``
+    rows unless it is a single slab.
+    """
     if function not in SCAN_FUNCTIONS:
         raise ValueError(
             f"unknown scan function {function!r}; choose one of "
@@ -360,18 +374,56 @@ def _scan_grid(function: str, resolution: int) -> tuple[np.ndarray, np.ndarray, 
             f"octahedron_scan needs 2 <= resolution <= {MAX_SCAN_GRID}, got {resolution}"
         )
     axis = scan_axis(resolution)
-    # The octahedron mask is broadcast from the 1-d axis and adds
-    # |t11| + |t22| + |t33| in that order, as a row sum would; np.nonzero
-    # lists the kept points in row-major order.
+    return axis, _scan_chunks(SCAN_FUNCTIONS[function], axis)
+
+
+def _scan_chunks(
+    function: Callable[[np.ndarray], np.ndarray], axis: np.ndarray
+) -> Iterator[_ScanChunk]:
+    # Slab i's mask adds |t11| + |t22| + |t33| in that order, as a row sum
+    # would; np.nonzero lists its kept (j, k) in row-major order.
     size = np.abs(axis)
-    inside = (size[:, None, None] + size[None, :, None]) + size[None, None, :] <= 1.0 + EPSILON
-    index = np.stack(np.nonzero(inside), axis=1)
-    del inside
-    spectra = np.stack(_tstate_eigenvalues(*axis[index].T), axis=1)
-    np.clip(spectra, 0.0, None, out=spectra)
-    spectra.sort(axis=1)
-    spectra = spectra[:, ::-1]
-    return axis, index, SCAN_FUNCTIONS[function](spectra)
+    slabs: list[tuple[int, np.ndarray, np.ndarray]] = []
+    rows = 0
+    for i in range(len(axis)):
+        j, k = np.nonzero((size[i] + size)[:, None] + size <= 1.0 + EPSILON)
+        if not len(j):
+            continue
+        if slabs and rows + len(j) > _SCAN_CHUNK_ROWS:
+            yield _scan_slabs(function, axis, slabs)
+            slabs, rows = [], 0
+        slabs.append((i, j, k))
+        rows += len(j)
+    if slabs:
+        yield _scan_slabs(function, axis, slabs)
+
+
+def _scan_slabs(
+    function: Callable[[np.ndarray], np.ndarray],
+    axis: np.ndarray,
+    slabs: list[tuple[int, np.ndarray, np.ndarray]],
+) -> _ScanChunk:
+    """One chunk of :func:`_scan_chunks` from its slabs' (i, j, k)."""
+    i = np.repeat([s[0] for s in slabs], [len(s[1]) for s in slabs])
+    j = np.concatenate([s[1] for s in slabs])
+    k = np.concatenate([s[2] for s in slabs])
+    raw = np.stack(_tstate_eigenvalues(axis[i], axis[j], axis[k]))
+    np.clip(raw, 0.0, None, out=raw)
+    # A five-comparator network sorts each column of ``raw`` descending into
+    # a row of ``spectra``.  Each comparator returns one of its inputs, and
+    # the clipped eigenvalues hold no NaN and no -0.0 (each sum starts from
+    # 1.0), so this is exactly what a sort gives.  ``spectra`` is C-ordered,
+    # as the sorted array was, so ``_entropy_rows`` adds each row in the
+    # same order.
+    spectra = np.empty((len(i), 4))
+    hi01, lo01 = np.maximum(raw[0], raw[1]), np.minimum(raw[0], raw[1])
+    hi23, lo23 = np.maximum(raw[2], raw[3]), np.minimum(raw[2], raw[3])
+    np.maximum(hi01, hi23, out=spectra[:, 0])
+    np.minimum(lo01, lo23, out=spectra[:, 3])
+    upper, lower = np.minimum(hi01, hi23), np.maximum(lo01, lo23)
+    np.maximum(upper, lower, out=spectra[:, 1])
+    np.minimum(upper, lower, out=spectra[:, 2])
+    return i, j, k, function(spectra)
 
 
 def octahedron_scan(function: str, resolution: int) -> tuple[np.ndarray, np.ndarray]:
@@ -383,5 +435,9 @@ def octahedron_scan(function: str, resolution: int) -> tuple[np.ndarray, np.ndar
     ``function`` (a key of SCAN_FUNCTIONS).  Returns (points, values):
     an (Nx3) array of t-vectors and the matching value array, in nats.
     """
-    axis, index, values = _scan_grid(function, resolution)
-    return axis[index], values
+    axis, chunks = _scan_grid(function, resolution)
+    points, values = [np.empty((0, 3))], [np.empty(0)]
+    for i, j, k, chunk_values in chunks:
+        points.append(np.stack((axis[i], axis[j], axis[k]), axis=1))
+        values.append(chunk_values)
+    return np.concatenate(points), np.concatenate(values)

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from specmi import cli
 from specmi.cli import main
 from specmi.core import write_text_atomic
-from specmi import extrema
+from specmi import extrema, qubit2
 from specmi.extrema import MAX_BLOCK_SIZE, census
 from specmi.qubit2 import MAX_SCAN_GRID, SCAN_FUNCTIONS, octahedron_scan
 
@@ -740,8 +740,9 @@ def test_qubit2_scan_matches_the_per_row_rendering(capsys, function, grid, log_b
     _assert_same_text(out, _reference_scan_csv(function, grid, log_base))
 
 
-#: SHA-256 of ``qubit2-scan --function gamma-max --grid 101`` (171,802 lines).
-SCAN_101_SHA256 = "95a434c1b838ea23f3ddc77f30fbccf9f26f265f06063e2aec50ea72c2323edf"
+#: SHA-256 of ``qubit2-scan --function gamma-max --grid 101`` (171,802 lines),
+#: in the ``sha256sum`` line that CI checks the installed command against.
+SCAN_101_SHA256 = (DATA / "qubit2_scan_gamma_max_grid101.sha256").read_text().removesuffix("  -\n")
 SCAN_101 = ("qubit2-scan", "--function", "gamma-max", "--grid", "101")
 
 
@@ -755,7 +756,53 @@ def test_qubit2_scan_at_grid_101_has_the_pinned_bytes_on_both_targets(capsys, tm
     assert hashlib.sha256(out.encode()).hexdigest() == SCAN_101_SHA256
 
 
-def test_qubit2_scan_to_a_file_peaks_below_four_grid_cubes(capsys, tmp_path):
+#: SHA-256 of ``qubit2-scan --function gamma-max --grid 201`` (1,353,602 lines,
+#: 107.5 MB).  Its middle t11 slab alone (20,201 rows) outgrows a chunk's row budget.
+SCAN_201_SHA256 = "fbca03e419617b652d13d76b71b8571f94a0c6aa3654d6063502d7b5cd6a6bc4"
+
+
+def test_qubit2_scan_at_grid_201_has_the_pinned_bytes(capsys, tmp_path):
+    target = tmp_path / "scan.csv"
+    code, out, _ = run(capsys, "qubit2-scan", "--function", "gamma-max", "--grid", "201",
+                       "--output", str(target))
+    assert (code, out) == (0, "")
+    digest = hashlib.sha256()
+    with open(target, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    target.unlink()  # not left behind in pytest's kept temporary directories
+    assert digest.hexdigest() == SCAN_201_SHA256
+
+
+def test_qubit2_scan_at_grid_2_prints_the_header_alone(capsys):
+    code, out, _ = run(capsys, "qubit2-scan", "--function", "gamma-max", "--grid", "2")
+    assert (code, out) == (0, "t11,t22,t33,value\n")
+
+
+def test_qubit2_scan_at_grid_3_prints_its_seven_points(capsys):
+    # The six vertices have spectrum (1/2, 1/2, 0, 0), the centre the uniform one.
+    code, out, _ = run(capsys, "qubit2-scan", "--function", "i-max-qmi", "--grid", "3")
+    assert code == 0
+    ln2 = "0.69314718055994529"
+    assert out == (
+        "t11,t22,t33,value\n"
+        f"-1,0,0,{ln2}\n0,-1,0,{ln2}\n0,0,-1,{ln2}\n0,0,0,0\n"
+        f"0,0,1,{ln2}\n0,1,0,{ln2}\n1,0,0,{ln2}\n"
+    )
+
+
+@pytest.mark.parametrize("budget", [1, 7, 10**9])
+def test_qubit2_scan_bytes_do_not_depend_on_the_chunk_budget(capsys, monkeypatch, budget):
+    # A budget of 1 makes every slab its own chunk, the first one a single row.
+    monkeypatch.setattr(qubit2, "_SCAN_CHUNK_ROWS", budget)
+    for function in ("gamma-max", "i-min"):
+        golden = (DATA / f"qubit2_scan_{function.replace('-', '_')}_grid5.csv").read_text()
+        code, out, _ = run(capsys, "qubit2-scan", "--function", function, "--grid", "5")
+        assert code == 0
+        _assert_same_text(out, golden)
+
+
+def test_qubit2_scan_to_a_file_peaks_below_4_mb(capsys, tmp_path):
     target = tmp_path / "scan.csv"
     run(capsys, "--help")  # the parser is built once, outside the measurement
     tracemalloc.start()
@@ -765,9 +812,10 @@ def test_qubit2_scan_to_a_file_peaks_below_four_grid_cubes(capsys, tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 0
-    # The CSV text alone is about 1.6 cubes, so it is never held whole.
-    assert target.stat().st_size > 1.5 * 101**3 * 8
-    assert peak < 4 * 101**3 * 8
+    # The 13.6 MB text is streamed a chunk at a time: the whole command
+    # peaked at 2.4 MB (the grid cube alone is 8.2 MB of float64).
+    assert target.stat().st_size > 13_000_000
+    assert peak < 4_000_000
 
 
 def test_atomic_write_of_chunks_that_raise_keeps_the_old_file(tmp_path):
@@ -847,6 +895,17 @@ def test_qubit2_scan_rejects_a_grid_over_the_cap_before_allocating(capsys):
     assert err.startswith("error:") and str(MAX_SCAN_GRID) in err
     assert "Traceback" not in err
     assert peak < 1_000_000  # one float64 axis of the cube alone would be 66 MB
+
+
+@pytest.mark.parametrize("grid", ["1", str(MAX_SCAN_GRID + 1)])
+def test_qubit2_scan_rejects_a_grid_before_creating_its_output(capsys, tmp_path, grid):
+    target = tmp_path / "scan.csv"
+    code, out, err = run(
+        capsys, "qubit2-scan", "--function", "gamma-max", "--grid", grid, "--output", str(target)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_qubit2_scan_rejects_unknown_function(capsys):

@@ -349,6 +349,41 @@ def test_octahedron_scan_peaks_below_four_grid_cubes():
     assert peak < 4 * 101**3 * 8  # the meshgrid construction peaked at 10
 
 
+@pytest.mark.parametrize("resolution", [2, 3, 4, 5, 21, 101, 201])
+def test_scan_chunks_are_runs_of_whole_consecutive_slabs_within_the_row_budget(resolution):
+    budget = qubit2._SCAN_CHUNK_ROWS
+    axis, chunks = qubit2._scan_grid("gamma_max", resolution)
+    sizes, previous = [], None
+    for i, j, k, values in chunks:
+        assert len(i) == len(j) == len(k) == len(values) > 0
+        assert np.all(np.diff(i) >= 0)
+        slabs = np.unique(i)
+        assert np.array_equal(slabs, np.arange(slabs[0], slabs[-1] + 1))
+        assert previous is None or slabs[0] > previous
+        previous = slabs[-1]
+        sizes.append(np.bincount(i - slabs[0]))
+        # Row-major within each slab.
+        within = np.flatnonzero(np.diff(i) == 0)
+        later_j, same_j = j[within + 1] > j[within], j[within + 1] == j[within]
+        assert np.all(later_j | (same_j & (k[within + 1] > k[within])))
+    for here, after in zip(sizes, sizes[1:] + [None]):
+        assert here.sum() <= budget or len(here) == 1
+        # A chunk closes only when its next slab would overrun the budget.
+        assert after is None or here.sum() + after[0] > budget
+    if resolution == 201:  # the middle slab alone outgrows the budget
+        assert max(s.sum() for s in sizes) == 20_201 > budget
+    if resolution <= 101:
+        axis, chunks = qubit2._scan_grid("gamma_max", resolution)
+        points, values = octahedron_scan("gamma_max", resolution)
+        start = 0
+        for i, j, k, chunk_values in chunks:
+            rows = slice(start, start + len(i))
+            assert _same_bits(np.stack((axis[i], axis[j], axis[k]), axis=1), points[rows])
+            assert _same_bits(chunk_values, values[rows])
+            start += len(i)
+        assert start == len(values)
+
+
 def test_octahedron_scan_validates_arguments():
     with pytest.raises(ValueError, match="function"):
         octahedron_scan("nonsense", 5)
