@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import operator
 import sys
@@ -29,7 +28,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .classes import check_relation_shape, class_table, honeycomb_dot
-from .core import SUM_TOLERANCE, Spectrum, write_text_atomic
+from .core import SUM_TOLERANCE, Spectrum, _json_text, write_text_atomic
 from .extrema import CensusReport, CheckpointMismatchError, brute_force_extrema, census
 from .orders import derive_relation
 from .qubit2 import LN2, MAX_SCAN_GRID, SCAN_FUNCTIONS, _scan_grid
@@ -78,10 +77,6 @@ def _write_text(path: str | None, text: str | Iterable[str]) -> None:
         sys.stdout.writelines(text)
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -90,12 +85,14 @@ def _run_extrema(args: argparse.Namespace) -> int:
     spectrum = _parse_spectrum(args.spectrum)
     report = brute_force_extrema(spectrum, args.m, args.n)
     table = class_table(args.m, args.n)
-    values = [_rescale(v, args.log_base) for v in report.values]
+    values = list(report.values) if args.log_base == "e" else [v / LN2 for v in report.values]
     if args.format == "csv":
         mn, words = args.m * args.n, table.letters
         lines = ["class,word,cycle_label,value"]
         for i, (label, value) in enumerate(zip(table._cycle_labels, values)):
-            lines.append(f"{i + 1},{words[i * mn : (i + 1) * mn]},{label},{_fmt(value)}")
+            if "," in label:  # a 10-cell label such as (9,10); quoted as csv.writer would
+                label = f'"{label}"'
+            lines.append(f"{i + 1},{words[i * mn : (i + 1) * mn]},{label},{value:.17g}")
         _write_text(args.output, "\n".join(lines) + "\n")
         return 0
 

@@ -33,6 +33,7 @@ import errno
 import math
 import os
 import tempfile
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -317,6 +318,77 @@ def sample_spectra(dim: int, count: int, rng: np.random.Generator) -> np.ndarray
         t = e / e.sum(axis=1, keepdims=True)
         t.sort(axis=1)
         s[bad] = t[:, ::-1]
+
+
+#: ``json``'s tokens for the reprs of the floats that JSON has no number for.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+#: The text of each JSON scalar, by its exact type.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    float: _float_text,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_parts(value: object, newline: str, out: list[str]) -> None:
+    """Append the text of ``value`` to ``out``; ``newline`` is a newline and its indent."""
+    kind = type(value)
+    scalar = _SCALAR_TEXT.get(kind)
+    if scalar is not None:
+        out.append(scalar(value))
+        return
+    if kind is not dict and kind is not list:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not value:
+        out.append("{}" if kind is dict else "[]")
+        return
+    inner = newline + "  "
+    if kind is dict:
+        sep = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _json_parts(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif set(map(type, value)) == {float}:  # one join; of float reprs only nan and inf hold "n"
+        text = ("," + inner).join(map(float.__repr__, value))
+        if "n" in text:
+            text = ("," + inner).join(map(_float_text, value))
+        out.append(f"[{inner}{text}{newline}]")
+    else:
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _json_parts(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+
+
+def _json_text(value: object) -> str:
+    """The text ``json`` writes for ``value`` with ``indent=2``, and a newline.
+
+    With ``indent`` set, ``json`` takes its pure-Python encoder; this builds
+    the same text directly, a list of floats as one join of their reprs.
+    Dicts keep their key order.  Only ``dict`` (``str`` keys), ``list``,
+    ``str``, ``float``, ``int``, ``bool`` and ``None`` are written, each of
+    exactly that type: any other value, a tuple or a NumPy scalar included,
+    raises TypeError.
+    """
+    out: list[str] = []
+    _json_parts(value, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def write_text_atomic(path: str, text: str | Iterable[str]) -> None:

@@ -121,7 +121,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .classes import _titration_candidates, class_table
-from .core import EPSILON, Spectrum, entropy_terms, sample_spectra, write_text_atomic
+from .core import EPSILON, Spectrum, _json_text, entropy_terms, sample_spectra, write_text_atomic
 
 __all__ = [
     "MAX_BLOCK_SIZE",
@@ -480,8 +480,8 @@ def brute_force_extrema(s: Spectrum, m: int, n: int) -> ExtremaReport:
         values=tuple(values.tolist()),
         maxima=tuple((at_max + 1).tolist()),
         minima=tuple((at_min + 1).tolist()),
-        max_value=float(values.max()),
-        min_value=float(values.min()),
+        max_value=float(values[at_max].max()),
+        min_value=float(values[at_min].min()),
     )
 
 
@@ -540,13 +540,14 @@ class _CensusState:
 
 
 def _credited_hits(hits: np.ndarray) -> dict[str, int]:
-    """The nonzero ``hits``, keyed by 1-based class index, in class order."""
+    """The nonzero ``hits``, keyed by 1-based class index as a string, in key order."""
     credited = np.flatnonzero(hits)
-    return dict(zip(map(str, (credited + 1).tolist()), hits[credited].tolist()))
+    return dict(sorted(zip(map(str, (credited + 1).tolist()), hits[credited].tolist())))
 
 
 def _checkpoint_payload(state: _CensusState, params: dict) -> dict:
-    return {
+    """The checkpoint document, its keys sorted at both levels as the file holds them."""
+    return dict(sorted({
         **params,
         "blocks_done": state.blocks_done,
         "max_hits": _credited_hits(state.max_hits),
@@ -556,11 +557,11 @@ def _checkpoint_payload(state: _CensusState, params: dict) -> dict:
         "convergence": [
             [p.samples, p.n_max_classes, p.n_min_classes] for p in state.convergence
         ],
-    }
+    }.items()))
 
 
 def _write_checkpoint(path: str, payload: dict) -> None:
-    write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(path, _json_text(payload))
 
 
 def _load_checkpoint(path: str, params: dict, n_classes: int) -> _CensusState:

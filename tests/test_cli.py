@@ -1,5 +1,6 @@
 """End-to-end checks of the command line interface."""
 import contextlib
+import csv
 import errno
 import hashlib
 import importlib
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from specmi import cli
+from specmi import class_table, cli
 from specmi.cli import main
 from specmi.core import write_text_atomic
 from specmi import extrema, qubit2
@@ -116,11 +117,15 @@ def test_extrema_csv_output(capsys, tmp_path):
     assert lines[1].startswith("1,abcdef,(),")
 
 
-@pytest.mark.parametrize("fmt, golden", [("json", "extrema_2x3.json"), ("csv", "extrema_2x3.csv")])
+@pytest.mark.parametrize("fmt, golden", [
+    ("json", "extrema_2x3.json"), ("csv", "extrema_2x3.csv"),
+    ("json", "extrema_2x3_log2.json"), ("csv", "extrema_2x3_log2.csv"),
+])
 def test_extrema_matches_golden_on_both_targets(capsys, tmp_path, fmt, golden):
+    # the log2 goldens were written when each value was rescaled by one division
     expected = (DATA / golden).read_text()
     argv = ("extrema", "--m", "2", "--n", "3", "--spectrum", "0.3,0.25,0.2,0.12,0.08,0.05",
-            "--format", fmt)
+            "--format", fmt, "--log-base", "2" if "log2" in golden else "e")
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == expected
@@ -157,14 +162,15 @@ def test_the_2x5_extrema_digest_file_holds_the_pinned_digest():
 
 #: SHA-256 of ``specmi extrema --format csv`` at the same spectra, taken
 #: when each cycle label was derived from its own word in Python: the labels
-#: read from the whole word array must print the same bytes.
+#: read from the whole word array must print the same bytes.  The 2x5 digest
+#: was taken again when labels with a comma, such as (9,10), were first quoted.
 EXTREMA_CSV_SHA256 = {
     (2, 4, "0.25,0.2,0.15,0.12,0.1,0.08,0.06,0.04"):
         "c8f9d0f99314e558102fbf64c57fce78afe7671011d5721ec4119c9c58f7117a",
     (3, 3, "0.2,0.17,0.14,0.12,0.1,0.09,0.08,0.06,0.04"):
         "3617af1fa01ad36834d43d0d950966f1f23b6647b5f7bf554ada64d424e84a37",
     (2, 5, "0.2,0.16,0.13,0.11,0.1,0.09,0.08,0.06,0.04,0.03"):
-        "8f3d0ffdfa352844429acde5db0f7f3ab3756dea9f4f3c26a2abf255f1a55ad8",
+        "31f93fb89632cc732df5ba051e020b3b1da83aece902cf1d6fb86a6f09a8dcc3",
 }
 
 
@@ -174,6 +180,24 @@ def test_extrema_csv_of_larger_shapes_is_pinned(capsys, m, n, spectrum):
     code, out, _ = run(capsys, *args)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == EXTREMA_CSV_SHA256[m, n, spectrum]
+
+
+def test_extrema_csv_of_2x5_parses_into_four_fields_per_row(capsys):
+    spectrum = "0.2,0.16,0.13,0.11,0.1,0.09,0.08,0.06,0.04,0.03"
+    args = ("extrema", "--m", "2", "--n", "5", "--spectrum", spectrum, "--format", "csv")
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    table = class_table(2, 5)
+    assert rows[0] == ["class", "word", "cycle_label", "value"]
+    assert len(rows) == len(table) + 1
+    assert all(len(row) == 4 for row in rows)
+    labels = [table.get(i).cycle_label for i in range(1, len(table) + 1)]
+    assert [row[2] for row in rows[1:]] == labels
+    # quoted as csv.writer's minimal quoting quotes: only the labels with a comma
+    written = io.StringIO()
+    csv.writer(written, lineterminator="\n").writerows(rows)
+    assert written.getvalue() == out
 
 
 def test_the_2x5_extrema_csv_digest_file_holds_the_pinned_digest():

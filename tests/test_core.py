@@ -1,13 +1,14 @@
 """Entropy primitives, spectra, arrangements, and simplex sampling."""
 import errno
 import hashlib
+import json
 import math
 import os
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specmi import (
@@ -381,6 +382,46 @@ def test_atomic_write_through_a_dangling_link_creates_its_target(tmp_path):
     link.symlink_to(target)
     core.write_text_atomic(str(link), "text\n")
     assert link.is_symlink() and target.read_text() == "text\n"
+
+
+# ------------------------------------------------------------- the JSON writer
+
+_JSON_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e16, 1e-7, math.inf, -math.inf, math.nan]
+)
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-(10**60), 10**60) | _JSON_FLOATS | st.text()
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=5)
+        | st.lists(_JSON_FLOATS, max_size=8)
+        | st.dictionaries(st.text(), inner, max_size=5)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_VALUES)
+@example({"": [], "\"\\/\b\f\n\r\t\x00\x1f\x7f": {}, "é☃😀\u2028": [[], {}, [{}], "tab\t\"é😀"]})
+@example([0.3, -0.0, 5e-324, 1e16, 1e-7, 1.7976931348623157e308, math.inf, -math.inf, math.nan])
+@example({"big": [10**60, -(10**60), 0, True, False, None], "f": 1e16, "g": [1e-7]})
+def test_the_json_writer_writes_what_json_writes_with_an_indent_of_two(value):
+    assert core._json_text(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [(1.0, 2.0), np.float64(0.5), [0.5, np.float64(0.5)], {1.0}, {1: 2}, {"a": [{"b": (1,)}]},
+     [np.int64(3)]],
+    ids=["tuple", "np.float64", "np.float64-among-floats", "set", "int-key", "nested-tuple",
+         "np.int64"],
+)
+def test_the_json_writer_raises_type_error_for_other_types(value):
+    with pytest.raises(TypeError):
+        core._json_text(value)
 
 
 # ------------------------------------------- the scalar path, pinned bit for bit
