@@ -24,19 +24,20 @@ by canonicalising all (mn-1)! grids.  The exception is a square shape: the
 same listing holds each class twice, as a grid and its transpose, and the
 smaller of the two words is canonical.
 
-Certified edges between classes are derived here, once each.  One
-titration pass per shape, ``_titration_pass``, decides every cell swap of
-every class in a few batches (``orders._decide_swaps`` calls of
-``_SWAP_CHUNK`` swaps), reading the class each swap reaches from the
-action of symbol exchanges on classes (``_exchanges``), and returns flat
-arrays; ``_certified_swaps`` keeps them for the relation rows.
-``_titration_candidates`` derives the census kernel's candidate sets, and
-each candidate's feeder list, from a pass of its own, when a census of a
-shape first runs (``extrema._census_decomposition``).  The relation is read one class at a time: ``_relation_row`` decides a class's
-majorisations of every class in one batch (``orders._decide_line_majorisation``,
-which reads the same per-shape table of symbol-set orders as the pass, and
-the line masks the class table keeps), adds its swap edges from the pass,
-and keeps a reference to each edge's proof; ``_edge_lines`` renders
+Certified edges between classes are derived here, once each.  One store
+per shape, ``_certified_swaps``, decides every cell swap that carries a
+class to a higher one, a chunk of classes per ``orders._decide_swaps``
+call, reading the class each swap reaches from the action of symbol
+exchanges on classes (``_exchanges``), and keeps the certified ones in
+class order.  Both of its readers take their swap edges from it:
+``_titration_candidates``, the census kernel's candidate sets and each
+candidate's feeder list, when a census of a shape first runs
+(``extrema._census_decomposition``), and the relation, read one class at
+a time.  ``_relation_row`` decides a class's majorisations of every class
+in one batch (``orders._decide_line_majorisation``, which reads the same
+per-shape table of symbol-set orders as the swaps, and the line masks the
+class table keeps), adds its swap edges from the store, and keeps a
+reference to each edge's proof; ``_edge_lines`` renders
 the edges of a printed chain once each.  ``_search_tree`` keeps one
 breadth-first tree per source class, so each class's chains are searched
 once and a cold query decides only the rows its search expands.  The 2x3
@@ -69,7 +70,7 @@ from .orders import (
     _decide_swaps,
     _decide_titration,
     _line_masks,
-    _verdicts,
+    _swap_lines,
     grid_display,
     majorisation_certificate,
     symbolic_transposition_context,
@@ -545,9 +546,10 @@ def standard_form_sets() -> StandardFormSets:
 
 #: Shapes whose relation is searched.  A row costs one class's batch
 #: against every class: a median of about 0.1, 0.2, 0.5-0.8 and 1.4-1.7 ms
-#: for 2x3, 2x4, 3x3 and 2x5 (one process on a 2-vCPU VM), after a
-#: titration pass of about 0.3, 2, 16 and 40 ms.  It is the depth-4 search
-#: that stops larger shapes: it could expand thousands of 2x5 classes.
+#: for 2x3, 2x4, 3x3 and 2x5 (one process on a 2-vCPU VM), after the
+#: shape's certified-swap store is built, in 0.3-0.7, 2.2-3.9, 17-30 and
+#: 41-74 ms.  It is the depth-4 search that stops larger shapes: it could
+#: expand thousands of 2x5 classes.
 RELATION_SHAPES = ((2, 2), (2, 3))
 
 
@@ -590,94 +592,60 @@ def _exchanges(table: ClassTable) -> np.ndarray:
     return images
 
 
-def _symbol_lines(table: ClassTable) -> tuple[np.ndarray, np.ndarray]:
-    """The row and the column mask through each symbol of each class, flat.
-
-    Returns ``(rows, cols)``, int16 arrays whose entry ``s * len(table) + k``
-    is the mask of the row (column) through symbol s in class k's grid.
-    """
-    cell_of = np.argsort(table._grids.reshape(len(table), table.m * table.n), axis=1)
-    rows, cols = table._lines
-    return (
-        np.take_along_axis(rows, cell_of // table.n, axis=1).T.ravel(),
-        np.take_along_axis(cols, cell_of % table.n, axis=1).T.ravel(),
-    )
-
-
-#: Swaps of a titration pass decided in one ``_decide_swaps`` call, so that
-#: the pass holds one chunk's temporaries: its tracemalloc peak at 2x5 is
-#: 6.5 MB (20 MB in one batch of 340,200 swaps), and it took 38 ms against
-#: 54 (2-vCPU VM).  2x2, 2x3 and 2x4 take one chunk.
-_SWAP_CHUNK = 1 << 14
-
-
-def _titration_pass(m: int, n: int) -> tuple[np.ndarray, ...]:
-    """Titrate the swap of every two symbols in every class's canonical grid.
-
-    The swap of symbols s and t in class k's grid, which carries k to class
-    j, mirrors the swap of s and t in j's grid, which carries j back to k.
-    The mirror's base sums are the swap's with the beta and alpha-tau sides
-    exchanged, so it proves forward what the swap proves in reverse, and the
-    other way round.  So the rules run once per mirrored pair, in the class
-    k < j, and the swaps of every pair and class are listed flat and decided
-    ``_SWAP_CHUNK`` at a time, each chunk's lines gathered for it.  Returns
-    the flat arrays ``(s, t, k, j, forward, reverse)``, ordered by the pair
-    of symbols s < t and then by class: 0-based classes k < j and the two
-    directions the rules prove for the swap in k (forward: I(k) <= I(j)).
-    A swap that carries a class to itself is never titrated.
-    """
-    table = class_table(m, n)
-    mn, count = m * n, len(table)
-    s, t = np.triu_indices(mn, 1)  # the pairs s < t in combination order
-    images = _exchanges(table)[s, t]
-    own = np.arange(count) < images  # per pair, the classes k < j
-    k = np.broadcast_to(np.arange(count, dtype=np.int16), own.shape)[own]
-    j = images[own]
-    s, t = (np.repeat(v.astype(np.int8), own.sum(axis=1)) for v in (s, t))
-    del images, own
-    rows, cols = _symbol_lines(table)
-    forward, reverse = np.empty(len(k), dtype=bool), np.empty(len(k), dtype=bool)
-    for lo in range(0, len(k), _SWAP_CHUNK):
-        chunk = slice(lo, lo + _SWAP_CHUNK)
-        at_s, at_t = (v[chunk].astype(np.intp) * count + k[chunk] for v in (s, t))
-        flip = np.left_shift(1, s[chunk], dtype=np.int16) | np.left_shift(1, t[chunk], dtype=np.int16)
-        lines = rows.take(at_t), cols.take(at_t), rows.take(at_s), cols.take(at_s)
-        forward[chunk], reverse[chunk] = _decide_swaps(m, n, *lines, flip)
-    return s, t, k, j, forward, reverse
+#: Cell pairs listed per chunk of classes when the swaps are decided, so
+#: that the build holds one chunk's temporaries: 728 classes of 45 pairs at
+#: 2x5, of which half reach a higher class.  Its tracemalloc peak at 2x5 is
+#: 5.8 MB with the class table warm (5.4 MB at half the chunk, which was
+#: about 10 ms slower in three runs on a 2-vCPU VM).  2x2, 2x3 and 2x4
+#: take one chunk.
+_SWAP_CHUNK = 1 << 15
 
 
 @functools.lru_cache(maxsize=None)
 def _certified_swaps(m: int, n: int) -> tuple[np.ndarray, ...]:
-    """Every certified swap of two cells in every class's canonical grid.
+    """Every certified swap of two cells, kept once, in the grid of its lower class.
 
-    Returns the arrays (low, high, k, a, b), in class k then cell-pair
-    order, of the swaps of row-major cells a < b in the canonical grid of
-    class k that reach another class: int16 classes and int8 cells, 3.3 MB
-    at 2x5.  Each proves I(low) <= I(high); k is low where the swap cannot
-    decrease mutual information, else high.  Read from the flat arrays of
-    :func:`_titration_pass`, with one assignment per direction of the
-    mirrored swaps, and kept for the relation rows.
+    Returns the arrays ``(low, high, a, b)``: int16 1-based classes and int8
+    row-major cells a < b, 6 bytes a swap (1.2 MB at 2x5).  Each swap
+    exchanges the cells a and b of the canonical grid of class
+    ``min(low, high)``, reaches the other class and proves I(low) <= I(high).
+    They are listed by the class whose grid holds them, then by cell pair.
+
+    Only the swaps that carry a class k to a class j > k are decided.
+    Exchanging the same two symbols in j's grid carries j back to k, and its
+    base sums are the swap's with the beta and alpha-tau sides exchanged, so
+    it proves the mirrored direction: the same edge, whose first proof in
+    (class, cell pair) order is the one in k's grid.  The classes are
+    walked ``_SWAP_CHUNK`` cell pairs at a time; the class each swap reaches
+    is read from ``_exchanges``, and each chunk's swaps are decided in one
+    ``orders._decide_swaps`` call on the lines the class table keeps.  Kept
+    for the relation rows and the census's candidate sets.  Raises
+    RuntimeError if a swap is proven in both directions, as its two edges
+    would form a cycle.
     """
     table = class_table(m, n)
-    mn = m * n
+    mn, count = m * n, len(table)
     cells = np.array(list(itertools.combinations(range(mn), 2)), dtype=np.int8)
-    pair_of = np.zeros((mn, mn), dtype=np.intp)  # the index of the cell pair (a, b)
-    pair_of[cells[:, 0], cells[:, 1]] = pair_of[cells[:, 1], cells[:, 0]] = range(len(cells))
-    cell_of = np.argsort(table._grids.reshape(len(table), mn), axis=1)
-    # per class and cell pair, in that order: the verdict and the 1-based image
-    kinds = np.zeros((len(table), len(cells)), dtype=np.int8)
-    images = np.zeros((len(table), len(cells)), dtype=np.int16)
-    s, t, k, j, forward, reverse = _titration_pass(m, n)
-    for src, dst, kind in ((k, j, _verdicts(forward, reverse)), (j, k, _verdicts(reverse, forward))):
-        pair = pair_of[cell_of[src, s], cell_of[src, t]]
-        kinds[src, pair], images[src, pair] = kind, dst + 1
-    certified = kinds != 0
-    k, a, b = (
-        np.broadcast_to(v, kinds.shape)[certified]
-        for v in (np.arange(1, len(table) + 1, dtype=np.int16)[:, None], cells[:, 0], cells[:, 1])
-    )
-    image, up = images[certified], kinds[certified] > 0
-    return np.where(up, k, image), np.where(up, image, k), k, a, b
+    images = _exchanges(table).ravel()
+    grids, (rows, cols) = table._grids.reshape(count, mn), table._lines
+    step = max(1, _SWAP_CHUNK // len(cells))
+    found = []
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        symbols = grids[lo:hi].take(cells, axis=1).reshape(-1, 2)  # per class, per cell pair
+        k = np.repeat(np.arange(lo, hi, dtype=np.int16), len(cells))
+        s, t = np.minimum(symbols[:, 0], symbols[:, 1]), np.maximum(symbols[:, 0], symbols[:, 1])
+        j = images.take((s * mn + t) * count + k)
+        at = np.flatnonzero(j > k)
+        k, j, symbols = k[at], j[at], symbols.take(at, axis=0)
+        pairs = cells.take(at % len(cells), axis=0)
+        forward, reverse = _decide_swaps(m, n, *_swap_lines(rows, cols, k, pairs, symbols))
+        if (forward & reverse).any():
+            raise RuntimeError(f"a {m}x{n} swap is proven in both directions")
+        at = np.flatnonzero(forward | reverse)
+        up, k, j, pairs = forward[at], k[at] + 1, j[at] + 1, pairs.take(at, axis=0)
+        found.append((np.where(up, k, j), np.where(up, j, k), pairs[:, 0], pairs[:, 1]))
+    return tuple(np.concatenate(arrays) for arrays in zip(*found))
 
 
 class _CandidateSets(NamedTuple):
@@ -699,19 +667,16 @@ class _CandidateSets(NamedTuple):
 def _titration_candidates(m: int, n: int) -> _CandidateSets:
     """The census kernel's evaluation sets ``C_max, F_max, C_min, F_min`` and feeders.
 
-    Read from the certified edges I(low) <= I(high) of a
-    :func:`_titration_pass`, one batch whose flat arrays are not kept: a
-    census needs the sets and lists only.  Each edge is read from the swap
-    the pass titrates, not again from its mirror.  On the max side, ``C`` holds the classes no edge points
-    above and ``F`` the other classes whose every edge up lands in ``C``;
-    the feeders of a class of ``C`` are the classes of ``F`` with an edge
-    up into it, so every class of ``F`` feeds at least one.  The min side
-    is the mirror image.  Raises RuntimeError if the edges have a cycle.
+    Read from the certified edges I(low) <= I(high) of
+    :func:`_certified_swaps`, the store the relation rows read, so a
+    process that runs a census and relation queries titrates once.  On the
+    max side, ``C`` holds the classes no edge points above and ``F`` the
+    other classes whose every edge up lands in ``C``; the feeders of a
+    class of ``C`` are the classes of ``F`` with an edge up into it, so
+    every class of ``F`` feeds at least one.  The min side is the mirror
+    image.  Raises RuntimeError if the edges have a cycle.
     """
-    _, _, k, j, forward, reverse = _titration_pass(m, n)
-    low, high = (
-        np.concatenate(ends) + 1 for ends in ((k[forward], j[reverse]), (j[forward], k[reverse]))
-    )
+    low, high = _certified_swaps(m, n)[:2]
     size = len(class_table(m, n)) + 1
     # peel the classes with no edge up, then the edges into them (Kahn's algorithm)
     by_head = np.argsort(high, kind="stable")
@@ -742,8 +707,7 @@ def _titration_candidates(m: int, n: int) -> _CandidateSets:
 
 #: A relation edge's reference to its proof: None for the majorisation of
 #: its end points, or (k, a, b) for the titrated swap of the row-major cells
-#: a < b in the canonical grid of class k, the edge's source when the swap
-#: cannot decrease mutual information and its target otherwise.
+#: a < b in the canonical grid of class k, the smaller of its end points.
 _Proof = tuple[int, int, int] | None
 
 
@@ -754,17 +718,17 @@ def _relation_row(m: int, n: int, i: int) -> dict[int, _Proof]:
     First the classes that i majorises (the majoriser has the lower mutual
     information), ascending, decided in one batch against every class; then
     the high end of every titrated swap of :func:`_certified_swaps` whose
-    low end is i, in pass order.  An edge keeps its first proof, as a
+    low end is i, in store order.  An edge keeps its first proof, as a
     reference only; :func:`_edge_lines` renders the text.
     """
     lines = class_table(m, n)._lines
     majorised = _decide_line_majorisation(m, n, [masks[i - 1 : i] for masks in lines], lines)
     majorised[i - 1] = False
     row: dict[int, _Proof] = dict.fromkeys((np.flatnonzero(majorised) + 1).tolist())
-    low, high, k, a, b = _certified_swaps(m, n)
+    low, high, a, b = _certified_swaps(m, n)
     mine = np.flatnonzero(low == i)
-    for j, *proof in zip(*(v[mine].tolist() for v in (high, k, a, b))):
-        row.setdefault(j, tuple(proof))
+    for j, *cells in zip(*(v[mine].tolist() for v in (high, a, b))):
+        row.setdefault(j, (min(i, j), *cells))
     return row
 
 

@@ -43,11 +43,12 @@ lands in ``C``.  So every other class has an edge up to
 a class outside ``C``, and the edges have no cycle: every walk along such
 edges ends in ``F``, and whenever a class outside ``C`` and ``F`` is within
 some band of the maximum, a class of ``F`` is too.  The min side is the
-mirror image.  The sets are derived from one titration pass per shape
-(``classes._titration_candidates``, 0.1-0.15 s at 2x5 on a 2-vCPU VM)
+mirror image.  The sets are derived (``classes._titration_candidates``)
+from the shape's certified-swap store, which the relation rows read too
+(``classes._certified_swaps``, built in 41-74 ms at 2x5 on a 2-vCPU VM),
 when a census of the shape first runs, in ``_census_decomposition``;
 ``brute_force_extrema`` and ``_decomposition`` never titrate.  The tests
-pin the sets and check the pass's edges at random spectra.  The kernel
+pin the sets and check the store's edges at random spectra.  The kernel
 computes the totals of ``C_max`` and ``C_min`` only (2x5: 110 of 15120;
 2x4: 24 of 840; 3x3: 36 of 378; 2x3: 6 of 60, class 48 and the five
 ``minz``; 2x2: 2 of 3), each as the sum of its m + n term rows: m + n row
@@ -245,9 +246,9 @@ def _decomposition(m: int, n: int) -> _TermDecomposition:
 def _census_decomposition(m: int, n: int) -> _TermDecomposition:
     """The decomposition a census evaluates, with its candidates.
 
-    The candidates are derived here from one titration pass
-    (``classes._titration_candidates``) when a census of the shape first
-    runs.
+    The candidates are derived here (``classes._titration_candidates``)
+    when a census of the shape first runs, from the shape's certified-swap
+    store, which the relation rows read too.
     """
     dec = _decomposition(m, n)
     sets = _titration_candidates(m, n)
@@ -277,10 +278,12 @@ def _census_decomposition(m: int, n: int) -> _TermDecomposition:
 def _trim_heap() -> None:
     """Hand the C heap's free memory back to the system, where glibc can.
 
-    The titration pass frees megabytes of temporaries, and glibc keeps up to
-    twice the largest block it has freed at the top of the heap.  Census
-    blocks on other threads do not reuse it: without this, a process that
-    ran five two-worker 2x5 censuses peaked about 3.5 MB (3%) higher.
+    Building the certified-swap store frees megabytes of temporaries, and
+    glibc keeps up to twice the largest block it has freed at the top of
+    the heap.  Census blocks on other threads do not reuse it: without
+    this, a process that ran five two-worker 5000-sample 2x5 censuses
+    peaked at 67.8 MB against 62.3-62.4 MB, 5.4-5.5 MB (9%) higher (four
+    alternated runs each, 2-vCPU VM).
     """
     try:
         trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
@@ -405,7 +408,10 @@ def _spectrum_extremes(
     within ``EPSILON`` of the largest and of the smallest value, ascending.
     No BLAS call: each marginal sum adds its symbols' values in ascending
     symbol order (the padding symbol reads 0.0, which adds exactly), and
-    each class's total adds its m + n entropy terms in term order.
+    each class's total adds its m + n entropy terms in term order.  A zero
+    value is +0.0: at a rank-one spectrum each class adds m + n terms of
+    -0.0, and subtracting the spectrum's +0.0 keeps -0.0, which the final
+    +0.0 turns into +0.0, keeping the bits of every other value.
     """
     sums, *rest = np.append(spectrum, 0.0).take(dec.padded_symbols)
     for symbols in rest:
@@ -414,6 +420,7 @@ def _spectrum_extremes(
     for terms in rest:
         values += terms
     values -= entropy_terms(spectrum).sum()
+    values += 0.0
     at_max = np.flatnonzero(values >= values.max() - EPSILON)
     return values, at_max, np.flatnonzero(values <= values.min() + EPSILON)
 

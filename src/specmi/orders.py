@@ -720,15 +720,34 @@ def _decide_titration(grids: np.ndarray, cells: np.ndarray) -> np.ndarray:
     reads every comparison from the shape's :func:`_set_order`.
     """
     count, m, n = grids.shape
-    rows, cols = _line_masks(grids)
-    k = np.arange(count)
     symbols = np.take_along_axis(grids.reshape(count, m * n), cells, axis=1)
+    lines = _swap_lines(*_line_masks(grids), np.arange(count), cells, symbols)
+    return _verdicts(*_decide_swaps(m, n, *lines))
+
+
+def _swap_lines(
+    rows: np.ndarray, cols: np.ndarray, grid: np.ndarray, cells: np.ndarray, symbols: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The arguments of :func:`_decide_swaps` after ``m, n``, for swaps of two cells.
+
+    ``rows`` and ``cols`` are the :func:`_line_masks` of a batch of grids.
+    Swap i exchanges the row-major cells ``cells[i]`` of grid ``grid[i]``,
+    which hold the symbols ``symbols[i]``; both are (count, 2) arrays.
+    """
+    m, n = rows.shape[1], cols.shape[1]
     # alpha is the larger value, i.e. the smaller symbol index
-    alpha, beta = np.where(symbols[:, :1] < symbols[:, 1:], cells, cells[:, ::-1]).T
+    first = symbols[:, 0] < symbols[:, 1]
+    alpha = np.where(first, cells[:, 0], cells[:, 1])
+    beta = np.where(first, cells[:, 1], cells[:, 0])
     (ia, ja), (ib, jb) = divmod(alpha, n), divmod(beta, n)
+    grid = grid.astype(np.intp)
+    at_row, at_col = grid * m, grid * n
+    rows, cols = rows.ravel(), cols.ravel()
     bits = np.left_shift(1, symbols, dtype=np.int16)
-    lines = rows[k, ib], cols[k, jb], rows[k, ia], cols[k, ja]
-    return _verdicts(*_decide_swaps(m, n, *lines, bits[:, 0] | bits[:, 1]))
+    return (
+        rows.take(at_row + ib), cols.take(at_col + jb), rows.take(at_row + ia),
+        cols.take(at_col + ja), bits[:, 0] | bits[:, 1],
+    )
 
 
 def _decide_swaps(

@@ -2,15 +2,18 @@
 
 The census derives, per shape and side, the candidates ``C``, the
 feeders ``F`` and each candidate's feeder list (the classes of ``F`` with
-an edge into it) from one titration pass (``classes._titration_candidates``)
+an edge into it) from the shape's certified-swap store
+(``classes._certified_swaps``, read by ``classes._titration_candidates``)
 the first time it runs.  The kernel is exact only if every class outside
 ``C`` and ``F`` has a chain of certified edges that ends in ``F``, and
-every edge out of ``F`` is listed; these tests pin the pass, the sets and
-the longest lists, check the pass's edges and the listed ones at random
-spectra, and check the chains' existence instead of trusting the pass.  They also
+every edge out of ``F`` is listed; these tests pin the store, the sets and
+the longest lists, check the store against a titration of every swap,
+check its edges and the listed ones at random spectra, and check the
+chains' existence instead of trusting the store.  They also
 test the paper's closing claim against the full relation (majorisation and
 titration edges): only 2x3 has a single undominated maximum.
 """
+import functools
 import hashlib
 import itertools
 import tracemalloc
@@ -26,13 +29,18 @@ from specmi import (
     sample_spectra,
     verify_total_order_2x2,
 )
-from specmi import classes, orders
+from specmi import classes, extrema, orders
 from specmi.classes import (
     _certified_swaps,
     _titration_candidates,
+    canonical_form,
     class_table,
     standard_form_sets,
 )
+from specmi.orders import symbolic_transposition_context, titrate_check
+
+PROVEN_FORWARD = orders.RelationKind.PROVEN_FORWARD
+PROVEN_REVERSE = orders.RelationKind.PROVEN_REVERSE
 
 SHAPES = [(2, 2), (2, 3), (2, 4), (3, 3), (2, 5)]
 MINZ = {1, 7, 13, 25, 31}
@@ -49,13 +57,13 @@ PINNED_SETS = {
 }
 
 #: Per shape, the number of certified swaps and the SHA-256 of the arrays
-#: (low, high, k, a, b) of ``_certified_swaps`` as one int64 array.
+#: (low, high, a, b) of ``_certified_swaps`` as one int64 array.
 PINNED_SWAPS = {
-    (2, 2): (12, "7dced5b18126887f82f144155c82ac97e3e519148b5edb9c419a7a04f667ef11"),
-    (2, 3): (660, "631f4a5b060068d843df35968103bb725bc8cc090fcad846afb64e78e3b4e7ef"),
-    (2, 4): (15120, "6e5805abbbba8d51cd1cb38e337ee5a3e69521c07b854f882f3cd6091003b418"),
-    (3, 3): (113904, "1ce1c3d84b786232eca94756450862d9fd1556379bb9916bec785a2b5b1938c4"),
-    (2, 5): (408240, "e92358e679c8811a7819e14712b364a4064bf4f6c0df0121bb5805e1ff94da39"),
+    (2, 2): (6, "959479510ef35ba38546134cb05cc17bfd640bc390e9ab6459c4232b694738a1"),
+    (2, 3): (330, "37dc13b2fbe47511f056295c95b908cebce771abe04dfb9d26ab1b1dd1ede1cc"),
+    (2, 4): (7560, "4cc2ac887c96a1bd0eb6a96545d25b915594a4d0acf7c8b52c54334516a8ec19"),
+    (3, 3): (56952, "8d9eb41b75e7af44822e9506d36f35a656beedc2c985ce2f9bf82271fb298691"),
+    (2, 5): (204120, "19b0431de25beac4bb15355e556cd8a84cf56f43d4ebceb4de3f3fbd546496be"),
 }
 
 
@@ -70,7 +78,7 @@ def _sets(m, n):
 
 
 def _edges(m, n):
-    """The certified edges ``(low, high)``, I(low) <= I(high), of the titration pass."""
+    """The certified edges ``(low, high)``, I(low) <= I(high), of the swap store."""
     return _certified_swaps(m, n)[:2]
 
 
@@ -131,36 +139,13 @@ def test_feeder_edges_hold_at_random_spectra(m, n):
     assert (values[:, low] <= values[:, high] + 1e-13).all()
 
 
-#: Per shape, the number of titrated swaps and the SHA-256 of the arrays
-#: (s, t, k, j, forward, reverse) of ``_titration_pass`` as one int64 array,
-#: taken when the pass yielded one batch per pair of symbols s < t, from
-#: those batches concatenated in the order they were yielded.
-PINNED_PASS = {
-    (2, 2): (6, "9439a403736fe30bedc5d61ae38a677ba89087024bbc5e1c0b222fe8b5a61cc3"),
-    (2, 3): (450, "016f910960ffdd184eb54d80009e6234d0cdbcf736f352207b4289c83774a398"),
-    (2, 4): (11760, "13e8d6ef230821ca035943d544a6a37a1cb9268910673cdfa5805401ba3b726b"),
-    (3, 3): (90720, "b1b9c44fee0424633183a91fbdb0ee625fcc5c0901e56495d7a0e270f25a5254"),
-    (2, 5): (340200, "223caeaa2a8197c59681eb483754436f542923d3d1f16e6fcdeae27e79f364a7"),
-}
-
-
-@pytest.mark.parametrize("m,n", sorted(PINNED_PASS))
-def test_titration_pass_is_pinned(m, n):
-    arrays = classes._titration_pass(m, n)
-    assert len({len(v) for v in arrays}) == 1
-    values = np.stack(arrays).astype(np.int64)
-    assert (values.shape[1], hashlib.sha256(values.tobytes()).hexdigest()) == PINNED_PASS[m, n]
-    s, t, k, j = values[:4]
-    assert (s < t).all() and (k < j).all()
-
-
 def test_the_2x5_titration_pass_decides_its_swaps_a_chunk_at_a_time():
-    # one batch of all 340,200 swaps peaked at 20 MB
+    # the store's cold build; one batch of all 340,200 swaps peaked at 20 MB
     class_table(2, 5)._lines
     orders._set_order(2, 5)
     tracemalloc.start()
     try:
-        classes._titration_pass(2, 5)
+        _certified_swaps.__wrapped__(2, 5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -170,14 +155,118 @@ def test_the_2x5_titration_pass_decides_its_swaps_a_chunk_at_a_time():
 @pytest.mark.parametrize("m,n", sorted(PINNED_SWAPS))
 def test_certified_swaps_are_pinned(m, n):
     swaps = _certified_swaps(m, n)
-    assert [v.dtype for v in swaps] == [np.int16] * 3 + [np.int8] * 2
+    assert [v.dtype for v in swaps] == [np.int16] * 2 + [np.int8] * 2
     values = np.stack(swaps).astype(np.int64)
     assert (len(swaps[0]), hashlib.sha256(values.tobytes()).hexdigest()) == PINNED_SWAPS[m, n]
+    low, high, a, b = values
+    assert (low != high).all() and (a < b).all()
+
+
+def _titrated_swaps(m, n):
+    """Every swap of two cells in every class's canonical grid, titrated alone.
+
+    Returns the int64 rows ``(k, a, b, j, verdict)`` in class k, then cell
+    pair a < b order: the class j the swap reaches (by canonicalising the
+    swapped grid) and its ``_decide_titration`` verdict, 1-based classes.
+    """
+    table = class_table(m, n)
+    mn = m * n
+    cells = np.array(list(itertools.combinations(range(mn), 2)))
+    found = []
+    for lo in range(0, len(table), 1024):
+        grids = np.repeat(table._grids[lo : lo + 1024], len(cells), axis=0)
+        pairs = np.tile(cells, (len(grids) // len(cells), 1))
+        swapped = grids.reshape(-1, mn).copy()
+        at = np.arange(len(swapped))
+        a, b = pairs.T
+        swapped[at, a], swapped[at, b] = swapped[at, b], swapped[at, a]
+        k = lo + 1 + np.arange(len(grids)) // len(cells)
+        j = classes._class_rows(swapped.reshape(-1, m, n), table) + 1
+        found.append(np.stack([k, a, b, j, orders._decide_titration(grids, pairs)]))
+    return np.concatenate(found, axis=1)
+
+
+def _reference_row(m, n, i, swaps):
+    """Class i's relation row as ``swaps``, a :func:`_titrated_swaps`, gives it.
+
+    The majorisations first, ascending; then the edges of the swaps that
+    prove I(i) <= I(j), in class then cell-pair order over every grid, the
+    swap's own and its mirror's, each edge keeping its first proof.
+    """
+    table = class_table(m, n)
+    grids = table._grids
+    majorised = orders._decide_majorisation(np.repeat(grids[i - 1 : i], len(grids), axis=0), grids)
+    majorised[i - 1] = False
+    row = dict.fromkeys((np.flatnonzero(majorised) + 1).tolist())
+    k, a, b, j, verdict = swaps
+    mine = ((k == i) & (verdict == 1) | (j == i) & (verdict == -1)) & (k != j)
+    for src, x, y, dst in zip(*(v[mine].tolist() for v in (k, a, b, j))):
+        row.setdefault(dst if src == i else src, (src, x, y))
+    return row
+
+
+@pytest.mark.parametrize("m,n", SHAPES)
+def test_relation_rows_equal_a_titration_of_every_swap(m, n):
+    count = len(class_table(m, n))
+    if count <= 840:
+        rows = range(1, count + 1)
+    else:
+        rows = np.random.default_rng(m * n + 40).choice(np.arange(1, count + 1), 40, replace=False)
+    swaps = _titrated_swaps(m, n)
+    for i in map(int, rows):
+        row, reference = classes._relation_row(m, n, i), _reference_row(m, n, i, swaps)
+        assert list(row.items()) == list(reference.items())
+
+
+@pytest.mark.parametrize("m,n", SHAPES)
+def test_stored_swaps_titrate_in_the_grid_of_their_lower_class(m, n):
+    table = class_table(m, n)
+    low, high, a, b = (v.tolist() for v in _certified_swaps(m, n))
+    rng = np.random.default_rng(m * n + 200)
+    for x in rng.choice(len(low), min(200, len(low)), replace=False).tolist():
+        k = min(low[x], high[x])
+        grid = table.get(k).canonical
+        cells = [s for row in grid for s in row]
+        cells[a[x]], cells[b[x]] = cells[b[x]], cells[a[x]]
+        image = canonical_form([cells[r * n : (r + 1) * n] for r in range(m)], table).index
+        assert image == low[x] + high[x] - k
+        context = symbolic_transposition_context(grid, divmod(a[x], n), divmod(b[x], n))
+        verdict = titrate_check(context)
+        assert verdict.kind is (PROVEN_FORWARD if k == low[x] else PROVEN_REVERSE)
+
+
+def test_a_swap_proven_both_ways_stops_the_store(monkeypatch):
+    def both(m, n, *lines):
+        return np.ones(len(lines[0]), dtype=bool), np.ones(len(lines[0]), dtype=bool)
+
+    monkeypatch.setattr(classes, "_decide_swaps", both)
+    with pytest.raises(RuntimeError, match="proven in both directions"):
+        _certified_swaps.__wrapped__(2, 3)
+
+
+def test_a_census_and_every_relation_row_titrate_each_swap_once(monkeypatch):
+    decided = []
+
+    def counted(m, n, *lines):
+        decided.append(len(lines[0]))
+        return orders._decide_swaps(m, n, *lines)
+
+    monkeypatch.setattr(classes, "_decide_swaps", counted)
+    cold = {}
+    for module, name in ((classes, "_certified_swaps"), (classes, "_relation_row"),
+                         (extrema, "_titration_candidates"), (extrema, "_census_decomposition")):
+        cold[name] = functools.lru_cache(maxsize=None)(getattr(module, name).__wrapped__)
+        monkeypatch.setattr(module, name, cold[name])
+    census(2, 4, 5000, 3)
+    for i in range(1, len(class_table(2, 4)) + 1):
+        cold["_relation_row"](2, 4, i)
+    # each of the 840 classes' 28 swaps reaches another class; half reach a higher one
+    assert sum(decided) == 840 * 28 // 2
 
 
 @pytest.mark.parametrize("m,n", SHAPES)
 def test_every_class_outside_the_table_walks_into_the_feeders(m, n):
-    """The exactness argument of the pruned kernel, on the titration pass.
+    """The exactness argument of the pruned kernel, on the swap store.
 
     Every class outside ``C`` and ``F`` has an edge up (down) to a class
     outside ``C``, and the edges have no cycle, so every walk along such
@@ -214,7 +303,7 @@ def test_certified_swaps_hold_at_random_spectra(m, n):
     values = _class_values(spectra, m, n)
     low, high = (side - 1 for side in _edges(m, n))
     # 1e-13 covers the round-off of two computed values, under 2e-14; one
-    # spectrum at a time keeps the 2x5 check to two 408k-entry rows
+    # spectrum at a time keeps the 2x5 check to two 204k-entry rows
     for row in values:
         assert (row[low] <= row[high] + 1e-13).all()
 

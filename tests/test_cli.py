@@ -247,6 +247,17 @@ def test_extrema_with_zero_entries_writes_finite_json(capsys):
 
     payload = json.loads(out, parse_constant=reject)
     assert payload["max_value"] == pytest.approx(0.6730116670092565, abs=1e-12)
+    # at a rank-one spectrum every value is zero, and none is written as -0.0
+    argv = ("extrema", "--m", "2", "--n", "3", "--spectrum", "1,0,0,0,0,0")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    payload = json.loads(out, parse_constant=reject)
+    values = [payload["max_value"], payload["min_value"], *payload["values"]]
+    assert len(values) == 62 and all(math.copysign(1.0, v) > 0 for v in values)
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert (code, err) == (0, "")
+    values = [float(line.rsplit(",", 1)[1]) for line in out.splitlines()[1:]]
+    assert len(values) == 60 and all(math.copysign(1.0, v) > 0 for v in values)
 
 
 def test_extrema_rejects_malformed_spectrum(capsys):

@@ -64,9 +64,10 @@ def test_extrema_builds_no_titration_pass(monkeypatch, capsys):
 
     monkeypatch.setattr(classes, "_decide_titration", titrate)
     monkeypatch.setattr(classes, "_decide_swaps", titrate)
-    for name in ("_titration_candidates", "_decomposition"):
-        cold = functools.lru_cache(maxsize=None)(getattr(extrema, name).__wrapped__)
-        monkeypatch.setattr(extrema, name, cold)
+    for module, name in ((classes, "_certified_swaps"), (extrema, "_titration_candidates"),
+                         (extrema, "_decomposition")):
+        cold = functools.lru_cache(maxsize=None)(getattr(module, name).__wrapped__)
+        monkeypatch.setattr(module, name, cold)
     spectrum = "0.18,0.16,0.14,0.12,0.1,0.09,0.08,0.06,0.04,0.03"
     report = brute_force_extrema(Spectrum(tuple(map(float, spectrum.split(",")))), 2, 5)
     assert len(report.values) == 15120
@@ -98,6 +99,16 @@ def test_brute_force_spectra_with_zero_entries_match_scalar_cmi(values):
     scalar = [cmi(cls.instantiate(s)) for cls in r23_table().classes]
     assert report.values == pytest.approx(scalar, abs=1e-12)
     assert report.max_value == pytest.approx(max(scalar), abs=1e-12)
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 5)])
+def test_brute_force_at_a_rank_one_spectrum_equals_cmi_bit_for_bit(m, n):
+    # every value is zero; the entropy terms alone would leave -0.0
+    s = Spectrum((1.0,) + (0.0,) * (m * n - 1))
+    report = brute_force_extrema(s, m, n)
+    scalar = [cmi(cls.instantiate(s)) for cls in classes.class_table(m, n).classes]
+    assert np.array(report.values).tobytes() == np.array(scalar).tobytes()
+    assert np.array([report.max_value, report.min_value]).tobytes() == np.zeros(2).tobytes()
 
 
 def test_brute_force_other_shape():
@@ -178,7 +189,7 @@ _TIE_SIZES = {
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3)])
-def test_dense_tally_with_and_without_ties_equals_a_per_row_recount(monkeypatch, m, n):
+def test_census_tally_with_and_without_ties_equals_a_per_row_recount(monkeypatch, m, n):
     mn = m * n
     dec = extrema._census_decomposition(m, n)
     tied = _tied_spectra(mn, seed=21)
@@ -355,7 +366,7 @@ def _recording_evaluations(monkeypatch):
 @pytest.mark.parametrize(
     "m,n,rows", [(2, 2, 2500), (2, 3, 2500), (2, 4, 2500), (3, 3, 1700), (2, 5, 600)]
 )
-def test_pruned_block_tallies_equal_the_dense_reference(monkeypatch, m, n, rows, seed):
+def test_pruned_block_tallies_equal_a_per_row_recount(monkeypatch, m, n, rows, seed):
     dec = extrema._census_decomposition(m, n)
     spectra = sample_spectra(m * n, rows, np.random.default_rng(seed))
     reference = _brute_force_tally(spectra, m, n)
@@ -421,7 +432,7 @@ def _shape_near_tie_rows(m, n):
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (3, 3), (2, 5)])
-def test_pruned_kernel_hands_ties_and_near_ties_to_the_dense_product(monkeypatch, m, n):
+def test_pruned_kernel_hands_ties_and_near_ties_to_the_one_spectrum_evaluation(monkeypatch, m, n):
     mn = m * n
     dec = extrema._census_decomposition(m, n)
     constructed = np.array([np.full(mn, 1.0 / mn), *_shape_near_tie_rows(m, n)])
@@ -491,7 +502,7 @@ def test_gathered_totals_lie_within_two_delta_of_the_dense_product(monkeypatch, 
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (3, 3), (2, 5)])
-def test_forced_dense_rows_tally_as_a_per_row_dense_reference(monkeypatch, m, n):
+def test_forced_rows_tally_as_a_per_row_recount(monkeypatch, m, n):
     # every 7th row of each tile leaves the pruned kernel whatever its totals,
     # and is tallied as a brute_force_extrema of that row alone
     mn = m * n
@@ -1070,7 +1081,7 @@ def test_census_rejects_a_block_over_the_cap_before_any_work(monkeypatch):
 
 
 def test_census_rejects_a_negative_seed_before_any_work(monkeypatch):
-    # the titration pass and the sampling would come first otherwise
+    # the swap titration and the sampling would come first otherwise
     def no_work(*args, **kwargs):
         raise AssertionError("a census with a negative seed did work")
 
