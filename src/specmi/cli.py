@@ -40,9 +40,8 @@ _SCHEMA_VERSION = 1
 
 def _parse_spectrum(text: str) -> Spectrum:
     """Parse comma-separated values summing to 1; Spectrum checks the rest."""
-    parts = [p.strip() for p in text.split(",") if p.strip() != ""]
     values: list[float] = []
-    for part in parts:
+    for part in (p.strip() for p in text.split(",")):
         try:
             value = float(part)
         except ValueError:

@@ -30,7 +30,8 @@ from specmi import extrema, qubit2
 from specmi.extrema import MAX_BLOCK_SIZE, census
 from specmi.qubit2 import MAX_SCAN_GRID, SCAN_FUNCTIONS, octahedron_scan
 
-DATA = Path(__file__).parent / "data"
+from cli_goldens import CASES, DATA, check, is_digest
+
 SPECTRUM = "0.3,0.25,0.2,0.15,0.07,0.03"
 
 
@@ -40,13 +41,44 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+# -------------------------------------------------------------- golden cases
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+def test_golden_case(capsys, case):
+    assert check(case, lambda argv: run(capsys, *argv)) == []
+
+
+def test_check_reports_a_changed_golden_a_wrong_exit_code_and_a_negative_zero(capsys, tmp_path):
+    relation, rank_one = CASES["relation-37-52"], CASES["extrema-rank-one-json"]
+    flipped = bytearray((DATA / relation.stdout).read_bytes())
+    flipped[len(flipped) // 2] ^= 1
+    (tmp_path / "relation.txt").write_bytes(flipped)
+    text = (DATA / rank_one.stdout).read_text()
+    assert text.count('"max_value": 0.0,') == 1
+    (tmp_path / "rank_one.json").write_text(text.replace('"max_value": 0.0,', '"max_value": -0.0,'))
+    for case in (  # an absolute path names a golden outside tests/data/
+        relation._replace(stdout=str(tmp_path / "relation.txt")),
+        relation._replace(code=1),
+        rank_one._replace(stdout=str(tmp_path / "rank_one.json")),
+        CASES["extrema-2x4-json"]._replace(stdout="0" * 64),
+    ):
+        # one failure on stdout, one on the --output file
+        assert len(check(case, lambda argv: run(capsys, *argv))) == 2, case
+
+
+def test_every_golden_is_named_and_every_named_golden_exists():
+    named = {
+        golden for case in CASES.values()
+        for golden in (case.stdout, *(g for _, g in case.files), *(g for g, _ in case.given))
+        if golden and not is_digest(golden)
+    }
+    assert sorted(name for name in named if not (DATA / name).is_file()) == []
+    sources = "".join(path.read_text() for path in DATA.parent.glob("test_*.py"))
+    assert sorted(p.name for p in DATA.iterdir() if p.name not in named and p.name not in sources) == []
+
+
 # ------------------------------------------------------------------ help text
-
-def test_help_matches_golden(capsys):
-    code, out, _ = run(capsys, "--help")
-    assert code == 0
-    assert out == (DATA / "help.txt").read_text()
-
 
 def test_no_arguments_is_a_usage_error(capsys):
     code, _, err = run(capsys)
@@ -117,71 +149,6 @@ def test_extrema_csv_output(capsys, tmp_path):
     assert lines[1].startswith("1,abcdef,(),")
 
 
-@pytest.mark.parametrize("fmt, golden", [
-    ("json", "extrema_2x3.json"), ("csv", "extrema_2x3.csv"),
-    ("json", "extrema_2x3_log2.json"), ("csv", "extrema_2x3_log2.csv"),
-])
-def test_extrema_matches_golden_on_both_targets(capsys, tmp_path, fmt, golden):
-    # the log2 goldens were written when each value was rescaled by one division
-    expected = (DATA / golden).read_text()
-    argv = ("extrema", "--m", "2", "--n", "3", "--spectrum", "0.3,0.25,0.2,0.12,0.08,0.05",
-            "--format", fmt, "--log-base", "2" if "log2" in golden else "e")
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert out == expected
-    target = tmp_path / golden
-    code, out, _ = run(capsys, *argv, "--output", str(target))
-    assert (code, out) == (0, "")
-    assert target.read_bytes() == expected.encode()
-
-
-#: SHA-256 of ``specmi extrema`` JSON at one spectrum per larger shape, taken
-#: when each value was first summed in a fixed order, without BLAS.
-EXTREMA_SHA256 = {
-    (2, 4, "0.25,0.2,0.15,0.12,0.1,0.08,0.06,0.04"):
-        "2b13d35ae3b6dab261c947fc8a1a5fa4f3fa25708e665f0d852e10dc200fce80",
-    (3, 3, "0.2,0.17,0.14,0.12,0.1,0.09,0.08,0.06,0.04"):
-        "ff1875677041698ac82602d22710ada10e9a45c367f55261797c46945c73c33f",
-    (2, 5, "0.2,0.16,0.13,0.11,0.1,0.09,0.08,0.06,0.04,0.03"):
-        "b25fd83db730d6097a458c780422b5f2680dc47ea1d1084bf3517b411b7da894",
-}
-
-
-@pytest.mark.parametrize("m,n,spectrum", list(EXTREMA_SHA256), ids=["2x4", "3x3", "2x5"])
-def test_extrema_json_of_larger_shapes_is_pinned(capsys, m, n, spectrum):
-    code, out, _ = run(capsys, "extrema", "--m", str(m), "--n", str(n), "--spectrum", spectrum)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == EXTREMA_SHA256[m, n, spectrum]
-
-
-def test_the_2x5_extrema_digest_file_holds_the_pinned_digest():
-    # CI pipes the installed command through ``sha256sum -c`` against this file
-    line = (DATA / "extrema_2x5.sha256").read_text()
-    assert line == EXTREMA_SHA256[2, 5, "0.2,0.16,0.13,0.11,0.1,0.09,0.08,0.06,0.04,0.03"] + "  -\n"
-
-
-#: SHA-256 of ``specmi extrema --format csv`` at the same spectra, taken
-#: when each cycle label was derived from its own word in Python: the labels
-#: read from the whole word array must print the same bytes.  The 2x5 digest
-#: was taken again when labels with a comma, such as (9,10), were first quoted.
-EXTREMA_CSV_SHA256 = {
-    (2, 4, "0.25,0.2,0.15,0.12,0.1,0.08,0.06,0.04"):
-        "c8f9d0f99314e558102fbf64c57fce78afe7671011d5721ec4119c9c58f7117a",
-    (3, 3, "0.2,0.17,0.14,0.12,0.1,0.09,0.08,0.06,0.04"):
-        "3617af1fa01ad36834d43d0d950966f1f23b6647b5f7bf554ada64d424e84a37",
-    (2, 5, "0.2,0.16,0.13,0.11,0.1,0.09,0.08,0.06,0.04,0.03"):
-        "31f93fb89632cc732df5ba051e020b3b1da83aece902cf1d6fb86a6f09a8dcc3",
-}
-
-
-@pytest.mark.parametrize("m,n,spectrum", list(EXTREMA_CSV_SHA256), ids=["2x4", "3x3", "2x5"])
-def test_extrema_csv_of_larger_shapes_is_pinned(capsys, m, n, spectrum):
-    args = ("extrema", "--m", str(m), "--n", str(n), "--spectrum", spectrum, "--format", "csv")
-    code, out, _ = run(capsys, *args)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == EXTREMA_CSV_SHA256[m, n, spectrum]
-
-
 def test_extrema_csv_of_2x5_parses_into_four_fields_per_row(capsys):
     spectrum = "0.2,0.16,0.13,0.11,0.1,0.09,0.08,0.06,0.04,0.03"
     args = ("extrema", "--m", "2", "--n", "5", "--spectrum", spectrum, "--format", "csv")
@@ -200,21 +167,15 @@ def test_extrema_csv_of_2x5_parses_into_four_fields_per_row(capsys):
     assert written.getvalue() == out
 
 
-def test_the_2x5_extrema_csv_digest_file_holds_the_pinned_digest():
-    # CI pipes the installed command's CSV through ``sha256sum -c`` against this file
-    line = (DATA / "extrema_2x5_csv.sha256").read_text()
-    assert line == EXTREMA_CSV_SHA256[2, 5, "0.2,0.16,0.13,0.11,0.1,0.09,0.08,0.06,0.04,0.03"] + "  -\n"
-
-
-#: Prints ``specmi extrema`` JSON at the 2x3 golden's spectrum, then the
-#: SHA-256 of the 2x5 JSON at its pinned spectrum, from one process.
+#: Prints the output of the first ``specmi extrema`` argv, then the SHA-256
+#: of the second's, from one process.
 _EXTREMA_GOLDENS_SCRIPT = """
 import contextlib, hashlib, io
 from specmi.cli import main
-assert main(["extrema", "--m", "2", "--n", "3", "--spectrum", "0.3,0.25,0.2,0.12,0.08,0.05"]) == 0
+assert main(%r) == 0
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
-    assert main(["extrema", "--m", "2", "--n", "5", "--spectrum", "%s"]) == 0
+    assert main(%r) == 0
 print(hashlib.sha256(out.getvalue().encode()).hexdigest())
 """
 
@@ -224,14 +185,14 @@ print(hashlib.sha256(out.getvalue().encode()).hexdigest())
 def test_extrema_goldens_hold_under_other_openblas_kernels(kernel):
     # OpenBLAS picks its kernel when it loads, so each kernel runs in a fresh
     # process; the outputs must not depend on it
-    spectrum = "0.2,0.16,0.13,0.11,0.1,0.09,0.08,0.06,0.04,0.03"
+    small, large = CASES["extrema-2x3-json"], CASES["extrema-2x5-json"]
     proc = subprocess.run(
-        [sys.executable, "-c", _EXTREMA_GOLDENS_SCRIPT % spectrum],
+        [sys.executable, "-c", _EXTREMA_GOLDENS_SCRIPT % (small.command.split(), large.command.split())],
         env=_fresh_process_env(OPENBLAS_CORETYPE=kernel), capture_output=True, text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    expected = (DATA / "extrema_2x3.json").read_text() + EXTREMA_SHA256[2, 5, spectrum] + "\n"
+    expected = (DATA / small.stdout).read_text() + large.stdout + "\n"
     assert proc.stdout == expected
 
 
@@ -247,17 +208,6 @@ def test_extrema_with_zero_entries_writes_finite_json(capsys):
 
     payload = json.loads(out, parse_constant=reject)
     assert payload["max_value"] == pytest.approx(0.6730116670092565, abs=1e-12)
-    # at a rank-one spectrum every value is zero, and none is written as -0.0
-    argv = ("extrema", "--m", "2", "--n", "3", "--spectrum", "1,0,0,0,0,0")
-    code, out, err = run(capsys, *argv)
-    assert (code, err) == (0, "")
-    payload = json.loads(out, parse_constant=reject)
-    values = [payload["max_value"], payload["min_value"], *payload["values"]]
-    assert len(values) == 62 and all(math.copysign(1.0, v) > 0 for v in values)
-    code, out, err = run(capsys, *argv, "--format", "csv")
-    assert (code, err) == (0, "")
-    values = [float(line.rsplit(",", 1)[1]) for line in out.splitlines()[1:]]
-    assert len(values) == 60 and all(math.copysign(1.0, v) > 0 for v in values)
 
 
 def test_extrema_rejects_malformed_spectrum(capsys):
@@ -326,33 +276,6 @@ def test_extrema_output_to_missing_directory_fails_cleanly(capsys, tmp_path):
 
 # -------------------------------------------------------------------- census
 
-def test_census_matches_golden_and_reruns_identically(capsys, tmp_path):
-    golden = (DATA / "census_23_s7_20k.json").read_bytes()
-    first = tmp_path / "census_a.json"
-    second = tmp_path / "census_b.json"
-    for target in (first, second):
-        code, _, _ = run(
-            capsys, "census", "--m", "2", "--n", "3", "--samples", "20000",
-            "--seed", "7", "--output", str(target),
-        )
-        assert code == 0
-    assert first.read_bytes() == golden
-    assert second.read_bytes() == golden
-
-
-def test_census_checkpoint_matches_golden_and_resumes_to_the_census_golden(capsys, tmp_path):
-    golden = (DATA / "census_23_s7_20k_checkpoint.json").read_bytes()
-    written, resumed = tmp_path / "written.json", tmp_path / "resumed.json"
-    argv = ("census", "--m", "2", "--n", "3", "--samples", "20000", "--seed", "7")
-    code, _, _ = run(capsys, *argv, "--checkpoint", str(written))
-    assert code == 0
-    assert written.read_bytes() == golden
-    resumed.write_bytes(golden)
-    code, out, err = run(capsys, *argv, "--checkpoint", str(resumed), "--resume")
-    assert (code, out, err) == (0, (DATA / "census_23_s7_20k.json").read_text(), "")
-    assert resumed.read_bytes() == golden
-
-
 def test_threaded_2x5_census_and_checkpoint_match_their_goldens(capsys, tmp_path, monkeypatch):
     # two block threads, so OpenBLAS runs capped, wherever this runs
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -406,21 +329,6 @@ def test_a_fresh_threaded_2x5_census_matches_its_golden_within_its_memory_bound(
     _, kib, unit = proc.stderr.split()[-3:]
     assert unit == "kB"
     assert int(kib) / 2**10 < CENSUS_25_RSS_BOUND_MIB
-
-
-def test_3x3_census_matches_its_golden(capsys):
-    code, out, err = run(capsys, "census", "--m", "3", "--n", "3", "--samples", "20000", "--seed", "7")
-    assert (code, out, err) == (0, (DATA / "census_33_s7_20k.json").read_text(), "")
-
-
-def test_2x4_census_matches_its_golden(capsys):
-    code, out, err = run(capsys, "census", "--m", "2", "--n", "4", "--samples", "20000", "--seed", "7")
-    assert (code, out, err) == (0, (DATA / "census_24_s7_20k.json").read_text(), "")
-
-
-def test_2x2_census_matches_its_golden(capsys):
-    code, out, err = run(capsys, "census", "--m", "2", "--n", "2", "--samples", "20000", "--seed", "7")
-    assert (code, out, err) == (0, (DATA / "census_22_s7_20k.json").read_text(), "")
 
 
 def test_census_worker_flag_keeps_output_identical(capsys, tmp_path):
@@ -646,34 +554,18 @@ def test_census_checkpoint_in_a_missing_directory_names_the_given_path(capsys, t
 
 def test_relation_provable_pair(capsys):
     code, out, _ = run(capsys, "relation", "--a", "42", "--b", "48")
-    assert code == 0
-    assert out.startswith("derive: class 42 vs class 48")
+    assert code == 0 and out.startswith("derive: class 42 vs class 48")
     assert "verdict: ProvenForward" in out
 
 
 def test_relation_inconclusive_pair_exit_code(capsys):
     code, out, _ = run(capsys, "relation", "--a", "44", "--b", "45")
-    assert code == 1
-    assert "no certified chain" in out
+    assert code == 1 and "no certified chain" in out
 
 
-@pytest.mark.parametrize(
-    "name, args, code",
-    [
-        ("relation_37_52.txt", "--a 37 --b 52", 0),
-        ("relation_44_45.txt", "--a 44 --b 45", 1),
-        ("relation_48_42.txt", "--a 48 --b 42", 0),
-        ("relation_42_48.txt", "--a 42 --b 48", 0),
-        ("relation_2x2_3_1.txt", "--m 2 --n 2 --a 3 --b 1", 0),
-    ],
-    ids=["37-52-0", "44-45-1", "48-42-0", "42-48-0", "2x2-3-1-0"],
-)
-def test_relation_matches_golden(capsys, tmp_path, name, args, code):
-    golden = (DATA / name).read_bytes()
-    assert run(capsys, "relation", *args.split()) == (code, golden.decode(), "")
-    target = tmp_path / "relation.txt"
-    assert run(capsys, "relation", *args.split(), "--output", str(target)) == (code, "", "")
-    assert target.read_bytes() == golden
+@pytest.mark.parametrize("case", ["relation-42-48", "relation-44-45"], ids=["42-48-0", "44-45-1"])
+def test_relation_matches_golden(capsys, case):
+    assert check(CASES[case], lambda argv: run(capsys, *argv)) == []
 
 
 @pytest.mark.parametrize("m, n", [("2", "4"), ("3", "3"), ("2", "5")])
@@ -688,25 +580,15 @@ def test_relation_rejects_unsupported_shapes_before_any_work(capsys, monkeypatch
     assert err == f"error: relation supports the shapes 2x2 and 2x3, got {m}x{n}\n"
 
 
-def test_relation_bad_index(capsys):
-    code, _, err = run(capsys, "relation", "--a", "0", "--b", "48")
-    assert code == 2
-    assert "index" in err
-
-
 # ------------------------------------------------------------------ honeycomb
 
 def test_honeycomb_matches_golden(capsys, tmp_path):
-    target = tmp_path / "hc.dot"
-    code, _, _ = run(capsys, "honeycomb", "--output", str(target))
-    assert code == 0
-    assert target.read_bytes() == (DATA / "honeycomb.dot").read_bytes()
+    assert run(capsys, "honeycomb", "--output", str(tmp_path / "hc.dot")) == (0, "", "")
+    assert (tmp_path / "hc.dot").read_bytes() == (DATA / "honeycomb.dot").read_bytes()
 
 
 def test_honeycomb_to_stdout(capsys):
-    code, out, _ = run(capsys, "honeycomb")
-    assert code == 0
-    assert out == (DATA / "honeycomb.dot").read_text()
+    assert run(capsys, "honeycomb") == (0, (DATA / "honeycomb.dot").read_text(), "")
 
 
 # ---------------------------------------------------------------- qubit2-scan
@@ -722,19 +604,6 @@ def _assert_same_text(got, want):
     for number, (got_line, want_line) in enumerate(zip(got_lines, want_lines), start=1):
         assert got_line == want_line, f"first difference at line {number}"
     assert len(got_lines) == len(want_lines), "one text is a prefix of the other"
-
-
-@pytest.mark.parametrize("function", [name.replace("_", "-") for name in SCAN_FUNCTIONS])
-def test_qubit2_scan_matches_golden_and_reruns_identically(capsys, tmp_path, function):
-    golden = (DATA / f"qubit2_scan_{function.replace('-', '_')}_grid5.csv").read_bytes()
-    for name in ("scan_a.csv", "scan_b.csv"):
-        target = tmp_path / name
-        code, _, _ = run(
-            capsys, "qubit2-scan", "--function", function, "--grid", "5",
-            "--output", str(target),
-        )
-        assert code == 0
-        _assert_same_text(target.read_bytes(), golden)
 
 
 def test_qubit2_scan_log_base_two(capsys):
@@ -775,40 +644,6 @@ def test_qubit2_scan_matches_the_per_row_rendering(capsys, function, grid, log_b
     _assert_same_text(out, _reference_scan_csv(function, grid, log_base))
 
 
-#: SHA-256 of ``qubit2-scan --function gamma-max --grid 101`` (171,802 lines),
-#: in the ``sha256sum`` line that CI checks the installed command against.
-SCAN_101_SHA256 = (DATA / "qubit2_scan_gamma_max_grid101.sha256").read_text().removesuffix("  -\n")
-SCAN_101 = ("qubit2-scan", "--function", "gamma-max", "--grid", "101")
-
-
-def test_qubit2_scan_at_grid_101_has_the_pinned_bytes_on_both_targets(capsys, tmp_path):
-    target = tmp_path / "scan.csv"
-    code, out, _ = run(capsys, *SCAN_101, "--output", str(target))
-    assert (code, out) == (0, "")
-    assert hashlib.sha256(target.read_bytes()).hexdigest() == SCAN_101_SHA256
-    code, out, _ = run(capsys, *SCAN_101)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_101_SHA256
-
-
-#: SHA-256 of ``qubit2-scan --function gamma-max --grid 201`` (1,353,602 lines,
-#: 107.5 MB).  Its middle t11 slab alone (20,201 rows) outgrows a chunk's row budget.
-SCAN_201_SHA256 = "fbca03e419617b652d13d76b71b8571f94a0c6aa3654d6063502d7b5cd6a6bc4"
-
-
-def test_qubit2_scan_at_grid_201_has_the_pinned_bytes(capsys, tmp_path):
-    target = tmp_path / "scan.csv"
-    code, out, _ = run(capsys, "qubit2-scan", "--function", "gamma-max", "--grid", "201",
-                       "--output", str(target))
-    assert (code, out) == (0, "")
-    digest = hashlib.sha256()
-    with open(target, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    target.unlink()  # not left behind in pytest's kept temporary directories
-    assert digest.hexdigest() == SCAN_201_SHA256
-
-
 def test_qubit2_scan_at_grid_2_prints_the_header_alone(capsys):
     code, out, _ = run(capsys, "qubit2-scan", "--function", "gamma-max", "--grid", "2")
     assert (code, out) == (0, "t11,t22,t33,value\n")
@@ -842,7 +677,7 @@ def test_qubit2_scan_to_a_file_peaks_below_4_mb(capsys, tmp_path):
     run(capsys, "--help")  # the parser is built once, outside the measurement
     tracemalloc.start()
     try:
-        code = main([*SCAN_101, "--output", str(target)])
+        code = main([*CASES["scan-grid101"].command.split(), "--output", str(target)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
