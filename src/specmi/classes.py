@@ -79,8 +79,6 @@ from .orders import (
 
 __all__ = [
     "MAX_CELLS",
-    "RELATION_SHAPES",
-    "check_relation_shape",
     "Grid",
     "MatrixClass",
     "ClassTable",
@@ -544,22 +542,6 @@ def standard_form_sets() -> StandardFormSets:
 # Certified edges: titrated cell swaps and the relation, one class at a time
 # ---------------------------------------------------------------------------
 
-#: Shapes whose relation is searched.  A row costs one class's batch
-#: against every class: a median of about 0.1, 0.2, 0.5-0.8 and 1.4-1.7 ms
-#: for 2x3, 2x4, 3x3 and 2x5 (one process on a 2-vCPU VM), after the
-#: shape's certified-swap store is built, in 0.3-0.7, 2.2-3.9, 17-30 and
-#: 41-74 ms.  It is the depth-4 search that stops larger shapes: it could
-#: expand thousands of 2x5 classes.
-RELATION_SHAPES = ((2, 2), (2, 3))
-
-
-def check_relation_shape(m: int, n: int) -> None:
-    """Raise ValueError unless the m x n relation is searched."""
-    if (m, n) not in RELATION_SHAPES:
-        supported = " and ".join(f"{a}x{b}" for a, b in RELATION_SHAPES)
-        raise ValueError(f"relation supports the shapes {supported}, got {m}x{n}")
-
-
 def _exchanges(table: ClassTable) -> np.ndarray:
     """The classes that exchanging two symbols carries each class to.
 
@@ -740,9 +722,7 @@ def _search_tree(m: int, n: int, src: int) -> dict[int, int]:
     parent (src to itself).  Neighbours are expanded in sorted order and a
     class keeps the parent it was first discovered from, so the path read
     back from the tree is the one a search stopping at that class finds.
-    Only the shapes in RELATION_SHAPES are searched.
     """
-    check_relation_shape(m, n)
     parent = {src: src}
     frontier = [src]
     for _ in range(_SEARCH_DEPTH):

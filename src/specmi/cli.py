@@ -4,7 +4,7 @@ Subcommands
 -----------
 * ``extrema``      exact sweep of every arrangement class at one spectrum
 * ``census``       randomized census of extremal classes over random spectra
-* ``relation``     a-priori order between two 2x2 or 2x3 classes, with certificate
+* ``relation``     a-priori order between two classes of one shape, with certificate
 * ``honeycomb``    the certified 2x3 class diagram as Graphviz DOT
 * ``qubit2-scan``  two-qubit information quantities over the separability
                    octahedron
@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .classes import check_relation_shape, class_table, honeycomb_dot
+from .classes import class_table, honeycomb_dot
 from .core import SUM_TOLERANCE, Spectrum, _json_text, write_text_atomic
 from .extrema import CensusReport, CheckpointMismatchError, brute_force_extrema, census
 from .orders import derive_relation
@@ -173,7 +173,6 @@ def _run_census(args: argparse.Namespace) -> int:
 
 
 def _run_relation(args: argparse.Namespace) -> int:
-    check_relation_shape(args.m, args.n)
     table = class_table(args.m, args.n)
     verdict = derive_relation(args.a, args.b, table=table)
     _write_text(args.output, verdict.render() + "\n")

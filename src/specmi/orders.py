@@ -846,8 +846,7 @@ def derive_relation(a, b, table=None) -> RelationVerdict:
     Chains are read from a per-source breadth-first tree
     (``classes._search_tree``), built on the first query from that class
     and kept; it reads the relation rows (``classes._relation_row``) of the
-    classes it expands.  Only the shapes in ``classes.RELATION_SHAPES`` are
-    searched; others raise ValueError.
+    classes it expands.
     """
     if table is None:
         if isinstance(a, _classes.MatrixClass):
@@ -862,8 +861,6 @@ def derive_relation(a, b, table=None) -> RelationVerdict:
     header = f"derive: class {ia} vs class {ib}"
     m, n = table.m, table.n
     if ia == ib:
-        # the search tree checks the shape of every other pair
-        _classes.check_relation_shape(m, n)
         return _verdict(_FORWARD, (header, *_IDENTICAL_LINES))
     search_tree = _classes._search_tree
     tree = search_tree(m, n, ia)

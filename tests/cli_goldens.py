@@ -128,6 +128,14 @@ CASES = {
     # the benchmark's cold query (certify); bench/reference.json holds its SHA-256
     "relation-42-48": Case("relation --a 42 --b 48", "relation_42_48.txt"),
     "relation-2x2-3-1": Case("relation --m 2 --n 2 --a 3 --b 1", "relation_2x2_3_1.txt"),
+    "relation-2x4-1-696": Case("relation --m 2 --n 4 --a 1 --b 696", "relation_2x4_1_696.txt"),
+    # the two classes the 2x4 census credits at the maximum
+    "relation-2x4-696-768": Case("relation --m 2 --n 4 --a 696 --b 768", "relation_2x4_696_768.txt", code=1),
+    # 198 -> 765 is a certified 5-hop chain, past the search depth of 4
+    "relation-2x4-198-765": Case("relation --m 2 --n 4 --a 198 --b 765", "relation_2x4_198_765.txt", code=1),
+    "relation-3x2": Case(
+        "relation --m 3 --n 2 --a 1 --b 2", code=2, stderr="error: shape must satisfy 2 <= m <= n, got (3, 2)\n"
+    ),
     "relation-index-0": Case("relation --a 0 --b 5", code=2, stderr="error: class index 0 outside 1..60\n"),
     "relation-index-61": Case("relation --a 61 --b 1", code=2, stderr="error: class index 61 outside 1..60\n"),
     "relation-2x2-index-4": Case(

@@ -668,14 +668,6 @@ def test_cold_queries_decide_only_the_rows_they_search(fresh_relation_caches):
     assert [decided(lambda: derive_relation(a, b)) for a, b in pairs] == [2, 2, 29, 28]
 
 
-def test_rejected_shapes_build_no_search_tree(fresh_relation_caches):
-    for m, n in ((2, 4), (3, 3)):
-        with pytest.raises(ValueError, match=f"got {m}x{n}"):
-            derive_relation(1, 2, table=class_table(m, n))
-    assert classes._search_tree.cache_info().currsize == 0
-    assert classes._relation_row.cache_info().currsize == 0
-
-
 def test_rendering_an_edge_the_text_prover_rejects_raises(monkeypatch, fresh_relation_caches):
     graph = _relation_graph(2, 3)
     i, j = next((i, j) for i, out in graph.items() for j, proof in out.items() if proof is None)

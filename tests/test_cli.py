@@ -245,8 +245,9 @@ def test_extrema_names_a_non_finite_spectrum_entry(capsys, bad):
     [
         ("census", "--m", "3", "--n", "4", "--samples", "10", "--seed", "1"),
         ("extrema", "--m", "2", "--n", "6", "--spectrum", ",".join(["0.09375"] * 8 + ["0.0625"] * 4)),
+        ("relation", "--m", "3", "--n", "4", "--a", "1", "--b", "2"),
     ],
-    ids=["census-3x4", "extrema-2x6"],
+    ids=["census-3x4", "extrema-2x6", "relation-3x4"],
 )
 def test_twelve_cell_shapes_exit_2_before_enumerating(capsys, monkeypatch, argv):
     def no_work(*args, **kwargs):
@@ -298,10 +299,10 @@ CENSUS_25_RSS_BOUND_MIB = 75
 # The interpreter reports the high-water mark of its own address space:
 # its ``ru_maxrss`` would also hold the test process's peak, which Linux
 # carries across the exec that starts it.
-_CENSUS_25_SCRIPT = """
+_PEAK_SCRIPT = """
 import sys
 from specmi.cli import main
-code = main(["census", "--m", "2", "--n", "5", "--samples", "20000", "--seed", "7", "--workers", "2"])
+code = main(%r)
 sys.stdout.flush()
 with open("/proc/self/status") as status:
     print(next(line for line in status if line.startswith("VmHWM:")), file=sys.stderr)
@@ -317,18 +318,26 @@ def _fresh_process_env(**extra):
     return env
 
 
-def test_a_fresh_threaded_2x5_census_matches_its_golden_within_its_memory_bound():
+def _run_fresh(*argv):
+    """``specmi argv`` in a fresh interpreter: its process, and its peak RSS in MiB."""
     if not Path("/proc/self/status").exists():
         pytest.skip("no /proc to read a process's peak RSS from")
     proc = subprocess.run(
-        [sys.executable, "-c", _CENSUS_25_SCRIPT], env=_fresh_process_env(), capture_output=True,
-        text=True, timeout=300,
+        [sys.executable, "-c", _PEAK_SCRIPT % (list(argv),)], env=_fresh_process_env(),
+        capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (DATA / "census_25_s7_20k.json").read_text()
     _, kib, unit = proc.stderr.split()[-3:]
     assert unit == "kB"
-    assert int(kib) / 2**10 < CENSUS_25_RSS_BOUND_MIB
+    return proc, int(kib) / 2**10
+
+
+def test_a_fresh_threaded_2x5_census_matches_its_golden_within_its_memory_bound():
+    proc, peak = _run_fresh(
+        "census", "--m", "2", "--n", "5", "--samples", "20000", "--seed", "7", "--workers", "2"
+    )
+    assert proc.stdout == (DATA / "census_25_s7_20k.json").read_text()
+    assert peak < CENSUS_25_RSS_BOUND_MIB
 
 
 def test_census_worker_flag_keeps_output_identical(capsys, tmp_path):
@@ -552,43 +561,19 @@ def test_census_checkpoint_in_a_missing_directory_names_the_given_path(capsys, t
 
 # ------------------------------------------------------------------- relation
 
-def test_relation_provable_pair(capsys):
-    code, out, _ = run(capsys, "relation", "--a", "42", "--b", "48")
-    assert code == 0 and out.startswith("derive: class 42 vs class 48")
-    assert "verdict: ProvenForward" in out
+#: Peak RSS, in MiB, of a fresh interpreter that answers one cold 2x5
+#: query below: 54 on a 2-vCPU VM, where the class table, the shape's
+#: certified-swap store and the rows of the classes the search expands are
+#: built.  The bound leaves 16 MiB for other NumPy and BLAS builds.
+RELATION_25_RSS_BOUND_MIB = 70
 
 
-def test_relation_inconclusive_pair_exit_code(capsys):
-    code, out, _ = run(capsys, "relation", "--a", "44", "--b", "45")
-    assert code == 1 and "no certified chain" in out
-
-
-@pytest.mark.parametrize("case", ["relation-42-48", "relation-44-45"], ids=["42-48-0", "44-45-1"])
-def test_relation_matches_golden(capsys, case):
-    assert check(CASES[case], lambda argv: run(capsys, *argv)) == []
-
-
-@pytest.mark.parametrize("m, n", [("2", "4"), ("3", "3"), ("2", "5")])
-def test_relation_rejects_unsupported_shapes_before_any_work(capsys, monkeypatch, m, n):
-    def no_work(*args, **kwargs):
-        raise AssertionError("relation built a class table or graph for an unsupported shape")
-
-    monkeypatch.setattr(cli, "class_table", no_work)
-    monkeypatch.setattr(cli, "derive_relation", no_work)
-    code, out, err = run(capsys, "relation", "--m", m, "--n", n, "--a", "1", "--b", "2")
-    assert (code, out) == (2, "")
-    assert err == f"error: relation supports the shapes 2x2 and 2x3, got {m}x{n}\n"
-
-
-# ------------------------------------------------------------------ honeycomb
-
-def test_honeycomb_matches_golden(capsys, tmp_path):
-    assert run(capsys, "honeycomb", "--output", str(tmp_path / "hc.dot")) == (0, "", "")
-    assert (tmp_path / "hc.dot").read_bytes() == (DATA / "honeycomb.dot").read_bytes()
-
-
-def test_honeycomb_to_stdout(capsys):
-    assert run(capsys, "honeycomb") == (0, (DATA / "honeycomb.dot").read_text(), "")
+def test_a_fresh_cold_2x5_relation_stays_within_its_memory_bound():
+    proc, peak = _run_fresh("relation", "--m", "2", "--n", "5", "--a", "1", "--b", "15120")
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "derive: class 1 vs class 15120"
+    assert lines[-1].startswith("verdict: ProvenForward (I(class 1) <= I(class 15120)")
+    assert peak < RELATION_25_RSS_BOUND_MIB
 
 
 # ---------------------------------------------------------------- qubit2-scan

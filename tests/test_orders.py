@@ -19,6 +19,7 @@ from specmi import (
     Spectrum,
     SymbolicSum,
     arrange,
+    brute_force_extrema,
     cmi,
     cmi_diff_transposition,
     derive_relation,
@@ -26,6 +27,7 @@ from specmi import (
     majorisation_certificate,
     matrix_majorises,
     r23_table,
+    sample_spectra,
     sample_spectrum,
     symbolic_sum_compare,
     symbolic_transposition_context,
@@ -705,21 +707,6 @@ def test_orders_binds_the_classes_module_once():
     assert orders._classes is classes
 
 
-@pytest.mark.parametrize("m, n", [(2, 4), (3, 3)])
-def test_derive_relation_rejects_shapes_without_a_graph(monkeypatch, m, n):
-    def no_work(*args, **kwargs):
-        raise AssertionError("a relation graph was built for an unsupported shape")
-
-    table = class_table(m, n)
-    for module in ("specmi.orders", "specmi.classes"):
-        for name in ("majorisation_certificate", "titrate_check", "_decide_majorisation",
-                     "_decide_titration"):
-            monkeypatch.setattr(f"{module}.{name}", no_work)
-    for a, b in ((1, 2), (1, 1)):  # the identical pair too
-        with pytest.raises(ValueError, match=f"shapes 2x2 and 2x3, got {m}x{n}"):
-            derive_relation(a, b, table=table)
-
-
 def _relation_graph(m, n):
     """The whole m x n relation, read row by row."""
     return {i: classes._relation_row(m, n, i) for i in range(1, len(class_table(m, n)) + 1)}
@@ -748,38 +735,51 @@ def _reference_bfs_path(edges, src, dst):
     return None
 
 
-def _hop_distances(edges, src):
-    """Unbounded breadth-first hop counts from src."""
-    dist, frontier = {src: 0}, [src]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for j in edges[node]:
-                if j not in dist:
-                    dist[j] = dist[node] + 1
-                    nxt.append(j)
-        frontier = nxt
+def _hop_distances(edges, count):
+    """Unbounded hop counts of every ordered pair, 0-based, inf where no chain runs.
+
+    The k-th power of the edge matrix marks the pairs joined by a k-hop walk.
+    """
+    step = np.zeros((count, count), np.float32)
+    for i, out in edges.items():
+        step[i - 1, [j - 1 for j in out]] = 1
+    dist = np.full((count, count), np.inf)
+    np.fill_diagonal(dist, 0)
+    walks, hops = np.eye(count, dtype=np.float32), 0
+    while walks.any():
+        hops += 1
+        walks = (walks @ step > 0).astype(np.float32)
+        dist[(walks > 0) & np.isinf(dist)] = hops
     return dist
 
 
-@pytest.mark.parametrize("m, n", [(2, 2), (2, 3)])
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (2, 4)])
 def test_derive_relation_chains_are_the_early_exit_shortest_paths(m, n):
     table = class_table(m, n)
     edges = _relation_graph(m, n)
-    indices = range(1, len(table) + 1)
-    dist = {a: _hop_distances(edges, a) for a in indices}
+    count = len(table)
+    dist = _hop_distances(edges, count)
+    if (m, n) == (2, 4):
+        # every pair whose shortest chain is past the search depth, 198 -> 765
+        # among them, and a seeded sample: all 705k ordered pairs take minutes
+        beyond = (np.argwhere(np.isfinite(dist) & (dist > _SEARCH_DEPTH)) + 1).tolist()
+        assert len(beyond) == 101 and dist[197, 764] == dist[np.isfinite(dist)].max() == 5
+        sample = np.random.default_rng(24).integers(1, count + 1, (400, 2)).tolist()
+        pairs = [(a, b) for a, b in sample + beyond if a != b]
+    else:
+        pairs = list(permutations(range(1, count + 1), 2))
     hops = Counter()
-    for a, b in permutations(indices, 2):
+    for a, b in pairs:
         verdict = derive_relation(a, b, table=table)
         chain = _chain(verdict)
         forward = _reference_bfs_path(edges, a, b)
         reverse = None if forward else _reference_bfs_path(edges, b, a)
         assert chain == (forward or reverse or [])
         if chain:
-            assert len(chain) - 1 == dist[chain[0]][chain[-1]] <= _SEARCH_DEPTH
+            assert len(chain) - 1 == dist[chain[0] - 1, chain[-1] - 1] <= _SEARCH_DEPTH
             assert all(y in edges[x] for x, y in zip(chain, chain[1:]))
         else:
-            assert min(dist[a].get(b, math.inf), dist[b].get(a, math.inf)) > _SEARCH_DEPTH
+            assert min(dist[a - 1, b - 1], dist[b - 1, a - 1]) > _SEARCH_DEPTH
         kind = (RelationKind.PROVEN_FORWARD if forward else
                 RelationKind.PROVEN_REVERSE if reverse else RelationKind.INCONCLUSIVE)
         assert verdict.kind is kind
@@ -794,6 +794,30 @@ def test_derive_relation_chains_are_the_early_exit_shortest_paths(m, n):
             (RelationKind.PROVEN_REVERSE, 3): 11,
             (RelationKind.INCONCLUSIVE, 0): 2038,
         }
+
+
+@pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (2, 5)])
+def test_chains_beyond_2x3_are_the_text_provers_and_hold_at_random_spectra(m, n):
+    table = class_table(m, n)
+    rng = np.random.default_rng(m * n)
+    sources = rng.integers(1, len(table) + 1, 2).tolist()
+    pairs = [tuple(sources), tuple(sources[::-1])]
+    for a in sources:  # chains up to the search depth, read both ways
+        targets = rng.choice(sorted(classes._search_tree(m, n, a)), 12).tolist()
+        pairs += [(a, b) for b in targets] + [(b, a) for b in targets]
+    spectra = sample_spectra(m * n, 32, rng)
+    values = np.array([brute_force_extrema(Spectrum(s), m, n).values for s in map(tuple, spectra.tolist())])
+    kinds = Counter()
+    for a, b in pairs:
+        verdict = derive_relation(a, b, table=table)
+        kinds[verdict.kind] += 1
+        chain = _chain(verdict)
+        text = verdict.render()
+        for x, y in zip(chain, chain[1:]):
+            edge = classes._edge_lines.__wrapped__(m, n, x, y)  # the text provers, uncached
+            assert "\n".join((f"class {x} -> class {y}", *edge)) in text
+            assert (values[:, x - 1] <= values[:, y - 1] + 1e-13).all()
+    assert kinds[RelationKind.PROVEN_FORWARD] and kinds[RelationKind.PROVEN_REVERSE]
 
 
 def test_derive_relation_on_the_2x2_table():
