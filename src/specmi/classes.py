@@ -59,7 +59,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import ProbMatrix, Spectrum
+from .core import ProbMatrix, Spectrum, _distinct
 from .orders import (
     SYMBOL_LETTERS,
     _SEARCH_DEPTH,
@@ -430,7 +430,7 @@ def enumerate_classes(m: int, n: int) -> ClassTable:
     words = np.zeros((len(tops), len(orders), mn), dtype=np.int64)
     words[:, :, 1:n] = tops[:, None]
     words[:, :, n:] = rest[:, orders]
-    codes = np.unique(_canonical_codes(words.reshape(-1, m, n)))
+    codes = _distinct(_canonical_codes(words.reshape(-1, m, n)))
     digits = codes[:, None] // mn ** np.arange(mn - 1, -1, -1, dtype=np.int64) % mn
     return ClassTable(m=m, n=n, letters=_LETTER_BYTES[digits].tobytes().decode())
 
@@ -681,7 +681,7 @@ def _titration_candidates(m: int, n: int) -> _CandidateSets:
         # every edge out of F lands in C: its (head, tail) pairs, once each, by head
         out_of_f = f[tail]
         pairs = head[out_of_f].astype(np.intp) * size + tail[out_of_f]
-        fed, feeder = np.divmod(np.unique(pairs), size)
+        fed, feeder = np.divmod(_distinct(pairs), size)
         lists = np.split(feeder, np.searchsorted(fed, members[1:]))
         feeders.append(tuple(tuple(group.tolist()) for group in lists))
     return _CandidateSets(*sets, *feeders)

@@ -22,13 +22,18 @@ this path, so a census credits each spectrum as ``specmi extrema`` does,
 ties included.
 
 A census tile lays its entropy terms out terms x samples: the marginal sums
-are one product ``A.T @ S.T``, of ``term_symbols`` (the symbols x terms 0/1
-matrix A, transposed and C-contiguous) with the tile's spectra, and each
-term is one C-contiguous row over the tile's samples, so a class's total is
-the sum of its m + n term rows.  Fixed-order adds would cost 3-10x the
-product's time on whole tiles, so it stays a BLAS call: the rows it leaves
-unresolved are evaluated again from their spectra, and the rows it
-resolves are credited the same class whatever order BLAS sums in (below).
+are one product ``A.T @ S.T``, of the tile's spectra with the rows of
+``term_symbols`` (the symbols x terms 0/1 matrix A, transposed and
+C-contiguous) that its candidates and their feeders read, and each term is
+one C-contiguous row over the tile's samples, so a class's total is the sum
+of its m + n term rows.  That is 31 of the 35 terms at 2x3, 79 of 84 at
+3x3, and every term at 2x2, 2x4 and 2x5; the candidates' term indices
+number those rows (``_Candidates.term_symbols``), while the decomposition
+and the evaluation of one spectrum keep every term.  Fixed-order adds
+would cost 3-10x the product's time on whole tiles, so it stays a BLAS
+call: the rows it leaves unresolved are evaluated again from their
+spectra, and the rows it resolves are credited the same class whatever
+order BLAS sums in (below).
 
 Each block is reduced in tiles whose work arrays fit one byte budget,
 ``_WORK_BYTES`` (6 MB): the fewest tiles that fit, of equal size within one
@@ -61,9 +66,14 @@ among 297 terms.  The feeders of a class c of ``C`` are the classes of
 average at 2x5.  A sample credits, on each side, the class c that is the
 only class of ``C`` within ``EPSILON + _SLACK`` of the extreme over ``C``,
 when none of c's feeders is in that band; their totals are sums of their
-m + n terms too, gathered from the sample's column of terms.  Every sample
-that lacks such a class on either side is evaluated alone, as
-``brute_force_extrema`` evaluates it.
+m + n terms too, gathered from the sample's column of terms.  A side whose
+``C`` is one class (both sides at 2x2, the max side at 2x3: class 48)
+takes neither a band nor a per-sample gather: its class is alone in its
+band at every sample, and its feeders are the same at every sample, so
+their totals are m + n row gathers, as the candidates' are, and the class
+is credited wherever each feeder is below its total minus ``EPSILON +
+_SLACK``.  Every sample that lacks such a class on either side is
+evaluated alone, as ``brute_force_extrema`` evaluates it.
 
 Exactness.  The certificates order exact totals, so computed totals must
 be close to them.  The rows must be the entropy terms of descending spectra
@@ -110,7 +120,6 @@ import contextlib
 import ctypes
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
@@ -145,7 +154,7 @@ MAX_BLOCK_SIZE = 100_000
 #: (``_tiles``), so a set stays bounded whatever the block size, the shape
 #: or the number of workers.  A 2500-sample block runs as three 834-row
 #: tiles at 2x5 (a 5.3 MB set), two at 2x4 (3.3 MB) and one at 2x2, 2x3
-#: and 3x3 (0.5, 2.4 and 5.6 MB).  A tile costs about 0.1 ms of fixed NumPy
+#: and 3x3 (0.3, 2.1 and 5.4 MB).  A tile costs about 0.1 ms of fixed NumPy
 #: calls, yet small tiles keep the gathers in cache: with one BLAS thread a
 #: 2500-sample 2x5 block took 6.6-6.7 ms as one 2500-row tile (a 16 MB
 #: set), 5.5-5.7 ms as three 834-row tiles and 5.4-5.6 ms as four 625-row
@@ -189,8 +198,8 @@ class _Side:
     """One side of the pruned kernel: its candidates ``C`` and their feeders."""
 
     classes: np.ndarray  # C, 0-based
-    # (m + n, K, len(C)): the term indices of each C class's feeders, a list
-    # of up to K padded to K by repeating its first feeder
+    # (m + n, K, len(C)): the tile term indices of each C class's feeders, a
+    # list of up to K padded to K by repeating its first feeder
     feeder_terms: np.ndarray
     sign: float  # 1.0 at the max; -1.0 at the min, whose totals are negated
     band_weights: np.ndarray  # (2, len(C)): ones, then each class's position in C
@@ -198,17 +207,23 @@ class _Side:
 
 @dataclasses.dataclass(frozen=True)
 class _Candidates:
-    """The pruned kernel's classes ``[C_max | C_min]`` and the feeders of each."""
+    """The pruned kernel's classes ``[C_max | C_min]`` and the feeders of each.
 
-    # (m + n, len(C_max) + len(C_min)): the term indices of each class of
-    # [C_max | C_min], one row per term of a class
+    Their term indices number the rows of ``term_symbols``, the terms a
+    census tile computes: those the candidates and the feeders read, in
+    term order.
+    """
+
+    term_symbols: np.ndarray  # (T', mn) 0/1: the rows of A.T read here, C-contiguous
+    # (m + n, len(C_max) + len(C_min)): the tile term indices of each class
+    # of [C_max | C_min], one row per term of a class
     terms: np.ndarray
     sides: tuple[_Side, _Side]
 
 
 @dataclasses.dataclass(frozen=True)
 class _TermDecomposition:
-    term_symbols: np.ndarray  # (T, mn) 0/1: A.T, C-contiguous, for census tiles
+    term_symbols: np.ndarray  # (T, mn) 0/1: A.T, C-contiguous
     # (max(m, n), T) intp: each term's symbols, ascending, padded with mn
     padded_symbols: np.ndarray
     # (C, m + n) int32: each class's term indices, ascending, the rows where
@@ -248,29 +263,42 @@ def _census_decomposition(m: int, n: int) -> _TermDecomposition:
 
     The candidates are derived here (``classes._titration_candidates``)
     when a census of the shape first runs, from the shape's certified-swap
-    store, which the relation rows read too.
+    store, which the relation rows read too.  Their tiles compute only the
+    terms that the candidates and their feeders read (2x3: 31 of 35; 3x3:
+    79 of 84; every term at 2x2, 2x4 and 2x5), renumbered in term order;
+    the decomposition's own tables keep the full numbering.
     """
     dec = _decomposition(m, n)
     sets = _titration_candidates(m, n)
     _trim_heap()
     terms = dec.terms_by_class
-    sides = []
-    max_side, min_side = (sets.c_max, sets.feeders_max, 1.0), (sets.c_min, sets.feeders_min, -1.0)
-    for c, feeders, sign in (max_side, min_side):
+    classes, feeder_terms = [], []
+    for c, feeders in ((sets.c_max, sets.feeders_max), (sets.c_min, sets.feeders_min)):
         assert all(feeders), "every candidate has a feeder"
         width = max(map(len, feeders))
         padded = np.array([f + f[:1] * (width - len(f)) for f in feeders], dtype=np.intp) - 1
-        sides.append(
-            _Side(
-                classes=np.array(c, dtype=np.intp) - 1,
-                feeder_terms=np.ascontiguousarray(terms[padded].transpose(2, 1, 0), dtype=np.intp),
-                sign=sign,
-                band_weights=np.stack([np.ones(len(c)), np.arange(len(c), dtype=np.float64)]),
-            )
+        classes.append(np.array(c, dtype=np.intp) - 1)
+        feeder_terms.append(terms[padded].transpose(2, 1, 0))
+    cand_terms = terms[np.concatenate(classes)].T
+    read = np.zeros(len(dec.term_symbols), dtype=bool)
+    for table in (cand_terms, *feeder_terms):
+        read[table] = True
+    used = np.flatnonzero(read)
+    tile = np.zeros(len(read), dtype=np.intp)
+    tile[used] = np.arange(len(used))  # each read term's row in the tile
+    sides = tuple(
+        _Side(
+            classes=c,
+            feeder_terms=np.ascontiguousarray(tile[table]),
+            sign=sign,
+            band_weights=np.stack([np.ones(len(c)), np.arange(len(c), dtype=np.float64)]),
         )
-    classes = np.concatenate([side.classes for side in sides])
+        for c, table, sign in zip(classes, feeder_terms, (1.0, -1.0))
+    )
     candidates = _Candidates(
-        terms=np.ascontiguousarray(terms[classes].T, dtype=np.intp), sides=tuple(sides)
+        term_symbols=np.ascontiguousarray(dec.term_symbols[used]),
+        terms=np.ascontiguousarray(tile[cand_terms]),
+        sides=sides,
     )
     return dataclasses.replace(dec, candidates=candidates)
 
@@ -322,6 +350,18 @@ def _marginal_entropy_terms(
     return entropy_terms(sums, out=_work_array(work, "terms", *shape))
 
 
+def _gathered_totals(hterms: np.ndarray, terms: np.ndarray, out: np.ndarray) -> None:
+    """Into ``out``, the total of each column of ``terms`` ((m + n, k) term indices).
+
+    m + n row gathers of ``hterms`` (terms x samples), added in the order
+    of ``terms``' rows: ``out[j]`` is the sum of column j's term rows.
+    """
+    first, second, *rest = terms
+    np.add(hterms[first], hterms[second], out=out)
+    for term in rest:
+        out += hterms[term]
+
+
 def _sole_candidates(
     hterms: np.ndarray, cand: _Candidates, work: dict[str, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -332,57 +372,70 @@ def _sole_candidates(
     on both sides, one class of ``C`` alone within ``EPSILON + _SLACK`` of
     the extreme over ``C``, and none of that class's feeders in the band.
     Every total, of a candidate or a feeder, is the sum of its m + n term
-    rows of ``hterms`` (terms x samples): the candidates' as m + n row
-    gathers, the feeders' as one flat gather.
+    rows of ``hterms`` (a tile's terms x samples): the candidates' and a
+    one-class side's fixed feeders' as m + n row gathers, the feeders of
+    each sample's best class on a wider side as one flat gather.
     """
     rows = hterms.shape[1]
     vals = _work_array(work, "product", cand.terms.shape[1], rows)
-    first, second, *rest = cand.terms
-    np.add(hterms[first], hterms[second], out=vals)
-    for term in rest:
-        vals += hterms[term]
+    _gathered_totals(hterms, cand.terms, vals)
     n_max = len(cand.sides[0].classes)
     vals[n_max:] *= -1.0  # the min side negated: both extremes are maxima
     offsets = np.arange(rows)  # of each sample in a term row of hterms.flat
     resolved = np.ones(rows, dtype=bool)
     credited = []
     for side, c_vals in zip(cand.sides, (vals[:n_max], vals[n_max:])):
-        edge = c_vals.max(axis=0) - (EPSILON + _SLACK)
-        band = np.greater_equal(c_vals, edge, out=_work_array(work, "band", *c_vals.shape))
-        # per sample, the classes of C in the band and the sum of their
-        # positions in C: the position of the best one where it is alone,
-        # elsewhere a position that is only read clipped into range
-        counts = _work_array(work, "count", 2, rows)
-        count, position = np.matmul(side.band_weights, band, out=counts)
-        resolved &= count == 1
-        best = position.astype(np.intp)
-        # per term of each feeder slot, sample by sample: the term's flat
-        # index in hterms, then its value
-        shape = (*side.feeder_terms.shape[:2], rows)
-        index = _work_array(work, "index", *shape, dtype=np.intp)
-        np.take(side.feeder_terms * rows, best, axis=2, out=index, mode="clip")
-        index += offsets
-        feeds = np.take(hterms, index, out=_work_array(work, "feeds", *shape), mode="clip")
-        totals = np.add.reduce(feeds, axis=0, out=_work_array(work, "totals", *shape[1:]))
+        if len(side.classes) == 1:
+            # its one class is alone in its band in every row, and its
+            # feeders are the same in every row: no band and no per-sample
+            # feeder gather
+            edge = c_vals[0] - (EPSILON + _SLACK)
+            fixed = side.feeder_terms[:, :, 0]
+            totals = _work_array(work, "totals", fixed.shape[1], rows)
+            _gathered_totals(hterms, fixed, totals)
+            credited.append(side.classes.repeat(rows))
+        else:
+            edge = c_vals.max(axis=0) - (EPSILON + _SLACK)
+            band = np.greater_equal(c_vals, edge, out=_work_array(work, "band", *c_vals.shape))
+            # per sample, the classes of C in the band and the sum of their
+            # positions in C: the position of the best one where it is
+            # alone, elsewhere a position that is only read clipped into range
+            counts = _work_array(work, "count", 2, rows)
+            count, position = np.matmul(side.band_weights, band, out=counts)
+            resolved &= count == 1
+            best = position.astype(np.intp)
+            # per term of each feeder slot, sample by sample: the term's
+            # flat index in hterms, then its value
+            shape = (*side.feeder_terms.shape[:2], rows)
+            index = _work_array(work, "index", *shape, dtype=np.intp)
+            np.take(side.feeder_terms * rows, best, axis=2, out=index, mode="clip")
+            index += offsets
+            feeds = np.take(hterms, index, out=_work_array(work, "feeds", *shape), mode="clip")
+            totals = np.add.reduce(feeds, axis=0, out=_work_array(work, "totals", *shape[1:]))
+            credited.append(np.take(side.classes, best, mode="clip"))
         totals *= side.sign
         resolved &= totals.max(axis=0) < edge
-        credited.append(np.take(side.classes, best, mode="clip"))
     return resolved, *credited
 
 
 def _row_elements(dec: _TermDecomposition) -> int:
     """Census work-array elements per tile row, 8 bytes each.
 
-    A tile holds its entropy terms and the product (the marginal sums, then
-    the candidates' totals), the band of its larger side and the band's two
-    counts, then each feeder term's index and value and each feeder's total
-    (``_sole_candidates``).
+    A tile holds its entropy terms (those its candidates and feeders read)
+    and the product (the marginal sums, then the candidates' totals), and
+    each feeder's total (``_sole_candidates``).  A side of more than one
+    class adds its band and the band's two counts, and each feeder term's
+    index and value.  The sides share these arrays by name, so each counts
+    at the larger side's size.
     """
-    n_terms, cand = dec.term_symbols.shape[0], dec.candidates
-    band = max(len(side.classes) for side in cand.sides)
-    slots = max(side.feeder_terms.shape[1] for side in cand.sides)
-    gathers = (2 * dec.terms_by_class.shape[1] + 1) * slots
-    return n_terms + max(n_terms, cand.terms.shape[1]) + band + 2 + gathers
+    cand = dec.candidates
+    n_terms = cand.term_symbols.shape[0]
+    banded = [side for side in cand.sides if len(side.classes) > 1]
+    band = max((len(side.classes) + 2 for side in banded), default=0)
+    slots = max((side.feeder_terms.shape[1] for side in banded), default=0)
+    gathers = 2 * dec.terms_by_class.shape[1] * slots
+    totals = max(side.feeder_terms.shape[1] for side in cand.sides)
+    return n_terms + max(n_terms, cand.terms.shape[1]) + band + gathers + totals
 
 
 def _tiles(dec: _TermDecomposition, rows: int) -> list[int]:
@@ -445,7 +498,7 @@ def _block_extrema(
     except IndexError:
         work = {}
     for r0, r1 in zip(bounds, bounds[1:]):
-        hterms = _marginal_entropy_terms(spectra[r0:r1], dec.term_symbols, work)
+        hterms = _marginal_entropy_terms(spectra[r0:r1], dec.candidates.term_symbols, work)
         resolved, top, bottom = _sole_candidates(hterms, dec.candidates, work)
         max_hits += np.bincount(top[resolved], minlength=n_classes)
         min_hits += np.bincount(bottom[resolved], minlength=n_classes)
@@ -511,7 +564,9 @@ class CensusReport:
 
     ``max_hits[c]``/``min_hits[c]`` count the samples at which class c+1
     attained the maximum/minimum (ties within EPSILON credit every tied
-    class and are also tallied as tie events).
+    class and are also tallied as tie events).  ``max_classes`` and
+    ``min_classes`` are the 1-based classes credited at least once,
+    ascending, derived once from the tallies.
     """
 
     m: int
@@ -526,14 +581,8 @@ class CensusReport:
     tie_events_max: int
     tie_events_min: int
     convergence: tuple[ConvergencePoint, ...]
-
-    @property
-    def max_classes(self) -> tuple[int, ...]:
-        return tuple(itertools.compress(range(1, len(self.max_hits) + 1), self.max_hits))
-
-    @property
-    def min_classes(self) -> tuple[int, ...]:
-        return tuple(itertools.compress(range(1, len(self.min_hits) + 1), self.min_hits))
+    max_classes: tuple[int, ...]
+    min_classes: tuple[int, ...]
 
 
 @dataclasses.dataclass
@@ -863,5 +912,7 @@ def census(
         tie_events_max=state.tie_events_max,
         tie_events_min=state.tie_events_min,
         convergence=tuple(state.convergence),
+        max_classes=tuple((np.flatnonzero(state.max_hits) + 1).tolist()),
+        min_classes=tuple((np.flatnonzero(state.min_hits) + 1).tolist()),
     )
 

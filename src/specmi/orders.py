@@ -60,7 +60,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import EPSILON, ProbMatrix
+from .core import EPSILON, ProbMatrix, _distinct
 
 __all__ = [
     "SYMBOL_LETTERS",
@@ -641,7 +641,7 @@ def _set_order(m: int, n: int) -> np.ndarray:
     sizes = counts.sum(axis=1)
     groups = np.where(sizes == n, m, sizes)  # rows and columns compare as one group
     leq = np.zeros((len(masks),) * 2, dtype=bool)
-    for group in np.unique(groups):
+    for group in _distinct(groups):
         sets = np.flatnonzero(groups == group)
         leq[np.ix_(sets, sets)] = _leq(counts[sets, None], counts[None, sets])
     leq.flags.writeable = False  # shared by every caller

@@ -576,6 +576,47 @@ def test_a_fresh_cold_2x5_relation_stays_within_its_memory_bound():
     assert peak < RELATION_25_RSS_BOUND_MIB
 
 
+# After the benchmark's set-up of its two shapes, then after each command:
+# the exit code, and whether numpy.ma has been imported.
+_MASKED_IMPORT_SCRIPT = """
+import contextlib, io, sys
+import numpy as np
+import specmi, specmi.cli, specmi.orders
+seen = []
+for m, n in ((2, 3), (2, 5)):
+    values = np.arange(m * n, 0, -1, dtype=float)
+    specmi.class_table(m, n)
+    specmi.brute_force_extrema(specmi.Spectrum(tuple(values / values.sum())), m, n)
+seen.append(("set-up", 0, "numpy.ma" in sys.modules))
+for argv in %r:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = specmi.cli.main(argv)
+    seen.append((argv[0], code, "numpy.ma" in sys.modules))
+print(seen)
+"""
+
+
+def test_no_command_imports_numpy_ma():
+    # np.unique imports numpy.ma (12-23 ms) whenever it is asked for no
+    # indices and no counts; no step of a command may reach such a call
+    commands = [
+        ["extrema", "--m", "2", "--n", "3", "--spectrum", "0.3,0.2,0.2,0.1,0.1,0.1"],
+        ["census", "--m", "2", "--n", "3", "--samples", "2500", "--seed", "1"],
+        ["census", "--m", "2", "--n", "5", "--samples", "250", "--seed", "1"],
+        ["relation", "--a", "42", "--b", "48"],
+        ["honeycomb"],
+        ["qubit2-scan", "--function", "gamma-max", "--grid", "5"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _MASKED_IMPORT_SCRIPT % (commands,)], env=_fresh_process_env(),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = eval(proc.stdout)
+    assert [step for step, _, _ in seen] == ["set-up"] + [argv[0] for argv in commands]
+    assert all(code == 0 and not imported for _, code, imported in seen), seen
+
+
 # ---------------------------------------------------------------- qubit2-scan
 
 def _assert_same_text(got, want):

@@ -243,6 +243,13 @@ def _unique_decomposition(m, n):
     return A, G
 
 
+#: (terms a census tile computes, terms of the shape): those that the
+#: candidates and their feeders read.
+_TILE_TERMS = {
+    (2, 2): (6, 6), (2, 3): (31, 35), (2, 4): (98, 98), (3, 3): (79, 84), (2, 5): (297, 297),
+}
+
+
 def _assert_decomposition_is(dec, A, G, m, n):
     assert dec.term_symbols.flags.c_contiguous and np.array_equal(dec.term_symbols, A.T)
     # each term's symbols, ascending, then the padding symbol m * n
@@ -266,12 +273,20 @@ def _assert_decomposition_is(dec, A, G, m, n):
     assert census_dec.padded_symbols is dec.padded_symbols
     assert census_dec.terms_by_class is dec.terms_by_class
     cand = census_dec.candidates
-    # the term indices of the C classes only, C_max then C_min, one column
-    # per class; each C class's feeders as their term indices, the list
-    # padded by its first feeder
+    # a tile computes the terms of the C classes and their feeders only, in
+    # term order: the rows of A.T that they read
     sets = _titration_candidates(m, n)
     c_max, c_min = (np.array(c) - 1 for c in (sets.c_max, sets.c_min))
-    expected = [np.flatnonzero(G[:, c]) for c in np.concatenate([c_max, c_min])]
+    feeders = (np.concatenate(f) - 1 for f in (sets.feeders_max, sets.feeders_min))
+    read = np.concatenate([c_max, c_min, *feeders])
+    used = np.flatnonzero(G[:, read].any(axis=1))
+    assert (len(used), len(G)) == _TILE_TERMS[m, n]
+    tile = cand.term_symbols
+    assert tile.flags.c_contiguous and np.array_equal(tile, A.T[used])
+    # the tile term indices of the C classes, C_max then C_min, one column
+    # per class; each C class's feeders as their tile term indices, the
+    # list padded by its first feeder
+    expected = [np.flatnonzero(G[used, c]) for c in np.concatenate([c_max, c_min])]
     assert cand.terms.flags.c_contiguous and np.array_equal(cand.terms, np.transpose(expected))
     sides = zip(cand.sides, (c_max, c_min), (sets.feeders_max, sets.feeders_min), (1.0, -1.0))
     for side, c, feeders, sign in sides:
@@ -280,7 +295,7 @@ def _assert_decomposition_is(dec, A, G, m, n):
         assert side.feeder_terms.shape == (m + n, width, len(c))
         for i, fed in enumerate(feeders):
             slots = fed + fed[:1] * (width - len(fed))
-            expected = [np.flatnonzero(G[:, f - 1]) for f in slots]
+            expected = [np.flatnonzero(G[used, f - 1]) for f in slots]
             assert np.array_equal(side.feeder_terms[:, :, i].T, expected)
 
 
@@ -323,8 +338,10 @@ def test_one_spectrum_is_evaluated_in_fixed_order_bit_for_bit(m, n):
 def test_the_2x5_decomposition_holds_no_dense_term_counts():
     # the term indices take 423 KB where a dense G took 36 MB
     dec = extrema._census_decomposition(2, 5)
-    arrays = [dec.term_symbols, dec.padded_symbols, dec.terms_by_class, dec.candidates.terms]
-    for side in dec.candidates.sides:
+    cand = dec.candidates
+    arrays = [dec.term_symbols, dec.padded_symbols, dec.terms_by_class]
+    arrays += [cand.term_symbols, cand.terms]
+    for side in cand.sides:
         arrays += [side.classes, side.feeder_terms, side.band_weights]
     assert sum(a.nbytes for a in arrays) < 2**20
 
@@ -466,18 +483,28 @@ def _recording_work_arrays(monkeypatch):
     return arrays
 
 
+#: Per shape, whether the max and the min side have one candidate class,
+#: whose fixed feeders the kernel totals without a band or a per-sample
+#: gather.
+_SINGLETON_SIDES = {
+    (2, 2): (True, True), (2, 3): (True, False), (2, 4): (False, False),
+    (3, 3): (False, False), (2, 5): (False, False),
+}
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (3, 3), (2, 5)])
 def test_gathered_totals_lie_within_two_delta_of_the_dense_product(monkeypatch, m, n, seed):
     # the premise of the exactness proof: the candidates' and the feeders'
-    # totals, gathered from a tile's term rows, against the product of the
-    # same rows with a whole G, tied and near-tied rows included
+    # totals, gathered from a tile's term rows, against the product of
+    # every term row with a whole G, tied and near-tied rows included
     dec = extrema._census_decomposition(m, n)
     cand, sets = dec.candidates, _titration_candidates(m, n)
     spectra = sample_spectra(m * n, 96, np.random.default_rng(seed))
     spectra[::16] = _tied_spectra(m * n, seed)[::7][:6]
-    hterms = extrema._marginal_entropy_terms(spectra, dec.term_symbols)
-    dense = _unique_decomposition(m, n)[1].T @ hterms
+    hterms = extrema._marginal_entropy_terms(spectra, cand.term_symbols)
+    every_term = extrema._marginal_entropy_terms(spectra, dec.term_symbols)
+    dense = _unique_decomposition(m, n)[1].T @ every_term
     arrays = _recording_work_arrays(monkeypatch)
     extrema._sole_candidates(hterms, cand, {})
     recorded = collections.defaultdict(list)
@@ -488,16 +515,24 @@ def test_gathered_totals_lie_within_two_delta_of_the_dense_product(monkeypatch, 
     signs = np.concatenate([np.full(len(side.classes), side.sign) for side in cand.sides])
     (totals,) = recorded["product"]
     assert np.abs(totals - signs[:, None] * dense[classes]).max() <= _TWO_DELTA
+    # a one-class side takes no band: its class is every row's best
+    singletons = tuple(len(side.classes) == 1 for side in cand.sides)
+    assert singletons == _SINGLETON_SIDES[m, n]
+    assert len(recorded["band"]) == len(recorded["count"]) == singletons.count(False)
+    assert len(recorded["index"]) == len(recorded["feeds"]) == singletons.count(False)
+    counts = iter(recorded["count"])
+    positions = [np.zeros(len(spectra)) if alone else next(counts)[1] for alone in singletons]
     # per side, the feeders of each row's best candidate (its position
     # clipped into C, as the kernel reads it), slot by slot
     feeders = (sets.feeders_max, sets.feeders_min)
-    sides = zip(cand.sides, feeders, recorded["count"], recorded["totals"])
-    for side, fed_by, counts, feeder_totals in sides:
+    sides = zip(cand.sides, feeders, positions, recorded["totals"], strict=True)
+    for side, fed_by, position, feeder_totals in sides:
         width = side.feeder_terms.shape[1]
         padded = np.array([f + f[:1] * (width - len(f)) for f in fed_by]) - 1
-        best = np.clip(counts[1].astype(np.intp), 0, len(side.classes) - 1)
+        best = np.clip(position.astype(np.intp), 0, len(side.classes) - 1)
         fed = padded[best].T  # (K, rows): the class in each feeder slot
         expected = side.sign * np.take_along_axis(dense, fed, axis=0)
+        assert feeder_totals.shape == expected.shape
         assert np.abs(feeder_totals - expected).max() <= _TWO_DELTA
 
 
