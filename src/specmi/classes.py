@@ -41,9 +41,9 @@ reference to each edge's proof; ``_edge_lines`` renders
 the edges of a printed chain once each.  ``_search_tree`` keeps one
 breadth-first tree per source class, so each class's chains are searched
 once and a cold query decides only the rows its search expands.  The 2x3
-honeycomb decides its 95 majorisation pairs in one batch and its 4 chain
-steps in one titration batch, without the relation rows; a
-``CertifiedEdge`` renders its certificate (read by
+honeycomb decides its 95 majorisation pairs and its 4 chain steps with the
+same two deciders, one batch each on the table's line masks, without the
+relation rows; a ``CertifiedEdge`` renders its certificate (read by
 ``verify_theorem_chain``) when first read.  A honeycomb pair the
 batch does not certify raises RuntimeError when the honeycomb is built, and
 a text prover that does not certify an edge the batch decided, in a row or
@@ -54,6 +54,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 import operator
 from typing import NamedTuple, Sequence
 
@@ -66,11 +67,8 @@ from .orders import (
     RelationKind,
     RelationVerdict,
     _decide_line_majorisation,
-    _decide_majorisation,
     _decide_swaps,
-    _decide_titration,
     _line_masks,
-    _swap_lines,
     grid_display,
     majorisation_certificate,
     symbolic_transposition_context,
@@ -344,6 +342,8 @@ def _to_symbol_grid(arrangement) -> Grid:
             f"integer arrangement must use each symbol 0..{mn - 1} exactly once"
         )
     values = sorted((float(v) for v in flat), reverse=True)
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"cannot rank non-finite entries; got {flat!r}")
     for a, b in zip(values, values[1:]):
         if a - b <= 1e-12:
             raise ValueError(
@@ -353,21 +353,16 @@ def _to_symbol_grid(arrangement) -> Grid:
     return tuple(tuple(rank[float(v)] for v in row) for row in rows)
 
 
-def canonical_form(arrangement, table: ClassTable | None = None) -> MatrixClass:
+def canonical_form(arrangement) -> MatrixClass:
     """Resolve an arrangement to its class.
 
     Accepts a symbol grid (each of 0..mn-1 exactly once), a ProbMatrix, or
     a numeric grid; numeric entries are ranked descending and must be
-    distinct beyond 1e-12.  Raises ValueError on ties or malformed input.
+    finite and distinct beyond 1e-12.  Raises ValueError on ties,
+    non-finite entries or malformed input.
     """
     grid = _to_symbol_grid(arrangement)
-    m, n = len(grid), len(grid[0])
-    _check_shape(m, n)
-    if table is None:
-        table = class_table(m, n)
-    elif (table.m, table.n) != (m, n):
-        raise ValueError(f"table is for {(table.m, table.n)}, arrangement is {(m, n)}")
-    return _classes_of([grid], table)[0]
+    return _classes_of([grid], class_table(len(grid), len(grid[0])))[0]
 
 
 #: ASCII bytes of the symbol letters, in symbol order (which is also byte order).
@@ -481,7 +476,7 @@ def involution_xi(c: MatrixClass | int) -> MatrixClass:
     cls = c if isinstance(c, MatrixClass) else r23_table().get(int(c))
     mn = cls.m * cls.n
     mirrored = tuple(tuple(mn - 1 - s for s in row) for row in cls.canonical)
-    return canonical_form(mirrored, table=class_table(cls.m, cls.n))
+    return _classes_of([mirrored], class_table(cls.m, cls.n))[0]
 
 
 def xi_pairs() -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
@@ -621,7 +616,7 @@ def _certified_swaps(m: int, n: int) -> tuple[np.ndarray, ...]:
         at = np.flatnonzero(j > k)
         k, j, symbols = k[at], j[at], symbols.take(at, axis=0)
         pairs = cells.take(at % len(cells), axis=0)
-        forward, reverse = _decide_swaps(m, n, *_swap_lines(rows, cols, k, pairs, symbols))
+        forward, reverse = _decide_swaps(rows, cols, k, pairs, symbols)
         if (forward & reverse).any():
             raise RuntimeError(f"a {m}x{n} swap is proven in both directions")
         at = np.flatnonzero(forward | reverse)
@@ -704,7 +699,7 @@ def _relation_row(m: int, n: int, i: int) -> dict[int, _Proof]:
     reference only; :func:`_edge_lines` renders the text.
     """
     lines = class_table(m, n)._lines
-    majorised = _decide_line_majorisation(m, n, [masks[i - 1 : i] for masks in lines], lines)
+    majorised = _decide_line_majorisation([masks[i - 1 : i] for masks in lines], lines)
     majorised[i - 1] = False
     row: dict[int, _Proof] = dict.fromkeys((np.flatnonzero(majorised) + 1).tolist())
     low, high, a, b = _certified_swaps(m, n)
@@ -869,27 +864,31 @@ def honeycomb() -> Honeycomb:
     Every class sits in one of ten hexagons (six bottom-row orderings over
     a shared top row).  Every edge is decided here from the class grids,
     never trusted from data: the majorisation pairs in one
-    ``orders._decide_majorisation`` batch and the chain steps in one
-    titration batch.  Raises RuntimeError if one is not certified.  Proof
-    text is rendered only when an edge's ``certificate`` is read.
+    ``orders._decide_line_majorisation`` batch and the chain steps in one
+    ``orders._decide_swaps`` batch, both on the line masks the class table
+    keeps, as the relation rows are.  Raises RuntimeError if one is not
+    certified.  Proof text is rendered only when an edge's ``certificate``
+    is read.
     """
     table = r23_table()
+    lines = table._lines
     hexagons = tuple(tuple(range(b * 6 + 1, b * 6 + 7)) for b in range(10))
     pairs = [(h[lo], h[hi]) for h in hexagons for lo, hi in _FLEA_OFFSETS] + list(_CROSS_PAIRS)
-    ends = np.array(pairs) - 1
-    certified = _decide_majorisation(table._grids[ends[:, 0]], table._grids[ends[:, 1]])
+    ends = np.array(pairs).T - 1
+    certified = _decide_line_majorisation([v[ends[0]] for v in lines], [v[ends[1]] for v in lines])
     if not certified.all():
         src, dst = pairs[int(np.argmin(certified))]
         raise RuntimeError(f"expected a majorisation certificate for {src} -> {dst}")
     edges = [CertifiedEdge(src, dst, "majorisation") for src, dst in pairs]
-    steps = np.array([(src, 3 * ia + ja, 3 * ib + jb) for src, (ia, ja), (ib, jb), _ in _CHAIN_STEPS])
-    grids = table._grids[steps[:, 0] - 1]
-    kinds = _decide_titration(grids, steps[:, 1:])
-    images = grids.reshape(len(steps), -1)
-    k, a, b = np.arange(len(steps)), steps[:, 1], steps[:, 2]
-    images[k, a], images[k, b] = images[k, b], images[k, a]
-    images = _class_rows(images.reshape(grids.shape), table) + 1
-    if kinds.tolist() != [1] * len(steps) or images.tolist() != [s[3] for s in _CHAIN_STEPS]:
+    steps = np.array([(src - 1, 3 * ia + ja, 3 * ib + jb)
+                      for src, (ia, ja), (ib, jb), _ in _CHAIN_STEPS])
+    k, cells = steps[:, 0], steps[:, 1:]
+    images = table._grids[k].reshape(len(steps), -1)
+    symbols = np.take_along_axis(images, cells, axis=1)
+    forward, _ = _decide_swaps(*lines, k, cells, symbols)
+    np.put_along_axis(images, cells, symbols[:, ::-1], axis=1)
+    images = _class_rows(images.reshape(-1, 2, 3), table) + 1
+    if not forward.all() or images.tolist() != [s[3] for s in _CHAIN_STEPS]:
         raise RuntimeError("a chain step is not a certified swap into its class")
     edges += [
         CertifiedEdge(src, dst, "entropic", swap=(pos_a, pos_b))

@@ -21,9 +21,10 @@ more symbols up to t than the right residue holds strictly before t (a
 prefix-count test).  :func:`_leq` applies that one rule to count arrays of
 any leading shape.  A grid holds each symbol once, so every sum that a
 batched decision compares (a line, a union of lines, a side total) is a
-symbol set, and both batched deciders, :func:`_decide_majorisation` and
-:func:`_decide_titration`, read the rule from one table per shape over
-symbol-set bitmasks (:func:`_set_order`).  The text provers call it on
+symbol set, and the one batched decider of each rule,
+:func:`_decide_line_majorisation` and :func:`_decide_swaps`, reads it from
+one table per shape over symbol-set bitmasks (:func:`_set_order`), on the
+line masks of the grids (:func:`_line_masks`).  The text provers call it on
 counts and render their reason lines (common part, matched pairs,
 leftover) from the same counts, so a certificate is only ever the trace of
 a decision made by this rule.
@@ -268,13 +269,14 @@ def symbolic_sum_compare(S: SymbolicSum, T: SymbolicSum) -> RelationVerdict:
 def vector_majorises(u: Sequence[float], v: Sequence[float]) -> bool:
     """True iff u majorises v: u's descending prefix sums dominate v's within EPSILON.
 
-    Requires equal lengths and equal totals (within 1e-9); raises otherwise.
+    Requires equal lengths and equal finite totals (within 1e-9); raises
+    ValueError otherwise.
     """
     uu = np.sort(np.asarray(u, dtype=float))[::-1]
     vv = np.sort(np.asarray(v, dtype=float))[::-1]
     if uu.shape != vv.shape:
         raise ValueError(f"length mismatch: {len(uu)} vs {len(vv)}")
-    if abs(float(uu.sum() - vv.sum())) > 1e-9:
+    if not abs(float(uu.sum() - vv.sum())) <= 1e-9:  # a NaN total raises too
         raise ValueError(f"sum mismatch: {float(uu.sum())!r} vs {float(vv.sum())!r}")
     cu = np.cumsum(uu)
     cv = np.cumsum(vv)
@@ -373,7 +375,7 @@ def identric_mean(x: float, y: float) -> float:
     which stays accurate down to |y - x| ~ 0 (no cancellation in the
     exponent), and lies strictly between min(x, y) and max(x, y).
     """
-    if x <= 0.0 or y <= 0.0:
+    if not (x > 0.0 and y > 0.0):  # NaN is not positive
         raise ValueError(f"identric_mean needs positive arguments, got ({x!r}, {y!r})")
     if x > 1.0 + EPSILON or y > 1.0 + EPSILON:
         raise ValueError(f"identric_mean arguments must lie in (0, 1], got ({x!r}, {y!r})")
@@ -538,7 +540,7 @@ def titrate_check(ctx: TranspositionContext) -> RelationVerdict:
             RelationKind.INCONCLUSIVE,
             ("context: alpha = beta; the transposition is trivial",),
         )
-    # the base sums in the order of _decide_titration; a shared row (column)
+    # the base sums in the order of _decide_swaps; a shared row (column)
     # leaves only the column (row) base sum on each side
     names = [name for name in ("r_beta", "c_beta", "r_alpha_tau", "c_alpha_tau")
              if getattr(ctx, name) is not None]
@@ -657,29 +659,22 @@ def _set_leq(m: int, n: int, low: np.ndarray, high: np.ndarray) -> np.ndarray:
     return _set_order(m, n).ravel().take(np.left_shift(low, m * n, dtype=np.int32) | high)
 
 
-def _decide_majorisation(grids_a: np.ndarray, grids_b: np.ndarray) -> np.ndarray:
+def _decide_line_majorisation(
+    lines_a: Sequence[np.ndarray], lines_b: Sequence[np.ndarray]
+) -> np.ndarray:
     """Batched decision of :func:`majorisation_certificate`: is a certificate found?
 
-    ``grids_a`` and ``grids_b`` are (count, m, n) arrays of symbol grids that
-    each hold every symbol 0..mn-1 once, so their totals are equal.  Pair k
-    is certified when, for rows and for columns and every j, each j-subset
-    of B_k's line sums is <= some j-subset of A_k's.  The lines of a grid
-    are disjoint symbol sets, so the sum of j lines is the union of their
-    bitmasks, and every comparison is read from the shape's :func:`_set_order`.
+    ``lines_b`` holds the :func:`_line_masks` of a batch of m x n grids
+    that each hold every symbol once, so that their totals are equal;
+    ``lines_a`` those of as many grids, or of one grid, which is then
+    decided against each of them.  Pair k is certified when, for rows and
+    for columns and every j, each j-subset of B_k's line sums is <= some
+    j-subset of A_k's.  The lines of a grid are disjoint symbol sets, so the
+    sum of j lines is the union of their bitmasks, and every comparison is
+    read from the shape's :func:`_set_order`; against one grid A, the sets
+    that some j lines of A dominate are read once per j.
     """
-    _, m, n = grids_a.shape
-    return _decide_line_majorisation(m, n, _line_masks(grids_a), _line_masks(grids_b))
-
-
-def _decide_line_majorisation(
-    m: int, n: int, lines_a: Sequence[np.ndarray], lines_b: Sequence[np.ndarray]
-) -> np.ndarray:
-    """:func:`_decide_majorisation` of m x n grids given by their :func:`_line_masks`.
-
-    ``lines_a`` holds the row and column masks of as many grids as
-    ``lines_b``, or of one grid, which is then decided against each of them:
-    per j, the sets that some j lines of that grid dominate are read once.
-    """
+    m, n = lines_b[0].shape[1], lines_b[1].shape[1]
     leq = _set_order(m, n)
     certified = np.ones(len(lines_b[0]), dtype=bool)
     for masks_a, masks_b in zip(lines_a, lines_b):
@@ -700,14 +695,18 @@ def _decide_line_majorisation(
     return certified
 
 
-def _decide_titration(grids: np.ndarray, cells: np.ndarray) -> np.ndarray:
+def _decide_swaps(
+    rows: np.ndarray, cols: np.ndarray, grid: np.ndarray, cells: np.ndarray, symbols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Batched decision of :func:`titrate_check` for swaps of two cells.
 
-    ``grids`` is a (count, m, n) array of symbol grids that each hold every
-    symbol 0..mn-1 once; ``cells`` a (count, 2) array of two distinct
-    row-major cells per grid.  Returns an int8 verdict per swap: 1 for
-    ``ProvenForward``, -1 for ``ProvenReverse``, 0 for ``Inconclusive``, by
-    the rules of :func:`titrate_check`, forward first.
+    ``rows`` and ``cols`` are the :func:`_line_masks` of a batch of m x n
+    grids that each hold every symbol once.  Swap i exchanges the two
+    distinct row-major cells ``cells[i]`` of grid ``grid[i]``, which hold
+    the symbols ``symbols[i]``; both are (count, 2) arrays.  Returns
+    ``(forward, reverse)``: per swap, whether the rules of
+    :func:`titrate_check` prove that it cannot decrease, and that it cannot
+    increase, mutual information.
 
     Every comparison the rules make is between two symbol sets.  A grid
     holds each symbol once, so a base sum (a row or a column, before or
@@ -716,52 +715,21 @@ def _decide_titration(grids: np.ndarray, cells: np.ndarray) -> np.ndarray:
     row and the column of a cell share only that cell; ``_leq`` cancels the
     common beta, so the totals compare as the unions, sets of m + n - 1
     symbols.  A line that holds both cells keeps its set under the swap, and
-    only the other line's base sums are compared.  So :func:`_decide_swaps`
-    reads every comparison from the shape's :func:`_set_order`.
-    """
-    count, m, n = grids.shape
-    symbols = np.take_along_axis(grids.reshape(count, m * n), cells, axis=1)
-    lines = _swap_lines(*_line_masks(grids), np.arange(count), cells, symbols)
-    return _verdicts(*_decide_swaps(m, n, *lines))
-
-
-def _swap_lines(
-    rows: np.ndarray, cols: np.ndarray, grid: np.ndarray, cells: np.ndarray, symbols: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """The arguments of :func:`_decide_swaps` after ``m, n``, for swaps of two cells.
-
-    ``rows`` and ``cols`` are the :func:`_line_masks` of a batch of grids.
-    Swap i exchanges the row-major cells ``cells[i]`` of grid ``grid[i]``,
-    which hold the symbols ``symbols[i]``; both are (count, 2) arrays.
+    only the other line's base sums are compared.  So every comparison is
+    read from the shape's :func:`_set_order`.
     """
     m, n = rows.shape[1], cols.shape[1]
     # alpha is the larger value, i.e. the smaller symbol index
     first = symbols[:, 0] < symbols[:, 1]
-    alpha = np.where(first, cells[:, 0], cells[:, 1])
-    beta = np.where(first, cells[:, 1], cells[:, 0])
-    (ia, ja), (ib, jb) = divmod(alpha, n), divmod(beta, n)
+    ia, ja = divmod(np.where(first, cells[:, 0], cells[:, 1]), n)
+    ib, jb = divmod(np.where(first, cells[:, 1], cells[:, 0]), n)
     grid = grid.astype(np.intp)
     at_row, at_col = grid * m, grid * n
     rows, cols = rows.ravel(), cols.ravel()
     bits = np.left_shift(1, symbols, dtype=np.int16)
-    return (
-        rows.take(at_row + ib), cols.take(at_col + jb), rows.take(at_row + ia),
-        cols.take(at_col + ja), bits[:, 0] | bits[:, 1],
-    )
-
-
-def _decide_swaps(
-    m: int, n: int, r_beta: np.ndarray, c_beta: np.ndarray, r_alpha: np.ndarray,
-    c_alpha: np.ndarray, flip: np.ndarray | int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The directions that :func:`titrate_check` proves, for swaps given by their lines.
-
-    The first four arguments are the symbol bitmasks of the row and the
-    column through beta's cell, then through alpha's, in m x n grids that
-    each hold every symbol once; ``flip`` holds the bits of alpha and beta.
-    Returns ``(forward, reverse)``: per swap, whether the rules prove that
-    it cannot decrease, and that it cannot increase, mutual information.
-    """
+    flip = bits[:, 0] | bits[:, 1]
+    r_beta, c_beta = rows.take(at_row + ib), cols.take(at_col + jb)
+    r_alpha, c_alpha = rows.take(at_row + ia), cols.take(at_col + ja)
     same_row, same_col = r_alpha == r_beta, c_alpha == c_beta
     r_alpha_tau = np.where(same_row, r_alpha, r_alpha ^ flip)
     c_alpha_tau = np.where(same_col, c_alpha, c_alpha ^ flip)
@@ -786,11 +754,6 @@ def _decide_swaps(
 
     forward[apart], reverse[apart] = proven(0, 1, 2, 3, le(4, 5)), proven(2, 3, 0, 1, le(5, 4))
     return forward, reverse
-
-
-def _verdicts(forward: np.ndarray, reverse: np.ndarray) -> np.ndarray:
-    """int8 verdicts: 1 where ``forward``, else -1 where ``reverse``, else 0."""
-    return np.where(forward, 1, np.where(reverse, -1, 0)).astype(np.int8)
 
 
 # ---------------------------------------------------------------------------

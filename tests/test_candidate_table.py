@@ -167,7 +167,8 @@ def _titrated_swaps(m, n):
 
     Returns the int64 rows ``(k, a, b, j, verdict)`` in class k, then cell
     pair a < b order: the class j the swap reaches (by canonicalising the
-    swapped grid) and its ``_decide_titration`` verdict, 1-based classes.
+    swapped grid) and its ``_decide_swaps`` verdict (1 forward, else -1
+    reverse, else 0), 1-based classes.
     """
     table = class_table(m, n)
     mn = m * n
@@ -182,7 +183,11 @@ def _titrated_swaps(m, n):
         swapped[at, a], swapped[at, b] = swapped[at, b], swapped[at, a]
         k = lo + 1 + np.arange(len(grids)) // len(cells)
         j = classes._class_rows(swapped.reshape(-1, m, n), table) + 1
-        found.append(np.stack([k, a, b, j, orders._decide_titration(grids, pairs)]))
+        symbols = np.take_along_axis(grids.reshape(-1, mn), pairs, axis=1)
+        forward, reverse = orders._decide_swaps(
+            *orders._line_masks(grids), np.arange(len(grids)), pairs, symbols
+        )
+        found.append(np.stack([k, a, b, j, np.where(forward, 1, np.where(reverse, -1, 0))]))
     return np.concatenate(found, axis=1)
 
 
@@ -195,7 +200,8 @@ def _reference_row(m, n, i, swaps):
     """
     table = class_table(m, n)
     grids = table._grids
-    majorised = orders._decide_majorisation(np.repeat(grids[i - 1 : i], len(grids), axis=0), grids)
+    lines_i = orders._line_masks(np.repeat(grids[i - 1 : i], len(grids), axis=0))
+    majorised = orders._decide_line_majorisation(lines_i, orders._line_masks(grids))
     majorised[i - 1] = False
     row = dict.fromkeys((np.flatnonzero(majorised) + 1).tolist())
     k, a, b, j, verdict = swaps
@@ -228,7 +234,7 @@ def test_stored_swaps_titrate_in_the_grid_of_their_lower_class(m, n):
         grid = table.get(k).canonical
         cells = [s for row in grid for s in row]
         cells[a[x]], cells[b[x]] = cells[b[x]], cells[a[x]]
-        image = canonical_form([cells[r * n : (r + 1) * n] for r in range(m)], table).index
+        image = canonical_form([cells[r * n : (r + 1) * n] for r in range(m)]).index
         assert image == low[x] + high[x] - k
         context = symbolic_transposition_context(grid, divmod(a[x], n), divmod(b[x], n))
         verdict = titrate_check(context)
@@ -236,8 +242,8 @@ def test_stored_swaps_titrate_in_the_grid_of_their_lower_class(m, n):
 
 
 def test_a_swap_proven_both_ways_stops_the_store(monkeypatch):
-    def both(m, n, *lines):
-        return np.ones(len(lines[0]), dtype=bool), np.ones(len(lines[0]), dtype=bool)
+    def both(rows, cols, grid, cells, symbols):
+        return np.ones(len(grid), dtype=bool), np.ones(len(grid), dtype=bool)
 
     monkeypatch.setattr(classes, "_decide_swaps", both)
     with pytest.raises(RuntimeError, match="proven in both directions"):
@@ -247,9 +253,9 @@ def test_a_swap_proven_both_ways_stops_the_store(monkeypatch):
 def test_a_census_and_every_relation_row_titrate_each_swap_once(monkeypatch):
     decided = []
 
-    def counted(m, n, *lines):
-        decided.append(len(lines[0]))
-        return orders._decide_swaps(m, n, *lines)
+    def counted(rows, cols, grid, cells, symbols):
+        decided.append(len(grid))
+        return orders._decide_swaps(rows, cols, grid, cells, symbols)
 
     monkeypatch.setattr(classes, "_decide_swaps", counted)
     cold = {}

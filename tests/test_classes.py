@@ -3,6 +3,7 @@ import csv
 import functools
 import hashlib
 import itertools
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -239,25 +240,23 @@ def test_canonical_form_constant_on_orbits_2x3():
 
 
 def test_canonical_form_constant_on_orbits_exhaustive_2x2():
-    table = class_table(2, 2)
     for perm in itertools.permutations(range(4)):
         g = (perm[:2], perm[2:])
-        cls = canonical_form(g, table=table)
+        cls = canonical_form(g)
         variants = [g, (g[1], g[0])]
         variants += [tuple(row[::-1] for row in v) for v in list(variants)]
         variants += [tuple(zip(*v)) for v in list(variants)]
         for v in variants:
-            assert canonical_form(v, table=table).index == cls.index
+            assert canonical_form(v).index == cls.index
 
 
 def test_canonical_form_includes_transpose_for_square_shapes():
-    table = class_table(3, 3)
     rng = np.random.default_rng(4)
     for _ in range(50):
         perm = rng.permutation(9)
         g = tuple(tuple(int(x) for x in perm[k : k + 3]) for k in (0, 3, 6))
         gt = tuple(zip(*g))
-        assert canonical_form(g, table=table).index == canonical_form(gt, table=table).index
+        assert canonical_form(g).index == canonical_form(gt).index
 
 
 def _smallest_word(grid):
@@ -306,6 +305,14 @@ def test_canonical_form_rejects_tied_numeric_entries():
     P = ProbMatrix(((0.25, 0.25, 0.2), (0.15, 0.1, 0.05)))
     with pytest.raises(ValueError, match="tied"):
         canonical_form(P)
+
+
+@pytest.mark.parametrize("first", [math.nan, math.inf, -math.inf])
+def test_canonical_form_rejects_non_finite_entries(first):
+    with pytest.raises(ValueError, match="non-finite"):
+        canonical_form([[first, first, 0.1], [0.2, 0.15, 0.05]])
+    with pytest.raises(ValueError, match="non-finite"):
+        canonical_form([[0.5, first, 0.1], [0.2, 0.15, 0.05]])
 
 
 def test_canonical_form_rejects_bad_integer_grids():
@@ -520,6 +527,19 @@ def test_cold_honeycomb_derives_only_its_own_edges(monkeypatch, fresh_relation_c
     assert calls == {"majorisation_certificate": 95, "titrate_check": 4}
 
 
+def test_cold_honeycomb_decides_each_rule_in_one_batch(monkeypatch):
+    batches = []
+    for name, size in (("_decide_line_majorisation", lambda lines_a, lines_b: len(lines_b[0])),
+                       ("_decide_swaps", lambda rows, cols, grid, cells, symbols: len(grid))):
+        def counted(*args, name=name, size=size, original=getattr(classes, name)):
+            batches.append((name, size(*args)))
+            return original(*args)
+
+        monkeypatch.setattr(classes, name, counted)
+    classes.honeycomb.__wrapped__()
+    assert batches == [("_decide_line_majorisation", 95), ("_decide_swaps", 4)]
+
+
 def test_honeycomb_certificates_are_what_the_text_provers_return():
     table = r23_table()
     hc = honeycomb()
@@ -589,7 +609,7 @@ def _text_relation_graph(m, n):
                 continue
             rows = [list(row) for row in gi]
             rows[pa[0]][pa[1]], rows[pb[0]][pb[1]] = rows[pb[0]][pb[1]], rows[pa[0]][pa[1]]
-            j = canonical_form(rows, table=table).index
+            j = canonical_form(rows).index
             if j == i:
                 continue
             word = grid_word(gi)

@@ -62,7 +62,6 @@ def test_extrema_builds_no_titration_pass(monkeypatch, capsys):
     def titrate(*args):
         raise AssertionError("titrated")
 
-    monkeypatch.setattr(classes, "_decide_titration", titrate)
     monkeypatch.setattr(classes, "_decide_swaps", titrate)
     for module, name in ((classes, "_certified_swaps"), (extrema, "_titration_candidates"),
                          (extrema, "_decomposition")):

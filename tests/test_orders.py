@@ -41,9 +41,10 @@ from specmi.classes import class_table, maxima_chain_steps, word_to_grid
 from specmi.orders import (
     _SEARCH_DEPTH,
     SYMBOL_LETTERS,
-    _decide_majorisation,
-    _decide_titration,
+    _decide_line_majorisation,
+    _decide_swaps,
     _leq,
+    _line_masks,
     _prove_leq,
     _set_order,
 )
@@ -222,6 +223,11 @@ def test_vector_majorises_validation():
         vector_majorises((0.7, 0.2), (0.5, 0.3))
 
 
+def test_vector_majorises_rejects_a_nan_total():
+    with pytest.raises(ValueError, match="sum mismatch: nan"):
+        vector_majorises([math.nan, 0.5, 0.5], [0.4, 0.3, 0.3])
+
+
 def test_matrix_majorises_requires_same_entry_multiset():
     a = ProbMatrix(((0.4, 0.3), (0.2, 0.1)))
     b = ProbMatrix(((0.4, 0.25), (0.25, 0.1)))
@@ -305,6 +311,17 @@ def _text_majorisations(grids_a, grids_b):
     ]
 
 
+def _batched_majorisations(grids_a, grids_b):
+    return _decide_line_majorisation(_line_masks(grids_a), _line_masks(grids_b)).tolist()
+
+
+def _batched_titrations(grids, cells):
+    """``_decide_swaps`` as ``_KIND_CODE`` codes, forward first like ``titrate_check``."""
+    symbols = np.take_along_axis(grids.reshape(len(grids), -1), cells, axis=1)
+    forward, reverse = _decide_swaps(*_line_masks(grids), np.arange(len(grids)), cells, symbols)
+    return np.where(forward, 1, np.where(reverse, -1, 0)).tolist()
+
+
 def _text_titrations(grids, cells):
     n = grids.shape[2]
     contexts = (
@@ -319,7 +336,7 @@ def test_batched_majorisation_matches_the_text_prover_on_every_pair(m, n):
     grids = class_table(m, n)._grids
     pairs = np.argwhere(~np.eye(len(grids), dtype=bool))
     a, b = grids[pairs[:, 0]], grids[pairs[:, 1]]
-    assert _decide_majorisation(a, b).tolist() == _text_majorisations(a, b)
+    assert _batched_majorisations(a, b) == _text_majorisations(a, b)
 
 
 @pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (2, 5)])
@@ -327,11 +344,11 @@ def test_batched_majorisation_matches_the_text_prover_at_random(m, n):
     """1500 seeded random class pairs, and 1500 the batched decision certifies."""
     grids = class_table(m, n)._grids
     pairs = np.random.default_rng(m * n).integers(len(grids), size=(100_000, 2))
-    certified = _decide_majorisation(grids[pairs[:, 0]], grids[pairs[:, 1]])
+    certified = np.array(_batched_majorisations(grids[pairs[:, 0]], grids[pairs[:, 1]]))
     assert certified.sum() >= 1500
     pairs = np.concatenate([pairs[:1500], pairs[certified][:1500]])
     a, b = grids[pairs[:, 0]], grids[pairs[:, 1]]
-    assert _decide_majorisation(a, b).tolist() == _text_majorisations(a, b)
+    assert _batched_majorisations(a, b) == _text_majorisations(a, b)
 
 
 @pytest.mark.parametrize("m, n", [(2, 2), (2, 3)])
@@ -339,7 +356,7 @@ def test_batched_titration_matches_the_text_prover_on_every_swap(m, n):
     table = class_table(m, n)
     cells = np.tile(list(permutations(range(m * n), 2)), (len(table), 1))
     grids = np.repeat(table._grids, len(cells) // len(table), axis=0)
-    assert _decide_titration(grids, cells).tolist() == _text_titrations(grids, cells)
+    assert _batched_titrations(grids, cells) == _text_titrations(grids, cells)
 
 
 @pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (2, 5)])
@@ -350,9 +367,9 @@ def test_batched_titration_matches_the_text_prover_at_random(m, n):
     grids = np.argsort(rng.random((count, mn)), axis=1).reshape(count, m, n)
     first = rng.integers(mn, size=count)
     cells = np.stack([first, (first + rng.integers(1, mn, size=count)) % mn], axis=1)
-    kinds = _decide_titration(grids, cells)
-    assert set(kinds.tolist()) == {-1, 0, 1}
-    assert kinds.tolist() == _text_titrations(grids, cells)
+    kinds = _batched_titrations(grids, cells)
+    assert set(kinds) == {-1, 0, 1}
+    assert kinds == _text_titrations(grids, cells)
 
 
 def test_majorisation_rows_and_the_set_order_table_are_pinned():
@@ -402,6 +419,12 @@ def test_identric_mean_domain():
         identric_mean(0.0, 0.5)
     with pytest.raises(ValueError, match="lie in"):
         identric_mean(0.5, 1.5)
+
+
+def test_identric_mean_rejects_nan():
+    for x, y in ((math.nan, 0.5), (0.5, math.nan)):
+        with pytest.raises(ValueError, match="positive"):
+            identric_mean(x, y)
 
 
 def test_identric_mean_between_arguments():
