@@ -30,15 +30,16 @@ class to a higher one, a chunk of classes per ``orders._decide_swaps``
 call, reading the class each swap reaches from the action of symbol
 exchanges on classes (``_exchanges``), and keeps the certified ones in
 class order.  Both of its readers take their swap edges from it:
-``_titration_candidates``, the census kernel's candidate sets and each
-candidate's feeder list, when a census of a shape first runs
-(``extrema._census_decomposition``), and the relation, read one class at
-a time.  ``_relation_row`` decides a class's majorisations of every class
-in one batch (``orders._decide_line_majorisation``, which reads the same
-per-shape table of symbol-set orders as the swaps, and the line masks the
-class table keeps), adds its swap edges from the store, and keeps a
-reference to each edge's proof; ``_edge_lines`` renders
-the edges of a printed chain once each.  ``_search_tree`` keeps one
+``_titration_candidates``, which hands the census kernel its candidates
+and each candidate's feeders as 0-based arrays, one pair per side, when a
+census of a shape first runs (``extrema._census_candidates``), and the
+relation, read one class at a time.  ``_relation_row`` decides a class's
+majorisations of every class in one batch
+(``orders._decide_line_majorisation``, which reads the same per-shape
+table of symbol-set orders as the swaps, and the line masks the class
+table keeps), adds its swap edges from the store, and keeps a reference
+to each edge's proof; ``_edge_lines`` renders the edges of a printed
+chain once each.  ``_search_tree`` keeps one
 breadth-first tree per source class, so each class's chains are searched
 once and a cold query decides only the rows its search expands.  The 2x3
 honeycomb decides its 95 majorisation pairs and its 4 chain steps with the
@@ -56,7 +57,7 @@ import functools
 import itertools
 import math
 import operator
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -124,6 +125,8 @@ def grid_word(grid: Sequence[Sequence[int]]) -> str:
 def word_to_grid(word: str, m: int, n: int) -> Grid:
     if len(word) != m * n:
         raise ValueError(f"word {word!r} does not fill a {m}x{n} grid")
+    if sorted(word) != list(SYMBOL_LETTERS[: m * n]):
+        raise ValueError(f"word {word!r} is not an arrangement of the first {m * n} letters")
     syms = [SYMBOL_LETTERS.index(ch) for ch in word]
     return tuple(tuple(syms[i * n : (i + 1) * n]) for i in range(m))
 
@@ -596,7 +599,7 @@ def _certified_swaps(m: int, n: int) -> tuple[np.ndarray, ...]:
     walked ``_SWAP_CHUNK`` cell pairs at a time; the class each swap reaches
     is read from ``_exchanges``, and each chunk's swaps are decided in one
     ``orders._decide_swaps`` call on the lines the class table keeps.  Kept
-    for the relation rows and the census's candidate sets.  Raises
+    for the relation rows and the census's candidates.  Raises
     RuntimeError if a swap is proven in both directions, as its two edges
     would form a cycle.
     """
@@ -625,24 +628,9 @@ def _certified_swaps(m: int, n: int) -> tuple[np.ndarray, ...]:
     return tuple(np.concatenate(arrays) for arrays in zip(*found))
 
 
-class _CandidateSets(NamedTuple):
-    """The census kernel's evaluation sets, 1-based classes in ascending order.
-
-    ``feeders_max[i]`` lists the classes of ``f_max`` with an edge up into
-    ``c_max[i]``, and ``feeders_min`` is the min side's mirror image.
-    """
-
-    c_max: tuple[int, ...]
-    f_max: tuple[int, ...]
-    c_min: tuple[int, ...]
-    f_min: tuple[int, ...]
-    feeders_max: tuple[tuple[int, ...], ...]
-    feeders_min: tuple[tuple[int, ...], ...]
-
-
 @functools.lru_cache(maxsize=None)
-def _titration_candidates(m: int, n: int) -> _CandidateSets:
-    """The census kernel's evaluation sets ``C_max, F_max, C_min, F_min`` and feeders.
+def _titration_candidates(m: int, n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The census kernel's candidates and their feeders, per side: max, then min.
 
     Read from the certified edges I(low) <= I(high) of
     :func:`_certified_swaps`, the store the relation rows read, so a
@@ -651,7 +639,11 @@ def _titration_candidates(m: int, n: int) -> _CandidateSets:
     other classes whose every edge up lands in ``C``; the feeders of a
     class of ``C`` are the classes of ``F`` with an edge up into it, so
     every class of ``F`` feeds at least one.  The min side is the mirror
-    image.  Raises RuntimeError if the edges have a cycle.
+    image.  Each side is ``(classes, feeders)``: ``C`` as 0-based classes,
+    ascending, and a (len(C), K) table of each candidate's 0-based feeders,
+    ascending, padded to the longest list by repeating its first feeder.
+    Raises RuntimeError if the edges have a cycle or a candidate has no
+    feeder.
     """
     low, high = _certified_swaps(m, n)[:2]
     size = len(class_table(m, n)) + 1
@@ -667,19 +659,23 @@ def _titration_candidates(m: int, n: int) -> _CandidateSets:
         tops = np.flatnonzero((up == 0) & (np.bincount(into, minlength=size) > 0))
     if left:
         raise RuntimeError(f"the {m}x{n} titration edges have a cycle")
-    sets, feeders = [], []
+    sides = []
     for tail, head in ((low, high), (high, low)):
         c = np.bincount(tail, minlength=size) == 0
         f = ~c & (np.bincount(tail[~c[head]], minlength=size) == 0)
         members = np.flatnonzero(c)[1:]
-        sets += [tuple(members.tolist()), tuple(np.flatnonzero(f).tolist())]
         # every edge out of F lands in C: its (head, tail) pairs, once each, by head
         out_of_f = f[tail]
         pairs = head[out_of_f].astype(np.intp) * size + tail[out_of_f]
         fed, feeder = np.divmod(_distinct(pairs), size)
-        lists = np.split(feeder, np.searchsorted(fed, members[1:]))
-        feeders.append(tuple(tuple(group.tolist()) for group in lists))
-    return _CandidateSets(*sets, *feeders)
+        counts = np.bincount(np.searchsorted(members, fed), minlength=len(members))
+        if not counts.all():
+            raise RuntimeError(f"a {m}x{n} titration candidate has no feeder")
+        slot = np.arange(counts.max())
+        first = np.cumsum(counts) - counts
+        padded = first[:, None] + np.where(slot < counts[:, None], slot, 0)
+        sides.append((members - 1, feeder[padded] - 1))
+    return tuple(sides)
 
 
 #: A relation edge's reference to its proof: None for the majorisation of

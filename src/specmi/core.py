@@ -72,7 +72,7 @@ def entropy_term(x: float) -> float:
     Raises ``ValueError`` if ``x`` lies outside ``[0, 1]`` beyond EPSILON;
     round-off underflow/overshoot within tolerance is clamped.
     """
-    if x < -EPSILON or x > 1.0 + EPSILON:
+    if not -EPSILON <= x <= 1.0 + EPSILON:
         raise ValueError(f"entropy_term: argument {x!r} outside [0, 1]")
     if x <= 0.0:
         return 0.0
@@ -90,7 +90,7 @@ def binary_entropy(x: float) -> float:
     One further out raises ``ValueError``.
     """
     slack = SUM_TOLERANCE + 4.0 * EPSILON
-    if x < -slack or x > 1.0 + slack:
+    if not -slack <= x <= 1.0 + slack:
         raise ValueError(f"binary_entropy: argument {x!r} outside [0, 1]")
     x = min(max(x, 0.0), 1.0)
     return entropy_term(x) + entropy_term(1.0 - x)

@@ -48,10 +48,12 @@ lands in ``C``.  So every other class has an edge up to
 a class outside ``C``, and the edges have no cycle: every walk along such
 edges ends in ``F``, and whenever a class outside ``C`` and ``F`` is within
 some band of the maximum, a class of ``F`` is too.  The min side is the
-mirror image.  The sets are derived (``classes._titration_candidates``)
-from the shape's certified-swap store, which the relation rows read too
+mirror image.  ``classes._titration_candidates`` derives them from the
+shape's certified-swap store, which the relation rows read too
 (``classes._certified_swaps``, built in 41-74 ms at 2x5 on a 2-vCPU VM),
-when a census of the shape first runs, in ``_census_decomposition``;
+and hands each side over as two 0-based arrays, ``C`` and a table of each
+candidate's feeders; ``_census_candidates`` turns them into the tile's
+term indices when a census of the shape first runs.
 ``brute_force_extrema`` and ``_decomposition`` never titrate.  The tests
 pin the sets and check the store's edges at random spectra.  The kernel
 computes the totals of ``C_max`` and ``C_min`` only (2x5: 110 of 15120;
@@ -131,7 +133,9 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .classes import _titration_candidates, class_table
-from .core import EPSILON, Spectrum, _json_text, entropy_terms, sample_spectra, write_text_atomic
+from .core import (
+    EPSILON, Spectrum, _distinct, _json_text, entropy_terms, sample_spectra, write_text_atomic,
+)
 
 __all__ = [
     "MAX_BLOCK_SIZE",
@@ -229,7 +233,6 @@ class _TermDecomposition:
     # (C, m + n) int32: each class's term indices, ascending, the rows where
     # its column of G holds a 1
     terms_by_class: np.ndarray
-    candidates: _Candidates | None  # None in ``_decomposition``, which never titrates
 
 
 @functools.lru_cache(maxsize=None)
@@ -253,54 +256,42 @@ def _decomposition(m: int, n: int) -> _TermDecomposition:
         term_symbols=A_T.astype(np.float64),
         padded_symbols=np.ascontiguousarray(padded.T),
         terms_by_class=terms,
-        candidates=None,
     )
 
 
 @functools.lru_cache(maxsize=None)
-def _census_decomposition(m: int, n: int) -> _TermDecomposition:
-    """The decomposition a census evaluates, with its candidates.
+def _census_candidates(m: int, n: int) -> _Candidates:
+    """The candidates and feeders a census of the shape evaluates.
 
-    The candidates are derived here (``classes._titration_candidates``)
-    when a census of the shape first runs, from the shape's certified-swap
-    store, which the relation rows read too.  Their tiles compute only the
-    terms that the candidates and their feeders read (2x3: 31 of 35; 3x3:
-    79 of 84; every term at 2x2, 2x4 and 2x5), renumbered in term order;
-    the decomposition's own tables keep the full numbering.
+    ``classes._titration_candidates`` hands over each side's classes and
+    padded feeder table, 0-based, when a census of the shape first runs;
+    here each becomes the term indices a tile reads.  Tiles compute only
+    the terms that the candidates and their feeders read (2x3: 31 of 35;
+    3x3: 79 of 84; every term at 2x2, 2x4 and 2x5), renumbered in term
+    order; ``_decomposition`` keeps the full numbering.
     """
     dec = _decomposition(m, n)
-    sets = _titration_candidates(m, n)
+    sides = _titration_candidates(m, n)
     _trim_heap()
     terms = dec.terms_by_class
-    classes, feeder_terms = [], []
-    for c, feeders in ((sets.c_max, sets.feeders_max), (sets.c_min, sets.feeders_min)):
-        assert all(feeders), "every candidate has a feeder"
-        width = max(map(len, feeders))
-        padded = np.array([f + f[:1] * (width - len(f)) for f in feeders], dtype=np.intp) - 1
-        classes.append(np.array(c, dtype=np.intp) - 1)
-        feeder_terms.append(terms[padded].transpose(2, 1, 0))
-    cand_terms = terms[np.concatenate(classes)].T
-    read = np.zeros(len(dec.term_symbols), dtype=bool)
-    for table in (cand_terms, *feeder_terms):
-        read[table] = True
-    used = np.flatnonzero(read)
-    tile = np.zeros(len(read), dtype=np.intp)
+    feeder_terms = [terms[feeders].transpose(2, 1, 0) for _, feeders in sides]
+    cand_terms = terms[np.concatenate([c for c, _ in sides])].T
+    used = _distinct(np.concatenate([table.ravel() for table in (cand_terms, *feeder_terms)]))
+    tile = np.zeros(len(dec.term_symbols), dtype=np.intp)
     tile[used] = np.arange(len(used))  # each read term's row in the tile
-    sides = tuple(
-        _Side(
-            classes=c,
-            feeder_terms=np.ascontiguousarray(tile[table]),
-            sign=sign,
-            band_weights=np.stack([np.ones(len(c)), np.arange(len(c), dtype=np.float64)]),
-        )
-        for c, table, sign in zip(classes, feeder_terms, (1.0, -1.0))
-    )
-    candidates = _Candidates(
+    return _Candidates(
         term_symbols=np.ascontiguousarray(dec.term_symbols[used]),
         terms=np.ascontiguousarray(tile[cand_terms]),
-        sides=sides,
+        sides=tuple(
+            _Side(
+                classes=c,
+                feeder_terms=np.ascontiguousarray(tile[table]),
+                sign=sign,
+                band_weights=np.stack([np.ones(len(c)), np.arange(len(c), dtype=np.float64)]),
+            )
+            for (c, _), table, sign in zip(sides, feeder_terms, (1.0, -1.0))
+        ),
     )
-    return dataclasses.replace(dec, candidates=candidates)
 
 
 def _trim_heap() -> None:
@@ -418,7 +409,7 @@ def _sole_candidates(
     return resolved, *credited
 
 
-def _row_elements(dec: _TermDecomposition) -> int:
+def _row_elements(cand: _Candidates) -> int:
     """Census work-array elements per tile row, 8 bytes each.
 
     A tile holds its entropy terms (those its candidates and feeders read)
@@ -428,17 +419,16 @@ def _row_elements(dec: _TermDecomposition) -> int:
     index and value.  The sides share these arrays by name, so each counts
     at the larger side's size.
     """
-    cand = dec.candidates
     n_terms = cand.term_symbols.shape[0]
     banded = [side for side in cand.sides if len(side.classes) > 1]
     band = max((len(side.classes) + 2 for side in banded), default=0)
     slots = max((side.feeder_terms.shape[1] for side in banded), default=0)
-    gathers = 2 * dec.terms_by_class.shape[1] * slots
+    gathers = 2 * cand.terms.shape[0] * slots
     totals = max(side.feeder_terms.shape[1] for side in cand.sides)
     return n_terms + max(n_terms, cand.terms.shape[1]) + band + gathers + totals
 
 
-def _tiles(dec: _TermDecomposition, rows: int) -> list[int]:
+def _tiles(cand: _Candidates, rows: int) -> list[int]:
     """The bounds of the tiles of a block of ``rows`` spectra.
 
     The block is split into the fewest tiles whose work arrays
@@ -447,7 +437,7 @@ def _tiles(dec: _TermDecomposition, rows: int) -> list[int]:
     leftover tile costs a round of calls, and a set's arrays grow only at
     its first tile.
     """
-    most = max(1, _WORK_BYTES // 8 // _row_elements(dec))
+    most = max(1, _WORK_BYTES // 8 // _row_elements(cand))
     count = -(-rows // most)
     return [-(-rows * i // count) for i in range(count + 1)]
 
@@ -479,7 +469,7 @@ def _spectrum_extremes(
 
 
 def _block_extrema(
-    spectra: np.ndarray, dec: _TermDecomposition
+    spectra: np.ndarray, dec: _TermDecomposition, cand: _Candidates
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Per-class argmax/argmin hit counts and tie-event counts for one block.
 
@@ -489,7 +479,7 @@ def _block_extrema(
     (``_spectrum_extremes``), as ``brute_force_extrema`` evaluates it.
     """
     n_classes = len(dec.terms_by_class)
-    bounds = _tiles(dec, spectra.shape[0])
+    bounds = _tiles(cand, spectra.shape[0])
     max_hits = np.zeros(n_classes, dtype=np.int64)
     min_hits = np.zeros(n_classes, dtype=np.int64)
     ties_max = ties_min = 0
@@ -498,8 +488,8 @@ def _block_extrema(
     except IndexError:
         work = {}
     for r0, r1 in zip(bounds, bounds[1:]):
-        hterms = _marginal_entropy_terms(spectra[r0:r1], dec.candidates.term_symbols, work)
-        resolved, top, bottom = _sole_candidates(hterms, dec.candidates, work)
+        hterms = _marginal_entropy_terms(spectra[r0:r1], cand.term_symbols, work)
+        resolved, top, bottom = _sole_candidates(hterms, cand, work)
         max_hits += np.bincount(top[resolved], minlength=n_classes)
         min_hits += np.bincount(bottom[resolved], minlength=n_classes)
         for spectrum in spectra[r0:r1][~resolved]:
@@ -847,7 +837,7 @@ def census(
         schema_version=_CHECKPOINT_SCHEMA, m=m, n=n, samples=samples, seed=seed,
         block_size=block_size,
     )
-    dec = _census_decomposition(m, n)
+    dec, cand = _decomposition(m, n), _census_candidates(m, n)
     n_classes = len(dec.terms_by_class)
     mn = m * n
     n_blocks = (samples + block_size - 1) // block_size
@@ -866,7 +856,7 @@ def census(
     def run_block(b: int) -> tuple[np.ndarray, np.ndarray, int, int]:
         size = min(block_size, samples - b * block_size)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
-        return _block_extrema(sample_spectra(mn, size, rng), dec)
+        return _block_extrema(sample_spectra(mn, size, rng), dec, cand)
 
     def accumulate(b: int, result: tuple[np.ndarray, np.ndarray, int, int]) -> None:
         max_hits, min_hits, ties_max, ties_min = result

@@ -1,15 +1,16 @@
 """The census kernel's certified evaluation sets, and what they say of the paper.
 
-The census derives, per shape and side, the candidates ``C``, the
-feeders ``F`` and each candidate's feeder list (the classes of ``F`` with
-an edge into it) from the shape's certified-swap store
-(``classes._certified_swaps``, read by ``classes._titration_candidates``)
-the first time it runs.  The kernel is exact only if every class outside
+The census reads, per shape and side, the candidates ``C`` and each
+candidate's feeder list (the classes of ``F`` with an edge into it) as
+0-based arrays from ``classes._titration_candidates``, which derives them
+from the shape's certified-swap store (``classes._certified_swaps``) the
+first time it runs.  The kernel is exact only if every class outside
 ``C`` and ``F`` has a chain of certified edges that ends in ``F``, and
 every edge out of ``F`` is listed; these tests pin the store, the sets and
-the longest lists, check the store against a titration of every swap,
-check its edges and the listed ones at random spectra, and check the
-chains' existence instead of trusting the store.  They also
+the longest lists, derive ``C`` and ``F`` again from the store's edges,
+check the store against a titration of every swap, check its edges and
+the listed ones at random spectra, and check the chains' existence
+instead of trusting the store.  They also
 test the paper's closing claim against the full relation (majorisation and
 titration edges): only 2x3 has a single undominated maximum.
 """
@@ -72,9 +73,48 @@ def _relation_graph(m, n):
     return {i: classes._relation_row(m, n, i) for i in range(1, len(class_table(m, n)) + 1)}
 
 
+def _candidates(m, n):
+    """Per side, max then min, ``C`` and each candidate's feeder list, 1-based tuples.
+
+    Reads back the 0-based arrays of ``_titration_candidates``: a row of a
+    feeder table is its ascending list, then repeats of its first feeder.
+    """
+    sides = []
+    for c, table in _titration_candidates(m, n):
+        lists = []
+        for row in (table + 1).tolist():
+            k = next((i for i in range(1, len(row)) if row[i] <= row[i - 1]), len(row))
+            assert row[k:] == row[:1] * (len(row) - k)
+            lists.append(tuple(row[:k]))
+        sides.append((tuple((c + 1).tolist()), tuple(lists)))
+    return tuple(sides)
+
+
 def _sets(m, n):
-    """``C_max, F_max, C_min, F_min`` of one shape as sets of class indices."""
-    return tuple(map(set, _titration_candidates(m, n)[:4]))
+    """``C_max, F_max, C_min, F_min`` of one shape as sets of 1-based classes.
+
+    Each ``F`` is the union of its side's feeder lists.
+    """
+    (c_max, fed_max), (c_min, fed_min) = _candidates(m, n)
+    return set(c_max), set().union(*fed_max), set(c_min), set().union(*fed_min)
+
+
+def _edge_sets(m, n):
+    """``C_max, F_max, C_min, F_min`` derived from the swap store's edges alone.
+
+    On the max side, ``C`` holds the classes with no edge up and ``F`` the
+    other classes whose every edge up lands in ``C``; the min side mirrors it.
+    """
+    every = set(range(1, len(class_table(m, n)) + 1))
+    low, high = (side.tolist() for side in _edges(m, n))
+    sets = []
+    for tails, heads in ((low, high), (high, low)):
+        out = {x: set() for x in every}
+        for x, y in zip(tails, heads):
+            out[x].add(y)
+        c = {x for x in every if not out[x]}
+        sets += [c, {x for x in every - c if out[x] <= c}]
+    return tuple(sets)
 
 
 def _edges(m, n):
@@ -84,10 +124,13 @@ def _edges(m, n):
 
 @pytest.mark.parametrize("m,n", SHAPES)
 def test_titration_pass_reproduces_the_table(m, n):
-    sets = _titration_candidates(m, n)[:4]
-    text = "\n".join(" ".join(map(str, s)) for s in sets)
+    sets = _sets(m, n)
+    text = "\n".join(" ".join(map(str, sorted(s))) for s in sets)
     assert (tuple(map(len, sets)), hashlib.sha256(text.encode()).hexdigest()) == PINNED_SETS[m, n]
-    assert all(list(s) == sorted(set(s)) for s in sets)
+    # C ascending, and one row of feeders per candidate, as wide as the longest list
+    for (c, table), width in zip(_titration_candidates(m, n), PINNED_FEEDER_WIDTHS[m, n]):
+        assert c.dtype == table.dtype == np.intp and (np.diff(c) > 0).all()
+        assert table.shape == (len(c), width)
 
 
 #: Per shape, the longest feeder list of a ``C_max`` and of a ``C_min`` class.
@@ -103,27 +146,25 @@ def _class_values(spectra, m, n):
 
 def _feeder_edges(m, n):
     """Per side, the feeder lists as edges ``(low, high)``, I(low) <= I(high)."""
-    sets = _titration_candidates(m, n)
-    up = [(f, c) for c, fed in zip(sets.c_max, sets.feeders_max) for f in fed]
-    down = [(c, f) for c, fed in zip(sets.c_min, sets.feeders_min) for f in fed]
+    (c_max, fed_max), (c_min, fed_min) = _candidates(m, n)
+    up = [(f, c) for c, fed in zip(c_max, fed_max) for f in fed]
+    down = [(c, f) for c, fed in zip(c_min, fed_min) for f in fed]
     return up, down
 
 
 @pytest.mark.parametrize("m,n", SHAPES)
 def test_feeder_lists_are_the_edges_out_of_the_feeders(m, n):
-    sets = _titration_candidates(m, n)
+    c_max, f_max, c_min, f_min = _edge_sets(m, n)
     widths = []
-    for c, f, feeders in ((sets.c_max, sets.f_max, sets.feeders_max),
-                          (sets.c_min, sets.f_min, sets.feeders_min)):
-        assert len(feeders) == len(c)
+    for (c, feeders), want_c, want_f in zip(_candidates(m, n), (c_max, c_min), (f_max, f_min)):
+        assert c == tuple(sorted(want_c)) and len(feeders) == len(c)
         assert all(fed and list(fed) == sorted(set(fed)) for fed in feeders)
-        assert set().union(*feeders) == set(f)
+        assert set().union(*feeders) == want_f
         widths.append(max(map(len, feeders)))
     assert tuple(widths) == PINNED_FEEDER_WIDTHS[m, n]
     # every listed pair is a certified edge, and every edge out of F is listed
     certified = set(zip(*(side.tolist() for side in _edges(m, n))))
     up, down = _feeder_edges(m, n)
-    c_max, f_max, c_min, f_min = _sets(m, n)
     assert set(up) == {(x, y) for x, y in certified if x in f_max}
     assert set(down) == {(x, y) for x, y in certified if y in f_min}
     assert len(set(up)) == len(up) and len(set(down)) == len(down)
@@ -250,6 +291,14 @@ def test_a_swap_proven_both_ways_stops_the_store(monkeypatch):
         _certified_swaps.__wrapped__(2, 3)
 
 
+def test_a_candidate_without_a_feeder_stops_the_sets(monkeypatch):
+    # one 2x2 edge, 1 -> 2: class 3 has no edge, so no class feeds it
+    edge = np.array([1], dtype=np.int16), np.array([2], dtype=np.int16)
+    monkeypatch.setattr(classes, "_certified_swaps", lambda m, n: edge)
+    with pytest.raises(RuntimeError, match="2x2 titration candidate has no feeder"):
+        _titration_candidates.__wrapped__(2, 2)
+
+
 def test_a_census_and_every_relation_row_titrate_each_swap_once(monkeypatch):
     decided = []
 
@@ -260,7 +309,7 @@ def test_a_census_and_every_relation_row_titrate_each_swap_once(monkeypatch):
     monkeypatch.setattr(classes, "_decide_swaps", counted)
     cold = {}
     for module, name in ((classes, "_certified_swaps"), (classes, "_relation_row"),
-                         (extrema, "_titration_candidates"), (extrema, "_census_decomposition")):
+                         (extrema, "_titration_candidates"), (extrema, "_census_candidates")):
         cold[name] = functools.lru_cache(maxsize=None)(getattr(module, name).__wrapped__)
         monkeypatch.setattr(module, name, cold[name])
     census(2, 4, 5000, 3)
@@ -331,10 +380,10 @@ def test_the_2x2_and_2x3_candidates_are_the_extremes_of_the_paper():
     # at 2x3 the census scores class 48 and the five MINZ classes only; at
     # 2x2 the antidiagonal ac|db and the identity ab|cd, the two ends of
     # the total order of qubit2.verify_total_order_2x2
-    sets = _titration_candidates(2, 3)
-    assert sets.c_max == (48,) and sets.c_min == standard_form_sets().minz
-    sets = _titration_candidates(2, 2)
-    assert (sets.c_max, sets.c_min) == ((3,), (1,))
+    (c_max, _), (c_min, _) = _candidates(2, 3)
+    assert c_max == (48,) and c_min == standard_form_sets().minz
+    (c_max, _), (c_min, _) = _candidates(2, 2)
+    assert (c_max, c_min) == ((3,), (1,))
     table = class_table(2, 2)
     assert (table.get(3).display, table.get(1).display) == ("ac|db", "ab|cd")
     s = Spectrum((0.4, 0.3, 0.2, 0.1))
@@ -346,7 +395,7 @@ def test_the_2x2_and_2x3_candidates_are_the_extremes_of_the_paper():
 
 def _undominated_maxima(m, n):
     """The max-side candidates with no certified edge up in the full relation."""
-    return {i for i in _titration_candidates(m, n)[0] if not classes._relation_row(m, n, i)}
+    return {i for i in _sets(m, n)[0] if not classes._relation_row(m, n, i)}
 
 
 def test_only_2x3_has_a_unique_undominated_maximum():

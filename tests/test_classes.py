@@ -56,6 +56,13 @@ def test_word_grid_roundtrip():
         assert grid_word(word_to_grid(word, m, n)) == word
 
 
+@pytest.mark.parametrize("word", ["abcdeg", "aaaaaa", "abcdez"])
+def test_word_to_grid_rejects_a_word_that_is_not_an_arrangement(word):
+    # a symbol outside the grid, a repeated symbol, a letter outside the alphabet
+    with pytest.raises(ValueError, match=f"word '{word}' is not an arrangement of the first 6"):
+        word_to_grid(word, 2, 3)
+
+
 def test_cycle_labels_pinned():
     assert cycle_label_of_word("abcdef") == "()"
     assert cycle_label_of_word("adefcb") == "(264)(35)"
@@ -228,6 +235,20 @@ def test_canonical_form_idempotent():
         assert again.index == cls.index
 
 
+def test_canonical_form_reads_a_numpy_grid_and_rejects_a_ragged_one():
+    grid = word_to_grid("adefcb", 2, 3)
+    assert canonical_form(np.array(grid)) == canonical_form(grid)
+    with pytest.raises(ValueError, match="arrangement must be rectangular and non-empty"):
+        canonical_form([[0, 1, 2], [3, 4]])
+
+
+def test_index_of_a_word_outside_the_table_raises():
+    table = class_table(2, 3)
+    assert table.index_of(table.get(48).word) == 48
+    with pytest.raises(ValueError, match="'bacdef' is not a canonical word of this table"):
+        table.index_of("bacdef")
+
+
 def test_canonical_form_constant_on_orbits_2x3():
     """Relabelling rows/columns never changes the class."""
     rng = np.random.default_rng(41)
@@ -351,6 +372,8 @@ def test_varpi_accepts_prob_matrices():
 def test_varpi_requires_2x3():
     with pytest.raises(ValueError, match="2x3"):
         varpi(((0, 1), (2, 3)))
+    with pytest.raises(ValueError, match="varpi acts on 2x3 arrangements"):
+        varpi(ProbMatrix(((0.4, 0.3), (0.2, 0.1))))
 
 
 def test_xi_is_an_involution():

@@ -47,6 +47,11 @@ def test_entropy_term_rejects_out_of_domain():
         entropy_term(1.01)
 
 
+def test_entropy_term_rejects_nan():
+    with pytest.raises(ValueError, match=r"entropy_term: argument nan outside \[0, 1\]"):
+        entropy_term(math.nan)
+
+
 def test_entropy_term_clamps_round_off():
     assert entropy_term(-1e-15) == 0.0
     assert entropy_term(1.0 + 1e-15) == 0.0
@@ -77,6 +82,11 @@ def test_binary_entropy_values():
     assert binary_entropy(0.75) == pytest.approx(0.5623351446188084, abs=1e-15)
     assert binary_entropy(0.0) == 0.0
     assert binary_entropy(1.0) == 0.0
+
+
+def test_binary_entropy_rejects_nan():
+    with pytest.raises(ValueError, match=r"binary_entropy: argument nan outside \[0, 1\]"):
+        binary_entropy(math.nan)
 
 
 @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
@@ -148,6 +158,13 @@ def test_prob_matrix_validates():
         ProbMatrix(((0.75, 0.5), (-0.25, 0.0)))
     with pytest.raises(ValueError, match="non-finite"):
         ProbMatrix(((math.nan, 0.5), (0.25, 0.25)))
+
+
+def test_prob_matrix_rejects_no_rows_and_a_one_dimensional_array():
+    with pytest.raises(ValueError, match="ProbMatrix must be non-empty"):
+        ProbMatrix(())
+    with pytest.raises(ValueError, match="ProbMatrix.from_array expects a 2-d array"):
+        ProbMatrix.from_array(np.array([0.5, 0.5]))
 
 
 def test_prob_matrix_from_array_roundtrip():
@@ -333,6 +350,14 @@ def test_sample_spectra_redraws_the_rows_of_the_per_row_check(monkeypatch, dim, 
             assert got.shape == expected.shape and got.flags.c_contiguous
             assert (got.view(np.int64) == expected.view(np.int64)).all()
         assert rounds >= 2 or gap == TIE_REDRAW_GAP
+
+
+def test_sample_spectra_rejects_a_dim_below_two_and_a_negative_count():
+    rng = np.random.default_rng(1)
+    with pytest.raises(ValueError, match="sample_spectra needs dim >= 2"):
+        sample_spectra(1, 3, rng)
+    with pytest.raises(ValueError, match="sample_spectra needs count >= 0"):
+        sample_spectra(4, -1, rng)
 
 
 def test_sample_spectra_zero_count():

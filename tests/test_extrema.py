@@ -5,6 +5,7 @@ import functools
 import itertools
 import json
 import os
+import re
 import sys
 import threading
 import time
@@ -70,12 +71,11 @@ def test_extrema_builds_no_titration_pass(monkeypatch, capsys):
     spectrum = "0.18,0.16,0.14,0.12,0.1,0.09,0.08,0.06,0.04,0.03"
     report = brute_force_extrema(Spectrum(tuple(map(float, spectrum.split(",")))), 2, 5)
     assert len(report.values) == 15120
-    assert extrema._decomposition(2, 5).candidates is None
     assert main(["extrema", "--m", "2", "--n", "5", "--spectrum", spectrum]) == 0
     maxima = json.loads(capsys.readouterr().out)["maxima"]
     assert [cls["index"] for cls in maxima] == list(report.maxima)
     with pytest.raises(AssertionError, match="titrated"):  # the census would titrate
-        extrema._census_decomposition.__wrapped__(2, 5)
+        extrema._census_candidates.__wrapped__(2, 5)
 
 
 def test_brute_force_rejects_dim_mismatch():
@@ -90,7 +90,6 @@ def test_brute_force_uniform_spectrum_ties_every_class():
     assert report.minima == tuple(range(1, 61))
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("values", [(0.5, 0.5, 0, 0, 0, 0), (0.4, 0.3, 0.3, 0, 0, 0)])
 def test_brute_force_spectra_with_zero_entries_match_scalar_cmi(values):
     s = Spectrum(values)
@@ -137,19 +136,19 @@ def _brute_force_tally(spectra, m, n):
     return max_hits, min_hits, ties_max, ties_min
 
 
-def _budget(dec, rows):
+def _budget(cand, rows):
     """The ``_WORK_BYTES`` whose tiles hold at most ``rows`` spectra."""
-    return 8 * rows * extrema._row_elements(dec)
+    return 8 * rows * extrema._row_elements(cand)
 
 
 def test_block_extrema_tiles_agree_with_one_pass_and_brute_force(monkeypatch):
-    dec = extrema._census_decomposition(2, 3)
+    cand = extrema._census_candidates(2, 3)
     spectra = sample_spectra(6, 40, np.random.default_rng(8))
     spectra[[0, 17, 39]] = 1.0 / 6.0  # the uniform spectrum: every class ties
 
     def block_tally(rows_per_tile):
-        monkeypatch.setattr(extrema, "_WORK_BYTES", _budget(dec, rows_per_tile))
-        max_hits, min_hits, ties_max, ties_min = extrema._block_extrema(spectra, dec)
+        monkeypatch.setattr(extrema, "_WORK_BYTES", _budget(cand, rows_per_tile))
+        max_hits, min_hits, ties_max, ties_min = _census_block(spectra, 2, 3)
         return max_hits.tolist(), min_hits.tolist(), ties_max, ties_min
 
     one_pass = block_tally(len(spectra))
@@ -190,7 +189,7 @@ _TIE_SIZES = {
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3)])
 def test_census_tally_with_and_without_ties_equals_a_per_row_recount(monkeypatch, m, n):
     mn = m * n
-    dec = extrema._census_decomposition(m, n)
+    cand = extrema._census_candidates(m, n)
     tied = _tied_spectra(mn, seed=21)
     sizes = {
         (len(r.maxima), len(r.minima))
@@ -205,8 +204,8 @@ def test_census_tally_with_and_without_ties_equals_a_per_row_recount(monkeypatch
     expected = _brute_force_tally(spectra, m, n)
     assert expected[2] > 64 and expected[3] > 64
     for rows_per_tile in (1, 5, 64, len(spectra)):
-        monkeypatch.setattr(extrema, "_WORK_BYTES", _budget(dec, rows_per_tile))
-        assert _tallies(spectra, dec) == expected, rows_per_tile
+        monkeypatch.setattr(extrema, "_WORK_BYTES", _budget(cand, rows_per_tile))
+        assert _tallies(spectra, m, n) == expected, rows_per_tile
 
 
 def _loop_decomposition(m, n):
@@ -266,35 +265,25 @@ def _assert_decomposition_is(dec, A, G, m, n):
     counts = np.zeros_like(G)
     np.add.at(counts, (terms, np.arange(n_classes)[:, None]), 1.0)
     assert np.array_equal(counts, G)
-    assert dec.candidates is None
-    census_dec = extrema._census_decomposition(m, n)
-    assert census_dec.term_symbols is dec.term_symbols
-    assert census_dec.padded_symbols is dec.padded_symbols
-    assert census_dec.terms_by_class is dec.terms_by_class
-    cand = census_dec.candidates
+    cand = extrema._census_candidates(m, n)
     # a tile computes the terms of the C classes and their feeders only, in
     # term order: the rows of A.T that they read
-    sets = _titration_candidates(m, n)
-    c_max, c_min = (np.array(c) - 1 for c in (sets.c_max, sets.c_min))
-    feeders = (np.concatenate(f) - 1 for f in (sets.feeders_max, sets.feeders_min))
-    read = np.concatenate([c_max, c_min, *feeders])
+    (c_max, fed_max), (c_min, fed_min) = _titration_candidates(m, n)
+    read = np.concatenate([c_max, c_min, fed_max.ravel(), fed_min.ravel()])
     used = np.flatnonzero(G[:, read].any(axis=1))
     assert (len(used), len(G)) == _TILE_TERMS[m, n]
     tile = cand.term_symbols
     assert tile.flags.c_contiguous and np.array_equal(tile, A.T[used])
     # the tile term indices of the C classes, C_max then C_min, one column
-    # per class; each C class's feeders as their tile term indices, the
-    # list padded by its first feeder
+    # per class; each C class's padded feeder list as their tile term indices
     expected = [np.flatnonzero(G[used, c]) for c in np.concatenate([c_max, c_min])]
     assert cand.terms.flags.c_contiguous and np.array_equal(cand.terms, np.transpose(expected))
-    sides = zip(cand.sides, (c_max, c_min), (sets.feeders_max, sets.feeders_min), (1.0, -1.0))
+    sides = zip(cand.sides, (c_max, c_min), (fed_max, fed_min), (1.0, -1.0))
     for side, c, feeders, sign in sides:
         assert np.array_equal(side.classes, c) and side.sign == sign
-        width = max(map(len, feeders))
-        assert side.feeder_terms.shape == (m + n, width, len(c))
-        for i, fed in enumerate(feeders):
-            slots = fed + fed[:1] * (width - len(fed))
-            expected = [np.flatnonzero(G[used, f - 1]) for f in slots]
+        assert side.feeder_terms.shape == (m + n, feeders.shape[1], len(c))
+        for i, slots in enumerate(feeders):
+            expected = [np.flatnonzero(G[used, f]) for f in slots]
             assert np.array_equal(side.feeder_terms[:, :, i].T, expected)
 
 
@@ -336,8 +325,7 @@ def test_one_spectrum_is_evaluated_in_fixed_order_bit_for_bit(m, n):
 
 def test_the_2x5_decomposition_holds_no_dense_term_counts():
     # the term indices take 423 KB where a dense G took 36 MB
-    dec = extrema._census_decomposition(2, 5)
-    cand = dec.candidates
+    dec, cand = extrema._decomposition(2, 5), extrema._census_candidates(2, 5)
     arrays = [dec.term_symbols, dec.padded_symbols, dec.terms_by_class]
     arrays += [cand.term_symbols, cand.terms]
     for side in cand.sides:
@@ -361,8 +349,15 @@ def test_brute_force_builds_no_dense_g(monkeypatch):
         assert peak < 12 * 2**20
 
 
-def _tallies(spectra, dec):
-    return tuple(np.asarray(x).tolist() for x in extrema._block_extrema(spectra, dec))
+def _census_block(spectra, m, n):
+    """``_block_extrema`` of one block, given the tables a census of the shape passes."""
+    return extrema._block_extrema(
+        spectra, extrema._decomposition(m, n), extrema._census_candidates(m, n)
+    )
+
+
+def _tallies(spectra, m, n):
+    return tuple(np.asarray(x).tolist() for x in _census_block(spectra, m, n))
 
 
 def _recording_evaluations(monkeypatch):
@@ -383,11 +378,10 @@ def _recording_evaluations(monkeypatch):
     "m,n,rows", [(2, 2, 2500), (2, 3, 2500), (2, 4, 2500), (3, 3, 1700), (2, 5, 600)]
 )
 def test_pruned_block_tallies_equal_a_per_row_recount(monkeypatch, m, n, rows, seed):
-    dec = extrema._census_decomposition(m, n)
     spectra = sample_spectra(m * n, rows, np.random.default_rng(seed))
     reference = _brute_force_tally(spectra, m, n)
     evaluated = _recording_evaluations(monkeypatch)
-    assert _tallies(spectra, dec) == reference
+    assert _tallies(spectra, m, n) == reference
     assert evaluated == []  # random rows resolve among the candidates
 
 
@@ -443,14 +437,13 @@ def _near_tie_rows(mn, dec):
 
 @functools.cache
 def _shape_near_tie_rows(m, n):
-    """``_near_tie_rows`` of the census decomposition of one shape, built once."""
-    return tuple(_near_tie_rows(m * n, extrema._census_decomposition(m, n)))
+    """``_near_tie_rows`` of one shape's decomposition, built once."""
+    return tuple(_near_tie_rows(m * n, extrema._decomposition(m, n)))
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (3, 3), (2, 5)])
 def test_pruned_kernel_hands_ties_and_near_ties_to_the_one_spectrum_evaluation(monkeypatch, m, n):
     mn = m * n
-    dec = extrema._census_decomposition(m, n)
     constructed = np.array([np.full(mn, 1.0 / mn), *_shape_near_tie_rows(m, n)])
     third = 200
     spectra = sample_spectra(mn, 3 * third, np.random.default_rng(5))
@@ -458,7 +451,7 @@ def test_pruned_kernel_hands_ties_and_near_ties_to_the_one_spectrum_evaluation(m
     spectra[third : 2 * third : spread][: len(constructed)] = constructed  # the middle third
     reference = _brute_force_tally(spectra, m, n)
     evaluated = _recording_evaluations(monkeypatch)
-    assert _tallies(spectra, dec) == reference
+    assert _tallies(spectra, m, n) == reference
     assert reference[2] >= 1 and reference[3] >= 1  # the uniform row ties both sides
     # exactly the constructed rows were evaluated alone, no random one
     assert np.array_equal(evaluated, constructed)
@@ -497,8 +490,7 @@ def test_gathered_totals_lie_within_two_delta_of_the_dense_product(monkeypatch, 
     # the premise of the exactness proof: the candidates' and the feeders'
     # totals, gathered from a tile's term rows, against the product of
     # every term row with a whole G, tied and near-tied rows included
-    dec = extrema._census_decomposition(m, n)
-    cand, sets = dec.candidates, _titration_candidates(m, n)
+    dec, cand = extrema._decomposition(m, n), extrema._census_candidates(m, n)
     spectra = sample_spectra(m * n, 96, np.random.default_rng(seed))
     spectra[::16] = _tied_spectra(m * n, seed)[::7][:6]
     hterms = extrema._marginal_entropy_terms(spectra, cand.term_symbols)
@@ -523,13 +515,11 @@ def test_gathered_totals_lie_within_two_delta_of_the_dense_product(monkeypatch, 
     positions = [np.zeros(len(spectra)) if alone else next(counts)[1] for alone in singletons]
     # per side, the feeders of each row's best candidate (its position
     # clipped into C, as the kernel reads it), slot by slot
-    feeders = (sets.feeders_max, sets.feeders_min)
+    feeders = (fed_by for _, fed_by in _titration_candidates(m, n))
     sides = zip(cand.sides, feeders, positions, recorded["totals"], strict=True)
     for side, fed_by, position, feeder_totals in sides:
-        width = side.feeder_terms.shape[1]
-        padded = np.array([f + f[:1] * (width - len(f)) for f in fed_by]) - 1
         best = np.clip(position.astype(np.intp), 0, len(side.classes) - 1)
-        fed = padded[best].T  # (K, rows): the class in each feeder slot
+        fed = fed_by[best].T  # (K, rows): the class in each feeder slot
         expected = side.sign * np.take_along_axis(dense, fed, axis=0)
         assert feeder_totals.shape == expected.shape
         assert np.abs(feeder_totals - expected).max() <= _TWO_DELTA
@@ -540,7 +530,7 @@ def test_forced_rows_tally_as_a_per_row_recount(monkeypatch, m, n):
     # every 7th row of each tile leaves the pruned kernel whatever its totals,
     # and is tallied as a brute_force_extrema of that row alone
     mn = m * n
-    dec = extrema._census_decomposition(m, n)
+    cand = extrema._census_candidates(m, n)
     near_ties = _shape_near_tie_rows(m, n)
     spectra = sample_spectra(mn, 60 + len(near_ties), np.random.default_rng(mn + 70))
     spectra[5::9][:7] = _tied_spectra(mn, seed=mn)[::5][:7]
@@ -559,10 +549,10 @@ def test_forced_rows_tally_as_a_per_row_recount(monkeypatch, m, n):
     # one-row tiles, all forced; two-row tiles, whose forced row is
     # evaluated alone; uneven 7-row tiles with one forced row each; one tile
     for rows_per_tile in (1, 2, 7, len(spectra)):
-        monkeypatch.setattr(extrema, "_WORK_BYTES", _budget(dec, rows_per_tile))
+        monkeypatch.setattr(extrema, "_WORK_BYTES", _budget(cand, rows_per_tile))
         evaluated.clear()
-        assert _tallies(spectra, dec) == expected, rows_per_tile
-        bounds = extrema._tiles(dec, len(spectra))
+        assert _tallies(spectra, m, n) == expected, rows_per_tile
+        bounds = extrema._tiles(cand, len(spectra))
         forced = {r for r0, r1 in zip(bounds, bounds[1:]) for r in range(r0, r1, 7)}
         went_alone = {row.tobytes() for row in evaluated}
         assert all(spectra[r].tobytes() in went_alone for r in forced)
@@ -570,7 +560,7 @@ def test_forced_rows_tally_as_a_per_row_recount(monkeypatch, m, n):
     for row in spectra[:3]:
         expected = _brute_force_tally(row[None, :], m, n)
         evaluated.clear()
-        assert _tallies(row[None, :], dec) == expected
+        assert _tallies(row[None, :], m, n) == expected
         assert len(evaluated) == 1
 
 
@@ -578,10 +568,9 @@ def test_forced_rows_tally_as_a_per_row_recount(monkeypatch, m, n):
 def test_a_one_row_block_tallies_as_its_row_in_a_larger_block(m, n):
     # a tile of one row takes its marginal sums through another BLAS kernel
     # than a tile of many, yet every row is credited alike
-    dec = extrema._census_decomposition(m, n)
     spectra = _near_tie_block(m, n)
-    alone = [_tallies(row[None, :], dec) for row in spectra]
-    whole = _tallies(spectra, dec)
+    alone = [_tallies(row[None, :], m, n) for row in spectra]
+    whole = _tallies(spectra, m, n)
     assert tuple(np.sum(x, axis=0).tolist() for x in zip(*alone)) == whole
     assert whole[2] >= 2 and whole[3] >= 2
 
@@ -590,14 +579,13 @@ def test_block_memory_stays_within_the_tile_budget(monkeypatch):
     # a block of nine tiles; its first 31 spectra are uniform, so every
     # class ties and they are evaluated one at a time
     monkeypatch.setattr(extrema, "_spare_work", [])  # a set allocated while traced
-    dec = extrema._census_decomposition(2, 5)
     spectra = sample_spectra(10, 8000, np.random.default_rng(6))
-    assert len(extrema._tiles(dec, len(spectra))) - 1 == 9
+    assert len(extrema._tiles(extrema._census_candidates(2, 5), len(spectra))) - 1 == 9
     uniform = 31
     spectra[:uniform] = 0.1
     tracemalloc.start()
     try:
-        max_hits, min_hits, ties_max, ties_min = extrema._block_extrema(spectra, dec)
+        max_hits, min_hits, ties_max, ties_min = _census_block(spectra, 2, 5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -614,13 +602,13 @@ _DEFAULT_TILES = {(2, 2): 1, (2, 3): 1, (2, 4): 2, (3, 3): 1, (2, 5): 3}
 
 @pytest.mark.parametrize("m,n", list(_DEFAULT_TILES))
 def test_tiles_split_a_block_equally_within_the_budget(monkeypatch, m, n):
-    dec = extrema._census_decomposition(m, n)
-    row_bytes = 8 * extrema._row_elements(dec)
-    assert len(extrema._tiles(dec, 2500)) - 1 == _DEFAULT_TILES[m, n]
-    for budget in (8, _budget(dec, 7), extrema._WORK_BYTES, _budget(dec, 10**6)):
+    cand = extrema._census_candidates(m, n)
+    row_bytes = 8 * extrema._row_elements(cand)
+    assert len(extrema._tiles(cand, 2500)) - 1 == _DEFAULT_TILES[m, n]
+    for budget in (8, _budget(cand, 7), extrema._WORK_BYTES, _budget(cand, 10**6)):
         monkeypatch.setattr(extrema, "_WORK_BYTES", budget)
         for rows in (1, 6, 7, 8, 2500, 9001, 100_000):
-            bounds = extrema._tiles(dec, rows)
+            bounds = extrema._tiles(cand, rows)
             sizes = np.diff(bounds)
             # every row once, in tiles equal within one row, the largest first
             assert bounds[0] == 0 and bounds[-1] == rows and sizes.min() >= 1
@@ -646,29 +634,28 @@ def _near_tie_block(m, n):
 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (3, 3), (2, 5)])
 def test_pruned_block_tallies_do_not_depend_on_the_tile_size(monkeypatch, m, n):
-    dec = extrema._census_decomposition(m, n)
+    cand = extrema._census_candidates(m, n)
     spectra = _near_tie_block(m, n)
     tallies = []
     # one-row tiles, uneven tiles of 7 rows and one tile; the default holds
     # the whole block in one tile too, so two tiles also run.  The near-tie
     # rows sit within the last bit of EPSILON, so the tallies agree only if
     # a row's credit does not depend on how many rows share its tile.
-    for budget in (8, _budget(dec, 7), extrema._WORK_BYTES, _budget(dec, len(spectra))):
+    for budget in (8, _budget(cand, 7), extrema._WORK_BYTES, _budget(cand, len(spectra))):
         monkeypatch.setattr(extrema, "_WORK_BYTES", budget)
-        tallies.append(_tallies(spectra, dec))
+        tallies.append(_tallies(spectra, m, n))
     assert tallies[1:] == tallies[:-1]
     assert tallies[0][2] >= 2 and tallies[0][3] >= 2  # the uniform rows tie both sides
-    monkeypatch.setattr(extrema, "_WORK_BYTES", _budget(dec, 2 * len(spectra) // 3))
-    assert len(extrema._tiles(dec, len(spectra))) == 3
-    assert _tallies(spectra, dec) == tallies[0]
+    monkeypatch.setattr(extrema, "_WORK_BYTES", _budget(cand, 2 * len(spectra) // 3))
+    assert len(extrema._tiles(cand, len(spectra))) == 3
+    assert _tallies(spectra, m, n) == tallies[0]
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (3, 3), (2, 5)])
 def test_near_tie_blocks_count_the_ties_of_a_per_row_recount(m, n):
     # the census credits each row as specmi extrema does, ties included
-    dec = extrema._census_decomposition(m, n)
     spectra = _near_tie_block(m, n)
-    assert _tallies(spectra, dec) == _brute_force_tally(spectra, m, n)
+    assert _tallies(spectra, m, n) == _brute_force_tally(spectra, m, n)
 
 
 def _set_bytes(work):
@@ -683,10 +670,9 @@ def test_census_work_arrays_stay_within_the_budget(monkeypatch):
     assert 1 <= len(spare) <= 2  # one set per block thread, kept
     assert all(_set_bytes(work) <= extrema._WORK_BYTES for work in spare)
     # a tie-heavy block: its tied rows are evaluated outside the set
-    dec = extrema._census_decomposition(2, 5)
     spectra = sample_spectra(10, 2500, np.random.default_rng(13))
     spectra[:100] = 0.1
-    ties_max, ties_min = extrema._block_extrema(spectra, dec)[2:]
+    ties_max, ties_min = _census_block(spectra, 2, 5)[2:]
     assert ties_max == ties_min == 100
     assert 1 <= len(spare) <= 2
     assert all(_set_bytes(work) <= extrema._WORK_BYTES for work in spare)
@@ -697,10 +683,9 @@ def test_a_set_grown_beyond_the_budget_is_not_kept(monkeypatch):
     # do not use takes the whole budget
     unused = np.empty(extrema._WORK_BYTES // 8)
     monkeypatch.setattr(extrema, "_spare_work", [{"unused": unused}])
-    dec = extrema._census_decomposition(2, 4)
-    extrema._block_extrema(sample_spectra(8, 100, np.random.default_rng(14)), dec)
+    _census_block(sample_spectra(8, 100, np.random.default_rng(14)), 2, 4)
     assert extrema._spare_work == []
-    extrema._block_extrema(sample_spectra(8, 100, np.random.default_rng(15)), dec)
+    _census_block(sample_spectra(8, 100, np.random.default_rng(15)), 2, 4)
     assert len(extrema._spare_work) == 1 and "index" in extrema._spare_work[0]
 
 
@@ -757,12 +742,11 @@ def test_entropy_terms_equal_the_fill_copy_log_steps_bit_for_bit(m, n):
 def test_a_block_reuses_the_work_arrays_of_the_last(monkeypatch):
     # a set that tiles of other shapes grew may not fit the budget, and is dropped
     monkeypatch.setattr(extrema, "_spare_work", [])
-    dec = extrema._census_decomposition(2, 5)
     spectra = sample_spectra(10, 2500, np.random.default_rng(12))
-    first = extrema._block_extrema(spectra, dec)
+    first = _census_block(spectra, 2, 5)
     tracemalloc.start()
     try:
-        again = extrema._block_extrema(spectra, dec)
+        again = _census_block(spectra, 2, 5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -914,10 +898,10 @@ def test_concurrent_censuses_restore_blas_threads(monkeypatch):
     ]
     all_running = threading.Barrier(len(seeds), timeout=30)
 
-    def meeting(spectra, dec):  # each census's first block waits for the others'
+    def meeting(spectra, *tables):  # each census's first block waits for the others'
         if any(np.array_equal(spectra, first) for first in first_blocks):
             all_running.wait()
-        return block_extrema(spectra, dec)
+        return block_extrema(spectra, *tables)
 
     def run(seed):
         return census(2, 3, 10_000, seed, workers=2, block_size=500)
@@ -1014,6 +998,23 @@ def test_census_resume_needs_a_checkpoint_path():
 
 
 @pytest.mark.parametrize(
+    "change,problem",
+    [
+        (lambda payload: [payload], "is not a JSON object"),
+        (lambda payload: {**payload, "max_hits": {"48": 2001}},
+         "has max_hits['48']=2001, outside 0..2000"),
+    ],
+    ids=["a-list", "hits-above-samples-done"],
+)
+def test_census_resume_rejects_a_checkpoint_it_could_not_have_written(tmp_path, change, problem):
+    ck = tmp_path / "census.json"
+    census(2, 3, 2000, 7, block_size=500, checkpoint_path=str(ck))
+    ck.write_text(json.dumps(change(json.loads(ck.read_text()))))
+    with pytest.raises(CheckpointMismatchError, match=re.escape(f"{str(ck)!r} {problem}")):
+        census(2, 3, 2000, 7, block_size=500, checkpoint_path=str(ck), resume=True)
+
+
+@pytest.mark.parametrize(
     "rows",
     [
         [[5000, 1, 5], [20_000, 1, 5]],
@@ -1079,11 +1080,11 @@ def test_census_keeps_one_block_per_thread_in_flight(monkeypatch):
         submitted.append(args)
         return submit(self, *args, **kwargs)
 
-    def holding(spectra, dec):
+    def holding(spectra, *tables):
         if np.array_equal(spectra, block_0):
             time.sleep(0.2)
             submitted_while_held.append(len(submitted))
-        return block_extrema(spectra, dec)
+        return block_extrema(spectra, *tables)
 
     monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
     monkeypatch.setattr(extrema, "_block_extrema", holding)
@@ -1119,7 +1120,8 @@ def test_census_rejects_a_negative_seed_before_any_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a census with a negative seed did work")
 
-    monkeypatch.setattr(extrema, "_census_decomposition", no_work)
+    monkeypatch.setattr(extrema, "_decomposition", no_work)
+    monkeypatch.setattr(extrema, "_census_candidates", no_work)
     monkeypatch.setattr(extrema, "sample_spectra", no_work)
     with pytest.raises(ValueError, match="seed >= 0"):
         census(2, 5, 10, -1)

@@ -57,6 +57,12 @@ def test_symbolic_sum_render_with_multiplicity():
     assert s.render() == "b+2c+d"
 
 
+def test_symbolic_sum_rejects_an_unknown_symbol():
+    for symbol in (-1, len(SYMBOL_LETTERS)):
+        with pytest.raises(ValueError, match=rf"unknown symbol in \(0, {symbol}\)"):
+            SymbolicSum((0, symbol))
+
+
 def test_symbolic_sum_add_and_cancel():
     s = SymbolicSum.of(0, 1) + SymbolicSum.of(1)
     t = SymbolicSum.of(1, 2)
@@ -235,6 +241,13 @@ def test_matrix_majorises_requires_same_entry_multiset():
         matrix_majorises(a, b)
 
 
+def test_matrix_majorises_requires_one_shape():
+    a = ProbMatrix(((0.4, 0.3), (0.2, 0.1)))
+    b = ProbMatrix(((0.4, 0.3, 0.1), (0.1, 0.05, 0.05)))
+    with pytest.raises(ValueError, match=r"shape mismatch: \(2, 2\) vs \(2, 3\)"):
+        matrix_majorises(a, b)
+
+
 def test_matrix_majorises_on_rearrangements():
     s = (0.4, 0.3, 0.15, 0.1, 0.03, 0.02)
     hi = ProbMatrix(((s[0], s[3], s[4]), (s[5], s[2], s[1])))
@@ -252,6 +265,12 @@ def test_vector_majorisation_certificate_roundtrip():
     lines = vector_majorisation_certificate(v, u)
     assert lines is not None
     assert any("totals equal" in ln for ln in lines)
+
+
+def test_vector_majorisation_certificate_requires_one_length():
+    u, v = (SymbolicSum.of(0),), (SymbolicSum.of(0), SymbolicSum.of(1))
+    with pytest.raises(ValueError, match="length mismatch"):
+        vector_majorisation_certificate(u, v)
 
 
 def test_majorisation_certificate_example_pair():
@@ -503,6 +522,14 @@ def test_transposition_context_rejects_bad_positions():
         transposition_context(P, (0, 0), (2, 1))
     with pytest.raises(ValueError, match="distinct"):
         transposition_context(P, (1, 1), (1, 1))
+
+
+def test_cmi_diff_needs_a_numeric_context_and_is_zero_for_equal_entries():
+    grid = word_to_grid("adefcb", 2, 3)
+    with pytest.raises(ValueError, match="cmi_diff_transposition needs a numeric context"):
+        cmi_diff_transposition(symbolic_transposition_context(grid, (0, 0), (1, 2)))
+    P = ProbMatrix(((0.25, 0.25), (0.25, 0.25)))
+    assert cmi_diff_transposition(transposition_context(P, (0, 0), (1, 1))) == 0.0
 
 
 def test_cmi_diff_matches_direct_recomputation():
